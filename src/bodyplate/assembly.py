@@ -20,13 +20,12 @@ component 3 with Morley vertex values) and is symmetric positive definite.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry_mesh import TET_LOCAL_FACES, FaceTag, TetMesh, TriMesh
+from .geometry_mesh import FaceTag, TetMesh, TriMesh
 from .interface_overlay import (
     InterfaceFace,
     OverlayCell,
@@ -35,17 +34,21 @@ from .interface_overlay import (
 from .manufactured import ManufacturedCase
 from .materials import MaterialParams, c0_apply, c0_inv_apply, c1_apply, c2_apply
 from .fe_elements import (
+    SPAN_EDGE,
     BodyCGDofMap,
     BodyDGDofMap,
     HuMaElement,
-    MorleyElement,
+    MorleyBatch,
     PlateDofMap,
+    StressBatch,
     StressDofMap,
-    VectorP1Tri,
-    VectorP1Tet,
+    simplex_barycentric,
+    simplex_geometry,
+    span_dlam,
+    span_scalars,
     tet_barycentric,
 )
-from .quadrature import physical_weights, tet_rule, triangle_rule
+from .quadrature import TET_MEASURE, physical_weights, tet_rule, triangle_rule
 
 __all__ = [
     "assemble_compliance",
@@ -67,73 +70,88 @@ __all__ = [
 ]
 
 
-def _congruence_key(verts: np.ndarray) -> tuple:
-    rel = verts - verts[0]
-    return tuple(np.round(rel.ravel(), 12))
+def _scatter(rows: np.ndarray, cols: np.ndarray, blocks: np.ndarray,
+             shape: tuple[int, int]) -> sp.csr_matrix:
+    """Sum element blocks (n, r, c) into a sparse matrix; ``rows`` (n, r) and
+    ``cols`` (n, c) are the global indices of each block."""
+    r = np.broadcast_to(rows[:, :, None], blocks.shape)
+    c = np.broadcast_to(cols[:, None, :], blocks.shape)
+    return sp.coo_matrix(
+        (blocks.ravel(), (r.ravel(), c.ravel())), shape=shape
+    ).tocsr()
 
 
-class _COO:
-    """Triplet accumulator."""
-
-    def __init__(self):
-        self.rows: list[np.ndarray] = []
-        self.cols: list[np.ndarray] = []
-        self.vals: list[np.ndarray] = []
-
-    def add_block(self, rows: np.ndarray, cols: np.ndarray, block: np.ndarray):
-        r, c = np.meshgrid(rows, cols, indexing="ij")
-        self.rows.append(r.ravel())
-        self.cols.append(c.ravel())
-        self.vals.append(np.asarray(block).ravel())
-
-    def build(self, shape) -> sp.csr_matrix:
-        if not self.rows:
-            return sp.csr_matrix(shape)
-        m = sp.coo_matrix(
-            (
-                np.concatenate(self.vals),
-                (np.concatenate(self.rows), np.concatenate(self.cols)),
-            ),
-            shape=shape,
-        )
-        return m.tocsr()
+def _scatter_vector(idx: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
+    """Sum element vectors into a global vector of length n."""
+    return np.bincount(idx.ravel(), weights=vals.ravel(), minlength=n)
 
 
-def _stress_elements(body: TetMesh) -> list[HuMaElement]:
-    """One stress element per tet, cached by congruence class."""
-    cache: dict[tuple, HuMaElement] = {}
-    out = []
-    for t in range(body.n_tets):
-        verts = body.tet_vertices(t)
-        key = _congruence_key(verts)
-        el = cache.get(key)
-        if el is None:
-            el = HuMaElement(verts)
-            cache[key] = el
-        out.append(el)
-    return out
+def _mapped_rule(rule, verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Physical points (n, nq, d) and weights (n, nq) of a reference rule on
+    a batch of simplices (n, d+1, d)."""
+    _, measure = simplex_geometry(verts)
+    return rule.points @ verts, physical_weights(rule, measure[:, None])
+
+
+def _p1_mass_table(rule) -> np.ndarray:
+    """(12, 12) reference mass of vector P1 on the tet, local DOF 3 a + c;
+    scale by volume / TET_MEASURE."""
+    lam = rule.points
+    return np.kron(np.einsum("q,qa,qb->ab", rule.weights, lam, lam), np.eye(3))
+
+
+def _vector_p1_strains(grad_lambda: np.ndarray) -> np.ndarray:
+    """(n, (d+1) d, d, d) constant strains of the vector P1 basis hat_a e_c
+    (local DOF d a + c), whose gradient is e_c grad(lam_a)^T."""
+    d = grad_lambda.shape[-1]
+    g = np.einsum("cr,nas->nacrs", np.eye(d), grad_lambda)
+    g = g.reshape(-1, (d + 1) * d, d, d)
+    return 0.5 * (g + np.swapaxes(g, 2, 3))
+
+
+def _match_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row of ``b`` equal to each row of ``a`` (floats compared after rounding
+    to 1e-9), or -1 where there is none."""
+    if a.dtype.kind == "f":
+        a, b = np.round(a, 9) + 0.0, np.round(b, 9) + 0.0
+    _, inv = np.unique(np.concatenate([b, a]), axis=0, return_inverse=True)
+    inv = inv.ravel()
+    where = np.full(inv.max() + 1, -1)
+    where[inv[: b.shape[0]]] = np.arange(b.shape[0])
+    return where[inv[b.shape[0]:]]
 
 
 # ---------------------------------------------------------------------------
 # Body bilinear forms.
 # ---------------------------------------------------------------------------
 
-def _assemble_stress_form(body, smap, local_fn) -> sp.csr_matrix:
-    """Generic (42 x 42)-per-tet stress form with congruence caching."""
-    acc = _COO()
-    cache: dict[tuple, tuple[HuMaElement, np.ndarray]] = {}
-    for t in range(body.n_tets):
-        verts = body.tet_vertices(t)
-        key = _congruence_key(verts)
-        hit = cache.get(key)
-        if hit is None:
-            el = HuMaElement(verts)
-            hit = (el, local_fn(el))
-            cache[key] = hit
-        _, loc = hit
-        s = smap.sign[t]
-        acc.add_block(smap.ltg[t], smap.ltg[t], loc * np.outer(s, s))
-    return acc.build((smap.n_dofs, smap.n_dofs))
+def _assemble_stress_form(body: TetMesh, smap: StressDofMap,
+                          span_form) -> sp.csr_matrix:
+    """A 42 x 42-per-tet stress form.  ``span_form(kernel)`` returns its
+    (n, 42, 42) matrices on the spanning functions; the dual-basis
+    coefficients map them to the basis."""
+    k = StressBatch(body.vertices[body.tets])
+    loc = k.coeffs @ span_form(k) @ np.swapaxes(k.coeffs, 1, 2)
+    s = smap.sign
+    return _scatter(smap.ltg, smap.ltg, loc * s[:, :, None] * s[:, None, :],
+                    (smap.n_dofs, smap.n_dofs))
+
+
+def _tensor_mass_form(body, smap, quad_degree, apply) -> sp.csr_matrix:
+    """int apply(phi_j) : phi_i for a linear map ``apply`` of symmetric
+    matrices.  With spanning functions s_k T_e the integrand separates into
+    the reference Gram matrix of the s_k and the edge pairing
+    apply(T_e) : T_f."""
+    rule = tet_rule(quad_degree)
+    s = span_scalars(rule.points)
+    gram = np.einsum("q,qk,ql->kl", rule.weights, s, s)
+
+    def span_form(k: StressBatch) -> np.ndarray:
+        pair = np.einsum("neab,nfab->nef", apply(k.T), k.T)
+        pair = pair[:, SPAN_EDGE][:, :, SPAN_EDGE]
+        return (k.volume / TET_MEASURE)[:, None, None] * gram * pair
+
+    return _assemble_stress_form(body, smap, span_form)
 
 
 def assemble_compliance(
@@ -143,29 +161,15 @@ def assemble_compliance(
     quad_degree: int = 4,
 ) -> sp.csr_matrix:
     """A[i, j] = int_alpha (C0^-1 phi_j) : phi_i  (symmetric positive definite)."""
-    rule = tet_rule(quad_degree)
-
-    def local(el: HuMaElement) -> np.ndarray:
-        w = physical_weights(rule, el.volume)
-        vals = el.values(rule.points)
-        compl = c0_inv_apply(vals, params)
-        return np.einsum("q,qiab,qjab->ij", w, compl, vals)
-
-    return _assemble_stress_form(body, smap, local)
+    return _tensor_mass_form(body, smap, quad_degree,
+                             lambda T: c0_inv_apply(T, params))
 
 
 def assemble_stress_mass(
     body: TetMesh, smap: StressDofMap, quad_degree: int = 4
 ) -> sp.csr_matrix:
     """Plain L2 mass of the stress space, int phi_i : phi_j."""
-    rule = tet_rule(quad_degree)
-
-    def local(el: HuMaElement) -> np.ndarray:
-        w = physical_weights(rule, el.volume)
-        vals = el.values(rule.points)
-        return np.einsum("q,qiab,qjab->ij", w, vals, vals)
-
-    return _assemble_stress_form(body, smap, local)
+    return _tensor_mass_form(body, smap, quad_degree, lambda T: T)
 
 
 def assemble_div_div(
@@ -173,13 +177,16 @@ def assemble_div_div(
 ) -> sp.csr_matrix:
     """int div phi_i . div phi_j (elementwise divergence)."""
     rule = tet_rule(quad_degree)
+    dlam = span_dlam(rule.points)
 
-    def local(el: HuMaElement) -> np.ndarray:
-        w = physical_weights(rule, el.volume)
-        div = el.divergence(rule.points)
-        return np.einsum("q,qia,qja->ij", w, div, div)
+    def span_form(k: StressBatch) -> np.ndarray:
+        d = k.div_scalars(dlam)  # div(span_k) = d_k t_{e_k}
+        t = k.tangents[:, SPAN_EDGE]
+        dd = np.einsum("q,nqk,nql->nkl", rule.weights, d, d)
+        tt = np.einsum("nkc,nlc->nkl", t, t)
+        return (k.volume / TET_MEASURE)[:, None, None] * dd * tt
 
-    return _assemble_stress_form(body, smap, local)
+    return _assemble_stress_form(body, smap, span_form)
 
 
 def assemble_divergence(
@@ -190,39 +197,23 @@ def assemble_divergence(
 ) -> sp.csr_matrix:
     """B[k, i] = int_alpha div(phi_i) . psi_k  (V x Sigma)."""
     rule = tet_rule(quad_degree)
-    acc = _COO()
-    cache: dict[tuple, np.ndarray] = {}
-    for t in range(body.n_tets):
-        verts = body.tet_vertices(t)
-        key = _congruence_key(verts)
-        loc = cache.get(key)
-        if loc is None:
-            el = HuMaElement(verts)
-            w = physical_weights(rule, el.volume)
-            div = el.divergence(rule.points)  # (nq, 42, 3)
-            loc = np.einsum("q,qa,qic->aci", w, rule.points, div).reshape(12, 42)
-            cache[key] = loc
-        acc.add_block(vmap.ltg[t], smap.ltg[t], loc * smap.sign[t][None, :])
-    return acc.build((vmap.n_dofs, smap.n_dofs))
+    # Reference moments int lam_a d(s_k)/d(lam_b), (4, 42, 4).
+    moments = np.einsum("q,qa,qkb->akb", rule.weights, rule.points,
+                        span_dlam(rule.points))
+    k = StressBatch(body.vertices[body.tets])
+    d = k.div_scalars(moments) * (k.volume / TET_MEASURE)[:, None, None]
+    t = np.swapaxes(k.tangents[:, SPAN_EDGE], 1, 2)  # (n, 3, 42)
+    span = (d[:, :, None, :] * t[:, None, :, :]).reshape(-1, 12, 42)
+    loc = span @ np.swapaxes(k.coeffs, 1, 2)
+    return _scatter(vmap.ltg, smap.ltg, loc * smap.sign[:, None, :],
+                    (vmap.n_dofs, smap.n_dofs))
 
 
 def assemble_body_mass(body: TetMesh, vmap, quad_degree: int = 4) -> sp.csr_matrix:
     """Vector P1 mass matrix on the body (works for the DG and CG maps)."""
-    rule = tet_rule(quad_degree)
-    acc = _COO()
-    cache: dict[tuple, np.ndarray] = {}
-    for t in range(body.n_tets):
-        verts = body.tet_vertices(t)
-        key = _congruence_key(verts)
-        loc = cache.get(key)
-        if loc is None:
-            el = VectorP1Tet(verts)
-            w = physical_weights(rule, el.volume)
-            vals = el.value(rule.points)
-            loc = np.einsum("q,qia,qja->ij", w, vals, vals)
-            cache[key] = loc
-        acc.add_block(vmap.ltg[t], vmap.ltg[t], loc)
-    return acc.build((vmap.n_dofs, vmap.n_dofs))
+    _, vol = simplex_geometry(body.vertices[body.tets])
+    loc = (vol / TET_MEASURE)[:, None, None] * _p1_mass_table(tet_rule(quad_degree))
+    return _scatter(vmap.ltg, vmap.ltg, loc, (vmap.n_dofs, vmap.n_dofs))
 
 
 # ---------------------------------------------------------------------------
@@ -242,42 +233,40 @@ def assemble_plate_stiffness(
     decomposition extension energy).
     """
     if region == "all":
-        tri_ids = range(plate.n_triangles)
+        tri = np.arange(plate.n_triangles)
     elif region == "omit_interface":
-        inside = set(int(t) for t in plate.interface_region_triangles)
-        tri_ids = [t for t in range(plate.n_triangles) if t not in inside]
+        tri = np.setdiff1d(np.arange(plate.n_triangles),
+                           plate.interface_region_triangles)
     else:
         raise ValueError(f"unknown region {region!r}")
 
-    acc = _COO()
-    for t in tri_ids:
-        verts = plate.triangle_vertices(t)
-        mem = VectorP1Tri(verts)
-        strain = mem.strain()
-        sig = c1_apply(strain, params)
-        k_mem = mem.area * np.einsum("iab,jab->ij", sig, strain)
-        acc.add_block(pmap.mem_ltg[t], pmap.mem_ltg[t], k_mem)
-
-        mo = MorleyElement(verts)
-        hess = mo.hessian()
-        mom = c2_apply(hess, params)
-        k_bend = mem.area * np.einsum("iab,jab->ij", mom, hess)
-        s = pmap.mor_sign[t]
-        acc.add_block(pmap.mor_ltg[t], pmap.mor_ltg[t], k_bend * np.outer(s, s))
-    return acc.build((pmap.n_dofs, pmap.n_dofs))
+    mo = MorleyBatch(plate.vertices[plate.triangles[tri]])
+    strain = _vector_p1_strains(mo.grad_lambda)
+    k_mem = np.einsum("n,niab,njab->nij", mo.area, c1_apply(strain, params),
+                      strain)
+    hess = mo.hessians()
+    k_bend = np.einsum("n,niab,njab->nij", mo.area, c2_apply(hess, params), hess)
+    s = pmap.mor_sign[tri]
+    shape = (pmap.n_dofs, pmap.n_dofs)
+    return (_scatter(pmap.mem_ltg[tri], pmap.mem_ltg[tri], k_mem, shape)
+            + _scatter(pmap.mor_ltg[tri], pmap.mor_ltg[tri],
+                       k_bend * s[:, :, None] * s[:, None, :], shape))
 
 
 # ---------------------------------------------------------------------------
 # Interface coupling.
 # ---------------------------------------------------------------------------
 
-def _face_local_index(smap: StressDofMap, face: InterfaceFace) -> int:
-    key = tuple(sorted(int(v) for v in face.vertex_ids))
-    fid = smap.face_index[key]
-    rec = smap.faces[fid]
-    if rec.owner != face.owner_tet:
+def _interface_local_faces(body: TetMesh, faces: list[InterfaceFace]
+                           ) -> tuple[np.ndarray, np.ndarray]:
+    """Owner tets of the interface faces and each face's local index in its
+    owner (the local vertex it does not contain)."""
+    owner = np.array([f.owner_tet for f in faces], dtype=np.int64)
+    vids = np.array([f.vertex_ids for f in faces], dtype=np.int64)
+    in_face = (body.tets[owner][:, :, None] == vids[:, None, :]).any(axis=2)
+    if np.any(in_face.sum(axis=1) != 3):
         raise ValueError("interface face owner mismatch between mesh and overlay")
-    return rec.owner_local
+    return owner, np.argmin(in_face, axis=1)
 
 
 def assemble_interface_coupling(
@@ -294,40 +283,48 @@ def assemble_interface_coupling(
     functions replaced by the continuous P1 field of their vertex values
     (Morley edge DOFs yield identically zero rows).
     """
-    elements: dict[int, HuMaElement] = {}
-    cache: dict[tuple, HuMaElement] = {}
-    face_local = {f.face_id: _face_local_index(smap, f) for f in faces}
+    owner, local = _interface_local_faces(body, faces)
+    k = StressBatch(body.vertices[body.tets[owner]])
+    cell_face = np.array([c.face_id for c in cells], dtype=np.int64)
+    cell_tri = np.array([c.tri_id for c in cells], dtype=np.int64)
+    mom = _overlay_moments(k, plate, cells, cell_face, cell_tri)
+    # The traction of span_k is s_k (t_{e_k} . n) t_{e_k}.
+    t = k.tangents[:, SPAN_EDGE]  # (n_faces, 42, 3)
+    nrm = k.face_normals[np.arange(owner.size), local]
+    mom = mom * np.einsum("fkc,fc->fk", t, nrm)[cell_face][:, None]
+    span = mom[:, :, None, :] * np.swapaxes(t, 1, 2)[cell_face][:, None]
+    tet = owner[cell_face]
+    blk = (span.reshape(-1, 9, 42) @ np.swapaxes(k.coeffs[cell_face], 1, 2)
+           * smap.sign[tet][:, None, :]).reshape(-1, 3, 3, 42)
+    cols = smap.ltg[tet]
+    shape = (pmap.n_dofs, smap.n_dofs)
+    return (_scatter(pmap.mem_ltg[cell_tri], cols,
+                     blk[:, :, :2].reshape(-1, 6, 42), shape)
+            + _scatter(pmap.mor_ltg[cell_tri, :3], cols, blk[:, :, 2], shape))
 
-    acc = _COO()
-    for cell in cells:
-        face = faces[cell.face_id]
-        t = face.owner_tet
-        el = elements.get(t)
-        if el is None:
-            verts = body.tet_vertices(t)
-            key = _congruence_key(verts)
-            el = cache.get(key)
-            if el is None:
-                el = HuMaElement(verts)
-                cache[key] = el
-            elements[t] = el
-        pts3 = np.column_stack([cell.points, np.zeros(cell.points.shape[0])])
-        # Barycentric coords from the tet's own vertices: the cached element
-        # may come from a congruent (translated) tet, so only translation-
-        # invariant quantities of it may be used.
-        bary = tet_barycentric(body.tet_vertices(t), pts3)
-        nrm = el.face_normals[face_local[face.face_id]]
-        tr = np.einsum("qiab,b->qia", el.values(bary), nrm)  # (nq, 42, 3)
-        tr = tr * smap.sign[t][None, :, None]
-        cols = smap.ltg[t]
 
-        hat = triangle_barycentric(plate.triangle_vertices(cell.tri_id), cell.points)
-        w = cell.weights
-        mem_blk = np.einsum("q,qa,qic->aci", w, hat, tr[:, :, :2]).reshape(6, 42)
-        acc.add_block(pmap.mem_ltg[cell.tri_id], cols, mem_blk)
-        mor_blk = np.einsum("q,qa,qi->ai", w, hat, tr[:, :, 2])
-        acc.add_block(pmap.mor_ltg[cell.tri_id][:3], cols, mor_blk)
-    return acc.build((pmap.n_dofs, smap.n_dofs))
+def _overlay_moments(k: StressBatch, plate: TriMesh, cells: list[OverlayCell],
+                     cell_face: np.ndarray, cell_tri: np.ndarray) -> np.ndarray:
+    """Per-cell moments int_cell hat_a s_k, (n_cells, 3, 42): the quadrature
+    points of all cells flattened, with the spanning scalars of the face's
+    owner tet and the P1 hats of the plate triangle at each point.  A
+    function of its own so that the per-point arrays are freed before the
+    per-cell products of the caller."""
+    point_cell = np.repeat(np.arange(len(cells)),
+                           [c.weights.shape[0] for c in cells])
+    pts = np.concatenate([c.points for c in cells])
+    wts = np.concatenate([c.weights for c in cells])
+    pts3 = np.column_stack([pts, np.zeros(pts.shape[0])])
+    face = cell_face[point_cell]
+    s = span_scalars(simplex_barycentric(k.grad_lambda[face], k.v0[face], pts3))
+    tri_verts = plate.vertices[plate.triangles[cell_tri]]
+    grad, _ = simplex_geometry(tri_verts)
+    hat = simplex_barycentric(grad[point_cell], tri_verts[point_cell, 0], pts)
+    return np.stack([
+        sp.csr_matrix((wts * hat[:, a], (point_cell, np.arange(pts.shape[0]))),
+                      shape=(len(cells), pts.shape[0])) @ s
+        for a in range(3)
+    ], axis=1)
 
 
 def assemble_interface_coupling_direct(
@@ -339,45 +336,39 @@ def assemble_interface_coupling_direct(
     quad_degree: int = 6,
 ) -> sp.csr_matrix:
     """Matching-mesh coupling integrated face by face on the single shared
-    triangulation (no overlay); used to cross-check the overlay path."""
-    lookup: dict[tuple, int] = {}
-    for t in plate.interface_region_triangles:
-        t = int(t)
-        key = tuple(sorted(map(tuple, np.round(plate.triangle_vertices(t), 9))))
-        lookup[key] = t
+    triangulation (no overlay), with the per-element reference classes; used
+    to cross-check the overlay path."""
+    region = plate.interface_region_triangles
+    face_pv = _match_rows(np.concatenate([f.verts2d for f in faces]),
+                          plate.vertices).reshape(-1, 3)
+    tris = _match_rows(np.sort(face_pv, axis=1),
+                       np.sort(plate.triangles[region], axis=1))
+    if np.any(face_pv < 0) or np.any(tris < 0):
+        raise ValueError(
+            "meshes do not match on the interface; use the overlay coupling"
+        )
     rule = triangle_rule(quad_degree)
-    cache: dict[tuple, HuMaElement] = {}
+    owner, local = _interface_local_faces(body, faces)
+    tri = region[tris]
 
-    acc = _COO()
-    for face in faces:
-        key = tuple(sorted(map(tuple, np.round(face.verts2d, 9))))
-        tri = lookup.get(key)
-        if tri is None:
-            raise ValueError(
-                "meshes do not match on the interface; use the overlay coupling"
-            )
-        t = face.owner_tet
+    mem_blocks, mor_blocks = [], []
+    for face, t, f, p in zip(faces, owner, local, tri):
         verts = body.tet_vertices(t)
-        ckey = _congruence_key(verts)
-        el = cache.get(ckey)
-        if el is None:
-            el = HuMaElement(verts)
-            cache[ckey] = el
+        el = HuMaElement(verts)
         pts2 = rule.points @ face.verts2d
-        area = face.area
-        w = physical_weights(rule, area)
+        w = physical_weights(rule, face.area)
         pts3 = np.column_stack([pts2, np.zeros(pts2.shape[0])])
         bary = tet_barycentric(verts, pts3)
-        nrm = el.face_normals[_face_local_index(smap, face)]
-        tr = np.einsum("qiab,b->qia", el.values(bary), nrm)
+        tr = np.einsum("qiab,b->qia", el.values(bary), el.face_normals[f])
         tr = tr * smap.sign[t][None, :, None]
-        cols = smap.ltg[t]
-        hat = triangle_barycentric(plate.triangle_vertices(tri), pts2)
-        mem_blk = np.einsum("q,qa,qic->aci", w, hat, tr[:, :, :2]).reshape(6, 42)
-        acc.add_block(pmap.mem_ltg[tri], cols, mem_blk)
-        mor_blk = np.einsum("q,qa,qi->ai", w, hat, tr[:, :, 2])
-        acc.add_block(pmap.mor_ltg[tri][:3], cols, mor_blk)
-    return acc.build((pmap.n_dofs, smap.n_dofs))
+        hat = triangle_barycentric(plate.triangle_vertices(p), pts2)
+        mem_blocks.append(
+            np.einsum("q,qa,qic->aci", w, hat, tr[:, :, :2]).reshape(6, 42))
+        mor_blocks.append(np.einsum("q,qa,qi->ai", w, hat, tr[:, :, 2]))
+    cols = smap.ltg[owner]
+    shape = (pmap.n_dofs, smap.n_dofs)
+    return (_scatter(pmap.mem_ltg[tri], cols, np.array(mem_blocks), shape)
+            + _scatter(pmap.mor_ltg[tri, :3], cols, np.array(mor_blocks), shape))
 
 
 # ---------------------------------------------------------------------------
@@ -392,37 +383,23 @@ def impose_traction_bc(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Essential values of the free-face stress DOFs.
 
-    ``traction_fn(points, normal)`` returns the traction g = sigma n at
-    physical points for the face's outward unit normal.  Returns the DOF
-    indices and their values: value[(p, c)] = (1/|F|) int_F (g . e_c) lam_p
-    with lam_p the face's P1 basis in sorted-global-vertex order.
+    ``traction_fn(points, normals)`` returns the traction g = sigma n at
+    physical points (m, 3) for the outward unit normals (m, 3) of their
+    faces.  Returns the DOF indices and their values:
+    value[(p, c)] = (1/|F|) int_F (g . e_c) lam_p with lam_p the face's P1
+    basis in sorted-global-vertex order.
     """
     rule = triangle_rule(quad_degree)
-    idx = smap.essential_dofs
-    values = np.zeros(idx.shape[0])
-    pos = 0
-    for fid in smap.free_face_ids:
-        rec = smap.faces[fid]
-        vids = rec.vertices  # sorted
-        coords = body.vertices[list(vids)]
-        pts = rule.points @ coords
-        el_verts = body.tet_vertices(rec.owner)
-        nrm = _outward_normal(el_verts, rec.owner_local)
-        g = traction_fn(pts, nrm)  # (nq, 3)
-        mom = 2.0 * np.einsum("q,qp,qc->pc", rule.weights, rule.points, g)
-        values[pos: pos + 9] = mom.reshape(9)
-        pos += 9
-    return idx, values
-
-
-def _outward_normal(tet_verts: np.ndarray, local_face: int) -> np.ndarray:
-    fv = tet_verts[TET_LOCAL_FACES[local_face]]
-    nrm = np.cross(fv[1] - fv[0], fv[2] - fv[0])
-    nrm = nrm / np.linalg.norm(nrm)
-    centroid = tet_verts.mean(axis=0)
-    if np.dot(nrm, fv.mean(axis=0) - centroid) < 0:
-        nrm = -nrm
-    return nrm
+    fid = smap.free_face_ids
+    owner, local = smap.face_owner[fid], smap.face_owner_local[fid]
+    grad, _ = simplex_geometry(body.vertices[body.tets[owner]])
+    nrm = -grad[np.arange(fid.size), local]
+    nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
+    pts = rule.points @ body.vertices[smap.face_vertices[fid]]
+    g = traction_fn(pts.reshape(-1, 3), np.repeat(nrm, rule.n_points, axis=0))
+    g = g.reshape(pts.shape)
+    mom = 2.0 * np.einsum("q,qp,fqc->fpc", rule.weights, rule.points, g)
+    return smap.essential_dofs, mom.reshape(-1)
 
 
 def assemble_loads(
@@ -441,72 +418,51 @@ def assemble_loads(
     f_W[w] = int_beta (f_membrane, f_bending) . chi_w
              + int_Gamma f_jump . (Pi chi_w  if lowered_jump else chi_w).
     """
-    f_V = np.zeros(vmap.n_dofs)
     rule = tet_rule(quad_volume)
-    for t in range(body.n_tets):
-        verts = body.tet_vertices(t)
-        el = VectorP1Tet(verts)
-        w = physical_weights(rule, el.volume)
-        pts = rule.points @ verts
-        fv = case.f_body(pts)  # (nq, 3)
-        loc = -np.einsum("q,qa,qc->ac", w, rule.points, fv).reshape(12)
-        np.add.at(f_V, vmap.ltg[t], loc)
+    pts, w = _mapped_rule(rule, body.vertices[body.tets])
+    loc = -np.einsum("nq,qa,nqc->nac", w, rule.points, case.f_body(pts))
+    f_V = _scatter_vector(vmap.ltg, loc, vmap.n_dofs)
 
-    f_W = np.zeros(pmap.n_dofs)
-    tri_rule = triangle_rule(quad_volume)
-    for t in range(plate.n_triangles):
-        verts = plate.triangle_vertices(t)
-        mem = VectorP1Tri(verts)
-        w = physical_weights(tri_rule, mem.area)
-        pts = tri_rule.points @ verts
-        fm = case.f_membrane(pts)
-        loc = np.einsum("q,qa,qc->ac", w, tri_rule.points, fm).reshape(6)
-        np.add.at(f_W, pmap.mem_ltg[t], loc)
-        mo = MorleyElement(verts)
-        fb = case.f_bending(pts)
-        locb = np.einsum("q,qi,q->i", w, mo.value(pts), fb)
-        np.add.at(f_W, pmap.mor_ltg[t], pmap.mor_sign[t] * locb)
+    n = pmap.n_dofs
+    rule = triangle_rule(quad_volume)
+    verts = plate.vertices[plate.triangles]
+    pts, w = _mapped_rule(rule, verts)
+    mem = np.einsum("nq,qa,nqc->nac", w, rule.points, case.f_membrane(pts))
+    bend = np.einsum("nq,nqi,nq->ni", w, MorleyBatch(verts).values(rule.points),
+                     case.f_bending(pts))
+    f_W = (_scatter_vector(pmap.mem_ltg, mem, n)
+           + _scatter_vector(pmap.mor_ltg, pmap.mor_sign * bend, n))
 
-    jrule = triangle_rule(quad_interface)
-    for t in plate.interface_region_triangles:
-        t = int(t)
-        verts = plate.triangle_vertices(t)
-        area = VectorP1Tri(verts).area
-        w = physical_weights(jrule, area)
-        pts = jrule.points @ verts
-        fj = case.f_jump(pts)  # (nq, 3)
-        loc = np.einsum("q,qa,qc->ac", w, jrule.points, fj[:, :2]).reshape(6)
-        np.add.at(f_W, pmap.mem_ltg[t], loc)
-        if lowered_jump:
-            locm = np.einsum("q,qa,q->a", w, jrule.points, fj[:, 2])
-            np.add.at(f_W, pmap.mor_ltg[t][:3], locm)
-        else:
-            mo = MorleyElement(verts)
-            locm = np.einsum("q,qi,q->i", w, mo.value(pts), fj[:, 2])
-            np.add.at(f_W, pmap.mor_ltg[t], pmap.mor_sign[t] * locm)
+    rule = triangle_rule(quad_interface)
+    region = plate.interface_region_triangles
+    verts = plate.vertices[plate.triangles[region]]
+    pts, w = _mapped_rule(rule, verts)
+    fj = case.f_jump(pts)  # (n, nq, 3)
+    mem = np.einsum("nq,qa,nqc->nac", w, rule.points, fj[..., :2])
+    f_W += _scatter_vector(pmap.mem_ltg[region], mem, n)
+    if lowered_jump:
+        low = np.einsum("nq,qa,nq->na", w, rule.points, fj[..., 2])
+        f_W += _scatter_vector(pmap.mor_ltg[region, :3], low, n)
+    else:
+        jump = np.einsum("nq,nqi,nq->ni", w,
+                         MorleyBatch(verts).values(rule.points), fj[..., 2])
+        f_W += _scatter_vector(pmap.mor_ltg[region],
+                               pmap.mor_sign[region] * jump, n)
     return f_V, f_W
 
 
 def project_to_Vh(body: TetMesh, vmap, func, quad_degree: int = 4) -> np.ndarray:
     """Elementwise L2 projection of a vector field onto the discontinuous
-    vector P1 space (12 x 12 local mass solves)."""
+    vector P1 space (12 x 12 local mass solves).  The element measure scales
+    the local mass and right-hand side alike, so one reference mass serves
+    every tet."""
     rule = tet_rule(quad_degree)
+    verts = body.vertices[body.tets]
+    f = func(rule.points @ verts)  # (n, nq, 3)
+    rhs = np.einsum("q,qa,nqc->nac", rule.weights, rule.points, f)
     out = np.zeros(vmap.n_dofs)
-    mass_cache: dict[tuple, np.ndarray] = {}
-    for t in range(body.n_tets):
-        verts = body.tet_vertices(t)
-        el = VectorP1Tet(verts)
-        key = _congruence_key(verts)
-        M = mass_cache.get(key)
-        w = physical_weights(rule, el.volume)
-        vals = el.value(rule.points)
-        if M is None:
-            M = np.einsum("q,qia,qja->ij", w, vals, vals)
-            mass_cache[key] = M
-        pts = rule.points @ verts
-        f = np.atleast_2d(func(pts))
-        rhs = np.einsum("q,qia,qa->i", w, vals, f)
-        out[vmap.ltg[t]] = np.linalg.solve(M, rhs)
+    out[vmap.ltg] = np.linalg.solve(_p1_mass_table(rule),
+                                    rhs.reshape(-1, 12).T).T
     return out
 
 
@@ -698,96 +654,64 @@ def assemble_displacement_system(
     # Vertex coincidence is not enough: the interface triangulations must be
     # identical, or the vertex-aliased coupling silently misrepresents the
     # trace.  Every projected interface face must be a plate triangle.
-    plate_tris = {
-        tuple(sorted(
-            (round(float(x), 9), round(float(y), 9))
-            for x, y in plate.triangle_vertices(t)
-        ))
-        for t in range(plate.n_triangles)
-    }
-    for b in np.flatnonzero(body.boundary_tags == FaceTag.INTERFACE):
-        tri = body.boundary_faces[b]
-        key = tuple(sorted(
-            (round(float(x), 9), round(float(y), 9))
-            for x, y in body.vertices[tri][:, :2]
-        ))
-        if key not in plate_tris:
-            raise ValueError(
-                "meshes do not match on the interface; the displacement method "
-                "requires plate n = 2 x body n with the same diagonal convention"
-            )
+    iface = body.boundary_faces[body.boundary_tags == FaceTag.INTERFACE]
+    face_pv = _match_rows(body.vertices[iface.ravel(), :2],
+                          plate.vertices).reshape(-1, 3)
+    if np.any(face_pv < 0) or np.any(
+            _match_rows(np.sort(face_pv, axis=1),
+                        np.sort(plate.triangles, axis=1)) < 0):
+        raise ValueError(
+            "meshes do not match on the interface; the displacement method "
+            "requires plate n = 2 x body n with the same diagonal convention"
+        )
 
-    plate_vertex_at: dict[tuple, int] = {
-        (round(float(x), 9), round(float(y), 9)): i
-        for i, (x, y) in enumerate(plate.vertices)
-    }
     nv_body3 = 3 * body.n_vertices
     plate_offset = nv_body3
     n_unified = nv_body3 + pmap.n_dofs
     body_to_unified = np.arange(nv_body3, dtype=np.int64)
-    aliased = []
-    for v in cmap.interface_vertices:
-        x, y = body.vertices[v, 0], body.vertices[v, 1]
-        pv = plate_vertex_at.get((round(float(x), 9), round(float(y), 9)))
-        if pv is None:
-            raise ValueError(
-                "meshes do not match on the interface; the displacement method "
-                "requires plate n = 2 x body n with the same diagonal convention"
-            )
-        body_to_unified[3 * v + 0] = plate_offset + 2 * pv + 0
-        body_to_unified[3 * v + 1] = plate_offset + 2 * pv + 1
-        body_to_unified[3 * v + 2] = plate_offset + 2 * plate.n_vertices + pv
-        aliased.extend([3 * v + 0, 3 * v + 1, 3 * v + 2])
-    aliased = np.asarray(aliased, dtype=np.int64)
-
-    acc = _COO()
-    rhs = np.zeros(n_unified)
+    v = cmap.interface_vertices
+    pv = _match_rows(body.vertices[v, :2], plate.vertices)
+    body_to_unified[3 * v + 0] = plate_offset + 2 * pv + 0
+    body_to_unified[3 * v + 1] = plate_offset + 2 * pv + 1
+    body_to_unified[3 * v + 2] = plate_offset + 2 * plate.n_vertices + pv
+    aliased = (3 * v[:, None] + np.arange(3)).ravel()
 
     # Body stiffness and volume load.
+    verts = body.vertices[body.tets]
+    grad, vol = simplex_geometry(verts)
+    strain = _vector_p1_strains(grad)
+    k_loc = np.einsum("n,niab,njab->nij", vol, c0_apply(strain, params), strain)
+    gl = body_to_unified[cmap.ltg]
     rule = tet_rule(quad_volume)
-    for t in range(body.n_tets):
-        verts = body.tet_vertices(t)
-        el = VectorP1Tet(verts)
-        strain = el.strain()
-        sig = c0_apply(strain, params)
-        k_loc = el.volume * np.einsum("iab,jab->ij", sig, strain)
-        gl = body_to_unified[cmap.ltg[t]]
-        acc.add_block(gl, gl, k_loc)
-        w = physical_weights(rule, el.volume)
-        pts = rule.points @ verts
-        fv = case.f_body(pts)
-        loc = np.einsum("q,qa,qc->ac", w, rule.points, fv).reshape(12)
-        np.add.at(rhs, gl, loc)
+    pts, w = _mapped_rule(rule, verts)
+    loc = np.einsum("nq,qa,nqc->nac", w, rule.points, case.f_body(pts))
+    rhs = _scatter_vector(gl, loc, n_unified)
 
-    # Traction (Neumann) term on the free boundary.
+    # Traction (Neumann) term on the free boundary; boundary faces are
+    # ordered so that the right-hand normal points outward.
+    tri = body.boundary_faces[body.boundary_tags == FaceTag.FREE]
+    coords = body.vertices[tri]
+    nrm = np.cross(coords[:, 1] - coords[:, 0], coords[:, 2] - coords[:, 0])
+    area = 0.5 * np.linalg.norm(nrm, axis=1)
+    nrm = nrm / (2.0 * area[:, None])
     frule = triangle_rule(quad_interface)
-    for b in np.flatnonzero(body.boundary_tags == FaceTag.FREE):
-        tri = body.boundary_faces[b]
-        coords = body.vertices[tri]
-        nrm = np.cross(coords[1] - coords[0], coords[2] - coords[0])
-        area = 0.5 * np.linalg.norm(nrm)
-        nrm = nrm / (2.0 * area)
-        pts = frule.points @ coords
-        w = physical_weights(frule, area)
-        g = case.traction(pts, nrm)
-        loc = np.einsum("q,qa,qc->ac", w, frule.points, g)  # (3, 3)
-        for a in range(3):
-            for c in range(3):
-                rhs[body_to_unified[3 * int(tri[a]) + c]] += loc[a, c]
+    pts = frule.points @ coords
+    w = physical_weights(frule, area[:, None])
+    g = case.traction(pts.reshape(-1, 3), np.repeat(nrm, frule.n_points, axis=0))
+    loc = np.einsum("nq,qa,nqc->nac", w, frule.points, g.reshape(pts.shape))
+    rhs += _scatter_vector(body_to_unified[3 * tri[:, :, None] + np.arange(3)],
+                           loc, n_unified)
 
     # Plate stiffness and loads (jump tested with the actual plate basis).
     Kp = assemble_plate_stiffness(plate, pmap, params, region="all")
-    Kp = Kp.tocoo()
-    acc.rows.append(Kp.row + plate_offset)
-    acc.cols.append(Kp.col + plate_offset)
-    acc.vals.append(Kp.data)
     _, f_W = assemble_loads(
         body, BodyDGDofMap(body), plate, pmap, case,
         quad_volume=quad_volume, quad_interface=quad_interface, lowered_jump=False,
     )
     rhs[plate_offset:] += f_W
 
-    K = acc.build((n_unified, n_unified))
+    K = (_scatter(gl, gl, k_loc, (n_unified, n_unified))
+         + sp.block_diag((sp.csr_matrix((nv_body3, nv_body3)), Kp))).tocsr()
     clamped = np.flatnonzero(pmap.constrained) + plate_offset
     idx = np.concatenate([aliased, clamped])
     vals = np.zeros(idx.shape[0])

@@ -16,10 +16,10 @@ gradients in that metric converge; implemented as preconditioned CG on
 (S_K + E) with preconditioner S_K^-1, whose r^T z scalar equals the squared
 U-norm of the T-equation residual.
 
-The S_K metric uses the full plate stiffness by default ('all'); the variant
-restricted to triangles outside the interface region ('omit_interface') is
-available for the Schur product but is only positive semidefinite (interface-
-interior DOFs carry no outside energy), so it is not used as the CG metric.
+The S_K metric uses the full plate stiffness; the variant restricted to
+triangles outside the interface region ('omit_interface') is available for
+the Schur product but is only positive semidefinite (interface-interior DOFs
+carry no outside energy), so it is not used as the CG metric.
 """
 
 from __future__ import annotations
@@ -232,7 +232,13 @@ def cg_interface_solve(apply_op, apply_prec, b: np.ndarray,
     it = 0
     for it in range(1, max_it + 1):
         q = apply_op(p)
-        alpha = rz / float(p @ q)
+        pq = float(p @ q)
+        if not (np.isfinite(pq) and pq > 0.0):
+            raise RuntimeError(
+                f"interface CG breakdown at iteration {it}: p.Ap = {pq:.3e} "
+                "is not positive; the interface operator is not SPD"
+            )
+        alpha = rz / pq
         x += alpha * p
         r -= alpha * q
         z = apply_prec(r)
@@ -253,8 +259,7 @@ def cg_interface_solve(apply_op, apply_prec, b: np.ndarray,
 def solve_dd(body: TetMesh, plate: TriMesh, case: ManufacturedCase,
              params: MaterialParams | None = None,
              quad_volume: int = 4, quad_interface: int = 6,
-             tol: float = CG_TOL, max_it: int = CG_MAX_IT,
-             metric_region: str = "all") -> DDSolution:
+             tol: float = CG_TOL, max_it: int = CG_MAX_IT) -> DDSolution:
     """Solve the coupled problem by the interface CG method.
 
     Pipeline: decoupled body and plate solves, interface CG for the trace
@@ -274,7 +279,7 @@ def solve_dd(body: TetMesh, plate: TriMesh, case: ManufacturedCase,
                               quad_interface=quad_interface)
 
     gamma = build_interface_dof_set(plate, pmap)
-    schur = SchurProduct(plate, pmap, params, gamma, region=metric_region)
+    schur = SchurProduct(plate, pmap, params, gamma)
     body_op = BodyOperator(body, smap, vmap, params, case.traction,
                            quad_volume=quad_volume,
                            quad_interface=quad_interface)

@@ -18,8 +18,16 @@ Spaces
 Shared-entity sign conventions live in the DOF maps: stress face DOFs use the
 owner tet's outward normal and the face's P1 basis ordered by sorted global
 vertex ids; Morley edge DOFs use the low-to-high global edge direction with
-right-hand normal.  Local element constructions are purely local, so congruent
-(translated) elements are identical and can be cached.
+right-hand normal.
+
+Assembly and the error norms use the batched kernel (``StressBatch``,
+``MorleyBatch``, ``simplex_geometry``): fixed tables of the spanning
+functions, barycentric quadratics and P1 hats at the quadrature points,
+combined with per-element geometry and dual-basis coefficients computed for a
+whole mesh at once, so the cost does not depend on the mesh being
+structured.  The per-element classes (``HuMaElement``, ``MorleyElement``,
+``VectorP1Tet``, ``VectorP1Tri``) are the reference the kernel is tested
+against.
 """
 
 from __future__ import annotations
@@ -36,12 +44,13 @@ __all__ = [
     "MorleyElement",
     "VectorP1Tet",
     "VectorP1Tri",
-    "huma_stress_tet",
-    "morley_tri",
-    "lagrange_p1_tri_vector",
-    "lagrange_p1_tet_vector_discontinuous",
-    "lagrange_p1_tet_vector_continuous",
-    "evaluate_stress_trace",
+    "StressBatch",
+    "MorleyBatch",
+    "simplex_geometry",
+    "simplex_barycentric",
+    "span_scalars",
+    "span_dlam",
+    "SPAN_EDGE",
     "lower_morley_to_p1",
     "StressDofMap",
     "BodyDGDofMap",
@@ -69,30 +78,102 @@ _FACE_RULE = triangle_rule(4)
 _INTERIOR_RULE = tet_rule(4)
 
 
+# ---------------------------------------------------------------------------
+# Reference tables and batched geometry.
+#
+# Each element kind is one reference element mapped by its vertices, so all
+# element work splits into fixed tables (functions of the barycentric
+# coordinates, evaluated once per quadrature rule and shared by every
+# element) and per-element geometry with a leading element axis.
+# ---------------------------------------------------------------------------
+
+_EDGE_I, _EDGE_J = np.array(EDGE_PAIRS).T
+_EDGE_L, _EDGE_M = np.array(_COMPLEMENT).T
+
+#: Edge of each of the 42 stress spanning functions (seven per edge).
+SPAN_EDGE = np.repeat(np.arange(6), 7)
+
+#: Barycentric quadratics lam_a lam_b spanning P2 on a triangle.
+_P2_A, _P2_B = np.array([[0, 0], [1, 1], [2, 2], [1, 2], [2, 0], [0, 1]]).T
+
+#: Barycentric coordinates of the triangle edge midpoints (edge e opposite
+#: vertex e).
+_MIDPOINTS = 0.5 * (1.0 - np.eye(3))
+
+
+def simplex_geometry(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Barycentric gradients (n, d+1, d) and signed measures (n,) of a batch
+    of simplices with vertex coordinates (n, d+1, d)."""
+    d = verts.shape[-1]
+    T = np.swapaxes(verts[:, 1:] - verts[:, :1], 1, 2)
+    Tinv = np.linalg.inv(T)  # rows: gradients of lam_1..lam_d
+    grad = np.concatenate([-Tinv.sum(axis=1, keepdims=True), Tinv], axis=1)
+    return grad, np.linalg.det(T) / (2.0 if d == 2 else 6.0)
+
+
+def simplex_barycentric(grad: np.ndarray, v0: np.ndarray,
+                        points: np.ndarray) -> np.ndarray:
+    """Barycentric coordinates (..., d+1) of points (..., d) in simplices with
+    barycentric gradients (..., d+1, d) and first vertices (..., d)."""
+    bary = np.einsum("...bd,...d->...b", grad, points - v0)
+    bary[..., 0] += 1.0
+    return bary
+
+
+def span_scalars(bary: np.ndarray) -> np.ndarray:
+    """(..., 42) scalar factors of the stress spanning functions at
+    barycentric points (..., 4).  Edge e = (i, j) with complement (l, m)
+    owns columns 7 e .. 7 e + 6: lam_0..lam_3, (lam_i - lam_j) lam_l,
+    (lam_i - lam_j) lam_m and lam_i lam_j."""
+    li, lj = bary[..., _EDGE_I], bary[..., _EDGE_J]
+    diff = li - lj
+    own = np.stack([diff * bary[..., _EDGE_L], diff * bary[..., _EDGE_M],
+                    li * lj], axis=-1)
+    rep = np.broadcast_to(bary[..., None, :], own.shape[:-1] + (4,))
+    return np.concatenate([rep, own], axis=-1).reshape(bary.shape[:-1] + (42,))
+
+
+def span_dlam(bary: np.ndarray) -> np.ndarray:
+    """(..., 42, 4) derivatives of ``span_scalars`` with respect to the
+    barycentric coordinates."""
+    eye = np.eye(4)
+    li, lj, ll, lm = (bary[..., k, None] for k in (_EDGE_I, _EDGE_J, _EDGE_L, _EDGE_M))
+    ei, ej, el, em = (eye[k] for k in (_EDGE_I, _EDGE_J, _EDGE_L, _EDGE_M))
+    diff = li - lj
+    own = np.stack([ll * (ei - ej) + diff * el, lm * (ei - ej) + diff * em,
+                    lj * ei + li * ej], axis=-2)
+    rep = np.broadcast_to(eye, own.shape[:-2] + (4, 4))
+    return np.concatenate([rep, own], axis=-2).reshape(bary.shape[:-1] + (42, 4))
+
+
+def _p2_scalars(bary: np.ndarray) -> np.ndarray:
+    """(..., 6) barycentric quadratics lam_a lam_b at points (..., 3)."""
+    return bary[..., _P2_A] * bary[..., _P2_B]
+
+
+def _p2_dlam(bary: np.ndarray) -> np.ndarray:
+    """(..., 6, 3) derivatives of ``_p2_scalars`` with respect to the
+    barycentric coordinates."""
+    eye = np.eye(3)
+    return (bary[..., _P2_B, None] * eye[_P2_A]
+            + bary[..., _P2_A, None] * eye[_P2_B])
+
+
+#: (6, 3, 3) second derivatives of ``_p2_scalars`` (constant).
+_P2_D2 = np.eye(3)[_P2_A][:, :, None] * np.eye(3)[_P2_B][:, None, :]
+_P2_D2 = _P2_D2 + np.swapaxes(_P2_D2, 1, 2)
+
+
+def _simplex_geometry_one(verts: np.ndarray) -> tuple[np.ndarray, float]:
+    """Barycentric gradients and signed measure of one simplex."""
+    grad, measure = simplex_geometry(verts[None])
+    return grad[0], float(measure[0])
+
+
 def tet_barycentric(verts: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Barycentric coordinates of 3D points with respect to a tetrahedron."""
-    points = np.atleast_2d(points)
-    T = np.column_stack([verts[1] - verts[0], verts[2] - verts[0], verts[3] - verts[0]])
-    sol = np.linalg.solve(T, (points - verts[0]).T).T
-    lam0 = 1.0 - sol.sum(axis=1)
-    return np.column_stack([lam0, sol])
-
-
-def _tet_grad_lambda(verts: np.ndarray) -> tuple[np.ndarray, float]:
-    """Gradients of the four barycentric functions and the tet volume."""
-    T = np.column_stack([verts[1] - verts[0], verts[2] - verts[0], verts[3] - verts[0]])
-    vol = np.linalg.det(T) / 6.0
-    Tinv = np.linalg.inv(T)  # rows: gradients of lam_1..lam_3
-    g = np.vstack([-Tinv.sum(axis=0), Tinv])
-    return g, vol
-
-
-def _tri_grad_lambda(verts: np.ndarray) -> tuple[np.ndarray, float]:
-    T = np.column_stack([verts[1] - verts[0], verts[2] - verts[0]])
-    area = np.linalg.det(T) / 2.0
-    Tinv = np.linalg.inv(T)
-    g = np.vstack([-Tinv.sum(axis=0), Tinv])
-    return g, area
+    grad, _ = _simplex_geometry_one(verts)
+    return simplex_barycentric(grad, verts[0], np.atleast_2d(points))
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +188,7 @@ class VectorP1Tri:
 
     def __init__(self, verts: np.ndarray):
         self.verts = np.asarray(verts, dtype=float)
-        self.grad_lambda, self.area = _tri_grad_lambda(self.verts)
+        self.grad_lambda, self.area = _simplex_geometry_one(self.verts)
 
     def value(self, bary: np.ndarray) -> np.ndarray:
         """(nq, 6, 2) basis values at barycentric points."""
@@ -140,7 +221,7 @@ class VectorP1Tet:
 
     def __init__(self, verts: np.ndarray):
         self.verts = np.asarray(verts, dtype=float)
-        self.grad_lambda, self.volume = _tet_grad_lambda(self.verts)
+        self.grad_lambda, self.volume = _simplex_geometry_one(self.verts)
 
     def value(self, bary: np.ndarray) -> np.ndarray:
         """(nq, 12, 3) basis values at barycentric points."""
@@ -163,18 +244,6 @@ class VectorP1Tet:
     def strain(self) -> np.ndarray:
         g = self.gradient()
         return 0.5 * (g + np.swapaxes(g, 1, 2))
-
-
-def lagrange_p1_tri_vector(verts: np.ndarray) -> VectorP1Tri:
-    return VectorP1Tri(verts)
-
-
-def lagrange_p1_tet_vector_discontinuous(verts: np.ndarray) -> VectorP1Tet:
-    return VectorP1Tet(verts)
-
-
-def lagrange_p1_tet_vector_continuous(verts: np.ndarray) -> VectorP1Tet:
-    return VectorP1Tet(verts)
 
 
 # ---------------------------------------------------------------------------
@@ -255,10 +324,6 @@ def _mono_grad(pts: np.ndarray) -> np.ndarray:
     return g
 
 
-def morley_tri(verts: np.ndarray) -> MorleyElement:
-    return MorleyElement(verts)
-
-
 def lower_morley_to_p1(plate_map: "PlateDofMap", w: np.ndarray) -> np.ndarray:
     """Vertex-value P1 coefficients of the continuous lowering of a Morley
     deflection field (identity on vertex values, edge DOFs dropped)."""
@@ -277,7 +342,7 @@ class HuMaElement:
 
     def __init__(self, verts: np.ndarray):
         self.verts = np.asarray(verts, dtype=float)
-        self.grad_lambda, self.volume = _tet_grad_lambda(self.verts)
+        self.grad_lambda, self.volume = _simplex_geometry_one(self.verts)
         if self.volume <= 0:
             raise ValueError("tet is degenerate or negatively oriented")
         tangents = []
@@ -286,7 +351,6 @@ class HuMaElement:
             tangents.append(t / np.linalg.norm(t))
         self.tangents = np.asarray(tangents)  # (6, 3)
         self.T = np.einsum("ea,eb->eab", self.tangents, self.tangents)  # (6,3,3)
-        self._col_edge = np.repeat(np.arange(6), 7)  # spanning column -> edge
 
         self.face_normals = np.zeros((4, 3))
         self.face_areas = np.zeros(4)
@@ -314,51 +378,23 @@ class HuMaElement:
 
     def span_scalars(self, bary: np.ndarray) -> np.ndarray:
         """(nq, 42) scalar factors of the spanning functions."""
-        bary = np.atleast_2d(bary)
-        nq = bary.shape[0]
-        out = np.empty((nq, 42))
-        for e, (i, j) in enumerate(EDGE_PAIRS):
-            l, m = _COMPLEMENT[e]
-            base = 7 * e
-            out[:, base: base + 4] = bary
-            diff = bary[:, i] - bary[:, j]
-            out[:, base + 4] = diff * bary[:, l]
-            out[:, base + 5] = diff * bary[:, m]
-            out[:, base + 6] = bary[:, i] * bary[:, j]
-        return out
+        return span_scalars(np.atleast_2d(bary))
 
     def _span_dlam(self, bary: np.ndarray) -> np.ndarray:
         """(nq, 42, 4) derivatives of the scalar factors w.r.t. barycentric
         coordinates."""
-        bary = np.atleast_2d(bary)
-        nq = bary.shape[0]
-        out = np.zeros((nq, 42, 4))
-        for e, (i, j) in enumerate(EDGE_PAIRS):
-            l, m = _COMPLEMENT[e]
-            base = 7 * e
-            for a in range(4):
-                out[:, base + a, a] = 1.0
-            diff = bary[:, i] - bary[:, j]
-            out[:, base + 4, i] = bary[:, l]
-            out[:, base + 4, j] = -bary[:, l]
-            out[:, base + 4, l] = diff
-            out[:, base + 5, i] = bary[:, m]
-            out[:, base + 5, j] = -bary[:, m]
-            out[:, base + 5, m] = diff
-            out[:, base + 6, i] = bary[:, j]
-            out[:, base + 6, j] = bary[:, i]
-        return out
+        return span_dlam(np.atleast_2d(bary))
 
     def span_values(self, bary: np.ndarray) -> np.ndarray:
         """(nq, 42, 3, 3) spanning-function values."""
         s = self.span_scalars(bary)
-        return s[:, :, None, None] * self.T[self._col_edge][None, :, :, :]
+        return s[:, :, None, None] * self.T[SPAN_EDGE][None, :, :, :]
 
     def span_divergence(self, bary: np.ndarray) -> np.ndarray:
         """(nq, 42, 3) divergences of the spanning functions."""
         dlam = self._span_dlam(bary)
         grads = np.einsum("qkl,ld->qkd", dlam, self.grad_lambda)
-        return np.einsum("kab,qkb->qka", self.T[self._col_edge], grads)
+        return np.einsum("kab,qkb->qka", self.T[SPAN_EDGE], grads)
 
     # -- dual basis --------------------------------------------------------
 
@@ -404,50 +440,121 @@ class HuMaElement:
         bary = self._embed_face_bary(f, np.atleast_2d(face_bary))
         return np.einsum("qiab,b->qia", self.values(bary), self.face_normals[f])
 
-    def bary_of(self, points: np.ndarray) -> np.ndarray:
-        """Barycentric coordinates wrt THIS element's vertices.  When the
-        element instance is shared between congruent (translated) tets, use
-        ``tet_barycentric`` with the actual tet's vertices instead."""
-        return tet_barycentric(self.verts, points)
-
-
-def huma_stress_tet(verts: np.ndarray) -> HuMaElement:
-    return HuMaElement(verts)
-
-
-def evaluate_stress_trace(
-    element: HuMaElement, local_face: int, face_bary: np.ndarray
-) -> np.ndarray:
-    """Traction basis values on a local face; see HuMaElement.traction."""
-    return element.traction(local_face, face_bary)
-
 
 # ---------------------------------------------------------------------------
-# Element caches (congruence classes: structured meshes repeat a handful of
-# translated element shapes).
+# Batched element kernel: one batched construction per element kind.
 # ---------------------------------------------------------------------------
 
-class _CongruenceCache:
-    def __init__(self, factory):
-        self.factory = factory
-        self._store: dict[tuple, object] = {}
-
-    def get(self, verts: np.ndarray):
-        rel = verts - verts[0]
-        key = tuple(np.round(rel.ravel(), 12))
-        obj = self._store.get(key)
-        if obj is None:
-            obj = self.factory(verts)
-            self._store[key] = obj
-        return obj
+def _stress_dof_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Reference parts of the stress DOF functionals applied to the spanning
+    scalars: face moments (4, 3, 42) and interior means (42,)."""
+    fb = _FACE_RULE.points
+    bary = np.zeros((4, fb.shape[0], 4))
+    for f in range(4):
+        bary[f][:, TET_LOCAL_FACES[f]] = fb
+    face = 2.0 * np.einsum("q,qa,fqk->fak", _FACE_RULE.weights, fb,
+                           span_scalars(bary))
+    interior = 6.0 * _INTERIOR_RULE.weights @ span_scalars(_INTERIOR_RULE.points)
+    return face, interior
 
 
-def huma_cache() -> _CongruenceCache:
-    return _CongruenceCache(HuMaElement)
+_FACE_MOMENTS, _INTERIOR_MEANS = _stress_dof_tables()
 
 
-def morley_cache() -> _CongruenceCache:
-    return _CongruenceCache(MorleyElement)
+def _stress_dof_matrices(tangents: np.ndarray,
+                         normals: np.ndarray) -> np.ndarray:
+    """(n, 42, 42) stress DOF functionals applied to the spanning functions:
+    the reference tables times t_e (t_e . n_f) on face rows and
+    t_e t_e^T on interior rows."""
+    t = tangents[:, SPAN_EDGE]  # (n, 42, 3)
+    tn = np.einsum("nkc,nfc->nfk", t, normals)
+    face = np.einsum("fak,nfk,nkc->nfack", _FACE_MOMENTS, tn, t)
+    i, j = np.array(SYM_INDEX_PAIRS).T
+    interior = _INTERIOR_MEANS * np.swapaxes(t[:, :, i] * t[:, :, j], 1, 2)
+    return np.concatenate([face.reshape(-1, 36, 42), interior], axis=1)
+
+
+def _checked_inverse_transpose(D: np.ndarray, what: str) -> np.ndarray:
+    """Batched dual-basis coefficients inv(D)^T, refusing any element whose
+    DOF matrix is ill-conditioned."""
+    cond = np.linalg.cond(D)
+    bad = np.flatnonzero(~(cond <= CONDITION_LIMIT))
+    if bad.size:
+        raise ValueError(
+            f"{what} DOF matrix is ill-conditioned on element {bad[0]} of "
+            f"the batch (cond = {cond[bad[0]]:.3e}); degenerate element?"
+        )
+    return np.swapaxes(np.linalg.inv(D), 1, 2)
+
+
+class StressBatch:
+    """The stress element on a batch of tets (vertex coordinates (n, 4, 3)).
+
+    Basis function i of element n is sum_k coeffs[n, i, k] s_k(lam) T[n, e_k]
+    with s = ``span_scalars``, e_k = ``SPAN_EDGE[k]`` and T[n, e] the dyad of
+    the unit tangent of edge e.  Arrays: ``v0`` (n, 3), ``grad_lambda``
+    (n, 4, 3), ``volume`` (n,), ``tangents`` (n, 6, 3), ``T`` (n, 6, 3, 3),
+    outward unit ``face_normals`` (n, 4, 3) and ``coeffs`` (n, 42, 42).
+    """
+
+    def __init__(self, verts: np.ndarray):
+        verts = np.asarray(verts, dtype=float)
+        self.v0 = verts[:, 0]
+        self.grad_lambda, self.volume = simplex_geometry(verts)
+        if np.any(self.volume <= 0):
+            raise ValueError("tet is degenerate or negatively oriented")
+        t = verts[:, _EDGE_J] - verts[:, _EDGE_I]
+        self.tangents = t / np.linalg.norm(t, axis=-1, keepdims=True)
+        self.T = self.tangents[..., :, None] * self.tangents[..., None, :]
+        # grad lam_f is normal to face f and points into the tet.
+        g = self.grad_lambda
+        self.face_normals = -g / np.linalg.norm(g, axis=-1, keepdims=True)
+        self.coeffs = _checked_inverse_transpose(
+            _stress_dof_matrices(self.tangents, self.face_normals), "stress")
+
+    def div_scalars(self, dlam: np.ndarray) -> np.ndarray:
+        """(n, ..., 42) scalars d with div(span_k) = d_k t_{e_k}, from a
+        ``span_dlam`` table (..., 42, 4)."""
+        tau = np.einsum("nec,nbc->neb", self.tangents, self.grad_lambda)
+        return np.einsum("...kb,nkb->n...k", dlam, tau[:, SPAN_EDGE])
+
+
+class MorleyBatch:
+    """The Morley element on a batch of triangles (vertex coordinates
+    (n, 3, 2)), with the DOFs of ``MorleyElement``.
+
+    Basis function i of element n is sum_k coeffs[n, i, k] lam_a lam_b over
+    the six barycentric quadratics of ``_p2_scalars``.  Arrays:
+    ``grad_lambda`` (n, 3, 2), ``area`` (n,), ``edge_normals`` (n, 3, 2) and
+    ``coeffs`` (n, 6, 6).
+    """
+
+    def __init__(self, verts: np.ndarray):
+        verts = np.asarray(verts, dtype=float)
+        self.grad_lambda, self.area = simplex_geometry(verts)
+        t = verts[:, [2, 0, 1]] - verts[:, [1, 2, 0]]
+        nrm = np.stack([t[..., 1], -t[..., 0]], axis=-1)
+        self.edge_normals = nrm / np.linalg.norm(nrm, axis=-1, keepdims=True)
+        gn = np.einsum("nbx,nex->neb", self.grad_lambda, self.edge_normals)
+        D = np.empty((self.area.shape[0], 6, 6))
+        D[:, :3] = _p2_scalars(np.eye(3))
+        D[:, 3:] = np.einsum("ekb,neb->nek", _p2_dlam(_MIDPOINTS), gn)
+        self.coeffs = _checked_inverse_transpose(D, "Morley")
+
+    def values(self, bary: np.ndarray) -> np.ndarray:
+        """(n, nq, 6) basis values at barycentric points (nq, 3)."""
+        return np.einsum("qk,nik->nqi", _p2_scalars(bary), self.coeffs)
+
+    def gradients(self, bary: np.ndarray) -> np.ndarray:
+        """(n, nq, 6, 2) basis gradients at barycentric points (nq, 3)."""
+        d = np.einsum("qkb,nbx->nqkx", _p2_dlam(bary), self.grad_lambda)
+        return np.einsum("nik,nqkx->nqix", self.coeffs, d)
+
+    def hessians(self) -> np.ndarray:
+        """(n, 6, 2, 2) constant basis Hessians."""
+        g = self.grad_lambda
+        h = np.einsum("kbc,nbx,ncy->nkxy", _P2_D2, g, g)
+        return np.einsum("nik,nkxy->nixy", self.coeffs, h)
 
 
 # ---------------------------------------------------------------------------
@@ -493,6 +600,10 @@ class StressDofMap:
                 rec.tag = boundary_tag[rec.vertices]
         self.faces = records
         self.face_index = face_index
+        self.face_vertices = np.array([r.vertices for r in records], dtype=np.int64)
+        self.face_owner = np.array([r.owner for r in records], dtype=np.int64)
+        self.face_owner_local = np.array([r.owner_local for r in records],
+                                         dtype=np.int64)
         self.n_faces = len(records)
         self.n_face_dofs = 9 * self.n_faces
         self.n_dofs = self.n_face_dofs + 6 * nt

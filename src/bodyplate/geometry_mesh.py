@@ -253,12 +253,6 @@ def _outward_face(vertices, tet, local_face) -> tuple[int, int, int]:
     return (int(ids[0]), int(ids[1]), int(ids[2]))
 
 
-def face_outward_normal(verts3: np.ndarray) -> np.ndarray:
-    """Unit right-hand normal of an ordered 3D vertex triple."""
-    nrm = np.cross(verts3[1] - verts3[0], verts3[2] - verts3[0])
-    return nrm / np.linalg.norm(nrm)
-
-
 # ---------------------------------------------------------------------------
 # Plate mesh.
 # ---------------------------------------------------------------------------
@@ -350,7 +344,7 @@ def refine_uniform(mesh):
 def resolves_interface_boundary(plate: TriMesh) -> bool:
     """True when every plate triangle is contained in closure(Gamma) or has
     interior disjoint from Gamma."""
-    from .interface_overlay import clip_convex_polygon
+    from .interface_overlay import clip_convex_polygon, polygon_area
 
     half = GAMMA_HALF_WIDTH
     square = np.array([[-half, -half], [half, -half], [half, half], [-half, half]])
@@ -358,17 +352,10 @@ def resolves_interface_boundary(plate: TriMesh) -> bool:
         verts = plate.triangle_vertices(t)
         area = abs(triangle_area(verts))
         clipped = clip_convex_polygon(verts, square)
-        a = _polygon_area(clipped)
+        a = polygon_area(clipped)
         if a > 1e-12 * area and a < (1.0 - 1e-12) * area:
             return False
     return True
-
-
-def _polygon_area(poly: np.ndarray) -> float:
-    if poly.shape[0] < 3:
-        return 0.0
-    x, y = poly[:, 0], poly[:, 1]
-    return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
 
 
 def validate_mesh(mesh) -> list[str]:

@@ -25,6 +25,7 @@ from .geometry_mesh import (
     TriMesh,
     triangle_area,
 )
+from .fe_elements import simplex_barycentric, simplex_geometry
 from .quadrature import triangle_rule
 
 __all__ = [
@@ -281,11 +282,8 @@ def _fan_quadrature(poly, bary, wref):
 
 def triangle_barycentric(verts: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Barycentric coordinates of 2D points with respect to a triangle."""
-    points = np.atleast_2d(points)
-    T = np.column_stack([verts[1] - verts[0], verts[2] - verts[0]])
-    sol = np.linalg.solve(T, (points - verts[0]).T).T
-    lam0 = 1.0 - sol[:, 0] - sol[:, 1]
-    return np.column_stack([lam0, sol[:, 0], sol[:, 1]])
+    grad, _ = simplex_geometry(np.asarray(verts, dtype=float)[None])
+    return simplex_barycentric(grad[0], verts[0], np.atleast_2d(points))
 
 
 def map_to_parents(

@@ -70,8 +70,8 @@ class ManufacturedCase:
         return -mu * lap_u - (mu + lam) * grad_div
 
     def traction(self, x: np.ndarray, normal: np.ndarray) -> np.ndarray:
-        """sigma n for a fixed unit normal."""
-        return np.einsum("...ab,b->...a", self.sigma_body(x), normal)
+        """sigma n for unit normals broadcastable against the points."""
+        return np.einsum("...ab,...b->...a", self.sigma_body(x), normal)
 
     # -- derived plate data ----------------------------------------------------
 

@@ -1,6 +1,7 @@
 """Sparse direct solves with residual verification.
 
-Saddle-point systems are factored with SuperLU in symmetric mode with a small
+Every system, saddle-point or positive definite, goes through one factor
+object, ``SparseFactor``: SuperLU in symmetric mode with a small
 diagonal-pivot threshold and COLAMD ordering (measured to give roughly 5x less
 fill than the minimum-degree orderings on these meshes).  Every solve checks
 the relative residual, applies up to two steps of iterative refinement until
@@ -19,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-__all__ = ["SolveReport", "solve_saddle_point", "solve_spd", "SparseFactor"]
+__all__ = ["SolveReport", "solve_saddle_point", "SparseFactor"]
 
 RESIDUAL_CONTRACT = 1e-10
 REFINE_THRESHOLD = 1e-15
@@ -28,7 +29,8 @@ _MAX_REFINE_PASSES = 2
 
 def _refine(lu, M, b, x, nb):
     """Iterative refinement toward REFINE_THRESHOLD, keeping the best
-    iterate if a pass stops improving the residual."""
+    iterate if a pass stops improving the residual.  Returns the iterate,
+    its relative residual and the number of passes run."""
     r = b - M @ x
     rel = np.linalg.norm(r) / nb
     passes = 0
@@ -40,7 +42,7 @@ def _refine(lu, M, b, x, nb):
         if rel_new >= rel:
             break
         x, r, rel = x_new, r_new, rel_new
-    return x, rel, passes > 0
+    return x, rel, passes
 
 
 @dataclass
@@ -51,27 +53,28 @@ class SolveReport:
     nnz: int
     relative_residual: float
     wall_time: float
-    refined: bool
+    refine_passes: int
 
 
 class SparseFactor:
-    """LU factorization wrapper reused across many solves (e.g. the
-    domain-decomposition operators); verifies each solve's residual."""
+    """LU factorization reused across many solves (e.g. the domain-
+    decomposition operators); every solve is refined and checked against the
+    residual contract.
 
-    def __init__(self, M: sp.spmatrix, symmetric_mode: bool = True,
-                 block_names: tuple | None = None):
+    ``block_names`` is an optional list of (name, lo, hi) row ranges used to
+    attribute a zero pivot to an unknown block in error messages.
+    """
+
+    def __init__(self, M: sp.spmatrix, block_names: tuple | None = None):
         M = M.tocsc()
         self.M = M
         self.block_names = block_names
         t0 = time.time()
         try:
-            if symmetric_mode:
-                self.lu = spla.splu(
-                    M, permc_spec="COLAMD", diag_pivot_thresh=0.001,
-                    options=dict(SymmetricMode=True),
-                )
-            else:
-                self.lu = spla.splu(M, permc_spec="COLAMD")
+            self.lu = spla.splu(
+                M, permc_spec="COLAMD", diag_pivot_thresh=0.001,
+                options=dict(SymmetricMode=True),
+            )
         except RuntimeError as exc:
             raise RuntimeError(self._singular_message(str(exc))) from exc
         self.factor_time = time.time() - t0
@@ -90,52 +93,29 @@ class SparseFactor:
                         break
         return msg
 
-    def solve(self, b: np.ndarray, refine: bool = True) -> np.ndarray:
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """Solution of M x = b."""
+        return self._refined_solve(b)[0]
+
+    def _refined_solve(self, b: np.ndarray) -> tuple[np.ndarray, float, int]:
+        """Solution of M x = b with its relative residual and the number of
+        refinement passes; a zero right-hand side gives zero at once."""
         b = np.asarray(b, dtype=float)
         nb = np.linalg.norm(b)
         if nb == 0.0:
-            return np.zeros_like(b)
-        x = self.lu.solve(b)
-        if refine:
-            x, rel, _ = _refine(self.lu, self.M, b, x, nb)
-        else:
-            rel = np.linalg.norm(b - self.M @ x) / nb
+            return np.zeros_like(b), 0.0, 0
+        x, rel, passes = _refine(self.lu, self.M, b, self.lu.solve(b), nb)
         if rel > RESIDUAL_CONTRACT:
             raise RuntimeError(
                 f"direct solve residual {rel:.3e} exceeds {RESIDUAL_CONTRACT:.1e}"
             )
-        return x
-
-
-def _solve(M: sp.spmatrix, b: np.ndarray, symmetric_mode: bool,
-           block_names=None) -> tuple[np.ndarray, SolveReport]:
-    t0 = time.time()
-    b = np.asarray(b, dtype=float)
-    nb = np.linalg.norm(b)
-    if nb == 0.0:
-        report = SolveReport(M.shape[0], M.nnz, 0.0, time.time() - t0, False)
-        return np.zeros(M.shape[0]), report
-    fac = SparseFactor(M, symmetric_mode=symmetric_mode, block_names=block_names)
-    x = fac.lu.solve(b)
-    x, rel, refined = _refine(fac.lu, fac.M, b, x, nb)
-    if rel > RESIDUAL_CONTRACT:
-        raise RuntimeError(
-            f"direct solve residual {rel:.3e} exceeds {RESIDUAL_CONTRACT:.1e}"
-        )
-    report = SolveReport(M.shape[0], M.nnz, rel, time.time() - t0, refined)
-    return x, report
+        return x, rel, passes
 
 
 def solve_saddle_point(M: sp.spmatrix, b: np.ndarray,
                        block_names=None) -> tuple[np.ndarray, SolveReport]:
-    """Direct solve of a symmetric indefinite system.
-
-    ``block_names`` is an optional list of (name, lo, hi) row ranges used to
-    attribute a zero pivot to an unknown block in error messages.
-    """
-    return _solve(M, b, symmetric_mode=True, block_names=block_names)
-
-
-def solve_spd(M: sp.spmatrix, b: np.ndarray) -> tuple[np.ndarray, SolveReport]:
-    """Direct solve of a symmetric positive definite system."""
-    return _solve(M, b, symmetric_mode=True)
+    """Direct solve of a symmetric system, indefinite (saddle point) or
+    positive definite; ``block_names`` as for ``SparseFactor``."""
+    t0 = time.time()
+    x, rel, passes = SparseFactor(M, block_names=block_names)._refined_solve(b)
+    return x, SolveReport(M.shape[0], M.nnz, rel, time.time() - t0, passes)

@@ -26,18 +26,18 @@ from .domain_decomposition import solve_dd
 from .fe_elements import (
     BodyCGDofMap,
     BodyDGDofMap,
-    HuMaElement,
-    MorleyElement,
+    MorleyBatch,
     PlateDofMap,
+    StressBatch,
     StressDofMap,
-    VectorP1Tet,
-    VectorP1Tri,
+    simplex_geometry,
+    span_scalars,
 )
 from .geometry_mesh import Diagonal, TetMesh, TriMesh, build_body_mesh, build_plate_mesh
 from .manufactured import ManufacturedCase, default_case
 from .materials import MaterialParams, c0_apply, default_params
 from .quadrature import physical_weights, tet_rule, triangle_rule
-from .solvers import SolveReport, solve_saddle_point, solve_spd
+from .solvers import SolveReport, solve_saddle_point
 
 __all__ = [
     "ErrorRecord",
@@ -93,11 +93,6 @@ class SolutionFields:
     cmap: BodyCGDofMap | None = None
 
 
-def _congruence_key(verts: np.ndarray) -> tuple:
-    rel = verts - verts[0]
-    return tuple(np.round(rel.ravel(), 12))
-
-
 def solve_mixed(body: TetMesh, plate: TriMesh, case: ManufacturedCase,
                 params: MaterialParams | None = None,
                 quad_volume: int = 4, quad_interface: int = 6,
@@ -139,7 +134,7 @@ def solve_displacement(body: TetMesh, plate: TriMesh, case: ManufacturedCase,
         quad_volume=quad_volume, quad_interface=quad_interface,
     )
     M_ff, rhs_f = system.constraints.reduce(system.K, system.rhs)
-    x_f, report = solve_spd(M_ff, rhs_f)
+    x_f, report = solve_saddle_point(M_ff, rhs_f)
     u, w = system.split(system.constraints.expand(x_f))
     sol = SolutionFields(
         method="displacement", body=body, plate=plate, params=params,
@@ -152,83 +147,76 @@ def solve_displacement(body: TetMesh, plate: TriMesh, case: ManufacturedCase,
 # Error norms.
 # ---------------------------------------------------------------------------
 
+#: Quadrature points per batch of tets in the body norms, which bounds the
+#: sampled (points, 3, 3) fields at the degree-8 rule.
+_NORM_BATCH_POINTS = 2**15
+
+
 def _body_errors(sol: SolutionFields, case: ManufacturedCase,
                  degree: int) -> tuple[float, float]:
-    body = sol.body
     rule = tet_rule(degree)
-    err_sig = 0.0
-    err_u = 0.0
-    val_cache: dict[tuple, np.ndarray] = {}
-    el_cache: dict[tuple, HuMaElement] = {}
-    for t in range(body.n_tets):
-        verts = body.tet_vertices(t)
-        key = _congruence_key(verts)
-        vol = None
-        pts = rule.points @ verts
-        sig_ex = case.sigma_body(pts)
-        u_ex = case.u_body(pts)
-        if sol.method == "mixed-nc":
-            el = el_cache.get(key)
-            if el is None:
-                el = HuMaElement(verts)
-                el_cache[key] = el
-            vals = val_cache.get(key)
-            if vals is None:
-                vals = el.values(rule.points)
-                val_cache[key] = vals
-            vol = el.volume
-            coeffs = sol.smap.local_coefficients(t, sol.sigma)
-            sig_h = np.einsum("i,qiab->qab", coeffs, vals)
-            uc = sol.u[sol.vmap.ltg[t]].reshape(4, 3)
-        else:
-            el = VectorP1Tet(verts)
-            vol = el.volume
-            uc = sol.u[sol.cmap.ltg[t]].reshape(4, 3)
-            grad = np.einsum("ac,ad->cd", uc, el.grad_lambda)
-            eps = 0.5 * (grad + grad.T)
-            sig_h = np.broadcast_to(c0_apply(eps, sol.params),
-                                    (rule.n_points, 3, 3))
-        w = physical_weights(rule, vol)
-        d = sig_h - sig_ex
-        err_sig += float(np.einsum("q,qab,qab->", w, d, d))
-        u_h = np.einsum("qa,ac->qc", rule.points, uc)
-        du = u_h - u_ex
-        err_u += float(np.einsum("q,qc,qc->", w, du, du))
-    return np.sqrt(err_sig), np.sqrt(err_u)
+    step = max(1, _NORM_BATCH_POINTS // rule.n_points)
+    sq = sum(_body_squared_errors(sol, case, rule, slice(i, i + step))
+             for i in range(0, sol.body.n_tets, step))
+    return np.sqrt(sq[0]), np.sqrt(sq[1])
+
+
+def _body_squared_errors(sol: SolutionFields, case: ManufacturedCase, rule,
+                         el: slice) -> np.ndarray:
+    """Squared stress and displacement errors over the tets ``el``."""
+    verts = sol.body.vertices[sol.body.tets[el]]
+    if sol.method == "mixed-nc":
+        k = StressBatch(verts)
+        vol = k.volume
+        # Contract the coefficients first: sigma_h = sum_e g_e T_e with g_e
+        # the edge-e part of the spanning-function expansion.
+        coeffs = sol.smap.sign[el] * sol.sigma[sol.smap.ltg[el]]
+        span = np.einsum("ni,nik->nk", coeffs, k.coeffs).reshape(-1, 6, 7)
+        s = span_scalars(rule.points).reshape(-1, 6, 7)
+        g = np.einsum("nek,qek->nqe", span, s)
+        sig_h = np.einsum("nqe,neab->nqab", g, k.T)
+        uc = sol.u[sol.vmap.ltg[el]].reshape(-1, 4, 3)
+    else:
+        grad_lambda, vol = simplex_geometry(verts)
+        uc = sol.u[sol.cmap.ltg[el]].reshape(-1, 4, 3)
+        grad = np.einsum("nac,nad->ncd", uc, grad_lambda)
+        eps = 0.5 * (grad + np.swapaxes(grad, 1, 2))
+        sig_h = c0_apply(eps, sol.params)[:, None]
+    pts = rule.points @ verts
+    w = physical_weights(rule, vol[:, None])
+    d = sig_h - case.sigma_body(pts)
+    du = np.einsum("qa,nac->nqc", rule.points, uc) - case.u_body(pts)
+    return np.array([np.einsum("nq,nqab,nqab->", w, d, d),
+                     np.einsum("nq,nqc,nqc->", w, du, du)])
 
 
 def _plate_errors(plate: TriMesh, pmap: PlateDofMap, w_vec: np.ndarray,
                   case: ManufacturedCase, degree: int
                   ) -> tuple[float, float, float, float, float]:
     rule = triangle_rule(degree)
-    e_mem_h1 = e_mem_l2 = e3_h2 = e3_h1 = e3_l2 = 0.0
-    for t in range(plate.n_triangles):
-        verts = plate.triangle_vertices(t)
-        mem = VectorP1Tri(verts)
-        wq = physical_weights(rule, mem.area)
-        pts = rule.points @ verts
+    verts = plate.vertices[plate.triangles]
+    mo = MorleyBatch(verts)
+    wq = physical_weights(rule, mo.area[:, None])
+    pts = rule.points @ verts
 
-        mc = w_vec[pmap.mem_ltg[t]]
-        grad_h = np.einsum("i,icd->cd", mc, mem.gradient())
-        dgrad = grad_h[None, :, :] - case.grad_u_membrane(pts)
-        e_mem_h1 += float(np.einsum("q,qcd,qcd->", wq, dgrad, dgrad))
-        um_h = np.einsum("i,qic->qc", mc, mem.value(rule.points))
-        dum = um_h - case.u_membrane(pts)
-        e_mem_l2 += float(np.einsum("q,qc,qc->", wq, dum, dum))
+    def sq(d):
+        """Squared L2 norm of an (n, nq, ...) field sampled at the points."""
+        d = d.reshape(d.shape[0], d.shape[1], -1)
+        return float(np.einsum("nq,nqk,nqk->", wq, d, d))
 
-        mo = MorleyElement(verts)
-        c3 = pmap.local_morley_coefficients(t, w_vec)
-        hess_h = np.einsum("i,icd->cd", c3, mo.hessian())
-        dh = hess_h[None, :, :] - case.hess_u3(pts)
-        e3_h2 += float(np.einsum("q,qcd,qcd->", wq, dh, dh))
-        # Morley basis evaluation takes physical points (unlike the P1
-        # elements, which take barycentric coordinates).
-        grad3_h = np.einsum("i,qic->qc", c3, mo.gradient(pts))
-        dg3 = grad3_h - case.grad_u3(pts)
-        e3_h1 += float(np.einsum("q,qc,qc->", wq, dg3, dg3))
-        w3_h = np.einsum("i,qi->q", c3, mo.value(pts))
-        dw3 = w3_h - case.u3(pts)
-        e3_l2 += float(np.einsum("q,q,q->", wq, dw3, dw3))
+    mc = w_vec[pmap.mem_ltg].reshape(-1, 3, 2)
+    grad_h = np.einsum("nac,nad->ncd", mc, mo.grad_lambda)
+    e_mem_h1 = sq(grad_h[:, None] - case.grad_u_membrane(pts))
+    um_h = np.einsum("qa,nac->nqc", rule.points, mc)
+    e_mem_l2 = sq(um_h - case.u_membrane(pts))
+
+    c3 = pmap.mor_sign * w_vec[pmap.mor_ltg]
+    hess_h = np.einsum("ni,nicd->ncd", c3, mo.hessians())
+    e3_h2 = sq(hess_h[:, None] - case.hess_u3(pts))
+    grad3_h = np.einsum("ni,nqic->nqc", c3, mo.gradients(rule.points))
+    e3_h1 = sq(grad3_h - case.grad_u3(pts))
+    w3_h = np.einsum("ni,nqi->nq", c3, mo.values(rule.points))
+    e3_l2 = sq(w3_h - case.u3(pts))
     return (np.sqrt(e_mem_h1), np.sqrt(e_mem_l2), np.sqrt(e3_h2),
             np.sqrt(e3_h1), np.sqrt(e3_l2))
 

@@ -245,7 +245,7 @@ class TestInterfaceCoupling:
             body, smap, plate, pmap, faces
         )
         diff = abs(G_overlay - G_direct)
-        assert diff.max() if diff.nnz else 0.0 <= 1e-12
+        assert (diff.max() if diff.nnz else 0.0) <= 1e-12
 
     def test_direct_requires_matching(self):
         body = build_body_mesh(2)

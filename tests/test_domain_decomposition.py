@@ -207,6 +207,13 @@ class TestCgInterfaceSolve:
         assert report.history_u[0] == 1.0
         assert len(report.history_u) == report.iterations + 1
 
+    def test_indefinite_operator_breaks_down_loudly(self):
+        # p.Ap = 1 at the first step, then -72 at the second.
+        A = np.diag([2.0, 1.0, -1.0])
+        b = np.array([1.0, 0.0, 1.0])
+        with pytest.raises(RuntimeError, match="breakdown at iteration 2"):
+            dd.cg_interface_solve(lambda v: A @ v, lambda v: v, b)
+
     def test_nonconvergence_reported(self):
         rng = np.random.default_rng(53)
         Q = rng.standard_normal((30, 30))

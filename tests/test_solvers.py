@@ -11,7 +11,6 @@ from bodyplate.solvers import (
     RESIDUAL_CONTRACT,
     SparseFactor,
     solve_saddle_point,
-    solve_spd,
 )
 
 
@@ -63,26 +62,25 @@ class TestSolveSaddlePoint:
             )
         assert "factorization failed" in str(err.value)
 
+    def test_spd_matches_dense(self):
+        M = random_spd(30, seed=5)
+        b = np.random.default_rng(6).standard_normal(30)
+        x, report = solve_saddle_point(M, b)
+        assert_allclose(M @ x, b, atol=1e-9 * np.linalg.norm(b))
+        assert report.relative_residual <= RESIDUAL_CONTRACT
+
+    def test_spd_report_wall_time_nonnegative(self):
+        M = random_spd(10)
+        _, report = solve_saddle_point(M, np.ones(10))
+        assert report.wall_time >= 0.0
+        assert report.refine_passes >= 0
+
     def test_residual_contract_enforced(self):
         # A numerically singular (rank-deficient) matrix with an incompatible
         # right-hand side cannot meet the contract.
         M = sp.csr_matrix(np.outer(np.ones(5), np.ones(5)) + 1e-300 * np.eye(5))
         with pytest.raises(RuntimeError):
             solve_saddle_point(M, np.arange(5.0))
-
-
-class TestSolveSpd:
-    def test_matches_dense(self):
-        M = random_spd(30, seed=5)
-        b = np.random.default_rng(6).standard_normal(30)
-        x, report = solve_spd(M, b)
-        assert_allclose(M @ x, b, atol=1e-9 * np.linalg.norm(b))
-        assert report.relative_residual <= RESIDUAL_CONTRACT
-
-    def test_report_wall_time_nonnegative(self):
-        M = random_spd(10)
-        _, report = solve_spd(M, np.ones(10))
-        assert report.wall_time >= 0.0
 
 
 class TestSparseFactor:
