@@ -22,8 +22,9 @@ for row in sigma:
 body = build_body_mesh(2)
 plate = build_plate_mesh(4, Diagonal.SAME_AS_BODY)
 sol, report = solve_mixed(body, plate, case)
-print(f"\nsolved {report.size} unknowns, "
-      f"relative residual {report.relative_residual:.2e}")
+print(f"\nsolved the condensed face-multiplier + plate system "
+      f"({report.size} unknowns), relative residual "
+      f"{report.relative_residual:.2e}")
 
 rec = compute_error_norms(sol, case)
 print("\nerror norms (all should be at roundoff):")

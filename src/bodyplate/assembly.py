@@ -13,6 +13,12 @@ and f_W the plate load (smooth part against the actual plate basis, interface
 jump part against the lowered basis).  Traction data enters through essential
 stress DOFs on free faces; the clamped plate boundary through zero plate DOFs.
 
+The body forms are built as per-tet local blocks in each tet's own basis
+(``BodyBlocks``, ``CouplingBlocks``, from one ``StressBatch``); the global
+blocks are their signed scatters.  The production solve works on the local
+blocks directly (``hybrid``); the assembled monolithic matrix serves as the
+test oracle.
+
 The displacement baseline shares vertex DOFs between the continuous body P1
 space and the plate along the interface (components 1-2 with the membrane,
 component 3 with Morley vertex values) and is symmetric positive definite.
@@ -21,6 +27,7 @@ component 3 with Morley vertex values) and is symmetric positive definite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -51,6 +58,11 @@ from .fe_elements import (
 from .quadrature import TET_MEASURE, physical_weights, tet_rule, triangle_rule
 
 __all__ = [
+    "BodyBlocks",
+    "CouplingBlocks",
+    "compliance_blocks",
+    "divergence_blocks",
+    "interface_coupling_blocks",
     "assemble_compliance",
     "assemble_stress_mass",
     "assemble_div_div",
@@ -125,19 +137,25 @@ def _match_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # Body bilinear forms.
 # ---------------------------------------------------------------------------
 
-def _assemble_stress_form(body: TetMesh, smap: StressDofMap,
-                          span_form) -> sp.csr_matrix:
-    """A 42 x 42-per-tet stress form.  ``span_form(kernel)`` returns its
-    (n, 42, 42) matrices on the spanning functions; the dual-basis
-    coefficients map them to the basis."""
-    k = StressBatch(body.vertices[body.tets])
-    loc = k.coeffs @ span_form(k) @ np.swapaxes(k.coeffs, 1, 2)
+def _stress_batch(body: TetMesh) -> StressBatch:
+    return StressBatch(body.vertices[body.tets])
+
+
+def _scatter_stress(smap: StressDofMap, loc: np.ndarray) -> sp.csr_matrix:
+    """Global stress form from unsigned (n_tets, 42, 42) local blocks."""
     s = smap.sign
     return _scatter(smap.ltg, smap.ltg, loc * s[:, :, None] * s[:, None, :],
                     (smap.n_dofs, smap.n_dofs))
 
 
-def _tensor_mass_form(body, smap, quad_degree, apply) -> sp.csr_matrix:
+def _basis_blocks(k: StressBatch, span: np.ndarray) -> np.ndarray:
+    """Basis matrices (n, 42, 42) of a form whose matrices on the spanning
+    functions are ``span``; the dual-basis coefficients map one to the
+    other."""
+    return k.coeffs @ span @ np.swapaxes(k.coeffs, 1, 2)
+
+
+def _tensor_mass_blocks(k: StressBatch, quad_degree: int, apply) -> np.ndarray:
     """int apply(phi_j) : phi_i for a linear map ``apply`` of symmetric
     matrices.  With spanning functions s_k T_e the integrand separates into
     the reference Gram matrix of the s_k and the edge pairing
@@ -145,13 +163,47 @@ def _tensor_mass_form(body, smap, quad_degree, apply) -> sp.csr_matrix:
     rule = tet_rule(quad_degree)
     s = span_scalars(rule.points)
     gram = np.einsum("q,qk,ql->kl", rule.weights, s, s)
+    pair = np.einsum("neab,nfab->nef", apply(k.T), k.T)
+    pair = pair[:, SPAN_EDGE][:, :, SPAN_EDGE]
+    return _basis_blocks(k, (k.volume / TET_MEASURE)[:, None, None]
+                         * gram * pair)
 
-    def span_form(k: StressBatch) -> np.ndarray:
-        pair = np.einsum("neab,nfab->nef", apply(k.T), k.T)
-        pair = pair[:, SPAN_EDGE][:, :, SPAN_EDGE]
-        return (k.volume / TET_MEASURE)[:, None, None] * gram * pair
 
-    return _assemble_stress_form(body, smap, span_form)
+def compliance_blocks(k: StressBatch, params: MaterialParams,
+                      quad_degree: int = 4) -> np.ndarray:
+    """Unsigned local compliance blocks (n, 42, 42) of the tets of ``k``."""
+    return _tensor_mass_blocks(k, quad_degree,
+                               lambda T: c0_inv_apply(T, params))
+
+
+def divergence_blocks(k: StressBatch, quad_degree: int = 4) -> np.ndarray:
+    """Unsigned local divergence blocks (n, 12, 42): int div(phi_i) . psi_k
+    with psi_k the vector P1 basis (local DOF 3 a + c)."""
+    rule = tet_rule(quad_degree)
+    # Reference moments int lam_a d(s_k)/d(lam_b), (4, 42, 4).
+    moments = np.einsum("q,qa,qkb->akb", rule.weights, rule.points,
+                        span_dlam(rule.points))
+    d = k.div_scalars(moments) * (k.volume / TET_MEASURE)[:, None, None]
+    t = np.swapaxes(k.tangents[:, SPAN_EDGE], 1, 2)  # (n, 3, 42)
+    span = (d[:, :, None, :] * t[:, None, :, :]).reshape(-1, 12, 42)
+    return span @ np.swapaxes(k.coeffs, 1, 2)
+
+
+@dataclass
+class BodyBlocks:
+    """The body's per-tet blocks in unsigned local coordinates (each tet's
+    own basis, before the -1 sign a non-owner tet sees on a shared face):
+    compliance ``A`` (n_tets, 42, 42) and divergence ``B`` (n_tets, 12, 42).
+    The global blocks are their signed scatters."""
+
+    A: np.ndarray
+    B: np.ndarray
+
+    @classmethod
+    def build(cls, k: StressBatch, params: MaterialParams,
+              quad_degree: int = 4) -> "BodyBlocks":
+        return cls(compliance_blocks(k, params, quad_degree),
+                   divergence_blocks(k, quad_degree))
 
 
 def assemble_compliance(
@@ -161,15 +213,16 @@ def assemble_compliance(
     quad_degree: int = 4,
 ) -> sp.csr_matrix:
     """A[i, j] = int_alpha (C0^-1 phi_j) : phi_i  (symmetric positive definite)."""
-    return _tensor_mass_form(body, smap, quad_degree,
-                             lambda T: c0_inv_apply(T, params))
+    return _scatter_stress(
+        smap, compliance_blocks(_stress_batch(body), params, quad_degree))
 
 
 def assemble_stress_mass(
     body: TetMesh, smap: StressDofMap, quad_degree: int = 4
 ) -> sp.csr_matrix:
     """Plain L2 mass of the stress space, int phi_i : phi_j."""
-    return _tensor_mass_form(body, smap, quad_degree, lambda T: T)
+    return _scatter_stress(smap, _tensor_mass_blocks(
+        _stress_batch(body), quad_degree, lambda T: T))
 
 
 def assemble_div_div(
@@ -177,16 +230,19 @@ def assemble_div_div(
 ) -> sp.csr_matrix:
     """int div phi_i . div phi_j (elementwise divergence)."""
     rule = tet_rule(quad_degree)
-    dlam = span_dlam(rule.points)
+    k = _stress_batch(body)
+    d = k.div_scalars(span_dlam(rule.points))  # div(span_k) = d_k t_{e_k}
+    t = k.tangents[:, SPAN_EDGE]
+    dd = np.einsum("q,nqk,nql->nkl", rule.weights, d, d)
+    tt = np.einsum("nkc,nlc->nkl", t, t)
+    return _scatter_stress(smap, _basis_blocks(
+        k, (k.volume / TET_MEASURE)[:, None, None] * dd * tt))
 
-    def span_form(k: StressBatch) -> np.ndarray:
-        d = k.div_scalars(dlam)  # div(span_k) = d_k t_{e_k}
-        t = k.tangents[:, SPAN_EDGE]
-        dd = np.einsum("q,nqk,nql->nkl", rule.weights, d, d)
-        tt = np.einsum("nkc,nlc->nkl", t, t)
-        return (k.volume / TET_MEASURE)[:, None, None] * dd * tt
 
-    return _assemble_stress_form(body, smap, span_form)
+def _scatter_divergence(smap: StressDofMap, vmap, loc: np.ndarray
+                        ) -> sp.csr_matrix:
+    return _scatter(vmap.ltg, smap.ltg, loc * smap.sign[:, None, :],
+                    (vmap.n_dofs, smap.n_dofs))
 
 
 def assemble_divergence(
@@ -196,17 +252,8 @@ def assemble_divergence(
     quad_degree: int = 4,
 ) -> sp.csr_matrix:
     """B[k, i] = int_alpha div(phi_i) . psi_k  (V x Sigma)."""
-    rule = tet_rule(quad_degree)
-    # Reference moments int lam_a d(s_k)/d(lam_b), (4, 42, 4).
-    moments = np.einsum("q,qa,qkb->akb", rule.weights, rule.points,
-                        span_dlam(rule.points))
-    k = StressBatch(body.vertices[body.tets])
-    d = k.div_scalars(moments) * (k.volume / TET_MEASURE)[:, None, None]
-    t = np.swapaxes(k.tangents[:, SPAN_EDGE], 1, 2)  # (n, 3, 42)
-    span = (d[:, :, None, :] * t[:, None, :, :]).reshape(-1, 12, 42)
-    loc = span @ np.swapaxes(k.coeffs, 1, 2)
-    return _scatter(vmap.ltg, smap.ltg, loc * smap.sign[:, None, :],
-                    (vmap.n_dofs, smap.n_dofs))
+    return _scatter_divergence(
+        smap, vmap, divergence_blocks(_stress_batch(body), quad_degree))
 
 
 def assemble_body_mass(body: TetMesh, vmap, quad_degree: int = 4) -> sp.csr_matrix:
@@ -269,6 +316,68 @@ def _interface_local_faces(body: TetMesh, faces: list[InterfaceFace]
     return owner, np.argmin(in_face, axis=1)
 
 
+@dataclass
+class CouplingBlocks:
+    """The interface coupling per overlay cell, in the unsigned local columns
+    of the face's owner tet: cell c adds ``blocks[c]`` (9, 42) to the plate
+    rows ``rows[c]`` (membrane DOFs 2 a + c, then the Morley vertex DOFs of
+    its plate triangle) and the local stress columns of tet ``tet[c]``."""
+
+    tet: np.ndarray
+    rows: np.ndarray
+    blocks: np.ndarray
+
+    def scatter(self, smap: StressDofMap, n_w: int) -> sp.csr_matrix:
+        """The global coupling G (n_w, n_sigma)."""
+        return _scatter(self.rows, smap.ltg[self.tet],
+                        self.blocks * smap.sign[self.tet][:, None, :],
+                        (n_w, smap.n_dofs))
+
+    def local(self, n_tets: int, n_w: int) -> sp.csr_matrix:
+        """G in local columns (n_w, 42 n_tets): column 42 t + i is local
+        basis function i of tet t."""
+        cols = 42 * self.tet[:, None] + np.arange(42)
+        return _scatter(self.rows, cols, self.blocks, (n_w, 42 * n_tets))
+
+
+def interface_coupling_blocks(
+    body: TetMesh,
+    plate: TriMesh,
+    pmap: PlateDofMap,
+    faces: list[InterfaceFace],
+    cells: list[OverlayCell],
+    k: StressBatch | None = None,
+) -> CouplingBlocks:
+    """Local blocks of G[w, s] = int_Gamma (phi_s n) . (Pi chi_w) on the
+    overlay cells; ``k`` is the stress batch of all tets, or None to build
+    one for the interface faces' owner tets only.
+
+    Pi is the trace lowering: membrane test functions unchanged, Morley test
+    functions replaced by the continuous P1 field of their vertex values
+    (Morley edge DOFs yield identically zero rows).
+    """
+    owner, local = _interface_local_faces(body, faces)
+    tets = owner  # each face's owner as an entry of k
+    if k is None:
+        k = StressBatch(body.vertices[body.tets[owner]])
+        tets = np.arange(owner.size)
+    cell_face = np.array([c.face_id for c in cells], dtype=np.int64)
+    cell_tri = np.array([c.tri_id for c in cells], dtype=np.int64)
+    mom = _overlay_moments(k, tets[cell_face], plate, cells, cell_tri)
+    # The traction of span_k is s_k (t_{e_k} . n) t_{e_k}.
+    t = k.tangents[tets][:, SPAN_EDGE]  # (n_faces, 42, 3)
+    nrm = k.face_normals[tets, local]
+    mom = mom * np.einsum("fkc,fc->fk", t, nrm)[cell_face][:, None]
+    span = mom[:, :, None, :] * np.swapaxes(t, 1, 2)[cell_face][:, None]
+    coeffs = np.swapaxes(k.coeffs[tets[cell_face]], 1, 2)
+    blk = (span.reshape(-1, 9, 42) @ coeffs).reshape(-1, 3, 3, 42)
+    rows = [pmap.mem_ltg[cell_tri], pmap.mor_ltg[cell_tri, :3]]
+    blocks = [blk[:, :, :2].reshape(-1, 6, 42), blk[:, :, 2]]
+    return CouplingBlocks(tet=owner[cell_face],
+                          rows=np.concatenate(rows, axis=1),
+                          blocks=np.concatenate(blocks, axis=1))
+
+
 def assemble_interface_coupling(
     body: TetMesh,
     smap: StressDofMap,
@@ -277,46 +386,27 @@ def assemble_interface_coupling(
     faces: list[InterfaceFace],
     cells: list[OverlayCell],
 ) -> sp.csr_matrix:
-    """G[w, s] = int_Gamma (phi_s n) . (Pi chi_w), assembled on the overlay.
-
-    Pi is the trace lowering: membrane test functions unchanged, Morley test
-    functions replaced by the continuous P1 field of their vertex values
-    (Morley edge DOFs yield identically zero rows).
-    """
-    owner, local = _interface_local_faces(body, faces)
-    k = StressBatch(body.vertices[body.tets[owner]])
-    cell_face = np.array([c.face_id for c in cells], dtype=np.int64)
-    cell_tri = np.array([c.tri_id for c in cells], dtype=np.int64)
-    mom = _overlay_moments(k, plate, cells, cell_face, cell_tri)
-    # The traction of span_k is s_k (t_{e_k} . n) t_{e_k}.
-    t = k.tangents[:, SPAN_EDGE]  # (n_faces, 42, 3)
-    nrm = k.face_normals[np.arange(owner.size), local]
-    mom = mom * np.einsum("fkc,fc->fk", t, nrm)[cell_face][:, None]
-    span = mom[:, :, None, :] * np.swapaxes(t, 1, 2)[cell_face][:, None]
-    tet = owner[cell_face]
-    blk = (span.reshape(-1, 9, 42) @ np.swapaxes(k.coeffs[cell_face], 1, 2)
-           * smap.sign[tet][:, None, :]).reshape(-1, 3, 3, 42)
-    cols = smap.ltg[tet]
-    shape = (pmap.n_dofs, smap.n_dofs)
-    return (_scatter(pmap.mem_ltg[cell_tri], cols,
-                     blk[:, :, :2].reshape(-1, 6, 42), shape)
-            + _scatter(pmap.mor_ltg[cell_tri, :3], cols, blk[:, :, 2], shape))
+    """G[w, s] = int_Gamma (phi_s n) . (Pi chi_w), assembled on the overlay
+    (see ``interface_coupling_blocks``)."""
+    return interface_coupling_blocks(body, plate, pmap, faces, cells).scatter(
+        smap, pmap.n_dofs)
 
 
-def _overlay_moments(k: StressBatch, plate: TriMesh, cells: list[OverlayCell],
-                     cell_face: np.ndarray, cell_tri: np.ndarray) -> np.ndarray:
+def _overlay_moments(k: StressBatch, cell_tet: np.ndarray, plate: TriMesh,
+                     cells: list[OverlayCell], cell_tri: np.ndarray
+                     ) -> np.ndarray:
     """Per-cell moments int_cell hat_a s_k, (n_cells, 3, 42): the quadrature
     points of all cells flattened, with the spanning scalars of the face's
-    owner tet and the P1 hats of the plate triangle at each point.  A
-    function of its own so that the per-point arrays are freed before the
-    per-cell products of the caller."""
+    owner tet (``k`` entry ``cell_tet``) and the P1 hats of the plate
+    triangle at each point.  A function of its own so that the per-point
+    arrays are freed before the per-cell products of the caller."""
     point_cell = np.repeat(np.arange(len(cells)),
                            [c.weights.shape[0] for c in cells])
     pts = np.concatenate([c.points for c in cells])
     wts = np.concatenate([c.weights for c in cells])
     pts3 = np.column_stack([pts, np.zeros(pts.shape[0])])
-    face = cell_face[point_cell]
-    s = span_scalars(simplex_barycentric(k.grad_lambda[face], k.v0[face], pts3))
+    tet = cell_tet[point_cell]
+    s = span_scalars(simplex_barycentric(k.grad_lambda[tet], k.v0[tet], pts3))
     tri_verts = plate.vertices[plate.triangles[cell_tri]]
     grad, _ = simplex_geometry(tri_verts)
     hat = simplex_barycentric(grad[point_cell], tri_verts[point_cell, 0], pts)
@@ -508,7 +598,9 @@ class Constraints:
 
 @dataclass
 class BlockSystem:
-    """Assembled blocks of the mixed formulation plus constraint data."""
+    """The mixed formulation: the body's local blocks, the interface
+    coupling's cell blocks, the plate stiffness, loads and constraint data.
+    The global body blocks A, B and G are scattered on first use."""
 
     body: TetMesh
     plate: TriMesh
@@ -516,14 +608,25 @@ class BlockSystem:
     vmap: BodyDGDofMap
     pmap: PlateDofMap
     params: MaterialParams
-    A: sp.csr_matrix
-    B: sp.csr_matrix
-    G: sp.csr_matrix
+    blocks: BodyBlocks
+    coupling: CouplingBlocks
     K: sp.csr_matrix
     f_V: np.ndarray
     f_W: np.ndarray
     sigma_essential_idx: np.ndarray
     sigma_essential_values: np.ndarray
+
+    @cached_property
+    def A(self) -> sp.csr_matrix:
+        return _scatter_stress(self.smap, self.blocks.A)
+
+    @cached_property
+    def B(self) -> sp.csr_matrix:
+        return _scatter_divergence(self.smap, self.vmap, self.blocks.B)
+
+    @cached_property
+    def G(self) -> sp.csr_matrix:
+        return self.coupling.scatter(self.smap, self.n_w)
 
     @property
     def n_sigma(self) -> int:
@@ -590,9 +693,9 @@ def build_mixed_system(
     if cells is None:
         cells = intersect_triangulations(faces, plate, quad_degree=quad_interface)
 
-    A = assemble_compliance(body, smap, params, quad_volume)
-    B = assemble_divergence(body, smap, vmap, quad_volume)
-    G = assemble_interface_coupling(body, smap, plate, pmap, faces, cells)
+    k = _stress_batch(body)
+    blocks = BodyBlocks.build(k, params, quad_volume)
+    coupling = interface_coupling_blocks(body, plate, pmap, faces, cells, k)
     K = assemble_plate_stiffness(plate, pmap, params, region="all")
     f_V, f_W = assemble_loads(
         body, vmap, plate, pmap, case,
@@ -603,7 +706,7 @@ def build_mixed_system(
     )
     return BlockSystem(
         body=body, plate=plate, smap=smap, vmap=vmap, pmap=pmap, params=params,
-        A=A, B=B, G=G, K=K, f_V=f_V, f_W=f_W,
+        blocks=blocks, coupling=coupling, K=K, f_V=f_V, f_W=f_W,
         sigma_essential_idx=ess_idx, sigma_essential_values=ess_vals,
     )
 

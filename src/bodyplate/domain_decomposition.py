@@ -7,14 +7,16 @@ interface correction x,
     (S_K + E) x = -(l_tilde + E u_tilde_Gamma),
 
 where S_K is the plate Schur complement onto the interface DOF set, E the body
-interface operator E = R G Asad^-1 G^T R^T (one body saddle solve per apply;
-symmetric positive semidefinite), l_tilde = R G sigma_tilde the interface load
-of the decoupled body solve, and u_tilde_Gamma = R w_tilde the interface trace
-of the decoupled plate solve.  The operator T = I + S_K^-1 E is self-adjoint
-and positive in the energy inner product <a, b>_U = a^T S_K b, so conjugate
-gradients in that metric converge; implemented as preconditioned CG on
-(S_K + E) with preconditioner S_K^-1, whose r^T z scalar equals the squared
-U-norm of the T-equation residual.
+interface operator E = R G Asad^-1 G^T R^T (symmetric positive semidefinite;
+each apply is one hybridized body solve, i.e. one solve with the factored SPD
+face-multiplier system plus local back-substitution, see ``hybrid``),
+l_tilde = R G sigma_tilde the interface load of the decoupled body solve, and
+u_tilde_Gamma = R w_tilde the interface trace of the decoupled plate solve.
+The operator T = I + S_K^-1 E is self-adjoint and positive in the energy
+inner product <a, b>_U = a^T S_K b, so conjugate gradients in that metric
+converge; implemented as preconditioned CG on (S_K + E) with preconditioner
+S_K^-1, whose r^T z scalar equals the squared U-norm of the T-equation
+residual.
 
 The S_K metric uses the full plate stiffness; the variant restricted to
 triangles outside the interface region ('omit_interface') is available for
@@ -30,16 +32,15 @@ import numpy as np
 import scipy.sparse as sp
 
 from .assembly import (
-    Constraints,
-    assemble_compliance,
-    assemble_divergence,
+    BodyBlocks,
     assemble_interface_coupling,
     assemble_loads,
     assemble_plate_stiffness,
     impose_traction_bc,
 )
-from .fe_elements import BodyDGDofMap, PlateDofMap, StressDofMap
+from .fe_elements import BodyDGDofMap, PlateDofMap, StressBatch, StressDofMap
 from .geometry_mesh import GAMMA_HALF_WIDTH, TetMesh, TriMesh
+from .hybrid import HybridBody
 from .interface_overlay import extract_interface_triangulation, intersect_triangulations
 from .manufactured import ManufacturedCase
 from .materials import MaterialParams
@@ -89,6 +90,17 @@ class SchurProduct:
                  params: MaterialParams, gamma_dofs: np.ndarray,
                  region: str = "all"):
         K = assemble_plate_stiffness(plate, pmap, params, region=region)
+        self._setup(K, pmap, gamma_dofs, region)
+
+    @classmethod
+    def from_stiffness(cls, K: sp.spmatrix, pmap: PlateDofMap,
+                       gamma_dofs: np.ndarray) -> "SchurProduct":
+        """The Schur product of an assembled full-plate stiffness."""
+        self = cls.__new__(cls)
+        self._setup(K, pmap, gamma_dofs, "all")
+        return self
+
+    def _setup(self, K, pmap, gamma_dofs, region):
         free = np.flatnonzero(~pmap.constrained)
         pos = -np.ones(pmap.n_dofs, dtype=np.int64)
         pos[free] = np.arange(free.size)
@@ -124,10 +136,12 @@ class SchurProduct:
 
 
 class BodyOperator:
-    """Condensed body saddle problem [[A, B^T], [B, 0]] with traction data.
+    """The body saddle problem [[A, B^T], [B, 0]] with traction data, solved
+    by hybridization (``hybrid.HybridBody`` without plate rows).
 
-    One factorization shared by the decoupled solve, every application of the
-    interface operator E, and the reconstruction solve.
+    One condensed face-multiplier factorization is shared by the decoupled
+    solve, every application of the interface operator E, and the
+    reconstruction solve.
     """
 
     def __init__(self, body: TetMesh, smap: StressDofMap, vmap: BodyDGDofMap,
@@ -135,37 +149,24 @@ class BodyOperator:
                  quad_interface: int = 6):
         self.smap = smap
         self.vmap = vmap
-        A = assemble_compliance(body, smap, params, quad_volume)
-        B = assemble_divergence(body, smap, vmap, quad_volume)
-        M = sp.bmat([[A, B.T], [B, None]], format="csr")
+        k = StressBatch(body.vertices[body.tets])
+        blocks = BodyBlocks.build(k, params, quad_volume)
         ess_idx, ess_vals = impose_traction_bc(body, smap, traction_fn,
                                                quad_degree=quad_interface)
-        n = smap.n_dofs + vmap.n_dofs
-        self.cons = Constraints(n, ess_idx, np.zeros_like(ess_vals))
-        self.essential_values = ess_vals
-        self._M_fc = M.tocsr()[self.cons.free][:, ess_idx]
-        self.factor = SparseFactor(
-            M.tocsr()[self.cons.free][:, self.cons.free].tocsc(),
-            block_names=(("stress", 0, smap.n_dofs),
-                         ("displacement", smap.n_dofs, n)),
-        )
+        self.hybrid = HybridBody(smap, blocks, ess_idx)
+        self.essential_data = np.zeros(smap.n_dofs)
+        self.essential_data[ess_idx] = ess_vals
 
     def solve(self, rhs_sigma: np.ndarray, rhs_v: np.ndarray,
               with_data: bool) -> tuple[np.ndarray, np.ndarray]:
         """Solve the body saddle problem; ``with_data`` switches on the
         inhomogeneous traction values.  Returns (sigma, u) full vectors."""
-        ns = self.smap.n_dofs
-        rhs = np.concatenate([rhs_sigma, rhs_v])
-        rhs_f = rhs[self.cons.free]
-        vals = self.essential_values if with_data else None
-        if vals is not None:
-            rhs_f = rhs_f - self._M_fc @ vals
-        x_f = self.factor.solve(rhs_f)
-        x = np.zeros(rhs.shape[0])
-        x[self.cons.free] = x_f
-        if vals is not None:
-            x[self.cons.idx] = vals
-        return x[:ns], x[ns:]
+        sigma, x_u, _, _, _ = self.hybrid.solve(
+            rhs_sigma, rhs_v[self.vmap.ltg],
+            sigma_data=self.essential_data if with_data else None)
+        u = np.zeros(self.vmap.n_dofs)
+        u[self.vmap.ltg] = x_u
+        return sigma, u
 
 
 class PlateOperator:
@@ -264,7 +265,8 @@ def solve_dd(body: TetMesh, plate: TriMesh, case: ManufacturedCase,
 
     Pipeline: decoupled body and plate solves, interface CG for the trace
     correction, then one body and one plate reconstruction solve.  All body
-    solves share a single factorization, as do the plate solves.
+    solves share a single factorization, as do the plate solves; the plate
+    stiffness is assembled once for the Schur product and the plate solves.
     """
     if params is None:
         params = case.params
@@ -279,11 +281,11 @@ def solve_dd(body: TetMesh, plate: TriMesh, case: ManufacturedCase,
                               quad_interface=quad_interface)
 
     gamma = build_interface_dof_set(plate, pmap)
-    schur = SchurProduct(plate, pmap, params, gamma)
+    plate_op = PlateOperator(plate, pmap, params)
+    schur = SchurProduct.from_stiffness(plate_op.K, pmap, gamma)
     body_op = BodyOperator(body, smap, vmap, params, case.traction,
                            quad_volume=quad_volume,
                            quad_interface=quad_interface)
-    plate_op = PlateOperator(plate, pmap, params)
 
     def op_E(lam: np.ndarray) -> np.ndarray:
         w = np.zeros(pmap.n_dofs)

@@ -604,6 +604,8 @@ class StressDofMap:
         self.face_owner = np.array([r.owner for r in records], dtype=np.int64)
         self.face_owner_local = np.array([r.owner_local for r in records],
                                          dtype=np.int64)
+        self.face_neighbor = np.array([r.neighbor for r in records],
+                                      dtype=np.int64)
         self.n_faces = len(records)
         self.n_face_dofs = 9 * self.n_faces
         self.n_dofs = self.n_face_dofs + 6 * nt

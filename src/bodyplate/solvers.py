@@ -1,14 +1,17 @@
 """Sparse direct solves with residual verification.
 
-Every system, saddle-point or positive definite, goes through one factor
-object, ``SparseFactor``: SuperLU in symmetric mode with a small
-diagonal-pivot threshold and COLAMD ordering (measured to give roughly 5x less
-fill than the minimum-degree orderings on these meshes).  Every solve checks
-the relative residual, applies up to two steps of iterative refinement until
-it reaches 1e-15 or stagnates, and fails loudly if the final residual is
-above 1e-10.  Refining to near roundoff keeps downstream identities that
-amplify the residual (equilibrium checks, mass-inverse applications) at
-their own roundoff level.
+Every system goes through one factor object, ``SparseFactor``: SuperLU in
+symmetric mode, with the ordering picked from the matrix itself.  A matrix
+whose diagonal is positive throughout (the condensed face-multiplier system
+of the hybridized body solve, the plate stiffness, the displacement
+baseline) is factored without pivoting on a minimum-degree ordering of
+A^T + A; any other (the indefinite saddle-point system, kept as the
+monolithic test oracle) on COLAMD with a small diagonal-pivot threshold.
+Every solve checks the relative residual, applies up to two steps of
+iterative refinement until it reaches 1e-15 or stagnates, and fails loudly
+if the final residual is above 1e-10.  Refining to near roundoff keeps
+downstream identities that amplify the residual (equilibrium checks,
+mass-inverse applications) at their own roundoff level.
 """
 
 from __future__ import annotations
@@ -59,7 +62,8 @@ class SolveReport:
 class SparseFactor:
     """LU factorization reused across many solves (e.g. the domain-
     decomposition operators); every solve is refined and checked against the
-    residual contract.
+    residual contract.  A positive diagonal selects the pivot-free
+    minimum-degree factorization, anything else the pivoting COLAMD one.
 
     ``block_names`` is an optional list of (name, lo, hi) row ranges used to
     attribute a zero pivot to an unknown block in error messages.
@@ -69,10 +73,14 @@ class SparseFactor:
         M = M.tocsc()
         self.M = M
         self.block_names = block_names
+        if np.all(M.diagonal() > 0):
+            ordering, pivot_thresh = "MMD_AT_PLUS_A", 0.0
+        else:
+            ordering, pivot_thresh = "COLAMD", 0.001
         t0 = time.time()
         try:
             self.lu = spla.splu(
-                M, permc_spec="COLAMD", diag_pivot_thresh=0.001,
+                M, permc_spec=ordering, diag_pivot_thresh=pivot_thresh,
                 options=dict(SymmetricMode=True),
             )
         except RuntimeError as exc:
@@ -95,9 +103,9 @@ class SparseFactor:
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solution of M x = b."""
-        return self._refined_solve(b)[0]
+        return self.refined_solve(b)[0]
 
-    def _refined_solve(self, b: np.ndarray) -> tuple[np.ndarray, float, int]:
+    def refined_solve(self, b: np.ndarray) -> tuple[np.ndarray, float, int]:
         """Solution of M x = b with its relative residual and the number of
         refinement passes; a zero right-hand side gives zero at once."""
         b = np.asarray(b, dtype=float)
@@ -117,5 +125,5 @@ def solve_saddle_point(M: sp.spmatrix, b: np.ndarray,
     """Direct solve of a symmetric system, indefinite (saddle point) or
     positive definite; ``block_names`` as for ``SparseFactor``."""
     t0 = time.time()
-    x, rel, passes = SparseFactor(M, block_names=block_names)._refined_solve(b)
+    x, rel, passes = SparseFactor(M, block_names=block_names).refined_solve(b)
     return x, SolveReport(M.shape[0], M.nnz, rel, time.time() - t0, passes)
