@@ -6,10 +6,11 @@ tetrahedra around its main diagonal) and a structured triangular mesh of the
 square plate.  The plate covers four times the area of the body footprint,
 and the body touches it only on the central interface square.
 
-Products of functions from the two meshes are integrated on an overlay: the
-body's interface triangulation is clipped against the plate triangulation,
-producing convex polygonal cells that are fanned into triangles carrying
-quadrature points.  This script builds a deliberately non-matching pair and
+Products of functions from the two meshes are integrated on an overlay: each
+interface face of the body is clipped against the plate triangles that a
+uniform grid bucket puts near it (all pairs in one batched clip), producing
+convex polygonal cells that are fanned into triangles carrying quadrature
+points.  This script builds a deliberately non-matching pair and
 shows that the overlay conserves area to roundoff.
 """
 

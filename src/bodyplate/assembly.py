@@ -32,7 +32,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry_mesh import FaceTag, TetMesh, TriMesh
+from .geometry_mesh import FaceTag, TetMesh, TriMesh, _match_rows
 from .interface_overlay import (
     InterfaceFace,
     OverlayCell,
@@ -119,18 +119,6 @@ def _vector_p1_strains(grad_lambda: np.ndarray) -> np.ndarray:
     g = np.einsum("cr,nas->nacrs", np.eye(d), grad_lambda)
     g = g.reshape(-1, (d + 1) * d, d, d)
     return 0.5 * (g + np.swapaxes(g, 2, 3))
-
-
-def _match_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row of ``b`` equal to each row of ``a`` (floats compared after rounding
-    to 1e-9), or -1 where there is none."""
-    if a.dtype.kind == "f":
-        a, b = np.round(a, 9) + 0.0, np.round(b, 9) + 0.0
-    _, inv = np.unique(np.concatenate([b, a]), axis=0, return_inverse=True)
-    inv = inv.ravel()
-    where = np.full(inv.max() + 1, -1)
-    where[inv[: b.shape[0]]] = np.arange(b.shape[0])
-    return where[inv[b.shape[0]:]]
 
 
 # ---------------------------------------------------------------------------

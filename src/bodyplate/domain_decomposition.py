@@ -67,14 +67,10 @@ def build_interface_dof_set(plate: TriMesh, pmap: PlateDofMap) -> np.ndarray:
     endpoints both lie inside it.  Sorted global plate DOF ids."""
     tol = GAMMA_HALF_WIDTH + 1e-9
     on_gamma = np.max(np.abs(plate.vertices), axis=1) <= tol
-    dofs = []
+    v = np.flatnonzero(on_gamma)
+    e = np.flatnonzero(np.all(on_gamma[pmap.edges], axis=1))
     nv = plate.n_vertices
-    for v in np.flatnonzero(on_gamma):
-        dofs.extend([2 * v, 2 * v + 1, 2 * nv + v])
-    for (va, vb), eid in pmap.edge_index.items():
-        if on_gamma[va] and on_gamma[vb]:
-            dofs.append(3 * nv + eid)
-    return np.asarray(sorted(dofs), dtype=np.int64)
+    return np.sort(np.concatenate([2 * v, 2 * v + 1, 2 * nv + v, 3 * nv + e]))
 
 
 class SchurProduct:

@@ -33,10 +33,18 @@ against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .geometry_mesh import TET_LOCAL_FACES, TetMesh, TriMesh, FaceTag
+from .geometry_mesh import (
+    TET_LOCAL_FACES,
+    FaceTag,
+    TetMesh,
+    TriMesh,
+    _match_rows,
+    _number_rows,
+)
 from .quadrature import tet_rule, triangle_rule
 
 __all__ = [
@@ -574,73 +582,73 @@ class StressDofMap:
     """Global numbering of the stress space: nine DOFs per mesh face (ordered
     by the face's sorted global vertex ids and Cartesian component, with the
     owner tet's outward normal defining the sign) plus six interior DOFs per
-    tet.  Non-owner tets see their shared-face DOFs with a -1 sign."""
+    tet.  Non-owner tets see their shared-face DOFs with a -1 sign.
+
+    Faces are numbered in the order the tets first see them (tet by tet,
+    local face by local face); the first tet to see a face owns it.  Per-face
+    arrays: ``face_vertices`` (sorted global ids), ``face_owner``,
+    ``face_owner_local``, ``face_neighbor`` (-1 on the boundary) and
+    ``face_tag`` (-1 inside, else the ``FaceTag``)."""
 
     def __init__(self, mesh: TetMesh):
         self.mesh = mesh
         nt = mesh.n_tets
-
-        face_index: dict[tuple, int] = {}
-        records: list[_FaceRecord] = []
-        for t in range(nt):
-            for f in range(4):
-                key = tuple(sorted(int(v) for v in mesh.tets[t, TET_LOCAL_FACES[f]]))
-                fid = face_index.get(key)
-                if fid is None:
-                    face_index[key] = len(records)
-                    records.append(_FaceRecord(key, t, f, -1, -1))
-                else:
-                    records[fid].neighbor = t
-        boundary_tag = {
-            tuple(sorted(int(v) for v in tri)): int(tag)
-            for tri, tag in zip(mesh.boundary_faces, mesh.boundary_tags)
-        }
-        for rec in records:
-            if rec.neighbor == -1:
-                rec.tag = boundary_tag[rec.vertices]
-        self.faces = records
-        self.face_index = face_index
-        self.face_vertices = np.array([r.vertices for r in records], dtype=np.int64)
-        self.face_owner = np.array([r.owner for r in records], dtype=np.int64)
-        self.face_owner_local = np.array([r.owner_local for r in records],
-                                         dtype=np.int64)
-        self.face_neighbor = np.array([r.neighbor for r in records],
-                                      dtype=np.int64)
-        self.n_faces = len(records)
+        local = mesh.tets[:, TET_LOCAL_FACES]  # (nt, 4, 3)
+        keys = np.sort(local, axis=2).reshape(-1, 3)
+        fid, first, last, count = _number_rows(keys)
+        fid = fid.reshape(nt, 4)
+        self.face_vertices = keys[first]
+        self.face_owner = first // 4
+        self.face_owner_local = first % 4
+        self.face_neighbor = np.where(count > 1, last // 4, -1)
+        self.n_faces = first.size
         self.n_face_dofs = 9 * self.n_faces
         self.n_dofs = self.n_face_dofs + 6 * nt
 
-        ltg = np.zeros((nt, 42), dtype=np.int64)
-        sign = np.ones((nt, 42))
-        for t in range(nt):
-            for f in range(4):
-                lv = mesh.tets[t, TET_LOCAL_FACES[f]]
-                key = tuple(sorted(int(v) for v in lv))
-                fid = face_index[key]
-                ranks = np.argsort(np.argsort(lv))
-                s = 1.0 if records[fid].owner == t else -1.0
-                for a in range(3):
-                    for c in range(3):
-                        ltg[t, 9 * f + 3 * a + c] = 9 * fid + 3 * ranks[a] + c
-                        sign[t, 9 * f + 3 * a + c] = s
-            base = self.n_face_dofs + 6 * t
-            ltg[t, 36:42] = np.arange(base, base + 6)
+        boundary = np.flatnonzero(self.face_neighbor < 0)
+        row = _match_rows(self.face_vertices[boundary],
+                          np.sort(mesh.boundary_faces, axis=1))
+        if np.any(row < 0):
+            raise ValueError(
+                f"{np.sum(row < 0)} boundary faces of the tets are missing "
+                "from the mesh's boundary face table"
+            )
+        self.face_tag = np.full(self.n_faces, -1, dtype=np.int64)
+        self.face_tag[boundary] = mesh.boundary_tags[row]
+
+        ranks = np.argsort(np.argsort(local, axis=2), axis=2)
+        ltg = np.empty((nt, 42), dtype=np.int64)
+        ltg[:, :36] = (9 * fid[:, :, None, None] + 3 * ranks[..., None]
+                       + np.arange(3)).reshape(nt, 36)
+        ltg[:, 36:] = (self.n_face_dofs + 6 * np.arange(nt)[:, None]
+                       + np.arange(6))
         self.ltg = ltg
-        self.sign = sign
+        owns = self.face_owner[fid] == np.arange(nt)[:, None]
+        self.sign = np.ones((nt, 42))
+        self.sign[:, :36] = np.repeat(np.where(owns, 1.0, -1.0), 9, axis=1)
 
         # Essential (traction boundary) DOFs: the nine DOFs of each FREE face.
-        free_faces = [
-            i for i, rec in enumerate(records) if rec.tag == int(FaceTag.FREE)
+        self.free_face_ids = np.flatnonzero(self.face_tag == int(FaceTag.FREE))
+        self.essential_dofs = (9 * self.free_face_ids[:, None]
+                               + np.arange(9)).ravel()
+        self.interface_face_ids = np.flatnonzero(
+            self.face_tag == int(FaceTag.INTERFACE))
+
+    @cached_property
+    def faces(self) -> list[_FaceRecord]:
+        """One record per face, in face order (built on first use)."""
+        return [
+            _FaceRecord(tuple(v), o, f, nb, tag)
+            for v, o, f, nb, tag in zip(
+                self.face_vertices.tolist(), self.face_owner.tolist(),
+                self.face_owner_local.tolist(), self.face_neighbor.tolist(),
+                self.face_tag.tolist())
         ]
-        self.free_face_ids = np.asarray(free_faces, dtype=np.int64)
-        ess = []
-        for fid in free_faces:
-            ess.extend(range(9 * fid, 9 * fid + 9))
-        self.essential_dofs = np.asarray(ess, dtype=np.int64)
-        self.interface_face_ids = np.asarray(
-            [i for i, rec in enumerate(records) if rec.tag == int(FaceTag.INTERFACE)],
-            dtype=np.int64,
-        )
+
+    @cached_property
+    def face_index(self) -> dict[tuple, int]:
+        """Face number of each sorted vertex triple (built on first use)."""
+        return {v: i for i, v in enumerate(map(tuple, self.face_vertices.tolist()))}
 
     def local_coefficients(self, t: int, sigma: np.ndarray) -> np.ndarray:
         """Local 42-vector of element coefficients from a global vector."""
@@ -687,50 +695,41 @@ class PlateDofMap:
         self.mesh = mesh
         nv = mesh.n_vertices
         ntri = mesh.n_triangles
+        tri = mesh.triangles
 
-        edge_index: dict[tuple, int] = {}
-        edge_list: list[tuple] = []
-        for t in range(ntri):
-            tri = mesh.triangles[t]
-            for e in range(3):
-                key = tuple(sorted((int(tri[(e + 1) % 3]), int(tri[(e + 2) % 3]))))
-                if key not in edge_index:
-                    edge_index[key] = len(edge_list)
-                    edge_list.append(key)
-        self.edges = np.asarray(edge_list, dtype=np.int64)
-        self.n_edges = len(edge_list)
+        # Edge e of a triangle joins its local vertices e + 1 and e + 2; edges
+        # are numbered in the order the triangles first see them.
+        ends = tri[:, [[1, 2], [2, 0], [0, 1]]]  # (ntri, 3, 2)
+        keys = np.sort(ends, axis=2).reshape(-1, 2)
+        eid, first, _, _ = _number_rows(keys)
+        self.edges = keys[first]
+        self.n_edges = first.size
         self.n_dofs = 3 * nv + self.n_edges
         self.membrane_offset = 0
         self.morley_vertex_offset = 2 * nv
         self.morley_edge_offset = 3 * nv
 
-        self.mem_ltg = np.zeros((ntri, 6), dtype=np.int64)
-        self.mor_ltg = np.zeros((ntri, 6), dtype=np.int64)
+        self.mem_ltg = (2 * tri[:, :, None] + np.arange(2)).reshape(ntri, 6)
+        self.mor_ltg = np.concatenate([2 * nv + tri, 3 * nv + eid.reshape(ntri, 3)],
+                                      axis=1)
         self.mor_sign = np.ones((ntri, 6))
-        for t in range(ntri):
-            tri = mesh.triangles[t]
-            for a in range(3):
-                for c in range(2):
-                    self.mem_ltg[t, 2 * a + c] = 2 * int(tri[a]) + c
-                self.mor_ltg[t, a] = 2 * nv + int(tri[a])
-            for e in range(3):
-                va, vb = int(tri[(e + 1) % 3]), int(tri[(e + 2) % 3])
-                key = tuple(sorted((va, vb)))
-                self.mor_ltg[t, 3 + e] = 3 * nv + edge_index[key]
-                self.mor_sign[t, 3 + e] = 1.0 if va < vb else -1.0
+        self.mor_sign[:, 3:] = np.where(ends[..., 0] < ends[..., 1], 1.0, -1.0)
 
-        boundary_verts = set(int(v) for v in mesh.boundary_edges.ravel())
+        self.boundary_vertices = np.unique(mesh.boundary_edges).astype(np.int64)
+        edge = _match_rows(np.sort(mesh.boundary_edges, axis=1), self.edges)
+        if np.any(edge < 0):
+            raise ValueError(f"{np.sum(edge < 0)} boundary edges are not "
+                             "edges of the triangles")
         constrained = np.zeros(self.n_dofs, dtype=bool)
-        for v in boundary_verts:
-            constrained[2 * v] = True
-            constrained[2 * v + 1] = True
-            constrained[2 * nv + v] = True
-        for ed in mesh.boundary_edges:
-            key = tuple(sorted((int(ed[0]), int(ed[1]))))
-            constrained[3 * nv + edge_index[key]] = True
+        bv = self.boundary_vertices
+        constrained[np.concatenate([2 * bv, 2 * bv + 1, 2 * nv + bv,
+                                    3 * nv + edge])] = True
         self.constrained = constrained
-        self.boundary_vertices = np.asarray(sorted(boundary_verts), dtype=np.int64)
-        self.edge_index = edge_index
+
+    @cached_property
+    def edge_index(self) -> dict[tuple, int]:
+        """Edge number of each sorted vertex pair (built on first use)."""
+        return {e: i for i, e in enumerate(map(tuple, self.edges.tolist()))}
 
     def membrane_slice(self) -> slice:
         return slice(0, 2 * self.mesh.n_vertices)

@@ -318,11 +318,40 @@ def build_plate_mesh(n: int, diagonal: Diagonal = Diagonal.SAME_AS_BODY) -> TriM
     )
 
 
-def triangle_area(verts: np.ndarray) -> float:
-    """Signed area of a 2D triangle."""
-    d1 = verts[1] - verts[0]
-    d2 = verts[2] - verts[0]
-    return 0.5 * float(d1[0] * d2[1] - d1[1] * d2[0])
+def triangle_area(verts: np.ndarray) -> float | np.ndarray:
+    """Signed area of a 2D triangle (3, 2), or of each triangle of a batch
+    (..., 3, 2)."""
+    verts = np.asarray(verts, dtype=float)
+    d1 = verts[..., 1, :] - verts[..., 0, :]
+    d2 = verts[..., 2, :] - verts[..., 0, :]
+    area = 0.5 * (d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0])
+    return float(area) if area.ndim == 0 else area
+
+
+def _number_rows(keys: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Number the distinct rows of ``keys`` (n, k) in the order of their
+    first appearance.  Returns the number of every row (n,) and, per number,
+    the first and the last row holding it and its multiplicity."""
+    _, first, inv, count = np.unique(keys, axis=0, return_index=True,
+                                     return_inverse=True, return_counts=True)
+    by_key = np.argsort(inv.ravel(), kind="stable")
+    last = by_key[np.cumsum(count) - 1]
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return rank[inv.ravel()], first[order], last[order], count[order]
+
+
+def _match_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row of ``b`` equal to each row of ``a`` (floats compared after rounding
+    to 1e-9), or -1 where there is none."""
+    if a.dtype.kind == "f":
+        a, b = np.round(a, 9) + 0.0, np.round(b, 9) + 0.0
+    _, inv = np.unique(np.concatenate([b, a]), axis=0, return_inverse=True)
+    inv = inv.ravel()
+    where = np.full(inv.max() + 1, -1)
+    where[inv[: b.shape[0]]] = np.arange(b.shape[0])
+    return where[inv[b.shape[0]:]]
 
 
 # ---------------------------------------------------------------------------
@@ -344,18 +373,15 @@ def refine_uniform(mesh):
 def resolves_interface_boundary(plate: TriMesh) -> bool:
     """True when every plate triangle is contained in closure(Gamma) or has
     interior disjoint from Gamma."""
-    from .interface_overlay import clip_convex_polygon, polygon_area
+    from .interface_overlay import _clip_batch, _signed_areas
 
     half = GAMMA_HALF_WIDTH
     square = np.array([[-half, -half], [half, -half], [half, half], [-half, half]])
-    for t in range(plate.n_triangles):
-        verts = plate.triangle_vertices(t)
-        area = abs(triangle_area(verts))
-        clipped = clip_convex_polygon(verts, square)
-        a = polygon_area(clipped)
-        if a > 1e-12 * area and a < (1.0 - 1e-12) * area:
-            return False
-    return True
+    verts = plate.vertices[plate.triangles]
+    area = np.abs(triangle_area(verts))
+    clipped, count = _clip_batch(verts, square[None])
+    a = np.where(count >= 3, np.abs(_signed_areas(clipped, count)), 0.0)
+    return not np.any((a > 1e-12 * area) & (a < (1.0 - 1e-12) * area))
 
 
 def validate_mesh(mesh) -> list[str]:

@@ -57,34 +57,46 @@ def _matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.einsum("nij,nj->ni", M, x)
 
 
+#: Tets whose local saddle blocks are inverted together: bounds the
+#: temporaries of ``_local_saddle_inverses`` to a few (LOCAL_CHUNK, 54, 54)
+#: arrays next to the result.
+LOCAL_CHUNK = 1024
+
+
 def _local_saddle_inverses(blocks: BodyBlocks, essential: np.ndarray
                            ) -> np.ndarray:
     """Inverses (n, 54, 54) of the local saddle blocks with the essential
     stress DOFs eliminated symmetrically (their row and column zeroed, the
-    diagonal kept at its compliance value).  Fails on the first tet whose
-    block has a 1-norm condition number above CONDITION_LIMIT."""
+    diagonal kept at its compliance value), computed ``LOCAL_CHUNK`` tets at
+    a time.  Fails on the first tet whose block has a 1-norm condition
+    number above CONDITION_LIMIT."""
     A, B = blocks.A, blocks.B
     n = A.shape[0]
-    M = np.zeros((n, 54, 54))
-    M[:, :42, :42] = A
-    M[:, 42:, :42] = B
-    M[:, :42, 42:] = np.swapaxes(B, 1, 2)
-    keep = np.concatenate([~essential, np.ones((n, 12), dtype=bool)], axis=1)
-    M *= keep[:, :, None] & keep[:, None, :]
-    t, i = np.nonzero(essential)
-    M[t, i, i] = A[t, i, i]
-    try:
-        M_inv = np.linalg.inv(M)
-        cond = (np.abs(M).sum(axis=1).max(axis=1)
-                * np.abs(M_inv).sum(axis=1).max(axis=1))
-    except np.linalg.LinAlgError:
-        M_inv, cond = None, np.linalg.cond(M, 1)
-    bad = np.flatnonzero(~(cond <= CONDITION_LIMIT))
-    if bad.size:
-        raise RuntimeError(
-            f"local saddle block of tet {bad[0]} is ill-conditioned "
-            f"(cond_1 = {cond[bad[0]]:.3e} > {CONDITION_LIMIT:.0e})"
-        )
+    M_inv = np.empty((n, 54, 54))
+    for lo in range(0, n, LOCAL_CHUNK):
+        c = slice(lo, min(lo + LOCAL_CHUNK, n))
+        ess = essential[c]
+        M = np.zeros((ess.shape[0], 54, 54))
+        M[:, :42, :42] = A[c]
+        M[:, 42:, :42] = B[c]
+        M[:, :42, 42:] = np.swapaxes(B[c], 1, 2)
+        keep = np.concatenate([~ess, np.ones((ess.shape[0], 12), dtype=bool)],
+                              axis=1)
+        M *= keep[:, :, None] & keep[:, None, :]
+        t, i = np.nonzero(ess)
+        M[t, i, i] = A[c][t, i, i]
+        try:
+            M_inv[c] = np.linalg.inv(M)
+            cond = (np.abs(M).sum(axis=1).max(axis=1)
+                    * np.abs(M_inv[c]).sum(axis=1).max(axis=1))
+        except np.linalg.LinAlgError:
+            cond = np.linalg.cond(M, 1)
+        bad = np.flatnonzero(~(cond <= CONDITION_LIMIT))
+        if bad.size:
+            raise RuntimeError(
+                f"local saddle block of tet {lo + bad[0]} is ill-conditioned "
+                f"(cond_1 = {cond[bad[0]]:.3e} > {CONDITION_LIMIT:.0e})"
+            )
     return M_inv
 
 

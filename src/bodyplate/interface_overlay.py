@@ -7,6 +7,15 @@ refinement: every cell of the overlay is the (convex) intersection of one
 projected interface face with one plate triangle, fan-triangulated and equipped
 with a mapped triangle quadrature rule.
 
+The overlay is built in one batched pass over arrays.  Candidate face-triangle
+pairs come from a uniform grid bucket whose cell size is the largest plate
+triangle's box extent (Gander & Japhet 2013, "PANG"), so their number grows
+linearly with the meshes; all candidates are clipped at once by a
+Sutherland-Hodgman kernel on fixed-width vertex arrays, and the sliver filter
+and the fan quadrature act on all cells together (the batched affine maps of
+Cuvelier, Japhet & Scarella 2016).  ``clip_convex_polygon`` is the batch of
+one of the same kernel.
+
 When the two triangulations coincide, the overlay degenerates to exactly one
 cell per interface face.
 """
@@ -98,65 +107,107 @@ class OverlayCell:
 
 def polygon_area(poly: np.ndarray) -> float:
     """Area of a simple polygon given CCW (or CW) vertices."""
+    poly = np.asarray(poly, dtype=float)
     if poly.shape[0] < 3:
         return 0.0
-    x, y = poly[:, 0], poly[:, 1]
-    return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+    return float(abs(_signed_areas(poly[None], np.array([poly.shape[0]]))[0]))
 
 
 def clip_convex_polygon(subject: np.ndarray, clipper: np.ndarray) -> np.ndarray:
-    """Sutherland-Hodgman clip of a convex polygon against a convex CCW
-    polygon.  Returns the (possibly empty) intersection polygon."""
-    subject = np.asarray(subject, dtype=float)
-    clipper = np.asarray(clipper, dtype=float)
-    if _signed_area(subject) < 0:
-        subject = subject[::-1]
-    if _signed_area(clipper) < 0:
-        clipper = clipper[::-1]
-    output = list(subject)
-    m = clipper.shape[0]
-    for k in range(m):
-        a = clipper[k]
-        b = clipper[(k + 1) % m]
-        edge = b - a
-        if not output:
-            break
-        inp = output
-        output = []
-        prev = inp[-1]
-        d_prev = edge[0] * (prev[1] - a[1]) - edge[1] * (prev[0] - a[0])
-        for cur in inp:
-            d_cur = edge[0] * (cur[1] - a[1]) - edge[1] * (cur[0] - a[0])
-            if d_cur >= 0.0:
-                if d_prev < 0.0:
-                    output.append(_intersect(prev, cur, d_prev, d_cur))
-                output.append(cur)
-            elif d_prev >= 0.0:
-                output.append(_intersect(prev, cur, d_prev, d_cur))
-            prev, d_prev = cur, d_cur
-    if not output:
-        return np.zeros((0, 2))
-    return _dedup(np.asarray(output))
+    """Sutherland-Hodgman clip of a convex polygon against a convex polygon
+    (either orientation).  Returns the (possibly empty) CCW intersection
+    polygon; the batch of one of ``_clip_batch``."""
+    poly, count = _clip_batch(np.asarray(subject, dtype=float)[None],
+                              np.asarray(clipper, dtype=float)[None])
+    return poly[0, : count[0]]
 
 
-def _signed_area(poly: np.ndarray) -> float:
-    x, y = poly[:, 0], poly[:, 1]
-    return 0.5 * (np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+def _signed_areas(poly: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Signed shoelace areas (n,) of the polygons held in the first
+    ``count[i]`` vertex slots of ``poly[i]`` (n, width, 2)."""
+    slot = np.arange(poly.shape[1])
+    valid = slot < count[:, None]
+    nxt = poly[np.arange(poly.shape[0])[:, None],
+               np.where(slot + 1 < count[:, None], slot + 1, 0)]
+    x, y = poly[..., 0], poly[..., 1]
+    return 0.5 * (np.where(valid, x * nxt[..., 1], 0.0).sum(axis=1)
+                  - np.where(valid, y * nxt[..., 0], 0.0).sum(axis=1))
 
 
-def _intersect(p, q, dp, dq):
-    t = dp / (dp - dq)
-    return p + t * (q - p)
+def _ccw(poly: np.ndarray) -> np.ndarray:
+    """The polygons (n, m, 2) with the clockwise ones reversed."""
+    cw = _signed_areas(poly, np.full(poly.shape[0], poly.shape[1])) < 0
+    return np.where(cw[:, None, None], poly[:, ::-1], poly)
 
 
-def _dedup(poly: np.ndarray, tol: float = 1e-13) -> np.ndarray:
-    keep = []
-    for i in range(poly.shape[0]):
-        if not keep or np.max(np.abs(poly[i] - poly[keep[-1]])) > tol:
-            keep.append(i)
-    if len(keep) > 1 and np.max(np.abs(poly[keep[0]] - poly[keep[-1]])) <= tol:
-        keep.pop()
-    return poly[keep]
+def _clip_batch(subject: np.ndarray, clipper: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Sutherland-Hodgman clip of each convex polygon ``subject[i]`` (n, m, 2)
+    against the convex polygon ``clipper[i]`` (n or 1, k, 2), either
+    orientation.  Returns the CCW intersections in fixed-width vertex arrays
+    (n, m + k, 2) with their vertex counts (n,), near-duplicate vertices
+    merged by ``_dedup``.  Clipping a convex polygon by a half-plane adds at
+    most one vertex, so m + k slots suffice; a clip that needs more raises."""
+    n, m = subject.shape[:2]
+    k = clipper.shape[1]
+    width = m + k
+    clipper = _ccw(np.broadcast_to(clipper, (n, k, 2)))
+    rows = np.arange(n)[:, None]
+    slot = np.arange(width)
+    poly = np.zeros((n, width, 2))
+    poly[:, :m] = _ccw(subject)
+    count = np.full(n, m)
+    for e in range(k):
+        a = clipper[:, e, None, :]
+        edge = clipper[:, (e + 1) % k, None, :] - a
+        d = (edge[..., 0] * (poly[..., 1] - a[..., 1])
+             - edge[..., 1] * (poly[..., 0] - a[..., 0]))
+        prev = np.where(slot > 0, slot - 1, count[:, None] - 1)
+        d_prev = d[rows, prev]
+        valid = slot < count[:, None]
+        inside = d >= 0.0
+        cross = valid & (inside != (d_prev >= 0.0))
+        keep = valid & inside
+        n_out = cross.astype(np.int64) + keep
+        pos = np.cumsum(n_out, axis=1) - n_out
+        count = n_out.sum(axis=1)
+        if count.max(initial=0) > width:
+            bad = int(np.argmax(count))
+            raise RuntimeError(
+                f"polygon clip {bad} needs {count[bad]} vertices, more than "
+                f"the {width} slots of a convex {m}-gon clipped by a {k}-gon"
+            )
+        out = np.zeros_like(poly)
+        i, j = np.nonzero(cross)
+        p, q = poly[i, prev[i, j]], poly[i, j]
+        t = d_prev[i, j] / (d_prev[i, j] - d[i, j])
+        out[i, pos[i, j]] = p + t[:, None] * (q - p)
+        i, j = np.nonzero(keep)
+        out[i, pos[i, j] + cross[i, j]] = poly[i, j]
+        poly = out
+    return _dedup(poly, count)
+
+
+def _dedup(poly: np.ndarray, count: np.ndarray, tol: float = 1e-13
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """Drop every vertex within ``tol`` (max norm) of the last vertex kept
+    before it, then the last kept vertex if it is within ``tol`` of the first;
+    returns the compacted polygons and their counts."""
+    n, width = poly.shape[:2]
+    rows = np.arange(n)
+    kept = np.zeros((n, width), dtype=bool)
+    last = np.zeros(n, dtype=np.int64)
+    for i in range(width):
+        far = np.max(np.abs(poly[:, i] - poly[rows, last]), axis=1) > tol
+        kept[:, i] = (i < count) & ((i == 0) | far)
+        last = np.where(kept[:, i], i, last)
+    wrap = (kept.sum(axis=1) > 1) & (
+        np.max(np.abs(poly[:, 0] - poly[rows, last]), axis=1) <= tol)
+    kept[rows[wrap], last[wrap]] = False
+    out = np.zeros_like(poly)
+    i, j = np.nonzero(kept)
+    out[i, np.cumsum(kept, axis=1)[i, j] - 1] = poly[i, j]
+    return out, kept.sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -166,38 +217,32 @@ def _dedup(poly: np.ndarray, tol: float = 1e-13) -> np.ndarray:
 def extract_interface_triangulation(body: TetMesh) -> list[InterfaceFace]:
     """Project the body's INTERFACE-tagged boundary faces to the (x1, x2)
     plane, with vertices reordered so each projected triangle is CCW."""
-    faces: list[InterfaceFace] = []
-    for b in np.flatnonzero(body.boundary_tags == FaceTag.INTERFACE):
-        ids = body.boundary_faces[b].copy()
-        verts2d = body.vertices[ids][:, :2]
-        if triangle_area(verts2d) < 0:
-            ids = ids[::-1].copy()
-            verts2d = verts2d[::-1].copy()
-        f = InterfaceFace(
-            face_id=len(faces),
-            boundary_index=int(b),
-            owner_tet=int(body.boundary_owners[b]),
-            vertex_ids=ids,
-            verts2d=verts2d.copy(),
-        )
-        f.vertex_ids.setflags(write=False)
-        f.verts2d.setflags(write=False)
-        faces.append(f)
-    if not faces:
+    rows = np.flatnonzero(body.boundary_tags == FaceTag.INTERFACE)
+    if not rows.size:
         raise ValueError("body mesh has no interface faces")
-    area = sum(f.area for f in faces)
+    ids = body.boundary_faces[rows]
+    cw = triangle_area(body.vertices[ids][:, :, :2]) < 0
+    ids = np.where(cw[:, None], ids[:, ::-1], ids)
+    verts2d = np.ascontiguousarray(body.vertices[ids][:, :, :2])
+    ids.setflags(write=False)
+    verts2d.setflags(write=False)
+    area = float(triangle_area(verts2d).sum())
     if abs(area - GAMMA_AREA) > AREA_DEFECT_TOL:
         raise ValueError(
             f"interface faces cover area {area:.15g}, expected {GAMMA_AREA}"
         )
-    return faces
+    return [
+        InterfaceFace(face_id=k, boundary_index=b, owner_tet=owner,
+                      vertex_ids=v, verts2d=x)
+        for k, (b, owner, v, x) in enumerate(zip(
+            rows.tolist(), body.boundary_owners[rows].tolist(), ids, verts2d))
+    ]
 
 
 def _plate_interface_check(plate: TriMesh) -> np.ndarray:
     region = plate.interface_region_triangles
-    covered = sum(
-        abs(triangle_area(plate.triangle_vertices(int(t)))) for t in region
-    )
+    covered = float(np.abs(
+        triangle_area(plate.vertices[plate.triangles[region]])).sum())
     if abs(covered - GAMMA_AREA) > AREA_DEFECT_TOL:
         raise ValueError(
             "plate mesh does not resolve the coupling region: triangles inside "
@@ -207,6 +252,49 @@ def _plate_interface_check(plate: TriMesh) -> np.ndarray:
     return region
 
 
+def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group and rank within its group of every item, when groups of the
+    given sizes are laid out one after another."""
+    group = np.repeat(np.arange(counts.size), counts)
+    start = np.cumsum(counts) - counts
+    return group, np.arange(group.size) - start[group]
+
+
+def _box_cells(lo, hi, origin, h, shape):
+    """(box, grid cell) incidences of boxes (n, 2) on a uniform grid of
+    ``shape`` cells of size h; boxes beyond the grid are clamped onto it."""
+    c0 = np.clip(np.floor((lo - origin) / h).astype(np.int64), 0, shape - 1)
+    c1 = np.clip(np.floor((hi - origin) / h).astype(np.int64), 0, shape - 1)
+    span = c1 - c0 + 1
+    box, r = _ragged(span[:, 0] * span[:, 1])
+    cx = c0[box, 0] + r // span[box, 1]
+    cy = c0[box, 1] + r % span[box, 1]
+    return box, cx * shape[1] + cy
+
+
+def _candidate_pairs(lo_a, hi_a, lo_b, hi_b) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted unique index pairs (i, j) of boxes a_i and b_j (lower and upper
+    corners, (n, 2) each) that share a cell of a uniform grid.  The cell size
+    is the largest extent of the b boxes, so each b box lands in at most
+    2 x 2 cells and the pair count grows linearly with the meshes (the grid
+    bucket of Gander & Japhet 2013).  Every pair of intersecting boxes is
+    among the candidates."""
+    if not (lo_a.shape[0] and lo_b.shape[0]):
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    h = float(np.max(hi_b - lo_b))
+    origin = lo_b.min(axis=0)
+    shape = np.floor((hi_b.max(axis=0) - origin) / h).astype(np.int64) + 1
+    b, b_cell = _box_cells(lo_b, hi_b, origin, h, shape)
+    order = np.argsort(b_cell, kind="stable")
+    per_cell = np.bincount(b_cell, minlength=int(shape.prod()))
+    first = np.cumsum(per_cell) - per_cell
+    a, a_cell = _box_cells(lo_a, hi_a, origin, h, shape)
+    inc, r = _ragged(per_cell[a_cell])
+    n_b = lo_b.shape[0]
+    key = np.unique(a[inc] * n_b + b[order[first[a_cell[inc]] + r]])
+    return key // n_b, key % n_b
+
+
 def intersect_triangulations(
     faces: list[InterfaceFace],
     plate: TriMesh,
@@ -214,66 +302,63 @@ def intersect_triangulations(
 ) -> list[OverlayCell]:
     """Common refinement of the projected interface faces and the plate's
     interface-region triangles, with mapped quadrature of the given degree on
-    every cell.  Raises if the overlay area defect exceeds ``AREA_DEFECT_TOL``.
+    every cell, sorted by (face_id, tri_id).  Raises if the overlay area
+    defect exceeds ``AREA_DEFECT_TOL``.
+
+    One batched pass: grid-bucket candidate pairs, the box test with
+    ``GEOM_TOL``, one clip of all remaining pairs, sliver removal and the fan
+    quadrature of all cells at once.
     """
     region = _plate_interface_check(plate)
-    rule = triangle_rule(quad_degree)
-    bary = rule.points  # (nq, 3)
-    wref = rule.weights  # sum 1/2
+    face_verts = np.array([f.verts2d for f in faces], dtype=float)
+    face_ids = np.array([f.face_id for f in faces], dtype=np.int64)
+    tri_verts = plate.vertices[plate.triangles[region]]
+    f_lo = face_verts.min(axis=1) - GEOM_TOL
+    f_hi = face_verts.max(axis=1) + GEOM_TOL
+    t_lo = tri_verts.min(axis=1) - GEOM_TOL
+    t_hi = tri_verts.max(axis=1) + GEOM_TOL
 
-    tri_verts = {int(t): plate.triangle_vertices(int(t)) for t in region}
-    tri_boxes = {
-        t: (v.min(axis=0) - GEOM_TOL, v.max(axis=0) + GEOM_TOL)
-        for t, v in tri_verts.items()
-    }
+    fi, ti = _candidate_pairs(f_lo, f_hi, t_lo, t_hi)
+    hit = np.all((f_hi[fi] >= t_lo[ti]) & (f_lo[fi] <= t_hi[ti]), axis=1)
+    fi, ti = fi[hit], ti[hit]
+    order = np.lexsort((region[ti], face_ids[fi]))
+    fi, ti = fi[order], ti[order]
 
-    cells: list[OverlayCell] = []
-    area_eps = AREA_EPSILON_REL * GAMMA_AREA
-    for face in faces:
-        fmin = face.verts2d.min(axis=0) - GEOM_TOL
-        fmax = face.verts2d.max(axis=0) + GEOM_TOL
-        for t in sorted(tri_verts):
-            lo, hi = tri_boxes[t]
-            if np.any(fmax < lo) or np.any(fmin > hi):
-                continue
-            poly = clip_convex_polygon(face.verts2d, tri_verts[t])
-            if poly.shape[0] < 3:
-                continue
-            area = polygon_area(poly)
-            if area <= area_eps:
-                continue
-            pts, wts = _fan_quadrature(poly, bary, wref)
-            cells.append(
-                OverlayCell(
-                    face_id=face.face_id,
-                    tri_id=t,
-                    polygon=poly,
-                    points=pts,
-                    weights=wts,
-                    area=area,
-                )
-            )
-    cells.sort(key=lambda c: (c.face_id, c.tri_id))
-    total = sum(c.area for c in cells)
+    poly, count = _clip_batch(face_verts[fi], tri_verts[ti])
+    area = np.abs(_signed_areas(poly, count))
+    c = np.flatnonzero((count >= 3) & (area > AREA_EPSILON_REL * GAMMA_AREA))
+    poly, count, area = poly[c], count[c], area[c]
+    total = float(area.sum())
     if abs(total - GAMMA_AREA) > AREA_DEFECT_TOL:
         raise ValueError(
             f"overlay area defect: cells cover {total:.15g} of {GAMMA_AREA}"
         )
-    return cells
+    pts, wts, n_fan = _fan_quadrature(poly, count, triangle_rule(quad_degree))
+    split = np.cumsum(n_fan)[:-1]
+    return [
+        OverlayCell(face_id=f, tri_id=t, polygon=p[:m],
+                    points=x.reshape(-1, 2), weights=w.ravel(), area=a)
+        for f, t, p, m, x, w, a in zip(
+            face_ids[fi[c]].tolist(), region[ti[c]].tolist(), poly,
+            count.tolist(), np.split(pts, split), np.split(wts, split),
+            area.tolist())
+    ]
 
 
-def _fan_quadrature(poly, bary, wref):
-    """Fan-triangulate a convex CCW polygon from vertex 0 and map the reference
-    triangle rule to each fan triangle (physical weights sum to the area)."""
-    pts_all, wts_all = [], []
-    for k in range(1, poly.shape[0] - 1):
-        tri = np.array([poly[0], poly[k], poly[k + 1]])
-        a = triangle_area(tri)
-        if a <= 0:
-            continue
-        pts_all.append(bary @ tri)
-        wts_all.append(wref * (a / 0.5))
-    return np.vstack(pts_all), np.concatenate(wts_all)
+def _fan_quadrature(poly, count, rule):
+    """Fan-triangulate convex CCW polygons (n, width, 2) with ``count``
+    vertices from vertex 0 and map the reference triangle rule to every fan
+    triangle of positive area.  Returns points (n_fan, nq, 2) and physical
+    weights (n_fan, nq), grouped by polygon, and each polygon's number of fan
+    triangles; a polygon's weights sum to its area."""
+    n, width = poly.shape[:2]
+    tri = np.stack([np.broadcast_to(poly[:, :1], (n, width - 2, 2)),
+                    poly[:, 1:-1], poly[:, 2:]], axis=2)
+    a = triangle_area(tri)
+    fan = (np.arange(2, width) < count[:, None]) & (a > 0)
+    pts = rule.points @ tri[fan]
+    wts = rule.weights * (a[fan] / 0.5)[:, None]
+    return pts, wts, fan.sum(axis=1)
 
 
 # ---------------------------------------------------------------------------

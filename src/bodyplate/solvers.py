@@ -77,7 +77,7 @@ class SparseFactor:
             ordering, pivot_thresh = "MMD_AT_PLUS_A", 0.0
         else:
             ordering, pivot_thresh = "COLAMD", 0.001
-        t0 = time.time()
+        t0 = time.perf_counter()
         try:
             self.lu = spla.splu(
                 M, permc_spec=ordering, diag_pivot_thresh=pivot_thresh,
@@ -85,7 +85,7 @@ class SparseFactor:
             )
         except RuntimeError as exc:
             raise RuntimeError(self._singular_message(str(exc))) from exc
-        self.factor_time = time.time() - t0
+        self.factor_time = time.perf_counter() - t0
 
     def _singular_message(self, detail: str) -> str:
         msg = f"sparse factorization failed ({detail})"
@@ -124,6 +124,6 @@ def solve_saddle_point(M: sp.spmatrix, b: np.ndarray,
                        block_names=None) -> tuple[np.ndarray, SolveReport]:
     """Direct solve of a symmetric system, indefinite (saddle point) or
     positive definite; ``block_names`` as for ``SparseFactor``."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     x, rel, passes = SparseFactor(M, block_names=block_names).refined_solve(b)
-    return x, SolveReport(M.shape[0], M.nnz, rel, time.time() - t0, passes)
+    return x, SolveReport(M.shape[0], M.nnz, rel, time.perf_counter() - t0, passes)

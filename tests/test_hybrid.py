@@ -224,6 +224,27 @@ def test_bad_local_block_names_its_tet(blocks, defect):
         hybrid.HybridBody(smap, b, ess)
 
 
+@pytest.mark.parametrize("defect", ["singular", "ill-conditioned"])
+def test_bad_block_in_a_later_chunk_names_its_global_tet(blocks, defect,
+                                                          monkeypatch):
+    # Six tets in chunks of four: tet 5 is the second chunk's tet 1.
+    monkeypatch.setattr(hybrid, "LOCAL_CHUNK", 4)
+    smap, b, ess = blocks
+    if defect == "singular":
+        b.B[5] = 0.0
+    else:
+        b.A[5] *= 1e-14
+    with pytest.raises(RuntimeError, match="local saddle block of tet 5 "):
+        hybrid.HybridBody(smap, b, ess)
+
+
+def test_chunked_local_inverses_equal_one_batch(blocks, monkeypatch):
+    smap, b, ess = blocks
+    whole = hybrid.HybridBody(smap, b, ess).M_inv
+    monkeypatch.setattr(hybrid, "LOCAL_CHUNK", 4)
+    assert np.array_equal(hybrid.HybridBody(smap, b, ess).M_inv, whole)
+
+
 def _body_solve(hb, smap):
     rng = np.random.default_rng(5)
     return hb.solve(rng.standard_normal(smap.n_dofs),

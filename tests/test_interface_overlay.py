@@ -10,10 +10,20 @@ into both parents.
 
 import numpy as np
 import pytest
+from hypothesis import given
 from numpy.testing import assert_allclose
 
-from bodyplate.geometry_mesh import Diagonal, build_body_mesh, build_plate_mesh
+from bodyplate.geometry_mesh import (
+    GEOM_TOL,
+    Diagonal,
+    build_body_mesh,
+    build_plate_mesh,
+    triangle_area,
+)
 from bodyplate.interface_overlay import (
+    AREA_EPSILON_REL,
+    GAMMA_AREA,
+    _candidate_pairs,
     clip_convex_polygon,
     extract_interface_triangulation,
     intersect_triangulations,
@@ -21,6 +31,8 @@ from bodyplate.interface_overlay import (
     polygon_area,
     triangle_barycentric,
 )
+from bodyplate.quadrature import triangle_rule
+from test_batched_kernel import SETTINGS, build, meshes
 
 
 @pytest.fixture(scope="module")
@@ -192,3 +204,161 @@ class TestParentMapping:
         cells = intersect_triangulations(faces, plate)
         with pytest.raises(ValueError, match="outside"):
             map_to_parents(cells[0], faces, plate, points=np.array([[5.0, 5.0]]))
+
+
+# ---------------------------------------------------------------------------
+# The batched overlay against a per-pair reference.
+# ---------------------------------------------------------------------------
+
+def reference_clip(subject, clipper):
+    """Sutherland-Hodgman, one vertex at a time."""
+    def signed(poly):
+        x, y = poly[:, 0], poly[:, 1]
+        return 0.5 * (np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+
+    if signed(subject) < 0:
+        subject = subject[::-1]
+    if signed(clipper) < 0:
+        clipper = clipper[::-1]
+    output = list(subject)
+    m = clipper.shape[0]
+    for k in range(m):
+        a, edge = clipper[k], clipper[(k + 1) % m] - clipper[k]
+        if not output:
+            break
+        inp, output = output, []
+        prev = inp[-1]
+        d_prev = edge[0] * (prev[1] - a[1]) - edge[1] * (prev[0] - a[0])
+        for cur in inp:
+            d_cur = edge[0] * (cur[1] - a[1]) - edge[1] * (cur[0] - a[0])
+            if (d_cur >= 0.0) != (d_prev >= 0.0):
+                t = d_prev / (d_prev - d_cur)
+                output.append(prev + t * (cur - prev))
+            if d_cur >= 0.0:
+                output.append(cur)
+            prev, d_prev = cur, d_cur
+    if not output:
+        return np.zeros((0, 2))
+    poly = np.asarray(output)
+    keep = []
+    for i in range(poly.shape[0]):
+        if not keep or np.max(np.abs(poly[i] - poly[keep[-1]])) > 1e-13:
+            keep.append(i)
+    if len(keep) > 1 and np.max(np.abs(poly[keep[0]] - poly[keep[-1]])) <= 1e-13:
+        keep.pop()
+    return poly[keep]
+
+
+def box_pairs(faces, plate):
+    """All (face_id, tri_id) pairs whose GEOM_TOL boxes meet: the dense
+    all-pairs box test."""
+    pairs = []
+    for face in faces:
+        fmin = face.verts2d.min(axis=0) - GEOM_TOL
+        fmax = face.verts2d.max(axis=0) + GEOM_TOL
+        for t in sorted(int(t) for t in plate.interface_region_triangles):
+            v = plate.triangle_vertices(t)
+            if np.any(fmax < v.min(axis=0) - GEOM_TOL) or np.any(
+                    fmin > v.max(axis=0) + GEOM_TOL):
+                continue
+            pairs.append((face.face_id, t))
+    return pairs
+
+
+def reference_overlay(faces, plate, quad_degree=6):
+    """(face_id, tri_id, polygon, points, weights, area) per cell, one pair
+    at a time."""
+    rule = triangle_rule(quad_degree)
+    cells = []
+    for f, t in box_pairs(faces, plate):
+        poly = reference_clip(faces[f].verts2d, plate.triangle_vertices(t))
+        if poly.shape[0] < 3:
+            continue
+        x, y = poly[:, 0], poly[:, 1]
+        area = 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+        if area <= AREA_EPSILON_REL * GAMMA_AREA:
+            continue
+        pts, wts = [], []
+        for k in range(1, poly.shape[0] - 1):
+            tri = np.array([poly[0], poly[k], poly[k + 1]])
+            a = triangle_area(tri)
+            if a > 0:
+                pts.append(rule.points @ tri)
+                wts.append(rule.weights * (a / 0.5))
+        cells.append((f, t, poly, np.vstack(pts), np.concatenate(wts), area))
+    return cells
+
+
+def assert_matches_reference(body, plate):
+    faces = extract_interface_triangulation(body)
+    cells = intersect_triangulations(faces, plate)
+    ref = reference_overlay(faces, plate)
+    assert [(c.face_id, c.tri_id) for c in cells] == [r[:2] for r in ref]
+    for c, (_, _, poly, pts, wts, area) in zip(cells, ref):
+        assert c.polygon.shape == poly.shape
+        assert_allclose(c.polygon, poly, rtol=0, atol=1e-14)
+        assert_allclose(c.points, pts, rtol=0, atol=1e-14)
+        assert_allclose(c.weights, wts, rtol=0, atol=1e-14)
+        assert abs(c.area - area) <= 1e-14
+
+
+def assert_grid_candidates(body, plate, multiple=20):
+    """The grid bucket finds every box-meeting pair, and at most ``multiple``
+    candidates per overlay cell.  The worst case is a matching pair: each
+    face is one cell, and its 2 x 2 buckets hold the 18 triangles of the
+    3 x 3 squares around it."""
+    faces = extract_interface_triangulation(body)
+    region = plate.interface_region_triangles
+    fv = np.array([f.verts2d for f in faces])
+    tv = plate.vertices[plate.triangles[region]]
+    fi, ti = _candidate_pairs(fv.min(axis=1) - GEOM_TOL, fv.max(axis=1) + GEOM_TOL,
+                              tv.min(axis=1) - GEOM_TOL, tv.max(axis=1) + GEOM_TOL)
+    found = set(zip(fi.tolist(), region[ti].tolist()))
+    assert set(box_pairs(faces, plate)) <= found
+    n_cells = len(intersect_triangulations(faces, plate))
+    assert len(found) == fi.size <= multiple * n_cells
+
+
+LADDER = [
+    (1, 4, Diagonal.FLIPPED),
+    (2, 4, Diagonal.SAME_AS_BODY),
+    (2, 8, Diagonal.FLIPPED),
+    (2, 16, Diagonal.FLIPPED),
+    (4, 8, Diagonal.SAME_AS_BODY),
+    (4, 16, Diagonal.FLIPPED),
+    (4, 32, Diagonal.FLIPPED),
+    (8, 16, Diagonal.SAME_AS_BODY),
+]
+
+
+class TestBatchedOverlay:
+    @pytest.mark.parametrize("nb,np_,diag", LADDER)
+    def test_matches_per_pair_reference(self, nb, np_, diag):
+        assert_matches_reference(build_body_mesh(nb), build_plate_mesh(np_, diag))
+
+    @pytest.mark.parametrize("nb,np_,diag", LADDER)
+    def test_grid_bucket_finds_every_pair(self, nb, np_, diag):
+        assert_grid_candidates(build_body_mesh(nb), build_plate_mesh(np_, diag))
+
+    @SETTINGS
+    @given(meshes)
+    def test_matches_per_pair_reference_on_jittered_meshes(self, example):
+        body, plate = build(example)
+        assert_matches_reference(body, plate)
+        assert_grid_candidates(body, plate)
+
+    def test_candidates_of_disjoint_and_nested_boxes(self):
+        lo = np.array([[0.0, 0.0], [5.0, 5.0], [-10.0, -10.0]])
+        hi = lo + np.array([[1.0, 1.0], [1.0, 1.0], [30.0, 30.0]])
+        b_lo = np.array([[0.5, 0.5], [20.0, 20.0]])
+        fi, ti = _candidate_pairs(lo, hi, b_lo, b_lo + 0.25)
+        assert list(zip(fi.tolist(), ti.tolist())) == [(0, 0), (2, 0), (2, 1)]
+
+    def test_clip_overflow_raises(self):
+        # A "convex" subject that is in fact a self-overlapping zigzag
+        # crosses one clipper edge more than twice.
+        zigzag = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 1.0], [3.0, 1.0],
+                           [0.0, 2.0], [3.0, 2.0], [1.0, 5.0]])
+        cut = np.array([[1.0, -1.0], [2.0, -1.0], [2.0, 9.0], [1.0, 9.0]])
+        with pytest.raises(RuntimeError, match="slots"):
+            clip_convex_polygon(zigzag, cut)
