@@ -671,15 +671,9 @@ class BodyCGDofMap:
     def __init__(self, mesh: TetMesh):
         self.mesh = mesh
         self.n_dofs = 3 * mesh.n_vertices
-        self.ltg = np.zeros((mesh.n_tets, 12), dtype=np.int64)
-        for a in range(4):
-            for c in range(3):
-                self.ltg[:, 3 * a + c] = 3 * mesh.tets[:, a] + c
-        boundary_verts = set()
-        for tri, tag in zip(mesh.boundary_faces, mesh.boundary_tags):
-            if tag == FaceTag.INTERFACE:
-                boundary_verts.update(int(v) for v in tri)
-        self.interface_vertices = np.asarray(sorted(boundary_verts), dtype=np.int64)
+        self.ltg = (3 * mesh.tets[:, :, None] + np.arange(3)).reshape(-1, 12)
+        self.interface_vertices = np.unique(
+            mesh.boundary_faces[mesh.boundary_tags == FaceTag.INTERFACE])
 
 
 class PlateDofMap:

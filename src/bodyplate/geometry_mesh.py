@@ -162,10 +162,26 @@ _KUHN_PERMS = [
 TET_LOCAL_FACES = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
 
 
-def tet_volume(verts: np.ndarray) -> float:
-    """Signed volume of a tet given its 4 vertex coordinates."""
-    d = verts[1:] - verts[0]
-    return float(np.linalg.det(d)) / 6.0
+def tet_volume(verts: np.ndarray) -> float | np.ndarray:
+    """Signed volume of a tet given its 4 vertex coordinates (4, 3), or of
+    each tet of a batch (..., 4, 3)."""
+    d = verts[..., 1:, :] - verts[..., :1, :]
+    vol = np.linalg.det(d) / 6.0
+    return float(vol) if vol.ndim == 0 else vol
+
+
+def _kuhn_offsets() -> np.ndarray:
+    """(6, 4, 3) vertex offsets of the Kuhn tets within the unit cube: from
+    corner 0, one step along each axis of a permutation in turn, the last two
+    vertices swapped where that path orients the tet negatively."""
+    steps = np.cumsum(np.eye(3, dtype=np.int64)[_KUHN_PERMS], axis=1)
+    path = np.concatenate([np.zeros((6, 1, 3), dtype=np.int64), steps], axis=1)
+    flip = tet_volume(path) < 0
+    path[flip] = path[flip][:, [0, 1, 3, 2]]
+    return path
+
+
+_KUHN_OFFSETS = _kuhn_offsets()
 
 
 def build_body_mesh(n: int) -> TetMesh:
@@ -186,76 +202,47 @@ def build_body_mesh(n: int) -> TetMesh:
     X, Y, Z = np.meshgrid(xs, ys, zs, indexing="ij")
     vertices = np.column_stack([X.ravel(), Y.ravel(), Z.ravel()])
 
-    def vid(ix, iy, iz):
-        return (ix * m + iy) * m + iz
+    # Vertex (ix, iy, iz) has id (ix m + iy) m + iz; cubes and their six
+    # tets follow in that order.
+    stride = np.array([m * m, m, 1])
+    corners = np.indices((n, n, n)).reshape(3, -1).T @ stride
+    tets = (corners[:, None, None] + _KUHN_OFFSETS @ stride).reshape(-1, 4)
 
-    tets = []
-    for ix in range(n):
-        for iy in range(n):
-            for iz in range(n):
-                base = np.array([ix, iy, iz])
-                for perm in _KUHN_PERMS:
-                    steps = np.zeros((4, 3), dtype=int)
-                    steps[0] = base
-                    cur = base.copy()
-                    for k, axis in enumerate(perm):
-                        cur = cur.copy()
-                        cur[axis] += 1
-                        steps[k + 1] = cur
-                    ids = [vid(*s) for s in steps]
-                    if tet_volume(vertices[ids]) < 0:
-                        ids[2], ids[3] = ids[3], ids[2]
-                    tets.append(ids)
-    tets = np.asarray(tets, dtype=np.int64)
-
-    # Boundary faces: tet faces that appear exactly once.
-    face_count: dict[tuple, tuple[int, int]] = {}
-    for t in range(tets.shape[0]):
-        for f in range(4):
-            key = tuple(sorted(tets[t, TET_LOCAL_FACES[f]]))
-            if key in face_count:
-                face_count[key] = (-1, -1)
-            else:
-                face_count[key] = (t, f)
-    bfaces, bowners, btags = [], [], []
-    for t in range(tets.shape[0]):
-        for f in range(4):
-            key = tuple(sorted(tets[t, TET_LOCAL_FACES[f]]))
-            if face_count[key] != (t, f):
-                continue
-            tri = _outward_face(vertices, tets[t], f)
-            bfaces.append(tri)
-            bowners.append(t)
-            z = vertices[list(tri), 2]
-            tag = FaceTag.INTERFACE if np.all(np.abs(z) <= GEOM_TOL) else FaceTag.FREE
-            btags.append(int(tag))
+    # Boundary faces: the tet faces seen once, in (tet, local face) order,
+    # turned so the right-hand normal points away from the owning tet.
+    keys = np.sort(tets[:, TET_LOCAL_FACES], axis=2).reshape(-1, 3)
+    _, first, _, count = _number_rows(keys)
+    once = first[count == 1]
+    owners = once // 4
+    faces = tets[owners[:, None], TET_LOCAL_FACES[once % 4]]
+    a, b, c = (vertices[faces[:, k]] for k in range(3))
+    outward = np.cross(b - a, c - a)
+    away = (a + b + c) / 3.0 - vertices[tets[owners]].mean(axis=1)
+    inward = np.einsum("ij,ij->i", outward, away) < 0
+    faces[inward] = faces[inward][:, [0, 2, 1]]
+    on_gamma = np.all(np.abs(vertices[faces, 2]) <= GEOM_TOL, axis=1)
     return TetMesh(
         vertices=vertices,
         tets=tets,
-        boundary_faces=np.asarray(bfaces, dtype=np.int64),
-        boundary_owners=np.asarray(bowners, dtype=np.int64),
-        boundary_tags=np.asarray(btags, dtype=np.int64),
+        boundary_faces=faces,
+        boundary_owners=owners,
+        boundary_tags=np.where(on_gamma, int(FaceTag.INTERFACE),
+                               int(FaceTag.FREE)).astype(np.int64),
         n=n,
         level=0,
     )
 
 
-def _outward_face(vertices, tet, local_face) -> tuple[int, int, int]:
-    """Vertex triple of a local tet face, ordered so that the right-hand rule
-    normal points away from the tet."""
-    ids = tet[TET_LOCAL_FACES[local_face]]
-    a, b, c = vertices[ids]
-    nrm = np.cross(b - a, c - a)
-    centroid_face = (a + b + c) / 3.0
-    centroid_tet = vertices[tet].mean(axis=0)
-    if np.dot(nrm, centroid_face - centroid_tet) < 0:
-        return (int(ids[0]), int(ids[2]), int(ids[1]))
-    return (int(ids[0]), int(ids[1]), int(ids[2]))
-
-
 # ---------------------------------------------------------------------------
 # Plate mesh.
 # ---------------------------------------------------------------------------
+
+# Corners (00, 10, 01, 11) of a plate cell taken by its two triangles.
+_CELL_TRIANGLES = {
+    Diagonal.SAME_AS_BODY: np.array([[0, 1, 3], [0, 3, 2]]),
+    Diagonal.FLIPPED: np.array([[0, 1, 2], [1, 3, 2]]),
+}
+
 
 def build_plate_mesh(n: int, diagonal: Diagonal = Diagonal.SAME_AS_BODY) -> TriMesh:
     """Mesh beta = (-1, 1)^2 with 2 n^2 triangles (n even).
@@ -275,31 +262,16 @@ def build_plate_mesh(n: int, diagonal: Diagonal = Diagonal.SAME_AS_BODY) -> TriM
     X, Y = np.meshgrid(g, g, indexing="ij")
     vertices = np.column_stack([X.ravel(), Y.ravel()])
 
-    def vid(ix, iy):
-        return ix * m + iy
+    # Vertex (ix, iy) has id ix m + iy; cells follow in that order.
+    cell = np.indices((n, n)).reshape(2, -1).T @ np.array([m, 1])
+    corners = cell[:, None] + np.array([0, m, 1, m + 1])
+    tris = corners[:, _CELL_TRIANGLES[diagonal]].reshape(-1, 3)
 
-    tris = []
-    for ix in range(n):
-        for iy in range(n):
-            v00 = vid(ix, iy)
-            v10 = vid(ix + 1, iy)
-            v01 = vid(ix, iy + 1)
-            v11 = vid(ix + 1, iy + 1)
-            if diagonal is Diagonal.SAME_AS_BODY:
-                tris.append([v00, v10, v11])
-                tris.append([v00, v11, v01])
-            else:
-                tris.append([v00, v10, v01])
-                tris.append([v10, v11, v01])
-    tris = np.asarray(tris, dtype=np.int64)
-
-    edges = []
-    for ix in range(n):
-        edges.append([vid(ix, 0), vid(ix + 1, 0)])
-        edges.append([vid(ix, n), vid(ix + 1, n)])
-        edges.append([vid(0, ix), vid(0, ix + 1)])
-        edges.append([vid(n, ix), vid(n, ix + 1)])
-    edges = np.asarray(edges, dtype=np.int64)
+    # Per k < n: the k-th edge of the sides y = -1, y = 1, x = -1, x = 1.
+    k = np.arange(n)[:, None]
+    start = np.concatenate([k * m, k * m + n, k, n * m + k], axis=1)
+    edges = np.stack([start, start + np.array([m, m, 1, 1])],
+                     axis=2).reshape(-1, 2)
 
     half = GAMMA_HALF_WIDTH
     inside = np.all(
@@ -389,35 +361,31 @@ def validate_mesh(mesh) -> list[str]:
     (empty when the mesh is consistent)."""
     problems: list[str] = []
     if isinstance(mesh, TetMesh):
-        vols = np.array([tet_volume(mesh.tet_vertices(t)) for t in range(mesh.n_tets)])
+        vols = tet_volume(mesh.vertices[mesh.tets])
         if np.any(vols <= 0):
             problems.append(f"{np.sum(vols <= 0)} tets with non-positive volume")
         if abs(vols.sum() - 1.0) > 1e-10:
             problems.append(f"total volume {vols.sum():.15g} != 1")
         # Boundary faces must be exactly the once-seen tet faces.
-        seen: dict[tuple, int] = {}
-        for t in range(mesh.n_tets):
-            for f in range(4):
-                key = tuple(sorted(mesh.tets[t, TET_LOCAL_FACES[f]]))
-                seen[key] = seen.get(key, 0) + 1
-        boundary_keys = {tuple(sorted(tri)) for tri in mesh.boundary_faces}
-        actual = {k for k, c in seen.items() if c == 1}
-        if boundary_keys != actual:
+        keys = np.sort(mesh.tets[:, TET_LOCAL_FACES], axis=2).reshape(-1, 3)
+        _, first, _, count = _number_rows(keys)
+        actual = np.unique(keys[first[count == 1]], axis=0)
+        table = np.unique(np.sort(mesh.boundary_faces, axis=1), axis=0)
+        if not np.array_equal(table, actual):
             problems.append("boundary face table does not match once-seen tet faces")
-        if np.any((np.array([c for c in seen.values()]) > 2)):
+        if np.any(count > 2):
             problems.append("a face is shared by more than two tets")
-        for tri, owner, tag in zip(
-            mesh.boundary_faces, mesh.boundary_owners, mesh.boundary_tags
-        ):
-            z = mesh.vertices[tri, 2]
-            is_iface = bool(np.all(np.abs(z) <= GEOM_TOL))
-            if is_iface != (tag == FaceTag.INTERFACE):
-                problems.append(f"face {tuple(tri)} has inconsistent interface tag")
-                break
+        k = min(len(mesh.boundary_faces), len(mesh.boundary_owners),
+                len(mesh.boundary_tags))
+        faces = mesh.boundary_faces[:k]
+        on_gamma = np.all(np.abs(mesh.vertices[faces, 2]) <= GEOM_TOL, axis=1)
+        wrong = np.flatnonzero(
+            on_gamma != (mesh.boundary_tags[:k] == FaceTag.INTERFACE))
+        if wrong.size:
+            problems.append(f"face {tuple(faces[wrong[0]].tolist())} has "
+                            "inconsistent interface tag")
     elif isinstance(mesh, TriMesh):
-        areas = np.array(
-            [triangle_area(mesh.triangle_vertices(t)) for t in range(mesh.n_triangles)]
-        )
+        areas = triangle_area(mesh.vertices[mesh.triangles])
         if np.any(areas <= 0):
             problems.append(f"{np.sum(areas <= 0)} triangles with non-positive area")
         if abs(areas.sum() - 4.0) > 1e-10:
@@ -427,11 +395,9 @@ def validate_mesh(mesh) -> list[str]:
                 "interface boundary not resolved: a triangle crosses the edge of "
                 "the coupling region (plate n must be divisible by 4)"
             )
-        half = GAMMA_HALF_WIDTH
-        for t in mesh.interface_region_triangles:
-            if np.max(np.abs(mesh.triangle_vertices(int(t)))) > half + GEOM_TOL:
-                problems.append("interface_region_triangles contains an outside triangle")
-                break
+        region = mesh.vertices[mesh.triangles[mesh.interface_region_triangles]]
+        if np.any(np.abs(region) > GAMMA_HALF_WIDTH + GEOM_TOL):
+            problems.append("interface_region_triangles contains an outside triangle")
     else:
         problems.append(f"unknown mesh type {type(mesh)!r}")
     return problems

@@ -64,15 +64,11 @@ class SparseFactor:
     decomposition operators); every solve is refined and checked against the
     residual contract.  A positive diagonal selects the pivot-free
     minimum-degree factorization, anything else the pivoting COLAMD one.
-
-    ``block_names`` is an optional list of (name, lo, hi) row ranges used to
-    attribute a zero pivot to an unknown block in error messages.
     """
 
-    def __init__(self, M: sp.spmatrix, block_names: tuple | None = None):
+    def __init__(self, M: sp.spmatrix):
         M = M.tocsc()
         self.M = M
-        self.block_names = block_names
         if np.all(M.diagonal() > 0):
             ordering, pivot_thresh = "MMD_AT_PLUS_A", 0.0
         else:
@@ -84,22 +80,8 @@ class SparseFactor:
                 options=dict(SymmetricMode=True),
             )
         except RuntimeError as exc:
-            raise RuntimeError(self._singular_message(str(exc))) from exc
+            raise RuntimeError(f"sparse factorization failed ({exc})") from exc
         self.factor_time = time.perf_counter() - t0
-
-    def _singular_message(self, detail: str) -> str:
-        msg = f"sparse factorization failed ({detail})"
-        if "singular" in detail.lower() and self.block_names:
-            import re
-
-            m = re.search(r"\d+", detail)
-            if m:
-                row = int(m.group())
-                for name, lo, hi in self.block_names:
-                    if lo <= row < hi:
-                        msg += f"; pivot row {row} lies in the {name} block"
-                        break
-        return msg
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solution of M x = b."""
@@ -120,10 +102,10 @@ class SparseFactor:
         return x, rel, passes
 
 
-def solve_saddle_point(M: sp.spmatrix, b: np.ndarray,
-                       block_names=None) -> tuple[np.ndarray, SolveReport]:
+def solve_saddle_point(M: sp.spmatrix,
+                       b: np.ndarray) -> tuple[np.ndarray, SolveReport]:
     """Direct solve of a symmetric system, indefinite (saddle point) or
-    positive definite; ``block_names`` as for ``SparseFactor``."""
+    positive definite."""
     t0 = time.perf_counter()
-    x, rel, passes = SparseFactor(M, block_names=block_names).refined_solve(b)
+    x, rel, passes = SparseFactor(M).refined_solve(b)
     return x, SolveReport(M.shape[0], M.nnz, rel, time.perf_counter() - t0, passes)

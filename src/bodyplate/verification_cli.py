@@ -450,30 +450,42 @@ def _build_parser() -> argparse.ArgumentParser:
     dp.add_argument("--body-level", type=int, required=True)
     dp.add_argument("--plate-level", type=int, required=True)
     dp.add_argument("--diagonal", choices=["same", "flipped"], default="same")
-    dp.add_argument("--tol", type=float, default=1e-6)
+    dp.add_argument("--tol", type=float,
+                    help="relative CG tolerance (default: dd_tol, 1e-6)")
     dp.add_argument("--out", help="write the CG history CSV here")
     return p
 
 
-def _solve_command(args, cfg: RunConfig) -> int:
+def _matching(n_body: int, n_plate: int, diagonal: Diagonal) -> bool:
+    return n_plate == 2 * n_body and diagonal is Diagonal.SAME_AS_BODY
+
+
+def _meshes(args, require_matching: bool = False):
+    """Body and plate meshes of --body-level, --plate-level and --diagonal,
+    or None after an error message when the plate level cannot resolve the
+    interface boundary or the meshes are required to match and do not."""
     if args.plate_level < 2:
         print("error: plate level must be >= 2 so the plate mesh resolves "
               "the interface boundary", file=sys.stderr)
-        return 2
+        return None
     n_body = 2 ** args.body_level
     n_plate = 2 ** args.plate_level
-    diagonal = (Diagonal.SAME_AS_BODY if args.diagonal == "same"
-                else Diagonal.FLIPPED)
-    params = cfg.material_params()
-    case = default_case(params)
-    if args.method == "displacement" and (
-            n_plate != 2 * n_body or diagonal != Diagonal.SAME_AS_BODY):
+    diagonal = Diagonal(args.diagonal)
+    if require_matching and not _matching(n_body, n_plate, diagonal):
         print("error: the displacement method requires matching meshes "
               "(plate level = body level + 1, --diagonal same)",
               file=sys.stderr)
+        return None
+    return build_body_mesh(n_body), build_plate_mesh(n_plate, diagonal)
+
+
+def _solve_command(args, cfg: RunConfig) -> int:
+    meshes = _meshes(args, require_matching=args.method == "displacement")
+    if meshes is None:
         return 2
-    body = build_body_mesh(n_body)
-    plate = build_plate_mesh(n_plate, diagonal)
+    body, plate = meshes
+    params = cfg.material_params()
+    case = default_case(params)
     if args.method == "mixed-nc":
         sol, rep = solve_mixed(body, plate, case, params,
                                cfg.quad_volume, cfg.quad_interface)
@@ -481,13 +493,12 @@ def _solve_command(args, cfg: RunConfig) -> int:
         sol, rep = solve_displacement(body, plate, case, params,
                                       cfg.quad_volume, cfg.quad_interface)
     rec = compute_error_norms(sol, case, degree=cfg.quad_error)
-    row = ConvergenceRow(level=args.body_level, n_body=n_body,
-                         n_plate=n_plate, h_alpha=body.h, h_beta=plate.h,
+    row = ConvergenceRow(level=args.body_level, n_body=body.n,
+                         n_plate=plate.n, h_alpha=body.h, h_beta=plate.h,
                          errors=rec)
-    report = ConvergenceReport(method=args.method,
-                               matching=(n_plate == 2 * n_body
-                                         and diagonal == Diagonal.SAME_AS_BODY),
-                               rows=[row])
+    report = ConvergenceReport(
+        method=args.method,
+        matching=_matching(body.n, plate.n, plate.diagonal), rows=[row])
     system = ("condensed face-multiplier + plate system"
               if args.method == "mixed-nc" else "displacement system")
     print(f"method {args.method}: solved the {system} ({rep.size} "
@@ -518,22 +529,16 @@ def _convergence_command(args, cfg: RunConfig) -> int:
 
 
 def _dd_command(args, cfg: RunConfig) -> int:
-    if args.plate_level < 2:
-        print("error: plate level must be >= 2 so the plate mesh resolves "
-              "the interface boundary", file=sys.stderr)
+    meshes = _meshes(args)
+    if meshes is None:
         return 2
-    n_body = 2 ** args.body_level
-    n_plate = 2 ** args.plate_level
-    diagonal = (Diagonal.SAME_AS_BODY if args.diagonal == "same"
-                else Diagonal.FLIPPED)
+    body, plate = meshes
     params = cfg.material_params()
-    case = default_case(params)
-    body = build_body_mesh(n_body)
-    plate = build_plate_mesh(n_plate, diagonal)
-    sol = solve_dd(body, plate, case, params,
+    sol = solve_dd(body, plate, default_case(params), params,
                    quad_volume=cfg.quad_volume,
                    quad_interface=cfg.quad_interface,
-                   tol=args.tol, max_it=cfg.dd_max_it)
+                   tol=cfg.dd_tol if args.tol is None else args.tol,
+                   max_it=cfg.dd_max_it)
     r = sol.report
     if not r.converged:
         print(f"error: interface CG did not converge in {r.iterations} "

@@ -8,6 +8,7 @@ predicate, uniform refinement, validation, and the text dump format.
 """
 
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -147,6 +148,77 @@ class TestPlateMesh:
 
     def test_validate_clean(self):
         assert validate_mesh(build_plate_mesh(4)) == []
+
+
+def _flip_tet(m):
+    tets = m.tets.copy()
+    tets[0, [2, 3]] = tets[0, [3, 2]]
+    return replace(m, tets=tets)
+
+
+def _retag(m):
+    tags = m.boundary_tags.copy()
+    tags[0] = int(FaceTag.INTERFACE) - tags[0]
+    return replace(m, boundary_tags=tags)
+
+
+def _flip_triangle(m):
+    tris = m.triangles.copy()
+    tris[0, [1, 2]] = tris[0, [2, 1]]
+    return replace(m, triangles=tris)
+
+
+def _pull_corner(m):
+    verts = m.vertices.copy()
+    verts[0] = [-1.1, -1.1]
+    return replace(m, vertices=verts)
+
+
+# One corruption per problem that validate_mesh names: body n = 2 and plate
+# n = 4 (which resolves Gamma), each with the message it must produce.
+BODY_CORRUPTIONS = {
+    "flipped tet": (_flip_tet, "1 tets with non-positive volume"),
+    "scaled": (lambda m: replace(m, vertices=1.01 * m.vertices),
+               "total volume 1.030301"),
+    "cut boundary": (lambda m: replace(m, boundary_faces=m.boundary_faces[1:],
+                                       boundary_owners=m.boundary_owners[1:],
+                                       boundary_tags=m.boundary_tags[1:]),
+                     "boundary face table does not match once-seen tet faces"),
+    "duplicated tet": (lambda m: replace(m, tets=np.vstack([m.tets, m.tets[:1]])),
+                       "a face is shared by more than two tets"),
+    "retagged": (_retag, "has inconsistent interface tag"),
+}
+PLATE_CORRUPTIONS = {
+    "flipped triangle": (_flip_triangle, "1 triangles with non-positive area"),
+    "pulled corner": (_pull_corner, "total area 4.05 != 4"),
+    "outside region triangle": (
+        lambda m: replace(m, interface_region_triangles=np.append(
+            m.interface_region_triangles, 0)),
+        "interface_region_triangles contains an outside triangle"),
+}
+
+
+class TestValidate:
+    @pytest.mark.parametrize("name", BODY_CORRUPTIONS)
+    def test_body_problem_named(self, name):
+        corrupt, message = BODY_CORRUPTIONS[name]
+        problems = validate_mesh(corrupt(build_body_mesh(2)))
+        assert any(message in p for p in problems), problems
+
+    @pytest.mark.parametrize("name", PLATE_CORRUPTIONS)
+    def test_plate_problem_named(self, name):
+        corrupt, message = PLATE_CORRUPTIONS[name]
+        problems = validate_mesh(corrupt(build_plate_mesh(4)))
+        assert any(message in p for p in problems), problems
+
+    def test_tag_message_prints_plain_ints(self):
+        mesh = _retag(build_body_mesh(2))
+        face = tuple(int(v) for v in mesh.boundary_faces[0])
+        assert validate_mesh(mesh) == [
+            f"face {face} has inconsistent interface tag"]
+
+    def test_unknown_type(self):
+        assert validate_mesh(object())[0].startswith("unknown mesh type")
 
 
 class TestRefinement:

