@@ -1,13 +1,15 @@
 """Domain decomposition: solving the coupled system through its interface.
 
-Instead of assembling one monolithic saddle-point system, the coupled
-problem can be reduced to the interface DOFs of the plate: the body
-contributes a traction response operator (solve the body with given
-interface displacement, return the resulting interface load), the plate a
-stiffness response.  A preconditioned conjugate gradient iteration on that
-small interface unknown converges in a handful of iterations, independent of
-the mesh level, because the preconditioned operator is a compact
-perturbation of the identity in the plate-energy inner product.
+The mixed solve condenses the coupled system onto face multipliers and
+plate DOFs and factors that system S whole.  ``solve_dd`` assembles and
+condenses the same S, then eliminates the multipliers and the plate interior
+by blocks, which leaves the interface DOFs of the plate: the body
+contributes a traction response operator (the interface load of a given
+interface displacement, one solve with the multiplier block of S), the
+plate a stiffness response.  A preconditioned conjugate gradient iteration
+on that small interface unknown converges in a handful of iterations,
+independent of the mesh level, because the preconditioned operator is a
+compact perturbation of the identity in the plate-energy inner product.
 
 Each run is compared against the monolithic solve of the same configuration.
 """

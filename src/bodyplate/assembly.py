@@ -33,18 +33,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from .geometry_mesh import FaceTag, TetMesh, TriMesh, _match_rows
-from .interface_overlay import (
-    InterfaceFace,
-    OverlayCell,
-    triangle_barycentric,
-)
+from .interface_overlay import InterfaceFace, OverlayCell
 from .manufactured import ManufacturedCase
 from .materials import MaterialParams, c0_apply, c0_inv_apply, c1_apply, c2_apply
 from .fe_elements import (
     SPAN_EDGE,
     BodyCGDofMap,
     BodyDGDofMap,
-    HuMaElement,
     MorleyBatch,
     PlateDofMap,
     StressBatch,
@@ -53,7 +48,6 @@ from .fe_elements import (
     simplex_geometry,
     span_dlam,
     span_scalars,
-    tet_barycentric,
 )
 from .quadrature import TET_MEASURE, physical_weights, tet_rule, triangle_rule
 
@@ -70,7 +64,6 @@ __all__ = [
     "assemble_body_mass",
     "assemble_plate_stiffness",
     "assemble_interface_coupling",
-    "assemble_interface_coupling_direct",
     "impose_traction_bc",
     "assemble_loads",
     "project_to_Vh",
@@ -403,50 +396,6 @@ def _overlay_moments(k: StressBatch, cell_tet: np.ndarray, plate: TriMesh,
                       shape=(len(cells), pts.shape[0])) @ s
         for a in range(3)
     ], axis=1)
-
-
-def assemble_interface_coupling_direct(
-    body: TetMesh,
-    smap: StressDofMap,
-    plate: TriMesh,
-    pmap: PlateDofMap,
-    faces: list[InterfaceFace],
-    quad_degree: int = 6,
-) -> sp.csr_matrix:
-    """Matching-mesh coupling integrated face by face on the single shared
-    triangulation (no overlay), with the per-element reference classes; used
-    to cross-check the overlay path."""
-    region = plate.interface_region_triangles
-    face_pv = _match_rows(np.concatenate([f.verts2d for f in faces]),
-                          plate.vertices).reshape(-1, 3)
-    tris = _match_rows(np.sort(face_pv, axis=1),
-                       np.sort(plate.triangles[region], axis=1))
-    if np.any(face_pv < 0) or np.any(tris < 0):
-        raise ValueError(
-            "meshes do not match on the interface; use the overlay coupling"
-        )
-    rule = triangle_rule(quad_degree)
-    owner, local = _interface_local_faces(body, faces)
-    tri = region[tris]
-
-    mem_blocks, mor_blocks = [], []
-    for face, t, f, p in zip(faces, owner, local, tri):
-        verts = body.tet_vertices(t)
-        el = HuMaElement(verts)
-        pts2 = rule.points @ face.verts2d
-        w = physical_weights(rule, face.area)
-        pts3 = np.column_stack([pts2, np.zeros(pts2.shape[0])])
-        bary = tet_barycentric(verts, pts3)
-        tr = np.einsum("qiab,b->qia", el.values(bary), el.face_normals[f])
-        tr = tr * smap.sign[t][None, :, None]
-        hat = triangle_barycentric(plate.triangle_vertices(p), pts2)
-        mem_blocks.append(
-            np.einsum("q,qa,qic->aci", w, hat, tr[:, :, :2]).reshape(6, 42))
-        mor_blocks.append(np.einsum("q,qa,qi->ai", w, hat, tr[:, :, 2]))
-    cols = smap.ltg[owner]
-    shape = (pmap.n_dofs, smap.n_dofs)
-    return (_scatter(pmap.mem_ltg[tri], cols, np.array(mem_blocks), shape)
-            + _scatter(pmap.mor_ltg[tri, :3], cols, np.array(mor_blocks), shape))
 
 
 # ---------------------------------------------------------------------------

@@ -1,27 +1,27 @@
-"""Interface solver: conjugate gradients on the coupled interface equation.
+"""Interface solver: conjugate gradients on the Gamma-Schur complement of
+the hybridized system.
 
-The monolithic system is reduced to the plate DOFs on the interface closure.
-Eliminating the body unknowns (sigma, u) and the plate interior gives, for the
-interface correction x,
+``hybrid`` condenses the coupled problem onto Y = (lambda, w) with the SPD
+matrix S.  Split the free plate DOFs into the interface set Gamma (the
+closure of the coupling region) and the plate interior I.  G reaches only
+Gamma, so S_I,lambda = 0 and S_II = K_II.  Eliminating lambda and w_I by
+blocks leaves, for the plate trace x on Gamma,
 
-    (S_K + E) x = -(l_tilde + E u_tilde_Gamma),
+    (S_K + E) x = r_Gamma - S_Gamma,lambda S_lambda,lambda^-1 r_lambda
+                  - K_Gamma,I K_II^-1 r_I,
 
-where S_K is the plate Schur complement onto the interface DOF set, E the body
-interface operator E = R G Asad^-1 G^T R^T (symmetric positive semidefinite;
-each apply is one hybridized body solve, i.e. one solve with the factored SPD
-face-multiplier system plus local back-substitution, see ``hybrid``),
-l_tilde = R G sigma_tilde the interface load of the decoupled body solve, and
-u_tilde_Gamma = R w_tilde the interface trace of the decoupled plate solve.
-The operator T = I + S_K^-1 E is self-adjoint and positive in the energy
-inner product <a, b>_U = a^T S_K b, so conjugate gradients in that metric
-converge; implemented as preconditioned CG on (S_K + E) with preconditioner
-S_K^-1, whose r^T z scalar equals the squared U-norm of the T-equation
-residual.
+with the plate Schur complement S_K = K_GammaGamma - K_Gamma,I K_II^-1
+K_I,Gamma and the body interface operator E = G W G^T - S_Gamma,lambda
+S_lambda,lambda^-1 S_lambda,Gamma (symmetric positive semidefinite; G W G^T
+is the Gamma block of sum_T C_T M_T^-1 C_T^T).  So DD is block elimination
+of the S that ``solve_mixed`` factors whole.  T = I + S_K^-1 E is
+self-adjoint and positive in <a, b>_U = a^T S_K b: CG in that metric is
+preconditioned CG on (S_K + E) with (K_ff^-1)_GammaGamma = S_K^-1, whose
+r^T z is the squared U-norm of the T-equation residual.
 
-The S_K metric uses the full plate stiffness; the variant restricted to
-triangles outside the interface region ('omit_interface') is available for
-the Schur product but is only positive semidefinite (interface-interior DOFs
-carry no outside energy), so it is not used as the CG metric.
+``SchurProduct``, ``BodyOperator`` and ``PlateOperator`` build S_K, E and
+the plate solves from their own assembly, for checking the operator
+identities; ``solve_dd`` does not use them.
 """
 
 from __future__ import annotations
@@ -33,15 +33,13 @@ import scipy.sparse as sp
 
 from .assembly import (
     BodyBlocks,
-    assemble_interface_coupling,
-    assemble_loads,
     assemble_plate_stiffness,
+    build_mixed_system,
     impose_traction_bc,
 )
 from .fe_elements import BodyDGDofMap, PlateDofMap, StressBatch, StressDofMap
 from .geometry_mesh import GAMMA_HALF_WIDTH, TetMesh, TriMesh
-from .hybrid import HybridBody
-from .interface_overlay import extract_interface_triangulation, intersect_triangulations
+from .hybrid import HybridBody, condense
 from .manufactured import ManufacturedCase
 from .materials import MaterialParams
 from .solvers import SparseFactor
@@ -73,6 +71,20 @@ def build_interface_dof_set(plate: TriMesh, pmap: PlateDofMap) -> np.ndarray:
     return np.sort(np.concatenate([2 * v, 2 * v + 1, 2 * nv + v, 3 * nv + e]))
 
 
+def _split_free(pmap: PlateDofMap, gamma_dofs: np.ndarray):
+    """The free plate DOFs, and the positions among them of the interface
+    DOF set and of the rest (the plate interior)."""
+    free = np.flatnonzero(~pmap.constrained)
+    pos = -np.ones(pmap.n_dofs, dtype=np.int64)
+    pos[free] = np.arange(free.size)
+    gamma_local = pos[gamma_dofs]
+    if np.any(gamma_local < 0):
+        raise ValueError("interface DOF set intersects the clamped boundary")
+    mask = np.zeros(free.size, dtype=bool)
+    mask[gamma_local] = True
+    return free, gamma_local, np.flatnonzero(~mask)
+
+
 class SchurProduct:
     """Matrix-vector products with the plate Schur complement onto the
     interface DOF set: S x = (K_GG - K_GI K_II^-1 K_IG) x.
@@ -86,35 +98,12 @@ class SchurProduct:
                  params: MaterialParams, gamma_dofs: np.ndarray,
                  region: str = "all"):
         K = assemble_plate_stiffness(plate, pmap, params, region=region)
-        self._setup(K, pmap, gamma_dofs, region)
-
-    @classmethod
-    def from_stiffness(cls, K: sp.spmatrix, pmap: PlateDofMap,
-                       gamma_dofs: np.ndarray) -> "SchurProduct":
-        """The Schur product of an assembled full-plate stiffness."""
-        self = cls.__new__(cls)
-        self._setup(K, pmap, gamma_dofs, "all")
-        return self
-
-    def _setup(self, K, pmap, gamma_dofs, region):
-        free = np.flatnonzero(~pmap.constrained)
-        pos = -np.ones(pmap.n_dofs, dtype=np.int64)
-        pos[free] = np.arange(free.size)
-        gamma_local = pos[gamma_dofs]
-        if np.any(gamma_local < 0):
-            raise ValueError("interface DOF set intersects the clamped boundary")
-        mask = np.zeros(free.size, dtype=bool)
-        mask[gamma_local] = True
-        interior_local = np.flatnonzero(~mask)
+        free, gamma_local, interior_local = _split_free(pmap, gamma_dofs)
         Kf = K.tocsr()[free][:, free].tocsc()
-        self.gamma_dofs = gamma_dofs
-        self._g = gamma_local
-        self._i = interior_local
         self.K_gg = Kf[gamma_local][:, gamma_local]
         self.K_gi = Kf[gamma_local][:, interior_local]
         self.K_ii = Kf[interior_local][:, interior_local]
         self._lu_ii = SparseFactor(self.K_ii)
-        self.region = region
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         y = self.K_gg @ x
@@ -127,23 +116,16 @@ class SchurProduct:
         """Energy inner product <a, b> = a^T S b."""
         return float(a @ self.apply(b))
 
-    def norm(self, a: np.ndarray) -> float:
-        return float(np.sqrt(max(self.dot(a, a), 0.0)))
-
 
 class BodyOperator:
     """The body saddle problem [[A, B^T], [B, 0]] with traction data, solved
-    by hybridization (``hybrid.HybridBody`` without plate rows).
-
-    One condensed face-multiplier factorization is shared by the decoupled
-    solve, every application of the interface operator E, and the
-    reconstruction solve.
+    by hybridization (``hybrid.HybridBody`` without plate rows); one
+    factorization serves every solve.
     """
 
     def __init__(self, body: TetMesh, smap: StressDofMap, vmap: BodyDGDofMap,
                  params: MaterialParams, traction_fn, quad_volume: int = 4,
                  quad_interface: int = 6):
-        self.smap = smap
         self.vmap = vmap
         k = StressBatch(body.vertices[body.tets])
         blocks = BodyBlocks.build(k, params, quad_volume)
@@ -259,64 +241,60 @@ def solve_dd(body: TetMesh, plate: TriMesh, case: ManufacturedCase,
              tol: float = CG_TOL, max_it: int = CG_MAX_IT) -> DDSolution:
     """Solve the coupled problem by the interface CG method.
 
-    Pipeline: decoupled body and plate solves, interface CG for the trace
-    correction, then one body and one plate reconstruction solve.  All body
-    solves share a single factorization, as do the plate solves; the plate
-    stiffness is assembled once for the Schur product and the plate solves.
+    Pipeline: one assembly (``build_mixed_system``) and one condensation
+    (``hybrid.condense``) shared with ``solve_mixed``; factors of the
+    multiplier block S_lambda,lambda, the plate interior K_II and the free
+    plate stiffness K_ff; interface CG on the Gamma-Schur complement of S;
+    then the multipliers, the local back-substitution and one plate solve.
+    The coupled S itself is never factored.
     """
-    if params is None:
-        params = case.params
-    smap = StressDofMap(body)
-    vmap = BodyDGDofMap(body)
-    pmap = PlateDofMap(plate)
-    faces = extract_interface_triangulation(body)
-    cells = intersect_triangulations(faces, plate, quad_degree=quad_interface)
-    G = assemble_interface_coupling(body, smap, plate, pmap, faces, cells)
-    f_V, f_W = assemble_loads(body, vmap, plate, pmap, case,
-                              quad_volume=quad_volume,
-                              quad_interface=quad_interface)
+    system = build_mixed_system(body, plate, case, params,
+                                quad_volume=quad_volume,
+                                quad_interface=quad_interface)
+    hb, free, load = condense(system)
+    gamma = build_interface_dof_set(plate, system.pmap)
+    _, g, i = _split_free(system.pmap, gamma)
+    n = hb.n_lam
+    S, K = hb.S, hb.K  # S is CSC and symmetric: columns stand for rows
+    S_g = S[:, n + g]
+    S_lg, S_gg, K_gi = S_g[:n], S_g[n + g], K[g][:, i]
+    off = S[:, n + i] - sp.vstack([sp.csc_matrix((n, i.size)), K[:, i]])
+    if off.count_nonzero():
+        raise RuntimeError("the interface coupling reaches plate DOFs off "
+                           "the interface set")
+    lu_l = SparseFactor(S[:n, :n])
+    lu_i, lu_k = SparseFactor(K[i][:, i]), SparseFactor(K)
+    r_l, r_i, r_g = load.r[:n], load.r[n + i], load.r[n + g]
 
-    gamma = build_interface_dof_set(plate, pmap)
-    plate_op = PlateOperator(plate, pmap, params)
-    schur = SchurProduct.from_stiffness(plate_op.K, pmap, gamma)
-    body_op = BodyOperator(body, smap, vmap, params, case.traction,
-                           quad_volume=quad_volume,
-                           quad_interface=quad_interface)
+    def multipliers(x):
+        return lu_l.solve(r_l - S_lg @ x)
 
-    def op_E(lam: np.ndarray) -> np.ndarray:
-        w = np.zeros(pmap.n_dofs)
-        w[gamma] = lam
-        sig, _ = body_op.solve(G.T @ w, np.zeros(vmap.n_dofs), with_data=False)
-        return (G @ sig)[gamma]
-
-    # Decoupled solves.
-    sigma_t, u_t = body_op.solve(np.zeros(smap.n_dofs), f_V, with_data=True)
-    w_t = plate_op.solve(f_W)
-    ell_t = (G @ sigma_t)[gamma]
-    u_gamma_t = w_t[gamma]
-
-    b = -(ell_t + op_E(u_gamma_t))
-
-    def apply_op(xv):
-        return schur.apply(xv) + op_E(xv)
+    def apply_op(x):
+        return (S_gg @ x - S_lg.T @ lu_l.solve(S_lg @ x)
+                - K_gi @ lu_i.solve(K_gi.T @ x))
 
     def apply_prec(rv):
-        w = np.zeros(pmap.n_dofs)
-        w[gamma] = rv
-        return plate_op.solve(w)[gamma]
+        z = np.zeros(free.size)
+        z[g] = rv
+        return lu_k.solve(z)[g]
 
-    x, report = cg_interface_solve(apply_op, apply_prec, b,
-                                   tol=tol, max_it=max_it)
+    # CG corrects the decoupled plate trace x0; b is the residual of x0.
+    x0 = lu_k.solve(load.f_w)[g]
+    b = (r_g - S_gg @ x0 - S_lg.T @ multipliers(x0)
+         - K_gi @ lu_i.solve(r_i - K_gi.T @ x0))
+    dx, report = cg_interface_solve(apply_op, apply_prec, b,
+                                    tol=tol, max_it=max_it)
+    x = x0 + dx
 
-    # Reconstruction.
-    x_total = u_gamma_t + x
-    w_rhs = np.zeros(pmap.n_dofs)
-    w_rhs[gamma] = x_total
-    sigma_b, u_b = body_op.solve(G.T @ w_rhs, np.zeros(vmap.n_dofs),
-                                 with_data=False)
-    sigma = sigma_t + sigma_b
-    u = u_t + u_b
-    w = plate_op.solve(f_W - G @ sigma)
-    junction = float(np.linalg.norm(w[gamma] - x_total))
-    return DDSolution(sigma=sigma, u=u, w=w, x_gamma=x_total,
+    # Reconstruction, the trace x as data of the body rows.
+    y = np.zeros(S.shape[0])
+    y[:n] = multipliers(x)
+    y[n + g] = x
+    sigma, x_u, _ = hb.back_substitute(y, load, plate_rows=False)
+    u = np.zeros(system.vmap.n_dofs)
+    u[system.vmap.ltg] = x_u
+    w = np.zeros(system.pmap.n_dofs)
+    w[free] = lu_k.solve(load.f_w - hb.plate_load(sigma))
+    junction = float(np.linalg.norm(w[gamma] - x))
+    return DDSolution(sigma=sigma, u=u, w=w, x_gamma=x,
                       report=report, junction_residual=junction)

@@ -375,9 +375,20 @@ def validate_mesh(mesh) -> list[str]:
             problems.append("boundary face table does not match once-seen tet faces")
         if np.any(count > 2):
             problems.append("a face is shared by more than two tets")
-        k = min(len(mesh.boundary_faces), len(mesh.boundary_owners),
-                len(mesh.boundary_tags))
-        faces = mesh.boundary_faces[:k]
+        sizes = (len(mesh.boundary_faces), len(mesh.boundary_owners),
+                 len(mesh.boundary_tags))
+        if len(set(sizes)) > 1:
+            problems.append("boundary faces, owners and tags differ in "
+                            f"length: {sizes[0]}, {sizes[1]}, {sizes[2]}")
+        k = min(sizes)
+        faces, owners = mesh.boundary_faces[:k], mesh.boundary_owners[:k]
+        held = (owners >= 0) & (owners < mesh.n_tets)
+        held[held] = np.all(np.any(mesh.tets[owners[held], :, None]
+                                   == faces[held, None, :], axis=1), axis=1)
+        if not held.all():
+            i = np.flatnonzero(~held)[0]
+            problems.append(f"boundary face {tuple(faces[i].tolist())} is not "
+                            f"a face of its owner tet {int(owners[i])}")
         on_gamma = np.all(np.abs(mesh.vertices[faces, 2]) <= GEOM_TOL, axis=1)
         wrong = np.flatnonzero(
             on_gamma != (mesh.boundary_tags[:k] == FaceTag.INTERFACE))

@@ -19,9 +19,12 @@ inverted at once, which leaves the symmetric positive definite system
 
     S Y = sum_T C_T M_T^-1 F_T - H,          S = sum_T C_T M_T^-1 C_T^T + D.
 
-S is factored once; each tet's (sigma_T, u_T) then follows by local back-
-substitution x_T = M_T^-1 (F_T - C_T^T Y).  Its solution is that of the
-monolithic system: the owner copy of sigma_T is the global stress.
+A solve has two halves: the right-hand side of S Y = r (``load``) and the
+local back-substitution x_T = M_T^-1 (F_T - C_T^T Y) of a given Y
+(``back_substitute``).  ``solve_hybrid`` joins them by a factor of S, made
+on the first solve; ``domain_decomposition.solve_dd`` keeps S unfactored
+and eliminates its blocks instead.  The solution is that of the monolithic
+system: the owner copy of sigma_T is the global stress.
 
 Building the blocks refuses any tet whose local saddle block is
 ill-conditioned.  Every solve then checks, in this order: the face-
@@ -29,12 +32,15 @@ continuity defect of the back-substituted local stresses, relative to the
 stress norm; and the relative residual of the coupled system in
 (sigma, u, w), evaluated tet by tet from the local blocks with the owner
 copy of sigma in every tet (the multipliers drop out), against the residual
-contract.
+contract; over the body rows only, with w as data, when the plate rows are
+not part of the solve.
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -43,7 +49,8 @@ from .assembly import BlockSystem, BodyBlocks
 from .fe_elements import CONDITION_LIMIT, StressDofMap
 from .solvers import RESIDUAL_CONTRACT, SolveReport, SparseFactor
 
-__all__ = ["HybridBody", "solve_hybrid", "CONTINUITY_LIMIT"]
+__all__ = ["HybridBody", "HybridLoad", "condense", "solve_hybrid",
+           "CONTINUITY_LIMIT"]
 
 #: Largest face-continuity defect ||sum_T C_T sigma_T|| of the back-
 #: substituted local stresses, relative to the larger of their norm and the
@@ -114,6 +121,22 @@ def _multiplier_numbering(smap: StressDofMap) -> tuple[np.ndarray, int]:
     return lam, 9 * interior.size
 
 
+@dataclass
+class HybridLoad:
+    """The data of one solve: the local stress and displacement right-hand
+    sides, the free plate load, the local essential values v, the local
+    right-hand sides F with v moved over, the norm of the broken stresses
+    M_T^-1 F_T and the right-hand side r of S Y = r."""
+
+    f_sigma: np.ndarray
+    f_u: np.ndarray
+    f_w: np.ndarray
+    v: np.ndarray
+    F: np.ndarray
+    norm_broken: float
+    r: np.ndarray
+
+
 class HybridBody:
     """The broken body system of a mesh, condensed onto its face multipliers
     and, when coupled, the free plate DOFs.
@@ -142,7 +165,12 @@ class HybridBody:
         if coupling is None:
             coupling = (sp.csr_matrix((0, 42 * nt)), sp.csr_matrix((0, 0)))
         self.G, self.K = (sp.csr_matrix(m) for m in coupling)
-        self.factor = SparseFactor(self._condensed(lam))
+        self.S = self._condensed(lam)
+
+    @cached_property
+    def factor(self) -> SparseFactor:
+        """The factor of S, computed on the first use."""
+        return SparseFactor(self.S)
 
     def _condensed(self, lam: np.ndarray) -> sp.csr_matrix:
         """S = sum_T C_T M_T^-1 C_T^T + diag(0, K).  Tets off Gamma touch
@@ -199,20 +227,16 @@ class HybridBody:
         g[self._on_face] += y[self._lam]
         return g
 
-    # --- solve --------------------------------------------------------------
+    # --- solve ---------------------------------------------------------------
 
-    def solve(self, rhs_sigma: np.ndarray, f_u: np.ndarray,
-              f_w: np.ndarray | None = None,
-              sigma_data: np.ndarray | None = None):
-        """Solve for the global stress right-hand side ``rhs_sigma``, the
-        local displacement right-hand sides ``f_u`` (n_tets, 12), the plate
-        load ``f_w`` on the free plate DOFs (coupled only) and the global
-        essential stress values ``sigma_data`` (None for zero).  A global
-        stress row goes to the owner tet's local copy.
-
-        Returns the global stress, the local displacements (n_tets, 12), the
-        free plate DOFs, the relative residual of the coupled system and the
-        number of refinement passes of the S solve.
+    def load(self, rhs_sigma: np.ndarray, f_u: np.ndarray,
+             f_w: np.ndarray | None = None,
+             sigma_data: np.ndarray | None = None) -> HybridLoad:
+        """The data of a solve for the global stress right-hand side
+        ``rhs_sigma``, the local displacement right-hand sides ``f_u``
+        (n_tets, 12), the plate load ``f_w`` on the free plate DOFs (coupled
+        only) and the global essential stress values ``sigma_data`` (None
+        for zero).  A global stress row goes to the owner tet's local copy.
         """
         ltg, owned = self.smap.ltg, self.owned
         f_sigma = np.where(owned, rhs_sigma[ltg], 0.0)
@@ -222,23 +246,45 @@ class HybridBody:
         A, B = self.blocks.A, self.blocks.B
         F = np.concatenate([f_sigma - _matvec(A, v), f_u - _matvec(B, v)],
                            axis=1)
-        # The right-hand side of the coupled system, essential data moved over.
-        b = (F[:, :42].copy(), F[:, 42:].copy(), f_w + self.G @ v.ravel())
         F[:, :42][self.essential] = (np.diagonal(A, axis1=1, axis2=2) * v
                                      )[self.essential]
         broken = _matvec(self.M_inv, F)[:, :42]
-        rhs = self._apply_C(broken)
-        rhs[self.n_lam:] += f_w
-        y, _, passes = self.factor.refined_solve(rhs)
+        r = self._apply_C(broken)
+        r[self.n_lam:] += f_w
+        return HybridLoad(f_sigma, f_u, f_w, v, F, np.linalg.norm(broken), r)
+
+    def back_substitute(self, y: np.ndarray, load: HybridLoad,
+                        plate_rows: bool = True):
+        """The global stress, the local displacements (n_tets, 12) and the
+        relative residual of the coupled system for a given Y, by
+        x_T = M_T^-1 (F_T - C_T^T Y).  Without ``plate_rows`` the residual
+        covers the body rows, with the plate values of Y as data."""
+        F = load.F.copy()
         F[:, :42] -= self._apply_Ct(y)
         x = _matvec(self.M_inv, F)
-        x[:, :42][self.essential] = v[self.essential]
-        self._check_continuity(x[:, :42], np.linalg.norm(broken))
+        x[:, :42][self.essential] = load.v[self.essential]
+        self._check_continuity(x[:, :42], load.norm_broken)
         sigma = np.zeros(self.smap.n_dofs)
-        sigma[ltg[owned]] = x[:, :42][owned]
-        w = y[self.n_lam:]
-        rel = self._residual(sigma, x[:, 42:], w, f_sigma, f_u, f_w, b)
-        return sigma, x[:, 42:], w, rel, passes
+        sigma[self.smap.ltg[self.owned]] = x[:, :42][self.owned]
+        rel = self._residual(sigma, x[:, 42:], y[self.n_lam:], load,
+                             plate_rows)
+        return sigma, x[:, 42:], rel
+
+    def solve(self, rhs_sigma: np.ndarray, f_u: np.ndarray,
+              f_w: np.ndarray | None = None,
+              sigma_data: np.ndarray | None = None):
+        """Solve S Y = r for the data of ``load`` and back-substitute.
+        Returns the global stress, the local displacements (n_tets, 12), the
+        free plate DOFs, the relative residual of the coupled system and the
+        number of refinement passes of the S solve."""
+        load = self.load(rhs_sigma, f_u, f_w, sigma_data)
+        y, _, passes = self.factor.refined_solve(load.r)
+        sigma, u, rel = self.back_substitute(y, load)
+        return sigma, u, y[self.n_lam:], rel, passes
+
+    def plate_load(self, sigma: np.ndarray) -> np.ndarray:
+        """G sigma on the free plate DOFs, by the owner copies of sigma."""
+        return self.G @ (self.smap.sign * sigma[self.smap.ltg]).ravel()
 
     def _check_continuity(self, x_sigma: np.ndarray, norm_broken: float):
         """Fail if the local stresses of neighbouring tets disagree on a
@@ -252,31 +298,36 @@ class HybridBody:
                 "relative to the stress norm"
             )
 
-    def _residual(self, sigma, u, w, f_sigma, f_u, f_w, b) -> float:
+    def _residual(self, sigma, u, w, load: HybridLoad,
+                  plate_rows: bool) -> float:
         """Relative residual of the coupled system in (sigma, u, w) over its
         free rows, tet by tet from the local blocks: every tet sees the owner
-        copy of sigma, so the multipliers drop out.  ``b`` is the right-hand
-        side with the essential data moved over (local stress rows, local
-        displacement rows, plate rows).  Fails above the residual
-        contract."""
+        copy of sigma, so the multipliers drop out.  The right-hand side has
+        the essential data moved over, and without ``plate_rows`` also w.
+        Fails above the residual contract."""
         ltg, sign = self.smap.ltg, self.smap.sign
         s = sign * sigma[ltg]
         A, B = self.blocks.A, self.blocks.B
         g = (self.G.T @ w).reshape(ltg.shape)
-        r_sigma = _matvec(A, s) + np.einsum("nji,nj->ni", B, u) - g - f_sigma
+        r_sigma = (_matvec(A, s) + np.einsum("nji,nj->ni", B, u) - g
+                   - load.f_sigma)
+        b_sigma = load.f_sigma - _matvec(A, load.v)
 
         def rows(loc):
             """Global free stress rows of signed local rows."""
             return np.bincount(ltg.ravel(), weights=(sign * loc).ravel(),
                                minlength=self.smap.n_dofs)[self.free_sigma]
 
-        r_sigma, b_sigma = rows(r_sigma), rows(b[0])
-        r_u = _matvec(B, s) - f_u
-        r_w = -(self.G @ s.ravel()) - self.K @ w + f_w
-        nb = np.linalg.norm(np.concatenate([b_sigma, b[1].ravel(), b[2]]))
+        r = [rows(r_sigma), (_matvec(B, s) - load.f_u).ravel()]
+        b = [rows(b_sigma if plate_rows else b_sigma + g),
+             (load.f_u - _matvec(B, load.v)).ravel()]
+        if plate_rows:
+            r.append(-self.plate_load(sigma) - self.K @ w + load.f_w)
+            b.append(load.f_w + self.G @ load.v.ravel())
+        nb = np.linalg.norm(np.concatenate(b))
         if nb == 0.0:
             return 0.0
-        rel = np.linalg.norm(np.concatenate([r_sigma, r_u.ravel(), r_w])) / nb
+        rel = np.linalg.norm(np.concatenate(r)) / nb
         if not rel <= RESIDUAL_CONTRACT:
             raise RuntimeError(
                 f"hybrid solve residual {rel:.3e} of the coupled system "
@@ -285,26 +336,35 @@ class HybridBody:
         return float(rel)
 
 
-def solve_hybrid(system: BlockSystem
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, SolveReport]:
-    """Hybridized solve of the coupled mixed system: global (sigma, u, w)
-    and a report on the condensed system S (its size and nnz) with the
-    relative residual of the coupled system."""
-    t0 = time.perf_counter()
-    smap, vmap, pmap = system.smap, system.vmap, system.pmap
+def condense(system: BlockSystem
+             ) -> tuple[HybridBody, np.ndarray, HybridLoad]:
+    """The coupled HybridBody of an assembled mixed system, its free plate
+    DOFs and the load of the system's data."""
+    smap, pmap = system.smap, system.pmap
     free = np.flatnonzero(~pmap.constrained)
     G_loc = system.coupling.local(smap.ltg.shape[0], pmap.n_dofs)[free]
     hb = HybridBody(smap, system.blocks, system.sigma_essential_idx,
                     coupling=(G_loc, system.K.tocsr()[free][:, free]))
     data = np.zeros(smap.n_dofs)
     data[system.sigma_essential_idx] = system.sigma_essential_values
-    sigma, x_u, w_free, rel, passes = hb.solve(
-        np.zeros(smap.n_dofs), system.f_V[vmap.ltg], system.f_W[free], data)
-    u = np.zeros(vmap.n_dofs)
-    u[vmap.ltg] = x_u
-    w = np.zeros(pmap.n_dofs)
-    w[free] = w_free
-    S = hb.factor.M
-    report = SolveReport(S.shape[0], S.nnz, rel, time.perf_counter() - t0,
-                         passes)
+    load = hb.load(np.zeros(smap.n_dofs), system.f_V[system.vmap.ltg],
+                   system.f_W[free], data)
+    return hb, free, load
+
+
+def solve_hybrid(system: BlockSystem
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, SolveReport]:
+    """Hybridized solve of the coupled mixed system: global (sigma, u, w)
+    and a report on the condensed system S (its size and nnz) with the
+    relative residual of the coupled system."""
+    t0 = time.perf_counter()
+    hb, free, load = condense(system)
+    y, _, passes = hb.factor.refined_solve(load.r)
+    sigma, x_u, rel = hb.back_substitute(y, load)
+    u = np.zeros(system.vmap.n_dofs)
+    u[system.vmap.ltg] = x_u
+    w = np.zeros(system.pmap.n_dofs)
+    w[free] = y[hb.n_lam:]
+    report = SolveReport(hb.S.shape[0], hb.S.nnz, rel,
+                         time.perf_counter() - t0, passes)
     return sigma, u, w, report

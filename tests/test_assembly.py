@@ -26,6 +26,7 @@ from bodyplate.fe_elements import (
 )
 from bodyplate.geometry_mesh import (
     Diagonal,
+    _match_rows,
     build_body_mesh,
     build_plate_mesh,
     triangle_area,
@@ -33,10 +34,50 @@ from bodyplate.geometry_mesh import (
 from bodyplate.interface_overlay import (
     extract_interface_triangulation,
     intersect_triangulations,
+    triangle_barycentric,
 )
 from bodyplate.manufactured import constant_stress_case, default_case
 from bodyplate.materials import c0_inv_apply, default_params
-from bodyplate.quadrature import physical_weights, tet_rule
+from bodyplate.quadrature import physical_weights, tet_rule, triangle_rule
+
+
+def assemble_interface_coupling_direct(body, smap, plate, pmap, faces,
+                                       quad_degree=6):
+    """Matching-mesh coupling integrated face by face on the single shared
+    triangulation (no overlay), with the per-element reference classes: the
+    cross-check of the overlay path."""
+    region = plate.interface_region_triangles
+    face_pv = _match_rows(np.concatenate([f.verts2d for f in faces]),
+                          plate.vertices).reshape(-1, 3)
+    tris = _match_rows(np.sort(face_pv, axis=1),
+                       np.sort(plate.triangles[region], axis=1))
+    if np.any(face_pv < 0) or np.any(tris < 0):
+        raise ValueError(
+            "meshes do not match on the interface; use the overlay coupling"
+        )
+    rule = triangle_rule(quad_degree)
+    owner, local = asm._interface_local_faces(body, faces)
+    tri = region[tris]
+
+    mem_blocks, mor_blocks = [], []
+    for face, t, f, p in zip(faces, owner, local, tri):
+        verts = body.tet_vertices(t)
+        el = HuMaElement(verts)
+        pts2 = rule.points @ face.verts2d
+        w = physical_weights(rule, face.area)
+        pts3 = np.column_stack([pts2, np.zeros(pts2.shape[0])])
+        bary = tet_barycentric(verts, pts3)
+        tr = np.einsum("qiab,b->qia", el.values(bary), el.face_normals[f])
+        tr = tr * smap.sign[t][None, :, None]
+        hat = triangle_barycentric(plate.triangle_vertices(p), pts2)
+        mem_blocks.append(
+            np.einsum("q,qa,qic->aci", w, hat, tr[:, :, :2]).reshape(6, 42))
+        mor_blocks.append(np.einsum("q,qa,qi->ai", w, hat, tr[:, :, 2]))
+    cols = smap.ltg[owner]
+    shape = (pmap.n_dofs, smap.n_dofs)
+    return (asm._scatter(pmap.mem_ltg[tri], cols, np.array(mem_blocks), shape)
+            + asm._scatter(pmap.mor_ltg[tri, :3], cols, np.array(mor_blocks),
+                           shape))
 
 
 @pytest.fixture(scope="module")
@@ -241,7 +282,7 @@ class TestInterfaceCoupling:
         G_overlay = asm.assemble_interface_coupling(
             body, smap, plate, pmap, faces, cells
         )
-        G_direct = asm.assemble_interface_coupling_direct(
+        G_direct = assemble_interface_coupling_direct(
             body, smap, plate, pmap, faces
         )
         diff = abs(G_overlay - G_direct)
@@ -254,7 +295,7 @@ class TestInterfaceCoupling:
         pmap = PlateDofMap(plate)
         faces = extract_interface_triangulation(body)
         with pytest.raises(ValueError):
-            asm.assemble_interface_coupling_direct(body, smap, plate, pmap, faces)
+            assemble_interface_coupling_direct(body, smap, plate, pmap, faces)
 
     def test_divergence_theorem_identity(self, params):
         # For a constant body test function v = const and a plate field w

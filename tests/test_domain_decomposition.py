@@ -12,11 +12,12 @@ right-hand side, and - reconstructed - reproduce the monolithic solution.
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
+from hypothesis import given
 from numpy.testing import assert_allclose
 
 from bodyplate import assembly as asm
 from bodyplate import domain_decomposition as dd
+from bodyplate import hybrid
 from bodyplate.fe_elements import BodyDGDofMap, PlateDofMap, StressDofMap
 from bodyplate.geometry_mesh import Diagonal, build_body_mesh, build_plate_mesh
 from bodyplate.interface_overlay import (
@@ -25,6 +26,7 @@ from bodyplate.interface_overlay import (
 )
 from bodyplate.manufactured import default_case
 from bodyplate.solvers import solve_saddle_point
+from test_batched_kernel import SETTINGS, build, meshes
 
 
 @pytest.fixture(scope="module")
@@ -282,3 +284,146 @@ class TestEndToEnd:
         assert sol.report.converged
         assert sol.report.iterations <= 7
         assert sol.report.rho_avg <= 0.1
+
+
+# ---------------------------------------------------------------------------
+# solve_dd against the composition of separately assembled operators.
+# ---------------------------------------------------------------------------
+
+def reference_solve_dd(body, plate, case, tol=dd.CG_TOL, max_it=dd.CG_MAX_IT):
+    """The interface CG method composed from its own assembly: G, loads and
+    traction data, the body operator E through ``BodyOperator``, S_K through
+    ``SchurProduct`` and the plate solves through ``PlateOperator``; the
+    decoupled body and plate solves give the right-hand side and the
+    initial trace."""
+    params = case.params
+    smap, vmap, pmap = StressDofMap(body), BodyDGDofMap(body), PlateDofMap(plate)
+    faces = extract_interface_triangulation(body)
+    cells = intersect_triangulations(faces, plate)
+    G = asm.assemble_interface_coupling(body, smap, plate, pmap, faces, cells)
+    f_V, f_W = asm.assemble_loads(body, vmap, plate, pmap, case)
+    gamma = dd.build_interface_dof_set(plate, pmap)
+    plate_op = dd.PlateOperator(plate, pmap, params)
+    schur = dd.SchurProduct(plate, pmap, params, gamma, region="all")
+    body_op = dd.BodyOperator(body, smap, vmap, params, case.traction)
+
+    def body_solve(trace, rhs_v, with_data):
+        w = np.zeros(pmap.n_dofs)
+        w[gamma] = trace
+        return body_op.solve(G.T @ w, rhs_v, with_data=with_data)
+
+    def op_E(x):
+        return (G @ body_solve(x, np.zeros(vmap.n_dofs), False)[0])[gamma]
+
+    def apply_prec(r):
+        w = np.zeros(pmap.n_dofs)
+        w[gamma] = r
+        return plate_op.solve(w)[gamma]
+
+    sigma_t, u_t = body_solve(np.zeros(gamma.size), f_V, True)
+    x0 = plate_op.solve(f_W)[gamma]
+    b = -((G @ sigma_t)[gamma] + op_E(x0))
+    x, report = dd.cg_interface_solve(lambda v: schur.apply(v) + op_E(v),
+                                      apply_prec, b, tol=tol, max_it=max_it)
+    x = x0 + x
+    sigma_b, u_b = body_solve(x, np.zeros(vmap.n_dofs), False)
+    sigma = sigma_t + sigma_b
+    w = plate_op.solve(f_W - G @ sigma)
+    return sigma, u_t + u_b, w, x, report
+
+
+def assert_matches_reference(body, plate, case):
+    sol = dd.solve_dd(body, plate, case)
+    *fields, report = reference_solve_dd(body, plate, case)
+    got = (sol.sigma, sol.u, sol.w, sol.x_gamma)
+    for a, ref in zip(got, fields):
+        assert np.linalg.norm(a - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert sol.report.iterations == report.iterations
+    assert sol.report.converged == report.converged
+    assert_allclose(sol.report.history_u, report.history_u, rtol=0, atol=1e-10)
+    assert_allclose(sol.report.history_euclid, report.history_euclid,
+                    rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("n_body, n_plate, diagonal", [
+    (1, 4, Diagonal.SAME_AS_BODY),
+    (1, 4, Diagonal.FLIPPED),
+    (2, 8, Diagonal.SAME_AS_BODY),
+    (2, 8, Diagonal.FLIPPED),
+    (3, 12, Diagonal.FLIPPED),
+    (4, 8, Diagonal.SAME_AS_BODY),
+    (4, 16, Diagonal.FLIPPED),
+])
+def test_solve_dd_matches_the_composed_operators(case, n_body, n_plate,
+                                                 diagonal):
+    assert_matches_reference(build_body_mesh(n_body),
+                             build_plate_mesh(n_plate, diagonal), case)
+
+
+@SETTINGS
+@given(meshes)
+def test_solve_dd_matches_the_composed_operators_on_jittered_meshes(example):
+    body, plate = build(example)
+    assert_matches_reference(body, plate, default_case())
+
+
+def test_gamma_schur_complement_of_S_is_the_interface_operator(case):
+    # Body n = 2 / plate n = 8 flipped: eliminating the multipliers and the
+    # plate interior from the coupled S leaves S_K + E, built densely from
+    # the operators the acceptance suite checks.
+    body = build_body_mesh(2)
+    plate = build_plate_mesh(8, Diagonal.FLIPPED)
+    system = asm.build_mixed_system(body, plate, case)
+    hb, free, _ = hybrid.condense(system)
+    smap, vmap, pmap = system.smap, system.vmap, system.pmap
+    gamma = dd.build_interface_dof_set(plate, pmap)
+    at = np.searchsorted(free, gamma)
+    g = hb.n_lam + at
+    rest = np.setdiff1d(np.arange(hb.S.shape[0]), g)
+    S = hb.S.toarray()
+    schur_S = S[np.ix_(g, g)] - S[np.ix_(g, rest)] @ np.linalg.solve(
+        S[np.ix_(rest, rest)], S[np.ix_(rest, g)])
+
+    faces = extract_interface_triangulation(body)
+    cells = intersect_triangulations(faces, plate)
+    G = asm.assemble_interface_coupling(body, smap, plate, pmap, faces, cells)
+    schur = dd.SchurProduct(plate, pmap, case.params, gamma, region="all")
+    body_op = dd.BodyOperator(body, smap, vmap, case.params, case.traction)
+    columns = []
+    for e in np.eye(gamma.size):
+        w = np.zeros(pmap.n_dofs)
+        w[gamma] = e
+        sig, _ = body_op.solve(G.T @ w, np.zeros(vmap.n_dofs), with_data=False)
+        columns.append(schur.apply(e) + (G @ sig)[gamma])
+    S_K_E = np.array(columns).T
+    assert gamma.size == 131
+    assert np.abs(schur_S - S_K_E).max() <= 1e-12 * np.abs(S_K_E).max()
+
+
+def test_coupling_off_the_interface_set_is_refused(case, monkeypatch):
+    # Dropping the interface DOFs of one plate vertex puts G's rows there
+    # into the plate interior, where S would no longer equal K.
+    original = dd.build_interface_dof_set
+
+    def short(plate, pmap):
+        gamma = original(plate, pmap)
+        return gamma[gamma != 2 * np.argmin(np.abs(plate.vertices).sum(1))]
+
+    monkeypatch.setattr(dd, "build_interface_dof_set", short)
+    with pytest.raises(RuntimeError, match="off the interface set"):
+        dd.solve_dd(build_body_mesh(1), build_plate_mesh(4), case)
+
+
+def test_reconstruction_keeps_the_body_residual_check(case, monkeypatch):
+    # A wrong displacement entry of one local inverse leaves S, and so the
+    # CG, intact; only the back-substituted body rows see it.
+    original = hybrid._local_saddle_inverses
+
+    def corrupted(blocks, essential):
+        M_inv = original(blocks, essential)
+        M_inv[0, 50, 50] += 1.0
+        return M_inv
+
+    monkeypatch.setattr(hybrid, "_local_saddle_inverses", corrupted)
+    with pytest.raises(RuntimeError, match="hybrid solve residual"):
+        dd.solve_dd(build_body_mesh(1), build_plate_mesh(4), case)

@@ -217,6 +217,22 @@ class TestValidate:
         assert validate_mesh(mesh) == [
             f"face {face} has inconsistent interface tag"]
 
+    def test_unequal_table_lengths_named(self):
+        # Cut tags used to validate as [] and fail later in StressDofMap.
+        mesh = build_body_mesh(2)
+        cut = replace(mesh, boundary_tags=mesh.boundary_tags[:-5])
+        assert validate_mesh(cut) == [
+            "boundary faces, owners and tags differ in length: 48, 48, 43"]
+
+    @pytest.mark.parametrize("owner", [4, 10**6, -1])
+    def test_owner_without_its_face_named(self, owner):
+        mesh = build_body_mesh(2)
+        owners = mesh.boundary_owners.copy()
+        owners[3] = owner
+        face = tuple(int(v) for v in mesh.boundary_faces[3])
+        assert validate_mesh(replace(mesh, boundary_owners=owners)) == [
+            f"boundary face {face} is not a face of its owner tet {owner}"]
+
     def test_unknown_type(self):
         assert validate_mesh(object())[0].startswith("unknown mesh type")
 

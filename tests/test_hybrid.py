@@ -290,26 +290,34 @@ def test_positive_diagonal_factors_without_pivoting():
 
 
 def test_solve_dd_assembles_the_plate_stiffness_once(monkeypatch):
-    calls = []
-    original = dd.assemble_plate_stiffness
+    # One solve_dd: one assembly, one stress batch, one plate stiffness, one
+    # condensation, and three factors (the multiplier block, the plate
+    # interior, the free plate), none of them the coupled S.
+    calls = {}
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs.get("region", "all"))
-        return original(*args, **kwargs)
+    def counted(module, name):
+        original = getattr(module, name)
 
-    monkeypatch.setattr(dd, "assemble_plate_stiffness", counted)
-    sol = dd.solve_dd(build_body_mesh(1), build_plate_mesh(4), default_case())
+        def wrapper(*args, **kwargs):
+            calls.setdefault(name, []).append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module in (asm, dd):
+        for name in ("StressBatch", "assemble_plate_stiffness"):
+            counted(module, name)
+    for module, name in [(dd, "build_mixed_system"), (hybrid, "HybridBody"),
+                         (hybrid, "SparseFactor"), (dd, "SparseFactor")]:
+        counted(module, name)
+    body, plate = build_body_mesh(1), build_plate_mesh(4)
+    sol = dd.solve_dd(body, plate, default_case())
     assert sol.report.converged
-    assert calls == ["all"]
-
-
-def test_schur_product_from_stiffness_matches_its_constructor():
-    plate = build_plate_mesh(8, Diagonal.FLIPPED)
-    pmap = PlateDofMap(plate)
-    params = default_params()
-    gamma = dd.build_interface_dof_set(plate, pmap)
-    K = asm.assemble_plate_stiffness(plate, pmap, params)
-    x = np.random.default_rng(7).standard_normal(gamma.size)
-    assert np.array_equal(
-        dd.SchurProduct(plate, pmap, params, gamma).apply(x),
-        dd.SchurProduct.from_stiffness(K, pmap, gamma).apply(x))
+    assert {k: len(v) for k, v in calls.items()} == {
+        "build_mixed_system": 1, "StressBatch": 1,
+        "assemble_plate_stiffness": 1, "HybridBody": 1, "SparseFactor": 3}
+    n_lam = 9 * np.count_nonzero(StressDofMap(body).face_neighbor >= 0)
+    n_free = np.count_nonzero(~PlateDofMap(plate).constrained)
+    sizes = sorted(args[0].shape[0] for args in calls["SparseFactor"])
+    assert n_lam in sizes and n_free in sizes
+    assert n_lam + n_free not in sizes
