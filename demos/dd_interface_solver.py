@@ -1,7 +1,7 @@
 """Domain decomposition: solving the coupled system through its interface.
 
 The mixed solve condenses the coupled system onto face multipliers and
-plate DOFs and factors that system S whole.  ``solve_dd`` assembles and
+plate DOFs and solves that system S whole by preconditioned CG.  ``solve_dd`` assembles and
 condenses the same S, then eliminates the multipliers and the plate interior
 by blocks, which leaves the interface DOFs of the plate: the body
 contributes a traction response operator (the interface load of a given

@@ -23,8 +23,8 @@ body = build_body_mesh(2)
 plate = build_plate_mesh(4, Diagonal.SAME_AS_BODY)
 sol, report = solve_mixed(body, plate, case)
 print(f"\nsolved the condensed face-multiplier + plate system "
-      f"({report.size} unknowns), relative residual "
-      f"{report.relative_residual:.2e}")
+      f"({report.size} unknowns) in {report.iterations} PCG iterations, "
+      f"relative residual {report.relative_residual:.2e}")
 
 rec = compute_error_norms(sol, case)
 print("\nerror norms (all should be at roundoff):")

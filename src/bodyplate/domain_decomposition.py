@@ -14,7 +14,7 @@ with the plate Schur complement S_K = K_GammaGamma - K_Gamma,I K_II^-1
 K_I,Gamma and the body interface operator E = G W G^T - S_Gamma,lambda
 S_lambda,lambda^-1 S_lambda,Gamma (symmetric positive semidefinite; G W G^T
 is the Gamma block of sum_T C_T M_T^-1 C_T^T).  So DD is block elimination
-of the S that ``solve_mixed`` factors whole.  T = I + S_K^-1 E is
+of the S that ``solve_mixed`` solves whole.  T = I + S_K^-1 E is
 self-adjoint and positive in <a, b>_U = a^T S_K b: CG in that metric is
 preconditioned CG on (S_K + E) with (K_ff^-1)_GammaGamma = S_K^-1, whose
 r^T z is the squared U-norm of the T-equation residual.
@@ -42,7 +42,7 @@ from .geometry_mesh import GAMMA_HALF_WIDTH, TetMesh, TriMesh
 from .hybrid import HybridBody, condense
 from .manufactured import ManufacturedCase
 from .materials import MaterialParams
-from .solvers import SparseFactor
+from .solvers import SparseFactor, pcg
 
 __all__ = [
     "build_interface_dof_set",
@@ -120,7 +120,8 @@ class SchurProduct:
 class BodyOperator:
     """The body saddle problem [[A, B^T], [B, 0]] with traction data, solved
     by hybridization (``hybrid.HybridBody`` without plate rows); one
-    factorization serves every solve.
+    preconditioner of S, or the factor of S it gave way to, serves every
+    solve.
     """
 
     def __init__(self, body: TetMesh, smap: StressDofMap, vmap: BodyDGDofMap,
@@ -189,48 +190,17 @@ class DDSolution:
 def cg_interface_solve(apply_op, apply_prec, b: np.ndarray,
                        tol: float = CG_TOL, max_it: int = CG_MAX_IT
                        ) -> tuple[np.ndarray, DDReport]:
-    """Preconditioned CG on (S_K + E) x = b with preconditioner S_K^-1.
+    """Preconditioned CG (the shared ``solvers.pcg`` loop) on (S_K + E) x = b
+    with preconditioner S_K^-1.
 
     The reported residual history is the relative U-norm of the residual of
     the equivalent fixed-point equation (I + S_K^-1 E) x = S_K^-1 b, which is
     sqrt(r^T z) of standard PCG; the Euclidean relative residual of the
     (S_K + E) equation is logged alongside.
     """
-    x = np.zeros_like(b)
-    nb = np.linalg.norm(b)
-    if nb == 0.0:
-        return x, DDReport(0, True, 0.0, [0.0], [0.0])
-    r = b.copy()
-    z = apply_prec(r)
-    rz = float(r @ z)
-    u0 = np.sqrt(max(rz, 0.0))
-    hist_u = [1.0]
-    hist_e = [1.0]
-    p = z.copy()
-    converged = False
-    it = 0
-    for it in range(1, max_it + 1):
-        q = apply_op(p)
-        pq = float(p @ q)
-        if not (np.isfinite(pq) and pq > 0.0):
-            raise RuntimeError(
-                f"interface CG breakdown at iteration {it}: p.Ap = {pq:.3e} "
-                "is not positive; the interface operator is not SPD"
-            )
-        alpha = rz / pq
-        x += alpha * p
-        r -= alpha * q
-        z = apply_prec(r)
-        rz_new = float(r @ z)
-        rel_u = np.sqrt(max(rz_new, 0.0)) / u0
-        hist_u.append(rel_u)
-        hist_e.append(float(np.linalg.norm(r) / nb))
-        if rel_u <= tol:
-            converged = True
-            break
-        beta = rz_new / rz
-        p = z + beta * p
-        rz = rz_new
+    x, converged, hist_u, hist_e = pcg(apply_op, apply_prec, b, tol, max_it,
+                                       label="interface CG")
+    it = len(hist_u) - 1
     rho = (hist_u[-1]) ** (1.0 / it) if it > 0 else 0.0
     return x, DDReport(it, converged, rho, hist_u, hist_e)
 
@@ -244,9 +214,10 @@ def solve_dd(body: TetMesh, plate: TriMesh, case: ManufacturedCase,
     Pipeline: one assembly (``build_mixed_system``) and one condensation
     (``hybrid.condense``) shared with ``solve_mixed``; factors of the
     multiplier block S_lambda,lambda, the plate interior K_II and the free
-    plate stiffness K_ff; interface CG on the Gamma-Schur complement of S;
-    then the multipliers, the local back-substitution and one plate solve.
-    The coupled S itself is never factored.
+    plate stiffness K_ff; interface CG on the Gamma-Schur complement of S,
+    whose operator and preconditioner apply these factors unrefined; then
+    the multipliers, the local back-substitution and one plate solve, all
+    refined.  The coupled S itself is never solved or preconditioned.
     """
     system = build_mixed_system(body, plate, case, params,
                                 quad_volume=quad_volume,
@@ -269,14 +240,15 @@ def solve_dd(body: TetMesh, plate: TriMesh, case: ManufacturedCase,
     def multipliers(x):
         return lu_l.solve(r_l - S_lg @ x)
 
+    # Inside CG the inverses are operators: one unrefined solve each.
     def apply_op(x):
-        return (S_gg @ x - S_lg.T @ lu_l.solve(S_lg @ x)
-                - K_gi @ lu_i.solve(K_gi.T @ x))
+        return (S_gg @ x - S_lg.T @ lu_l.apply(S_lg @ x)
+                - K_gi @ lu_i.apply(K_gi.T @ x))
 
     def apply_prec(rv):
         z = np.zeros(free.size)
         z[g] = rv
-        return lu_k.solve(z)[g]
+        return lu_k.apply(z)[g]
 
     # CG corrects the decoupled plate trace x0; b is the residual of x0.
     x0 = lu_k.solve(load.f_w)[g]

@@ -21,10 +21,32 @@ inverted at once, which leaves the symmetric positive definite system
 
 A solve has two halves: the right-hand side of S Y = r (``load``) and the
 local back-substitution x_T = M_T^-1 (F_T - C_T^T Y) of a given Y
-(``back_substitute``).  ``solve_hybrid`` joins them by a factor of S, made
-on the first solve; ``domain_decomposition.solve_dd`` keeps S unfactored
-and eliminates its blocks instead.  The solution is that of the monolithic
-system: the owner copy of sigma_T is the global stress.
+(``back_substitute``).  ``solve_hybrid`` and ``HybridBody.solve`` join them
+by ``solve_condensed``, preconditioned CG on S (the one CG loop,
+``solvers.pcg``), which gives way to a direct factor of S only where CG
+would cost more than that factor.  ``domain_decomposition.solve_dd``
+eliminates the blocks of S instead and never builds the preconditioner.
+The solution is that of the monolithic system: the owner copy of sigma_T is
+the global stress.
+
+The preconditioner is two-level, auxiliary-space (Hiptmair & Xu 2007) in
+the form given for hybridized methods by Cockburn, Dubois, Gopalakrishnan &
+Tan (2014).  Its coarse space is P1 vertex displacements v at every vertex
+of the same mesh, Gamma included, with all plate DOFs added as they are:
+P = diag(P_body, I), where lambda[f, 3 a + c] = |F| v[vertex a of f, c] on
+every interior face f.  The multipliers are traction moments against P1
+normalised by 1/|F|, so only with the |F| scale does a rigid motion go to
+multipliers that S maps to zero on every face away from Gamma.  The coarse matrix P^T S P is factored
+once.  The smoother is block Jacobi on the 9 x 9 multiplier block of each
+face and the diagonal of the plate rows, damped by 1/2, and one cycle is
+symmetric multiplicative: smooth, coarse solve, smooth.  CG then takes
+about 50 iterations at every mesh size for a compressible body.  The coarse
+space locks as nu -> 1/2: at nu = 0.4999 the count grows with the mesh,
+92, 664 and 987 at body n = 2, 4 and 8, and at nu = 0.49999 CG does not
+converge in 1000.  There a direct factor of S is the cheaper solve, so CG
+watches its own rate: once the rate over the last PCG_WINDOW iterations
+forecasts more iterations than the factor would cost, CG stops and S is
+factored (``solve_condensed``).
 
 Building the blocks refuses any tet whose local saddle block is
 ill-conditioned.  Every solve then checks, in this order: the face-
@@ -47,7 +69,7 @@ import scipy.sparse as sp
 
 from .assembly import BlockSystem, BodyBlocks
 from .fe_elements import CONDITION_LIMIT, StressDofMap
-from .solvers import RESIDUAL_CONTRACT, SolveReport, SparseFactor
+from .solvers import RESIDUAL_CONTRACT, SolveReport, SparseFactor, pcg
 
 __all__ = ["HybridBody", "HybridLoad", "condense", "solve_hybrid",
            "CONTINUITY_LIMIT"]
@@ -57,6 +79,28 @@ __all__ = ["HybridBody", "HybridLoad", "condense", "solve_hybrid",
 #: norm of the broken stresses M_T^-1 F_T (without multipliers): the data
 #: set the scale when the stress itself vanishes, as under a rigid motion.
 CONTINUITY_LIMIT = 1e-10
+
+
+#: Relative U-norm residual at which the CG on S stops.  The continuity
+#: defect checked after back-substitution is the multiplier rows of the S
+#: residual, so this sits two digits below CONTINUITY_LIMIT.
+PCG_TOL = 1e-13
+
+#: The iteration budget of the CG on S, past which a direct factor of S is
+#: the cheaper solve: max(PCG_MIN_IT, n // PCG_UNKNOWNS_PER_IT) for S of
+#: size n.  On one core the factor and solve of S cost as much as about 100
+#: and 1000 CG iterations at body n = 4 and 8 (n = 6,371 and 53,251),
+#: so about one iteration per 64 unknowns; the floor is twice the flat
+#: count near 50 of a compressible body.
+PCG_MIN_IT = 100
+PCG_UNKNOWNS_PER_IT = 64
+
+#: The number of iterations over which CG measures its rate to forecast
+#: the iterations it still needs.
+PCG_WINDOW = 10
+
+#: Damping of the face-block Jacobi smoother of the S preconditioner.
+SMOOTHER_DAMPING = 0.5
 
 
 def _matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -166,11 +210,72 @@ class HybridBody:
             coupling = (sp.csr_matrix((0, 42 * nt)), sp.csr_matrix((0, 0)))
         self.G, self.K = (sp.csr_matrix(m) for m in coupling)
         self.S = self._condensed(lam)
+        self._direct = None  # the factor of S, once CG has given way to it
 
     @cached_property
-    def factor(self) -> SparseFactor:
-        """The factor of S, computed on the first use."""
-        return SparseFactor(self.S)
+    def _preconditioner(self):
+        """The two-level preconditioner of S, built on the first use: one
+        symmetric multiplicative cycle (smooth, coarse solve, smooth) of
+        damped block Jacobi, on the 9 x 9 multiplier block of each face and
+        the diagonal of the plate rows, around an exact solve on the P1
+        vertex coarse space (P^T S P, one factor)."""
+        S, n = self.S.T, self.n_lam  # S is symmetric: a CSR view for products
+        P = self._coarse_transfer()
+        coarse = SparseFactor((S @ P).T @ P)  # P^T S P, by columns
+        dof = np.arange(n).reshape(-1, 9, 1)  # the nine DOFs of each face
+        rows, cols = np.broadcast_arrays(dof, dof.transpose(0, 2, 1))
+        D = np.asarray(S[rows.ravel(), cols.ravel()]).reshape(-1, 9, 9)
+        ptr = np.arange(n // 9 + 1)
+        smoother = SMOOTHER_DAMPING * sp.block_diag(
+            (sp.bsr_matrix((np.linalg.inv(D), ptr[:-1], ptr)),
+             sp.diags(1.0 / S.diagonal()[n:])), format="csr")
+
+        def apply(r):
+            x = smoother @ r
+            x += P @ coarse.apply(P.T @ (r - S @ x))
+            return x + smoother @ (r - S @ x)
+
+        return apply
+
+    def _coarse_transfer(self) -> sp.csr_matrix:
+        """P = diag(P_body, I_plate) from P1 vertex displacements v and the
+        free plate DOFs: lambda[f, 3 a + c] = |F| v[vertex a of f, c] on every
+        interior face f.  The multipliers are traction moments normalised by
+        1/|F|, so the |F| scale makes P carry a rigid motion to the
+        multipliers that S maps to zero on every face away from Gamma."""
+        smap = self.smap
+        verts = smap.face_vertices[smap.face_neighbor >= 0]
+        xyz = smap.mesh.vertices[verts]
+        area = 0.5 * np.linalg.norm(
+            np.cross(xyz[:, 1] - xyz[:, 0], xyz[:, 2] - xyz[:, 0]), axis=1)
+        cols = (3 * verts[:, :, None] + np.arange(3)).ravel()
+        P_body = sp.csr_matrix(
+            (np.repeat(area, 9), (np.arange(self.n_lam), cols)),
+            shape=(self.n_lam, 3 * smap.mesh.n_vertices))
+        return sp.block_diag((P_body, sp.identity(self.K.shape[0])),
+                             format="csr")
+
+    def solve_condensed(self, r: np.ndarray
+                        ) -> tuple[np.ndarray, list[float], bool]:
+        """Y with S Y = r, the relative U-norm residual history of the CG
+        and whether the solve gave way to a direct factor of S.
+
+        Two-level preconditioned CG from zero, within the budget of
+        max(PCG_MIN_IT, n // PCG_UNKNOWNS_PER_IT) iterations for S of size
+        n.  When CG stops short of PCG_TOL, because it reached the budget or
+        its rate forecasts more, S is factored; that factor then serves this
+        and every later solve, with no CG."""
+        history: list[float] = []
+        if self._direct is None:
+            S = self.S.T
+            budget = max(PCG_MIN_IT, S.shape[0] // PCG_UNKNOWNS_PER_IT)
+            y, converged, history, _ = pcg(
+                lambda p: S @ p, self._preconditioner, r, PCG_TOL, budget,
+                label="condensed-system CG", window=PCG_WINDOW)
+            if converged:
+                return y, history, False
+            self._direct = SparseFactor(self.S)
+        return self._direct.solve(r), history, True
 
     def _condensed(self, lam: np.ndarray) -> sp.csr_matrix:
         """S = sum_T C_T M_T^-1 C_T^T + diag(0, K).  Tets off Gamma touch
@@ -276,11 +381,11 @@ class HybridBody:
         """Solve S Y = r for the data of ``load`` and back-substitute.
         Returns the global stress, the local displacements (n_tets, 12), the
         free plate DOFs, the relative residual of the coupled system and the
-        number of refinement passes of the S solve."""
+        number of CG iterations of the S solve."""
         load = self.load(rhs_sigma, f_u, f_w, sigma_data)
-        y, _, passes = self.factor.refined_solve(load.r)
+        y, history, _ = self.solve_condensed(load.r)
         sigma, u, rel = self.back_substitute(y, load)
-        return sigma, u, y[self.n_lam:], rel, passes
+        return sigma, u, y[self.n_lam:], rel, max(len(history) - 1, 0)
 
     def plate_load(self, sigma: np.ndarray) -> np.ndarray:
         """G sigma on the free plate DOFs, by the owner copies of sigma."""
@@ -359,12 +464,14 @@ def solve_hybrid(system: BlockSystem
     relative residual of the coupled system."""
     t0 = time.perf_counter()
     hb, free, load = condense(system)
-    y, _, passes = hb.factor.refined_solve(load.r)
+    y, history, direct = hb.solve_condensed(load.r)
     sigma, x_u, rel = hb.back_substitute(y, load)
     u = np.zeros(system.vmap.n_dofs)
     u[system.vmap.ltg] = x_u
     w = np.zeros(system.pmap.n_dofs)
     w[free] = y[hb.n_lam:]
     report = SolveReport(hb.S.shape[0], hb.S.nnz, rel,
-                         time.perf_counter() - t0, passes)
+                         time.perf_counter() - t0, 0,
+                         iterations=max(len(history) - 1, 0), history=history,
+                         direct_fallback=direct)
     return sigma, u, w, report

@@ -99,9 +99,12 @@ def solve_mixed(body: TetMesh, plate: TriMesh, case: ManufacturedCase,
                 quad_volume: int = 4, quad_interface: int = 6,
                 ) -> tuple[SolutionFields, SolveReport]:
     """Assemble the mixed formulation and solve it by hybridization: static
-    condensation onto the face multipliers and the plate DOFs.  The report
-    gives the size and nnz of that condensed system and the relative
-    residual of the coupled system in (sigma, u, w)."""
+    condensation onto the face multipliers and the plate DOFs, solved by
+    two-level preconditioned CG, or by a direct factor where CG would cost
+    more.  The report gives the size and nnz of that condensed system, the
+    PCG iteration count and residual history, whether the solve gave way to
+    the factor, and the relative residual of the coupled system in
+    (sigma, u, w)."""
     if params is None:
         params = case.params
     system = _asm.build_mixed_system(
@@ -501,8 +504,12 @@ def _solve_command(args, cfg: RunConfig) -> int:
         matching=_matching(body.n, plate.n, plate.diagonal), rows=[row])
     system = ("condensed face-multiplier + plate system"
               if args.method == "mixed-nc" else "displacement system")
+    its = ""
+    if args.method == "mixed-nc":
+        its = f", {rep.iterations} PCG iterations" + (
+            ", then a direct factor" if rep.direct_fallback else "")
     print(f"method {args.method}: solved the {system} ({rep.size} "
-          f"unknowns), residual {rep.relative_residual:.2e}")
+          f"unknowns), residual {rep.relative_residual:.2e}{its}")
     print(format_convergence_table(report))
     if args.out:
         write_convergence_csv(report, args.out)

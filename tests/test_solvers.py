@@ -1,5 +1,6 @@
 """Direct solver wrapper: residual contract, refinement, zero right-hand
-sides, reusable factorizations, and failure attribution for singular blocks.
+sides, reusable factorizations, and failure attribution for singular blocks;
+the shared PCG loop: its breakdown checks and its forecast stop.
 """
 
 import numpy as np
@@ -10,6 +11,7 @@ from numpy.testing import assert_allclose
 from bodyplate.solvers import (
     RESIDUAL_CONTRACT,
     SparseFactor,
+    pcg,
     solve_saddle_point,
 )
 
@@ -94,6 +96,13 @@ class TestSparseFactor:
         fac = SparseFactor(random_spd(12))
         assert_allclose(fac.solve(np.zeros(12)), 0.0, atol=0)
 
+    def test_apply_is_one_unrefined_solve(self):
+        M = random_spd(25, seed=11)
+        fac = SparseFactor(M)
+        b = np.random.default_rng(12).standard_normal(25)
+        assert np.array_equal(fac.apply(b), fac.lu.solve(b))
+        assert np.linalg.norm(M @ fac.apply(b) - b) <= 1e-9 * np.linalg.norm(b)
+
     def test_factor_time_recorded(self):
         fac = SparseFactor(random_spd(12))
         assert fac.factor_time >= 0.0
@@ -104,3 +113,42 @@ class TestSparseFactor:
         b = np.random.default_rng(10).standard_normal(20)
         x = fac.solve(b)
         assert np.linalg.norm(M @ x - b) <= 1e-9 * np.linalg.norm(b)
+
+
+class TestPcg:
+    def test_solves_an_spd_system(self):
+        A = random_spd(30, seed=4)
+        b = np.random.default_rng(5).standard_normal(30)
+        d = 1.0 / A.diagonal()
+        x, converged, hist_u, hist_e = pcg(lambda p: A @ p, lambda r: d * r,
+                                           b, 1e-12, 100)
+        assert converged and hist_u[0] == 1.0 and hist_u[-1] <= 1e-12
+        assert len(hist_e) == len(hist_u)
+        assert_allclose(A @ x, b, atol=1e-9 * np.linalg.norm(b))
+
+    def test_indefinite_preconditioner_at_the_start_is_named(self):
+        with pytest.raises(RuntimeError, match=r"lab breakdown at iteration "
+                                               r"0: r\.z = .* not positive"):
+            pcg(lambda p: p, lambda r: -r, np.ones(3), 1e-12, 10,
+                label="lab")
+
+    def test_indefinite_preconditioner_later_is_named(self):
+        # r.z = 0.75 > 0 at the start; after one step r = (0.4, 0, 0.8) and
+        # r.z = 0.16 - 0.64 < 0.
+        prec = np.array([1.0, 1.0, -1.0])
+        with pytest.raises(RuntimeError, match=r"lab breakdown at iteration "
+                                               r"1: r\.z = -4\.800e-01"):
+            pcg(lambda p: p, lambda r: prec * r, np.array([1.0, 0.0, 0.5]),
+                1e-12, 10, label="lab")
+
+    def test_window_stops_a_stalled_iteration_early(self):
+        # Unpreconditioned CG on a spread spectrum: far from 1e-13 in 60
+        # iterations, which the rate over a window of 5 forecasts.
+        A = sp.diags(np.logspace(0, 8, 400))
+        b = np.ones(400)
+        runs = [pcg(lambda p: A @ p, lambda r: r, b, 1e-13, 60, window=w)
+                for w in (0, 5)]
+        (_, full_conv, full, _), (_, early_conv, early, _) = runs
+        assert not full_conv and len(full) == 61
+        assert not early_conv and len(early) < 20
+        assert early == full[:len(early)]

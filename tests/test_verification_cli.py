@@ -281,6 +281,7 @@ class TestCli:
         assert rc == 0
         text = capsys.readouterr().out
         assert "solved" in text
+        assert re.search(r"residual \S+, \d+ PCG iterations", text)
         lines = out.read_text().splitlines()
         assert len(lines) == 2
         assert lines[0].startswith("level,n_body,n_plate")
