@@ -78,9 +78,10 @@ __all__ = [
 def _scatter(rows: np.ndarray, cols: np.ndarray, blocks: np.ndarray,
              shape: tuple[int, int]) -> sp.csr_matrix:
     """Sum element blocks (n, r, c) into a sparse matrix; ``rows`` (n, r) and
-    ``cols`` (n, c) are the global indices of each block."""
-    r = np.broadcast_to(rows[:, :, None], blocks.shape)
-    c = np.broadcast_to(cols[:, None, :], blocks.shape)
+    ``cols`` (n, c) are the global indices of each block.  The triplet
+    indices are int32, the index type scipy sums them in."""
+    r = np.broadcast_to(rows.astype(np.int32)[:, :, None], blocks.shape)
+    c = np.broadcast_to(cols.astype(np.int32)[:, None, :], blocks.shape)
     return sp.coo_matrix(
         (blocks.ravel(), (r.ravel(), c.ravel())), shape=shape
     ).tocsr()

@@ -28,6 +28,10 @@ whole mesh at once, so the cost does not depend on the mesh being
 structured.  The per-element classes (``HuMaElement``, ``MorleyElement``,
 ``VectorP1Tet``, ``VectorP1Tri``) are the reference the kernel is tested
 against.
+
+Every local inverse (the DOF matrices here, the saddle blocks of ``hybrid``)
+is taken by ``checked_inverses``, whose one rule refuses an element with a
+1-norm condition number ||M||_1 ||M^-1||_1 above ``CONDITION_LIMIT``.
 """
 
 from __future__ import annotations
@@ -68,6 +72,7 @@ __all__ = [
     "EDGE_PAIRS",
     "SYM_INDEX_PAIRS",
     "CONDITION_LIMIT",
+    "checked_inverses",
 ]
 
 #: The six tet edges (local vertex pairs, i < j).
@@ -79,8 +84,13 @@ _COMPLEMENT = [tuple(sorted(set(range(4)) - set(p))) for p in EDGE_PAIRS]
 #: Component order of the interior moments / symmetric-matrix entries.
 SYM_INDEX_PAIRS = [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)]
 
-#: DOF-matrix condition number beyond which element construction fails.
+#: Largest 1-norm condition number ||M||_1 ||M^-1||_1 of an inverted local
+#: matrix (see ``checked_inverses``); a larger one, or NaN, fails.
 CONDITION_LIMIT = 1e12
+
+#: Elements whose local matrices ``checked_inverses`` builds and inverts
+#: together, which bounds its temporaries next to the (n, k, k) result.
+LOCAL_CHUNK = 1024
 
 _FACE_RULE = triangle_rule(4)
 _INTERIOR_RULE = tet_rule(4)
@@ -170,6 +180,32 @@ def _p2_dlam(bary: np.ndarray) -> np.ndarray:
 #: (6, 3, 3) second derivatives of ``_p2_scalars`` (constant).
 _P2_D2 = np.eye(3)[_P2_A][:, :, None] * np.eye(3)[_P2_B][:, None, :]
 _P2_D2 = _P2_D2 + np.swapaxes(_P2_D2, 1, 2)
+
+
+def checked_inverses(n: int, build, what: str) -> np.ndarray:
+    """Inverses (n, k, k) of n local matrices, ``build(c)`` giving those
+    (m, k, k) of the elements in slice c, LOCAL_CHUNK elements at a time.
+    Fails on the first element, named by ``what`` and its index, whose
+    condition number ||M||_1 ||M^-1||_1 is not at most CONDITION_LIMIT (a
+    chunk with a singular matrix takes ``np.linalg.cond(M, 1)``: inf)."""
+    for lo in range(0, max(n, 1), LOCAL_CHUNK):  # n = 0: one empty chunk
+        c = slice(lo, min(lo + LOCAL_CHUNK, n))
+        M = build(c)
+        if lo == 0:
+            inv = np.empty((n,) + M.shape[1:])
+        try:
+            inv[c] = np.linalg.inv(M)
+            cond = (np.abs(M).sum(axis=1).max(axis=1)
+                    * np.abs(inv[c]).sum(axis=1).max(axis=1))
+        except np.linalg.LinAlgError:
+            cond = np.linalg.cond(M, 1)
+        bad = np.flatnonzero(~(cond <= CONDITION_LIMIT))
+        if bad.size:
+            raise ValueError(
+                f"{what} {lo + bad[0]} is ill-conditioned "
+                f"(cond_1 = {cond[bad[0]]:.3e} > {CONDITION_LIMIT:.0e})"
+            )
+    return inv
 
 
 def _simplex_geometry_one(verts: np.ndarray) -> tuple[np.ndarray, float]:
@@ -288,13 +324,8 @@ class MorleyElement:
         grads = _mono_grad(mids)  # (3, 6, 2)
         for e in range(3):
             D[3 + e, :] = grads[e] @ self.edge_normals[e]
-        cond = np.linalg.cond(D)
-        if cond > CONDITION_LIMIT:
-            raise ValueError(
-                f"Morley DOF matrix is ill-conditioned (cond = {cond:.3e}); "
-                "degenerate triangle?"
-            )
-        self.coeffs = np.linalg.inv(D).T  # (basis, monomial)
+        self.coeffs = checked_inverses(  # (basis, monomial)
+            1, lambda c: D[None], "Morley DOF matrix of triangle")[0].T
 
     def value(self, points: np.ndarray) -> np.ndarray:
         """(np, 6) basis values at physical points."""
@@ -374,13 +405,8 @@ class HuMaElement:
             self.face_areas[f] = area
 
         D = self._dof_matrix()
-        cond = np.linalg.cond(D)
-        if cond > CONDITION_LIMIT:
-            raise ValueError(
-                f"stress DOF matrix is ill-conditioned (cond = {cond:.3e}); "
-                "the spanning set degenerated on this tet"
-            )
-        self.coeffs = np.linalg.inv(D).T  # (basis, spanning)
+        self.coeffs = checked_inverses(  # (basis, spanning)
+            1, lambda c: D[None], "stress DOF matrix of tet")[0].T
 
     # -- spanning set ------------------------------------------------------
 
@@ -482,19 +508,6 @@ def _stress_dof_matrices(tangents: np.ndarray,
     return np.concatenate([face.reshape(-1, 36, 42), interior], axis=1)
 
 
-def _checked_inverse_transpose(D: np.ndarray, what: str) -> np.ndarray:
-    """Batched dual-basis coefficients inv(D)^T, refusing any element whose
-    DOF matrix is ill-conditioned."""
-    cond = np.linalg.cond(D)
-    bad = np.flatnonzero(~(cond <= CONDITION_LIMIT))
-    if bad.size:
-        raise ValueError(
-            f"{what} DOF matrix is ill-conditioned on element {bad[0]} of "
-            f"the batch (cond = {cond[bad[0]]:.3e}); degenerate element?"
-        )
-    return np.swapaxes(np.linalg.inv(D), 1, 2)
-
-
 class StressBatch:
     """The stress element on a batch of tets (vertex coordinates (n, 4, 3)).
 
@@ -517,14 +530,27 @@ class StressBatch:
         # grad lam_f is normal to face f and points into the tet.
         g = self.grad_lambda
         self.face_normals = -g / np.linalg.norm(g, axis=-1, keepdims=True)
-        self.coeffs = _checked_inverse_transpose(
-            _stress_dof_matrices(self.tangents, self.face_normals), "stress")
+        self.coeffs = np.swapaxes(checked_inverses(
+            len(verts), lambda c: _stress_dof_matrices(
+                self.tangents[c], self.face_normals[c]),
+            "stress DOF matrix of tet"), 1, 2)
 
     def div_scalars(self, dlam: np.ndarray) -> np.ndarray:
         """(n, ..., 42) scalars d with div(span_k) = d_k t_{e_k}, from a
         ``span_dlam`` table (..., 42, 4)."""
         tau = np.einsum("nec,nbc->neb", self.tangents, self.grad_lambda)
         return np.einsum("...kb,nkb->n...k", dlam, tau[:, SPAN_EDGE])
+
+
+def _morley_dof_matrices(grad_lambda: np.ndarray,
+                         edge_normals: np.ndarray) -> np.ndarray:
+    """(n, 6, 6) Morley DOF functionals applied to the barycentric
+    quadratics: vertex values, then edge-midpoint normal derivatives."""
+    gn = np.einsum("nbx,nex->neb", grad_lambda, edge_normals)
+    D = np.empty((len(gn), 6, 6))
+    D[:, :3] = _p2_scalars(np.eye(3))
+    D[:, 3:] = np.einsum("ekb,neb->nek", _p2_dlam(_MIDPOINTS), gn)
+    return D
 
 
 class MorleyBatch:
@@ -543,11 +569,10 @@ class MorleyBatch:
         t = verts[:, [2, 0, 1]] - verts[:, [1, 2, 0]]
         nrm = np.stack([t[..., 1], -t[..., 0]], axis=-1)
         self.edge_normals = nrm / np.linalg.norm(nrm, axis=-1, keepdims=True)
-        gn = np.einsum("nbx,nex->neb", self.grad_lambda, self.edge_normals)
-        D = np.empty((self.area.shape[0], 6, 6))
-        D[:, :3] = _p2_scalars(np.eye(3))
-        D[:, 3:] = np.einsum("ekb,neb->nek", _p2_dlam(_MIDPOINTS), gn)
-        self.coeffs = _checked_inverse_transpose(D, "Morley")
+        self.coeffs = np.swapaxes(checked_inverses(
+            len(verts), lambda c: _morley_dof_matrices(
+                self.grad_lambda[c], self.edge_normals[c]),
+            "Morley DOF matrix of triangle"), 1, 2)
 
     def values(self, bary: np.ndarray) -> np.ndarray:
         """(n, nq, 6) basis values at barycentric points (nq, 3)."""
@@ -699,9 +724,6 @@ class PlateDofMap:
         self.edges = keys[first]
         self.n_edges = first.size
         self.n_dofs = 3 * nv + self.n_edges
-        self.membrane_offset = 0
-        self.morley_vertex_offset = 2 * nv
-        self.morley_edge_offset = 3 * nv
 
         self.mem_ltg = (2 * tri[:, :, None] + np.arange(2)).reshape(ntri, 6)
         self.mor_ltg = np.concatenate([2 * nv + tri, 3 * nv + eid.reshape(ntri, 3)],
@@ -727,9 +749,6 @@ class PlateDofMap:
 
     def membrane_slice(self) -> slice:
         return slice(0, 2 * self.mesh.n_vertices)
-
-    def morley_slice(self) -> slice:
-        return slice(2 * self.mesh.n_vertices, self.n_dofs)
 
     def local_morley_coefficients(self, t: int, w: np.ndarray) -> np.ndarray:
         return self.mor_sign[t] * w[self.mor_ltg[t]]

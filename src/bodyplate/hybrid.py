@@ -48,14 +48,14 @@ watches its own rate: once the rate over the last PCG_WINDOW iterations
 forecasts more iterations than the factor would cost, CG stops and S is
 factored (``solve_condensed``).
 
-Building the blocks refuses any tet whose local saddle block is
-ill-conditioned.  Every solve then checks, in this order: the face-
-continuity defect of the back-substituted local stresses, relative to the
-stress norm; and the relative residual of the coupled system in
-(sigma, u, w), evaluated tet by tet from the local blocks with the owner
-copy of sigma in every tet (the multipliers drop out), against the residual
-contract; over the body rows only, with w as data, when the plate rows are
-not part of the solve.
+Inverting the blocks (``fe_elements.checked_inverses``) refuses any tet
+whose block has a 1-norm condition number above CONDITION_LIMIT.  Every
+solve then checks, in this order: the face-continuity defect of the
+back-substituted local stresses, relative to the stress norm; and the
+relative residual of the coupled system in (sigma, u, w), evaluated tet by
+tet from the local blocks with the owner copy of sigma in every tet (the
+multipliers drop out), against the residual contract; over the body rows
+only, with w as data, when the plate rows are not part of the solve.
 """
 
 from __future__ import annotations
@@ -67,8 +67,8 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import BlockSystem, BodyBlocks
-from .fe_elements import CONDITION_LIMIT, StressDofMap
+from .assembly import BlockSystem, BodyBlocks, _scatter
+from .fe_elements import StressDofMap, checked_inverses
 from .solvers import RESIDUAL_CONTRACT, SolveReport, SparseFactor, pcg
 
 __all__ = ["HybridBody", "HybridLoad", "condense", "solve_hybrid",
@@ -108,47 +108,28 @@ def _matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.einsum("nij,nj->ni", M, x)
 
 
-#: Tets whose local saddle blocks are inverted together: bounds the
-#: temporaries of ``_local_saddle_inverses`` to a few (LOCAL_CHUNK, 54, 54)
-#: arrays next to the result.
-LOCAL_CHUNK = 1024
+def _saddle_blocks(A: np.ndarray, B: np.ndarray, ess: np.ndarray
+                   ) -> np.ndarray:
+    """Local saddle blocks [[A, B^T], [B, 0]] (n, 54, 54) with the essential
+    stress DOFs ``ess`` (n, 42) eliminated symmetrically: their row and
+    column zeroed, the diagonal kept at its compliance value."""
+    M = np.zeros((len(ess), 54, 54))
+    M[:, :42, :42] = A
+    M[:, 42:, :42] = B
+    M[:, :42, 42:] = np.swapaxes(B, 1, 2)
+    keep = np.concatenate([~ess, np.ones((len(ess), 12), dtype=bool)],
+                          axis=1)
+    M *= keep[:, :, None] & keep[:, None, :]
+    t, i = np.nonzero(ess)
+    M[t, i, i] = A[t, i, i]
+    return M
 
 
 def _local_saddle_inverses(blocks: BodyBlocks, essential: np.ndarray
                            ) -> np.ndarray:
-    """Inverses (n, 54, 54) of the local saddle blocks with the essential
-    stress DOFs eliminated symmetrically (their row and column zeroed, the
-    diagonal kept at its compliance value), computed ``LOCAL_CHUNK`` tets at
-    a time.  Fails on the first tet whose block has a 1-norm condition
-    number above CONDITION_LIMIT."""
-    A, B = blocks.A, blocks.B
-    n = A.shape[0]
-    M_inv = np.empty((n, 54, 54))
-    for lo in range(0, n, LOCAL_CHUNK):
-        c = slice(lo, min(lo + LOCAL_CHUNK, n))
-        ess = essential[c]
-        M = np.zeros((ess.shape[0], 54, 54))
-        M[:, :42, :42] = A[c]
-        M[:, 42:, :42] = B[c]
-        M[:, :42, 42:] = np.swapaxes(B[c], 1, 2)
-        keep = np.concatenate([~ess, np.ones((ess.shape[0], 12), dtype=bool)],
-                              axis=1)
-        M *= keep[:, :, None] & keep[:, None, :]
-        t, i = np.nonzero(ess)
-        M[t, i, i] = A[c][t, i, i]
-        try:
-            M_inv[c] = np.linalg.inv(M)
-            cond = (np.abs(M).sum(axis=1).max(axis=1)
-                    * np.abs(M_inv[c]).sum(axis=1).max(axis=1))
-        except np.linalg.LinAlgError:
-            cond = np.linalg.cond(M, 1)
-        bad = np.flatnonzero(~(cond <= CONDITION_LIMIT))
-        if bad.size:
-            raise RuntimeError(
-                f"local saddle block of tet {lo + bad[0]} is ill-conditioned "
-                f"(cond_1 = {cond[bad[0]]:.3e} > {CONDITION_LIMIT:.0e})"
-            )
-    return M_inv
+    """Inverses (n, 54, 54) of the local saddle blocks."""
+    return checked_inverses(len(essential), lambda c: _saddle_blocks(
+        blocks.A[c], blocks.B[c], essential[c]), "local saddle block of tet")
 
 
 def _multiplier_numbering(smap: StressDofMap) -> tuple[np.ndarray, int]:
@@ -288,7 +269,7 @@ class HybridBody:
         on_gamma = np.unique(self.G.indices // 42)
         off = np.ones(nt, dtype=bool)
         off[on_gamma] = False
-        r, w = lam[off, :36], W[off, :36, :36]
+        r, w = lam[off, :36].astype(np.int32), W[off, :36, :36]
         pair = (r[:, :, None] >= 0) & (r[:, None, :] >= 0)
         S = sp.coo_matrix(
             (w[pair], (np.broadcast_to(r[:, :, None], w.shape)[pair],
@@ -305,13 +286,10 @@ class HybridBody:
             loc = np.arange(42 * ng).reshape(ng, 42)
             # The essential DOFs of a tet on Gamma carry data, not unknowns:
             # their decoupled 1/diagonal entries stay out of S.
-            W_gamma = W[on_gamma] * ~(self.essential[on_gamma][:, :, None]
-                                      & np.eye(42, dtype=bool))
-            W_gamma = sp.coo_matrix(
-                (W_gamma.ravel(),
-                 (np.broadcast_to(loc[:, :, None], (ng, 42, 42)).ravel(),
-                  np.broadcast_to(loc[:, None, :], (ng, 42, 42)).ravel())),
-                shape=(42 * ng, 42 * ng)).tocsr()
+            W_gamma = _scatter(
+                loc, loc, W[on_gamma] * ~(self.essential[on_gamma][:, :, None]
+                                          & np.eye(42, dtype=bool)),
+                (42 * ng, 42 * ng))
             S = S + C @ W_gamma @ C.T
         if self.K.shape[0]:
             S = S + sp.block_diag((sp.csr_matrix((self.n_lam, self.n_lam)),

@@ -19,17 +19,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bodyplate import assembly as asm
+from bodyplate import fe_elements, hybrid
 from bodyplate import verification_cli as vcli
 from bodyplate.fe_elements import (
     EDGE_PAIRS,
     BodyCGDofMap,
     BodyDGDofMap,
     HuMaElement,
+    MorleyBatch,
     MorleyElement,
     PlateDofMap,
+    StressBatch,
     StressDofMap,
     VectorP1Tet,
     VectorP1Tri,
+    _morley_dof_matrices,
+    _stress_dof_matrices,
+    checked_inverses,
     span_dlam,
     span_scalars,
     tet_barycentric,
@@ -415,3 +421,57 @@ def test_nearly_flat_tets_are_refused_like_the_reference():
         HuMaElement(flat_body.tet_vertices(0))
     with pytest.raises(ValueError, match="ill-conditioned"):
         asm.assemble_compliance(flat_body, StressDofMap(body), default_params())
+
+
+# ---------------------------------------------------------------------------
+# The one rule for local inverses (``checked_inverses``).
+# ---------------------------------------------------------------------------
+
+def assert_limit_is_cond_1(matrices):
+    """``checked_inverses`` accepts each matrix with CONDITION_LIMIT just
+    above its np.linalg.cond(M, 1) and refuses it just below: the condition
+    number it checks is that one to 1e-8 relative."""
+    for M, c in zip(matrices, np.linalg.cond(matrices, 1)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fe_elements, "CONDITION_LIMIT", c * (1 + 1e-8))
+            checked_inverses(1, lambda _: M[None], "matrix")
+            mp.setattr(fe_elements, "CONDITION_LIMIT", c * (1 - 1e-8))
+            with pytest.raises(ValueError,
+                               match="matrix 0 is ill-conditioned"):
+                checked_inverses(1, lambda _: M[None], "matrix")
+
+
+def test_checked_condition_number_is_cond_1():
+    body, plate = build((11, 2, (8, Diagonal.FLIPPED)))
+    k = StressBatch(body.vertices[body.tets])
+    assert_limit_is_cond_1(_stress_dof_matrices(k.tangents, k.face_normals))
+    mo = MorleyBatch(plate.vertices[plate.triangles])
+    assert_limit_is_cond_1(_morley_dof_matrices(mo.grad_lambda,
+                                                mo.edge_normals))
+    system = asm.build_mixed_system(body, plate, default_case())
+    hb = hybrid.condense(system)[0]
+    ess = hb.essential[:12]
+    assert ess.any()  # blocks with eliminated free-face DOFs among them
+    assert_limit_is_cond_1(hybrid._saddle_blocks(
+        hb.blocks.A[:12], hb.blocks.B[:12], ess))
+
+
+def test_degenerate_tet_in_a_later_chunk_is_named(monkeypatch):
+    # Six tets in chunks of four: tet 5 is the second chunk's tet 1.
+    monkeypatch.setattr(fe_elements, "LOCAL_CHUNK", 4)
+    body = build_body_mesh(1)
+    verts = body.vertices[body.tets]
+    verts[5, :, 2] *= 1e-12
+    with pytest.raises(ValueError, match="stress DOF matrix of tet 5 is "
+                       "ill-conditioned"):
+        StressBatch(verts)
+
+
+def test_chunked_coefficients_equal_one_batch(monkeypatch):
+    body, plate = build((12, 2, (4, Diagonal.SAME_AS_BODY)))
+    tets = body.vertices[body.tets]
+    tris = plate.vertices[plate.triangles]
+    whole = StressBatch(tets).coeffs, MorleyBatch(tris).coeffs
+    monkeypatch.setattr(fe_elements, "LOCAL_CHUNK", 5)
+    assert np.array_equal(StressBatch(tets).coeffs, whole[0])
+    assert np.array_equal(MorleyBatch(tris).coeffs, whole[1])

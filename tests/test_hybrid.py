@@ -17,7 +17,7 @@ from hypothesis import given
 
 from bodyplate import assembly as asm
 from bodyplate import domain_decomposition as dd
-from bodyplate import hybrid, solvers
+from bodyplate import fe_elements, hybrid, solvers
 from bodyplate import verification_cli as vcli
 from bodyplate.fe_elements import BodyDGDofMap, PlateDofMap, StressDofMap
 from bodyplate.geometry_mesh import Diagonal, build_body_mesh, build_plate_mesh
@@ -351,7 +351,8 @@ def test_bad_local_block_names_its_tet(blocks, defect):
         b.B[3] = 0.0
     else:
         b.A[3] *= 1e-14
-    with pytest.raises(RuntimeError, match="local saddle block of tet 3 "):
+    with pytest.raises(ValueError, match="local saddle block of tet 3 is "
+                       "ill-conditioned"):
         hybrid.HybridBody(smap, b, ess)
 
 
@@ -359,20 +360,21 @@ def test_bad_local_block_names_its_tet(blocks, defect):
 def test_bad_block_in_a_later_chunk_names_its_global_tet(blocks, defect,
                                                           monkeypatch):
     # Six tets in chunks of four: tet 5 is the second chunk's tet 1.
-    monkeypatch.setattr(hybrid, "LOCAL_CHUNK", 4)
+    monkeypatch.setattr(fe_elements, "LOCAL_CHUNK", 4)
     smap, b, ess = blocks
     if defect == "singular":
         b.B[5] = 0.0
     else:
         b.A[5] *= 1e-14
-    with pytest.raises(RuntimeError, match="local saddle block of tet 5 "):
+    with pytest.raises(ValueError, match="local saddle block of tet 5 is "
+                       "ill-conditioned"):
         hybrid.HybridBody(smap, b, ess)
 
 
 def test_chunked_local_inverses_equal_one_batch(blocks, monkeypatch):
     smap, b, ess = blocks
     whole = hybrid.HybridBody(smap, b, ess).M_inv
-    monkeypatch.setattr(hybrid, "LOCAL_CHUNK", 4)
+    monkeypatch.setattr(fe_elements, "LOCAL_CHUNK", 4)
     assert np.array_equal(hybrid.HybridBody(smap, b, ess).M_inv, whole)
 
 
