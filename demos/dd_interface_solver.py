@@ -1,15 +1,16 @@
 """Domain decomposition: solving the coupled system through its interface.
 
 The mixed solve condenses the coupled system onto face multipliers and
-plate DOFs and solves that system S whole by preconditioned CG.  ``solve_dd`` assembles and
-condenses the same S, then eliminates the multipliers and the plate interior
-by blocks, which leaves the interface DOFs of the plate: the body
-contributes a traction response operator (the interface load of a given
-interface displacement, one solve with the multiplier block of S), the
-plate a stiffness response.  A preconditioned conjugate gradient iteration
-on that small interface unknown converges in a handful of iterations,
-independent of the mesh level, because the preconditioned operator is a
-compact perturbation of the identity in the plate-energy inner product.
+plate DOFs and solves that system S whole by preconditioned CG.  ``solve_dd``
+assembles and condenses the same S, then eliminates the multipliers by
+blocks, which leaves the plate DOFs: the body contributes a traction
+response operator (the interface load of a given plate displacement, one
+solve with the multiplier block of S), the plate its stiffness.  A conjugate
+gradient iteration preconditioned by the plate stiffness, started from the
+decoupled plate solve, keeps its residual on the interface DOFs and
+converges in a handful of iterations, independent of the mesh level,
+because the preconditioned operator is a compact perturbation of the
+identity in the plate-energy inner product.
 
 Each run is compared against the monolithic solve of the same configuration.
 """

@@ -1,23 +1,29 @@
-"""Interface solver: conjugate gradients on the Gamma-Schur complement of
+"""Interface solver: conjugate gradients on the plate Schur complement of
 the hybridized system.
 
 ``hybrid`` condenses the coupled problem onto Y = (lambda, w) with the SPD
-matrix S.  Split the free plate DOFs into the interface set Gamma (the
-closure of the coupling region) and the plate interior I.  G reaches only
-Gamma, so S_I,lambda = 0 and S_II = K_II.  Eliminating lambda and w_I by
-blocks leaves, for the plate trace x on Gamma,
+matrix S.  Eliminating the multipliers by blocks leaves, for the free plate
+DOFs w, the system (S_ww - S_w,lambda S_lambda,lambda^-1 S_lambda,w) w =
+r_w - S_w,lambda S_lambda,lambda^-1 r_lambda, whose matrix is K + E: the
+free plate stiffness K plus the body interface operator E (symmetric
+positive semidefinite: G W G^T, the plate block of sum_T C_T M_T^-1 C_T^T,
+minus S_w,lambda S_lambda,lambda^-1 S_lambda,w).  So DD is block
+elimination of the S that ``solve_mixed`` solves whole.
 
-    (S_K + E) x = r_Gamma - S_Gamma,lambda S_lambda,lambda^-1 r_lambda
-                  - K_Gamma,I K_II^-1 r_I,
-
-with the plate Schur complement S_K = K_GammaGamma - K_Gamma,I K_II^-1
-K_I,Gamma and the body interface operator E = G W G^T - S_Gamma,lambda
-S_lambda,lambda^-1 S_lambda,Gamma (symmetric positive semidefinite; G W G^T
-is the Gamma block of sum_T C_T M_T^-1 C_T^T).  So DD is block elimination
-of the S that ``solve_mixed`` solves whole.  T = I + S_K^-1 E is
-self-adjoint and positive in <a, b>_U = a^T S_K b: CG in that metric is
-preconditioned CG on (S_K + E) with (K_ff^-1)_GammaGamma = S_K^-1, whose
-r^T z is the squared U-norm of the T-equation residual.
+CG runs on it preconditioned by K^-1, from the decoupled plate solve
+w0 = K^-1 f_w.  G reaches only the interface set Gamma (the plate DOFs on
+the closure of the coupling region), so E vanishes off Gamma and r_w = f_w
+on the plate interior I: the residual of w0 is zero on I, every search
+direction (K^-1 of such residuals) is discrete harmonic, K p = 0 on I, and
+so the next residual is zero on I again.  On K-harmonic extensions of
+Gamma traces K acts as the plate Schur complement S_K = K_GammaGamma -
+K_Gamma,I K_II^-1 K_I,Gamma and K^-1 as S_K^-1, so the iterates are those
+of CG on (S_K + E) x = b_Gamma preconditioned by S_K^-1, extended
+K-harmonically into I (Toselli & Widlund 2005, Domain Decomposition
+Methods), with the same r^T z and Euclidean residuals.  T = I + S_K^-1 E is
+self-adjoint and positive in <a, b>_U = a^T S_K b, and r^T z is the squared
+U-norm of the T-equation residual.  The solve never reads Gamma: it only
+reports the CG trace there and the junction residual.
 
 ``SchurProduct``, ``BodyOperator`` and ``PlateOperator`` build S_K, E and
 the plate solves from their own assembly, for checking the operator
@@ -29,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .assembly import (
     BodyBlocks,
@@ -71,20 +76,6 @@ def build_interface_dof_set(plate: TriMesh, pmap: PlateDofMap) -> np.ndarray:
     return np.sort(np.concatenate([2 * v, 2 * v + 1, 2 * nv + v, 3 * nv + e]))
 
 
-def _split_free(pmap: PlateDofMap, gamma_dofs: np.ndarray):
-    """The free plate DOFs, and the positions among them of the interface
-    DOF set and of the rest (the plate interior)."""
-    free = np.flatnonzero(~pmap.constrained)
-    pos = -np.ones(pmap.n_dofs, dtype=np.int64)
-    pos[free] = np.arange(free.size)
-    gamma_local = pos[gamma_dofs]
-    if np.any(gamma_local < 0):
-        raise ValueError("interface DOF set intersects the clamped boundary")
-    mask = np.zeros(free.size, dtype=bool)
-    mask[gamma_local] = True
-    return free, gamma_local, np.flatnonzero(~mask)
-
-
 class SchurProduct:
     """Matrix-vector products with the plate Schur complement onto the
     interface DOF set: S x = (K_GG - K_GI K_II^-1 K_IG) x.
@@ -98,11 +89,18 @@ class SchurProduct:
                  params: MaterialParams, gamma_dofs: np.ndarray,
                  region: str = "all"):
         K = assemble_plate_stiffness(plate, pmap, params, region=region)
-        free, gamma_local, interior_local = _split_free(pmap, gamma_dofs)
+        free = np.flatnonzero(~pmap.constrained)
+        pos = -np.ones(pmap.n_dofs, dtype=np.int64)
+        pos[free] = np.arange(free.size)
+        g = pos[gamma_dofs]
+        if np.any(g < 0):
+            raise ValueError("interface DOF set intersects the clamped "
+                             "boundary")
+        i = np.setdiff1d(np.arange(free.size), g)
         Kf = K.tocsr()[free][:, free].tocsc()
-        self.K_gg = Kf[gamma_local][:, gamma_local]
-        self.K_gi = Kf[gamma_local][:, interior_local]
-        self.K_ii = Kf[interior_local][:, interior_local]
+        self.K_gg = Kf[g][:, g]
+        self.K_gi = Kf[g][:, i]
+        self.K_ii = Kf[i][:, i]
         self._lu_ii = SparseFactor(self.K_ii)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -190,13 +188,16 @@ class DDSolution:
 def cg_interface_solve(apply_op, apply_prec, b: np.ndarray,
                        tol: float = CG_TOL, max_it: int = CG_MAX_IT
                        ) -> tuple[np.ndarray, DDReport]:
-    """Preconditioned CG (the shared ``solvers.pcg`` loop) on (S_K + E) x = b
-    with preconditioner S_K^-1.
+    """Preconditioned CG (the shared ``solvers.pcg`` loop) on the interface
+    system: in ``solve_dd`` the plate Schur complement of S, K + E = S_ww -
+    S_w,lambda S_lambda,lambda^-1 S_lambda,w, with preconditioner K^-1,
+    which from a residual zero off Gamma is CG on (S_K + E) x = b with
+    preconditioner S_K^-1.
 
     The reported residual history is the relative U-norm of the residual of
     the equivalent fixed-point equation (I + S_K^-1 E) x = S_K^-1 b, which is
-    sqrt(r^T z) of standard PCG; the Euclidean relative residual of the
-    (S_K + E) equation is logged alongside.
+    sqrt(r^T z) of standard PCG; the Euclidean relative residual is logged
+    alongside.
     """
     x, converged, hist_u, hist_e = pcg(apply_op, apply_prec, b, tol, max_it,
                                        label="interface CG")
@@ -212,61 +213,51 @@ def solve_dd(body: TetMesh, plate: TriMesh, case: ManufacturedCase,
     """Solve the coupled problem by the interface CG method.
 
     Pipeline: one assembly (``build_mixed_system``) and one condensation
-    (``hybrid.condense``) shared with ``solve_mixed``; factors of the
-    multiplier block S_lambda,lambda, the plate interior K_II and the free
-    plate stiffness K_ff; interface CG on the Gamma-Schur complement of S,
-    whose operator and preconditioner apply these factors unrefined; then
-    the multipliers, the local back-substitution and one plate solve, all
-    refined.  The coupled S itself is never solved or preconditioned.
+    (``hybrid.condense``) shared with ``solve_mixed``; two factors, of the
+    multiplier block S_lambda,lambda and of the free plate stiffness K_ff;
+    CG on the plate Schur complement S_ww - S_w,lambda S_lambda,lambda^-1
+    S_lambda,w with preconditioner K_ff^-1, both applying these factors
+    unrefined; then the multipliers, the local back-substitution and one
+    plate solve, all refined.  The coupled S itself is never solved or
+    preconditioned.  The interface DOF set only reports: ``x_gamma`` is the
+    CG plate solution there, and the junction residual its distance from
+    the final w.
     """
     system = build_mixed_system(body, plate, case, params,
                                 quad_volume=quad_volume,
                                 quad_interface=quad_interface)
     hb, free, load = condense(system)
-    gamma = build_interface_dof_set(plate, system.pmap)
-    _, g, i = _split_free(system.pmap, gamma)
     n = hb.n_lam
-    S, K = hb.S, hb.K  # S is CSC and symmetric: columns stand for rows
-    S_g = S[:, n + g]
-    S_lg, S_gg, K_gi = S_g[:n], S_g[n + g], K[g][:, i]
-    off = S[:, n + i] - sp.vstack([sp.csc_matrix((n, i.size)), K[:, i]])
-    if off.count_nonzero():
-        raise RuntimeError("the interface coupling reaches plate DOFs off "
-                           "the interface set")
-    lu_l = SparseFactor(S[:n, :n])
-    lu_i, lu_k = SparseFactor(K[i][:, i]), SparseFactor(K)
-    r_l, r_i, r_g = load.r[:n], load.r[n + i], load.r[n + g]
+    S = hb.S  # S is CSC and symmetric: columns stand for rows
+    S_lw, S_ww = S[:n, n:], S[n:, n:]
+    lu_l, lu_k = SparseFactor(S[:n, :n]), SparseFactor(hb.K)
+    r_l, r_w = load.r[:n], load.r[n:]
 
-    def multipliers(x):
-        return lu_l.solve(r_l - S_lg @ x)
+    def multipliers(w):
+        return lu_l.solve(r_l - S_lw @ w)
 
-    # Inside CG the inverses are operators: one unrefined solve each.
-    def apply_op(x):
-        return (S_gg @ x - S_lg.T @ lu_l.apply(S_lg @ x)
-                - K_gi @ lu_i.apply(K_gi.T @ x))
+    # Inside CG the inverse is an operator: one unrefined solve.
+    def apply_op(w):
+        return S_ww @ w - S_lw.T @ lu_l.apply(S_lw @ w)
 
-    def apply_prec(rv):
-        z = np.zeros(free.size)
-        z[g] = rv
-        return lu_k.apply(z)[g]
-
-    # CG corrects the decoupled plate trace x0; b is the residual of x0.
-    x0 = lu_k.solve(load.f_w)[g]
-    b = (r_g - S_gg @ x0 - S_lg.T @ multipliers(x0)
-         - K_gi @ lu_i.solve(r_i - K_gi.T @ x0))
-    dx, report = cg_interface_solve(apply_op, apply_prec, b,
+    # CG corrects the decoupled plate solve w0; b is the residual of w0.
+    w0 = lu_k.solve(load.f_w)
+    b = r_w - S_ww @ w0 - S_lw.T @ multipliers(w0)
+    dw, report = cg_interface_solve(apply_op, lu_k.apply, b,
                                     tol=tol, max_it=max_it)
-    x = x0 + dx
+    w_cg = w0 + dw
 
-    # Reconstruction, the trace x as data of the body rows.
-    y = np.zeros(S.shape[0])
-    y[:n] = multipliers(x)
-    y[n + g] = x
+    # Reconstruction, the CG plate solution as data of the body rows.
+    y = np.concatenate([multipliers(w_cg), w_cg])
     sigma, x_u, _ = hb.back_substitute(y, load, plate_rows=False)
     u = np.zeros(system.vmap.n_dofs)
     u[system.vmap.ltg] = x_u
     w = np.zeros(system.pmap.n_dofs)
     w[free] = lu_k.solve(load.f_w - hb.plate_load(sigma))
+    gamma = build_interface_dof_set(plate, system.pmap)
+    trace = np.zeros(system.pmap.n_dofs)
+    trace[free] = w_cg
+    x = trace[gamma]
     junction = float(np.linalg.norm(w[gamma] - x))
     return DDSolution(sigma=sigma, u=u, w=w, x_gamma=x,
                       report=report, junction_residual=junction)

@@ -43,8 +43,10 @@ class MaterialParams:
     t_beta: float
 
     def __post_init__(self):
-        if self.e_alpha <= 0 or self.e_beta <= 0 or self.t_beta <= 0:
-            raise ValueError("moduli and thickness must be positive")
+        for name in ("e_alpha", "e_beta", "t_beta"):
+            if not getattr(self, name) > 0:
+                raise ValueError(
+                    f"{name} must be positive, got {getattr(self, name)}")
         if not (-1.0 < self.nu_alpha < 0.5):
             raise ValueError(f"nu_alpha must lie in (-1, 1/2), got {self.nu_alpha}")
         if not (-1.0 < self.nu_beta < 0.5):

@@ -4,8 +4,8 @@ preconditioned conjugate-gradient loop.
 Every factorization goes through one factor object, ``SparseFactor``:
 SuperLU in symmetric mode, with the ordering picked from the matrix itself.
 A matrix whose diagonal is positive throughout (the coarse matrix of the
-condensed-system preconditioner, the multiplier block and plate stiffness
-blocks of the interface solver, the displacement baseline, the condensed
+condensed-system preconditioner, the multiplier block and the free plate
+stiffness of the interface solver, the displacement baseline, the condensed
 system S itself as a test oracle) is factored without pivoting on a
 minimum-degree ordering of A^T + A; any other (the indefinite saddle-point
 system, kept as the monolithic test oracle) on COLAMD with a small

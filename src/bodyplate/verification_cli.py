@@ -37,7 +37,13 @@ from .geometry_mesh import Diagonal, TetMesh, TriMesh, build_body_mesh, build_pl
 from .hybrid import solve_hybrid
 from .manufactured import ManufacturedCase, default_case
 from .materials import MaterialParams, c0_apply, default_params
-from .quadrature import physical_weights, tet_rule, triangle_rule
+from .quadrature import (
+    TET_MAX_DEGREE,
+    TRIANGLE_MAX_DEGREE,
+    physical_weights,
+    tet_rule,
+    triangle_rule,
+)
 from .solvers import SolveReport, solve_saddle_point
 
 __all__ = [
@@ -405,7 +411,29 @@ def load_config(path: str) -> RunConfig:
                 raise ConfigError(f"{path}:{lineno}: bad value for {key}: "
                                   f"{val!r}") from exc
             setattr(cfg, key, parsed)
+    problem = _invalid(cfg)
+    if problem:
+        raise ConfigError(f"{path}: {problem}")
     return cfg
+
+
+def _invalid(cfg: RunConfig) -> str | None:
+    """The first value of ``cfg`` that no solve accepts, named by its key."""
+    try:
+        cfg.material_params()
+    except ValueError as exc:
+        return str(exc)
+    both = min(TET_MAX_DEGREE, TRIANGLE_MAX_DEGREE)  # tets and plate triangles
+    for key, top in (("quad_volume", both),
+                     ("quad_interface", TRIANGLE_MAX_DEGREE),
+                     ("quad_error", both)):
+        if not 0 <= getattr(cfg, key) <= top:
+            return f"{key} must be in [0, {top}], got {getattr(cfg, key)}"
+    if not cfg.dd_tol > 0:
+        return f"dd_tol must be positive, got {cfg.dd_tol}"
+    if cfg.dd_max_it < 1:
+        return f"dd_max_it must be >= 1, got {cfg.dd_max_it}"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -465,8 +493,12 @@ def _matching(n_body: int, n_plate: int, diagonal: Diagonal) -> bool:
 
 def _meshes(args, require_matching: bool = False):
     """Body and plate meshes of --body-level, --plate-level and --diagonal,
-    or None after an error message when the plate level cannot resolve the
-    interface boundary or the meshes are required to match and do not."""
+    or None after an error message when the body level is negative, the
+    plate level cannot resolve the interface boundary or the meshes are
+    required to match and do not."""
+    if args.body_level < 0:
+        print("error: --body-level must be >= 0", file=sys.stderr)
+        return None
     if args.plate_level < 2:
         print("error: plate level must be >= 2 so the plate mesh resolves "
               "the interface boundary", file=sys.stderr)
@@ -536,6 +568,10 @@ def _convergence_command(args, cfg: RunConfig) -> int:
 
 
 def _dd_command(args, cfg: RunConfig) -> int:
+    if args.tol is not None and not args.tol > 0:
+        print(f"error: --tol must be positive, got {args.tol}",
+              file=sys.stderr)
+        return 2
     meshes = _meshes(args)
     if meshes is None:
         return 2

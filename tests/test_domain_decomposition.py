@@ -400,18 +400,31 @@ def test_gamma_schur_complement_of_S_is_the_interface_operator(case):
     assert np.abs(schur_S - S_K_E).max() <= 1e-12 * np.abs(S_K_E).max()
 
 
-def test_coupling_off_the_interface_set_is_refused(case, monkeypatch):
+def test_solve_dd_does_not_depend_on_the_interface_set(case, monkeypatch):
     # Dropping the interface DOFs of one plate vertex puts G's rows there
-    # into the plate interior, where S would no longer equal K.
+    # off the interface set.  The solve never reads the set: only the
+    # reported trace loses those entries.
+    body, plate = build_body_mesh(1), build_plate_mesh(4)
+    full = dd.solve_dd(body, plate, case)
     original = dd.build_interface_dof_set
+    v = np.argmin(np.abs(plate.vertices).sum(1))
+    dropped = [2 * v, 2 * v + 1, 2 * plate.n_vertices + v]
 
     def short(plate, pmap):
         gamma = original(plate, pmap)
-        return gamma[gamma != 2 * np.argmin(np.abs(plate.vertices).sum(1))]
+        return gamma[~np.isin(gamma, dropped)]
 
     monkeypatch.setattr(dd, "build_interface_dof_set", short)
-    with pytest.raises(RuntimeError, match="off the interface set"):
-        dd.solve_dd(build_body_mesh(1), build_plate_mesh(4), case)
+    sol = dd.solve_dd(body, plate, case)
+    for name in ("sigma", "u", "w"):
+        assert np.array_equal(getattr(sol, name), getattr(full, name))
+    assert sol.report.iterations == full.report.iterations
+    assert sol.report.history_u == full.report.history_u
+    assert sol.report.history_euclid == full.report.history_euclid
+    gamma = original(plate, PlateDofMap(plate))
+    kept = ~np.isin(gamma, dropped)
+    assert np.count_nonzero(~kept) == 3
+    assert np.array_equal(sol.x_gamma, full.x_gamma[kept])
 
 
 def test_reconstruction_keeps_the_body_residual_check(case, monkeypatch):

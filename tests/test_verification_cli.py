@@ -342,6 +342,34 @@ class TestCli:
         assert explicit == default
         assert default[-1] <= 1e-6
 
+    @pytest.mark.parametrize("config, argv, name", [
+        (None, ["solve", "--body-level", "-1", "--plate-level", "2"],
+         "--body-level"),
+        ("dd_tol = 0", ["dd-solve", "--body-level", "0", "--plate-level", "2"],
+         "dd_tol"),
+        (None, ["dd-solve", "--body-level", "0", "--plate-level", "2",
+                "--tol", "0"], "--tol"),
+        ("dd_max_it = -3",
+         ["dd-solve", "--body-level", "0", "--plate-level", "2"], "dd_max_it"),
+        ("nu_alpha = 0.7",
+         ["solve", "--body-level", "0", "--plate-level", "2"], "nu_alpha"),
+        ("t_beta = -1", ["solve", "--body-level", "0", "--plate-level", "2"],
+         "t_beta"),
+        ("quad_error = 99",
+         ["solve", "--body-level", "0", "--plate-level", "2"], "quad_error"),
+    ])
+    def test_bad_input_is_usage_error(self, tmp_path, capsys, config, argv,
+                                      name):
+        # Values no solve accepts stop before any solve, naming the key or
+        # flag, with the usage exit code.
+        head = []
+        if config is not None:
+            path = tmp_path / "bad.cfg"
+            path.write_text(config + "\n")
+            head = ["--config", str(path)]
+        assert vcli.cli_main(head + argv) == 2
+        assert name in capsys.readouterr().err
+
     def test_main_exits(self, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["bodyplate"])
         with pytest.raises(SystemExit) as exc:
