@@ -44,6 +44,7 @@ from .fe_elements import (
     PlateDofMap,
     StressBatch,
     StressDofMap,
+    local_chunks,
     simplex_barycentric,
     simplex_geometry,
     span_dlam,
@@ -87,6 +88,79 @@ def _scatter(rows: np.ndarray, cols: np.ndarray, blocks: np.ndarray,
     ).tocsr()
 
 
+#: The local stress DOFs of a tet by group: its four faces (nine DOFs
+#: each, shared with the tet across the face) and its interior (six).
+_GROUP_FIRST = np.array([0, 9, 18, 27, 36])
+_GROUP_OF_DOF = np.repeat(np.arange(5), np.diff(np.append(_GROUP_FIRST, 42)))
+
+
+def _scatter_tet_blocks(smap: StressDofMap, dof: np.ndarray, blocks, n: int,
+                        rest: sp.csr_matrix | None = None
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The CSR arrays (data, indices, indptr) of the n x n matrix
+    sum_T blocks_T over the local stress DOFs of the tets, plus ``rest``.
+
+    ``dof`` (n_tets, 42) numbers the local DOFs (-1: left out) so that each
+    group of ``_GROUP_FIRST`` is kept or left out whole, onto a contiguous
+    range; ``blocks(c)`` gives the blocks (m, 42, 42) of the tets in slice c.
+    ``rest`` (n x n, sorted indices, None for none) holds the other entries;
+    in a row that the blocks reach they must lie right of the blocks'.
+
+    A row of group G reaches the groups of the one or two tets holding G,
+    so its layout follows from the tet-face adjacency: no triplets are
+    formed.  The blocks are built and added one ``local_chunks`` slice at a
+    time.  An entry sums at most two tets, the two sides of a face, so the
+    result does not depend on the order of the sums."""
+    nt = len(dof)
+    start = np.minimum.reduceat(dof, _GROUP_FIRST, axis=1)  # (nt, 5)
+    size = np.add.reduceat(dof >= 0, _GROUP_FIRST, axis=1)
+    # The tet across each face group, -1 on the boundary and inside.
+    fid = smap.ltg[:, :36:9] // 9
+    owner, nbr = smap.face_owner[fid], smap.face_neighbor[fid]
+    other = np.full((nt, 5), -1, dtype=np.int64)
+    other[:, :4] = np.where(owner == np.arange(nt)[:, None], nbr, owner)
+    across = other >= 0
+    o = np.where(across, other, 0)
+    row_len = size.sum(axis=1)[:, None] + across * (
+        size[o].sum(axis=2) - size)
+    counts = np.zeros(n, dtype=np.int64)
+    kept = dof >= 0
+    counts[dof[kept]] = row_len[:, _GROUP_OF_DOF][kept]
+    if rest is not None:
+        counts += np.diff(rest.indptr)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    itype = np.int32 if max(n, indptr[-1]) < 2**31 else np.int64
+    indptr = indptr.astype(itype)
+    data = np.zeros(indptr[-1])
+    indices = np.empty(indptr[-1], dtype=itype)
+    for c in local_chunks(nt):
+        st, sz, ac, oc = start[c], size[c], across[c], o[c]
+        # Offset of group b in a row of group a: the sizes of the row's
+        # groups that start before b, over both tets, the shared one once.
+        before = sz[:, None, :] * (st[:, None, :] < st[:, :, None])
+        off_t = before.sum(axis=2)[:, None, :]  # (m, 1, b)
+        so, zo = start[oc], size[oc]  # (m, a, 5)
+        off_o = (zo[:, :, None, :]
+                 * (so[:, :, None, :] < st[:, None, :, None])).sum(axis=3)
+        off_o -= sz[:, :, None] * (st[:, :, None] < st[:, None, :])
+        off = off_t + ac[:, :, None] * off_o  # (m, a, b)
+        d, g = dof[c], _GROUP_OF_DOF
+        pos = (indptr[np.where(d >= 0, d, 0)][:, :, None]
+               + off[:, g][:, :, g] + (d - st[:, g])[:, None, :])
+        keep = (d >= 0)[:, :, None] & (d >= 0)[:, None, :]
+        pos = pos[keep]
+        np.add.at(data, pos, blocks(c)[keep])
+        indices[pos] = np.broadcast_to(d[:, None, :], keep.shape)[keep]
+    if rest is not None:
+        first = indptr[1:] - np.diff(rest.indptr)  # where rest starts
+        row = np.repeat(np.arange(n), np.diff(rest.indptr))
+        pos = first[row] + np.arange(rest.nnz) - rest.indptr[row]
+        data[pos] = rest.data
+        indices[pos] = rest.indices
+    return data, indices, indptr
+
+
 def _scatter_vector(idx: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
     """Sum element vectors into a global vector of length n."""
     return np.bincount(idx.ravel(), weights=vals.ravel(), minlength=n)
@@ -119,15 +193,18 @@ def _vector_p1_strains(grad_lambda: np.ndarray) -> np.ndarray:
 # Body bilinear forms.
 # ---------------------------------------------------------------------------
 
-def _stress_batch(body: TetMesh) -> StressBatch:
-    return StressBatch(body.vertices[body.tets])
+def _stress_batch(body: TetMesh, c: slice) -> StressBatch:
+    """The stress element on the tets of slice c of the body."""
+    return StressBatch(body.vertices[body.tets[c]], c.start)
 
 
-def _scatter_stress(smap: StressDofMap, loc: np.ndarray) -> sp.csr_matrix:
-    """Global stress form from unsigned (n_tets, 42, 42) local blocks."""
-    s = smap.sign
-    return _scatter(smap.ltg, smap.ltg, loc * s[:, :, None] * s[:, None, :],
-                    (smap.n_dofs, smap.n_dofs))
+def _scatter_stress(smap: StressDofMap, blocks) -> sp.csr_matrix:
+    """Global stress form from ``blocks(c)``, the unsigned local blocks
+    (m, 42, 42) of the tets in slice c (see ``_scatter_tet_blocks``)."""
+    s, n = smap.sign, smap.n_dofs
+    return sp.csr_matrix(_scatter_tet_blocks(
+        smap, smap.ltg,
+        lambda c: blocks(c) * s[c, :, None] * s[c, None, :], n), shape=(n, n))
 
 
 def _basis_blocks(k: StressBatch, span: np.ndarray) -> np.ndarray:
@@ -182,10 +259,17 @@ class BodyBlocks:
     B: np.ndarray
 
     @classmethod
-    def build(cls, k: StressBatch, params: MaterialParams,
+    def build(cls, body: TetMesh, params: MaterialParams,
               quad_degree: int = 4) -> "BodyBlocks":
-        return cls(compliance_blocks(k, params, quad_degree),
-                   divergence_blocks(k, quad_degree))
+        """The blocks of every tet, from one ``StressBatch`` per
+        ``local_chunks`` slice: only A and B reach the size of the mesh."""
+        n = body.n_tets
+        blocks = cls(np.empty((n, 42, 42)), np.empty((n, 12, 42)))
+        for c in local_chunks(n):
+            k = _stress_batch(body, c)
+            blocks.A[c] = compliance_blocks(k, params, quad_degree)
+            blocks.B[c] = divergence_blocks(k, quad_degree)
+        return blocks
 
 
 def assemble_compliance(
@@ -195,30 +279,34 @@ def assemble_compliance(
     quad_degree: int = 4,
 ) -> sp.csr_matrix:
     """A[i, j] = int_alpha (C0^-1 phi_j) : phi_i  (symmetric positive definite)."""
-    return _scatter_stress(
-        smap, compliance_blocks(_stress_batch(body), params, quad_degree))
+    return _scatter_stress(smap, lambda c: compliance_blocks(
+        _stress_batch(body, c), params, quad_degree))
 
 
 def assemble_stress_mass(
     body: TetMesh, smap: StressDofMap, quad_degree: int = 4
 ) -> sp.csr_matrix:
     """Plain L2 mass of the stress space, int phi_i : phi_j."""
-    return _scatter_stress(smap, _tensor_mass_blocks(
-        _stress_batch(body), quad_degree, lambda T: T))
+    return _scatter_stress(smap, lambda c: _tensor_mass_blocks(
+        _stress_batch(body, c), quad_degree, lambda T: T))
+
+
+def _div_div_blocks(k: StressBatch, quad_degree: int) -> np.ndarray:
+    """Unsigned local blocks (n, 42, 42) of int div phi_i . div phi_j."""
+    rule = tet_rule(quad_degree)
+    d = k.div_scalars(span_dlam(rule.points))  # div(span_k) = d_k t_{e_k}
+    t = k.tangents[:, SPAN_EDGE]
+    dd = np.einsum("q,nqk,nql->nkl", rule.weights, d, d)
+    tt = np.einsum("nkc,nlc->nkl", t, t)
+    return _basis_blocks(k, (k.volume / TET_MEASURE)[:, None, None] * dd * tt)
 
 
 def assemble_div_div(
     body: TetMesh, smap: StressDofMap, quad_degree: int = 4
 ) -> sp.csr_matrix:
     """int div phi_i . div phi_j (elementwise divergence)."""
-    rule = tet_rule(quad_degree)
-    k = _stress_batch(body)
-    d = k.div_scalars(span_dlam(rule.points))  # div(span_k) = d_k t_{e_k}
-    t = k.tangents[:, SPAN_EDGE]
-    dd = np.einsum("q,nqk,nql->nkl", rule.weights, d, d)
-    tt = np.einsum("nkc,nlc->nkl", t, t)
-    return _scatter_stress(smap, _basis_blocks(
-        k, (k.volume / TET_MEASURE)[:, None, None] * dd * tt))
+    return _scatter_stress(smap, lambda c: _div_div_blocks(
+        _stress_batch(body, c), quad_degree))
 
 
 def _scatter_divergence(smap: StressDofMap, vmap, loc: np.ndarray
@@ -234,8 +322,8 @@ def assemble_divergence(
     quad_degree: int = 4,
 ) -> sp.csr_matrix:
     """B[k, i] = int_alpha div(phi_i) . psi_k  (V x Sigma)."""
-    return _scatter_divergence(
-        smap, vmap, divergence_blocks(_stress_batch(body), quad_degree))
+    return _scatter_divergence(smap, vmap, divergence_blocks(
+        _stress_batch(body, slice(0, body.n_tets)), quad_degree))
 
 
 def assemble_body_mass(body: TetMesh, vmap, quad_degree: int = 4) -> sp.csr_matrix:
@@ -328,30 +416,26 @@ def interface_coupling_blocks(
     pmap: PlateDofMap,
     faces: list[InterfaceFace],
     cells: list[OverlayCell],
-    k: StressBatch | None = None,
 ) -> CouplingBlocks:
     """Local blocks of G[w, s] = int_Gamma (phi_s n) . (Pi chi_w) on the
-    overlay cells; ``k`` is the stress batch of all tets, or None to build
-    one for the interface faces' owner tets only.
+    overlay cells, from the stress element on the interface faces' owner
+    tets.
 
     Pi is the trace lowering: membrane test functions unchanged, Morley test
     functions replaced by the continuous P1 field of their vertex values
     (Morley edge DOFs yield identically zero rows).
     """
     owner, local = _interface_local_faces(body, faces)
-    tets = owner  # each face's owner as an entry of k
-    if k is None:
-        k = StressBatch(body.vertices[body.tets[owner]])
-        tets = np.arange(owner.size)
+    k = StressBatch(body.vertices[body.tets[owner]])  # entry f: f's owner
     cell_face = np.array([c.face_id for c in cells], dtype=np.int64)
     cell_tri = np.array([c.tri_id for c in cells], dtype=np.int64)
-    mom = _overlay_moments(k, tets[cell_face], plate, cells, cell_tri)
+    mom = _overlay_moments(k, cell_face, plate, cells, cell_tri)
     # The traction of span_k is s_k (t_{e_k} . n) t_{e_k}.
-    t = k.tangents[tets][:, SPAN_EDGE]  # (n_faces, 42, 3)
-    nrm = k.face_normals[tets, local]
+    t = k.tangents[:, SPAN_EDGE]  # (n_faces, 42, 3)
+    nrm = k.face_normals[np.arange(owner.size), local]
     mom = mom * np.einsum("fkc,fc->fk", t, nrm)[cell_face][:, None]
     span = mom[:, :, None, :] * np.swapaxes(t, 1, 2)[cell_face][:, None]
-    coeffs = np.swapaxes(k.coeffs[tets[cell_face]], 1, 2)
+    coeffs = np.swapaxes(k.coeffs[cell_face], 1, 2)
     blk = (span.reshape(-1, 9, 42) @ coeffs).reshape(-1, 3, 3, 42)
     rows = [pmap.mem_ltg[cell_tri], pmap.mor_ltg[cell_tri, :3]]
     blocks = [blk[:, :, :2].reshape(-1, 6, 42), blk[:, :, 2]]
@@ -556,7 +640,7 @@ class BlockSystem:
 
     @cached_property
     def A(self) -> sp.csr_matrix:
-        return _scatter_stress(self.smap, self.blocks.A)
+        return _scatter_stress(self.smap, lambda c: self.blocks.A[c])
 
     @cached_property
     def B(self) -> sp.csr_matrix:
@@ -631,9 +715,8 @@ def build_mixed_system(
     if cells is None:
         cells = intersect_triangulations(faces, plate, quad_degree=quad_interface)
 
-    k = _stress_batch(body)
-    blocks = BodyBlocks.build(k, params, quad_volume)
-    coupling = interface_coupling_blocks(body, plate, pmap, faces, cells, k)
+    blocks = BodyBlocks.build(body, params, quad_volume)
+    coupling = interface_coupling_blocks(body, plate, pmap, faces, cells)
     K = assemble_plate_stiffness(plate, pmap, params, region="all")
     f_V, f_W = assemble_loads(
         body, vmap, plate, pmap, case,

@@ -42,7 +42,7 @@ from .assembly import (
     build_mixed_system,
     impose_traction_bc,
 )
-from .fe_elements import BodyDGDofMap, PlateDofMap, StressBatch, StressDofMap
+from .fe_elements import BodyDGDofMap, PlateDofMap, StressDofMap
 from .geometry_mesh import GAMMA_HALF_WIDTH, TetMesh, TriMesh
 from .hybrid import HybridBody, condense
 from .manufactured import ManufacturedCase
@@ -126,8 +126,7 @@ class BodyOperator:
                  params: MaterialParams, traction_fn, quad_volume: int = 4,
                  quad_interface: int = 6):
         self.vmap = vmap
-        k = StressBatch(body.vertices[body.tets])
-        blocks = BodyBlocks.build(k, params, quad_volume)
+        blocks = BodyBlocks.build(body, params, quad_volume)
         ess_idx, ess_vals = impose_traction_bc(body, smap, traction_fn,
                                                quad_degree=quad_interface)
         self.hybrid = HybridBody(smap, blocks, ess_idx)
@@ -228,9 +227,13 @@ def solve_dd(body: TetMesh, plate: TriMesh, case: ManufacturedCase,
                                 quad_interface=quad_interface)
     hb, free, load = condense(system)
     n = hb.n_lam
-    S = hb.S  # S is CSC and symmetric: columns stand for rows
-    S_lw, S_ww = S[:n, n:], S[n:, n:]
-    lu_l, lu_k = SparseFactor(S[:n, :n]), SparseFactor(hb.K)
+    # S is CSC and symmetric: columns stand for rows.  Only its blocks are
+    # kept: hb gives S up, so that S is freed before S_lambda,lambda is
+    # factored.
+    S, hb.S = hb.S, None
+    S_lw, S_ww, S_ll = S[:n, n:], S[n:, n:], S[:n, :n]
+    del S
+    lu_l, lu_k = SparseFactor(S_ll), SparseFactor(hb.K)
     r_l, r_w = load.r[:n], load.r[n:]
 
     def multipliers(w):

@@ -24,8 +24,10 @@ Assembly and the error norms use the batched kernel (``StressBatch``,
 ``MorleyBatch``, ``simplex_geometry``): fixed tables of the spanning
 functions, barycentric quadratics and P1 hats at the quadrature points,
 combined with per-element geometry and dual-basis coefficients computed for a
-whole mesh at once, so the cost does not depend on the mesh being
-structured.  The per-element classes (``HuMaElement``, ``MorleyElement``,
+batch of elements at once, so the cost does not depend on the mesh being
+structured.  The body's batches are ``LOCAL_CHUNK`` tets (``local_chunks``),
+so that only the arrays that are kept reach the size of the mesh.  The
+per-element classes (``HuMaElement``, ``MorleyElement``,
 ``VectorP1Tet``, ``VectorP1Tri``) are the reference the kernel is tested
 against.
 
@@ -73,6 +75,7 @@ __all__ = [
     "SYM_INDEX_PAIRS",
     "CONDITION_LIMIT",
     "checked_inverses",
+    "local_chunks",
 ]
 
 #: The six tet edges (local vertex pairs, i < j).
@@ -88,9 +91,12 @@ SYM_INDEX_PAIRS = [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)]
 #: matrix (see ``checked_inverses``); a larger one, or NaN, fails.
 CONDITION_LIMIT = 1e12
 
-#: Elements whose local matrices ``checked_inverses`` builds and inverts
-#: together, which bounds its temporaries next to the (n, k, k) result.
-LOCAL_CHUNK = 1024
+#: Elements whose local work runs together (``local_chunks``): the local
+#: inverses of ``checked_inverses``, the body's blocks
+#: (``assembly.BodyBlocks``) and the sums of per-tet blocks into sparse
+#: matrices (``assembly``, ``hybrid``) take their elements this many at a
+#: time, so that only the arrays they keep reach the size of the mesh.
+LOCAL_CHUNK = 128
 
 _FACE_RULE = triangle_rule(4)
 _INTERIOR_RULE = tet_rule(4)
@@ -119,11 +125,17 @@ _P2_A, _P2_B = np.array([[0, 0], [1, 1], [2, 2], [1, 2], [2, 0], [0, 1]]).T
 _MIDPOINTS = 0.5 * (1.0 - np.eye(3))
 
 
+def _edge_matrices(verts: np.ndarray) -> np.ndarray:
+    """(n, d, d) matrices whose columns are the edges from vertex 0 of a
+    batch of simplices (n, d+1, d)."""
+    return np.swapaxes(verts[:, 1:] - verts[:, :1], 1, 2)
+
+
 def simplex_geometry(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Barycentric gradients (n, d+1, d) and signed measures (n,) of a batch
     of simplices with vertex coordinates (n, d+1, d)."""
     d = verts.shape[-1]
-    T = np.swapaxes(verts[:, 1:] - verts[:, :1], 1, 2)
+    T = _edge_matrices(verts)
     Tinv = np.linalg.inv(T)  # rows: gradients of lam_1..lam_d
     grad = np.concatenate([-Tinv.sum(axis=1, keepdims=True), Tinv], axis=1)
     return grad, np.linalg.det(T) / (2.0 if d == 2 else 6.0)
@@ -182,16 +194,23 @@ _P2_D2 = np.eye(3)[_P2_A][:, :, None] * np.eye(3)[_P2_B][:, None, :]
 _P2_D2 = _P2_D2 + np.swapaxes(_P2_D2, 1, 2)
 
 
-def checked_inverses(n: int, build, what: str) -> np.ndarray:
+def local_chunks(n: int):
+    """Slices of LOCAL_CHUNK consecutive elements covering n elements (one
+    empty slice for n = 0)."""
+    for lo in range(0, max(n, 1), LOCAL_CHUNK):
+        yield slice(lo, min(lo + LOCAL_CHUNK, n))
+
+
+def checked_inverses(n: int, build, what: str, first: int = 0) -> np.ndarray:
     """Inverses (n, k, k) of n local matrices, ``build(c)`` giving those
-    (m, k, k) of the elements in slice c, LOCAL_CHUNK elements at a time.
-    Fails on the first element, named by ``what`` and its index, whose
-    condition number ||M||_1 ||M^-1||_1 is not at most CONDITION_LIMIT (a
-    chunk with a singular matrix takes ``np.linalg.cond(M, 1)``: inf)."""
-    for lo in range(0, max(n, 1), LOCAL_CHUNK):  # n = 0: one empty chunk
-        c = slice(lo, min(lo + LOCAL_CHUNK, n))
+    (m, k, k) of the elements in slice c, one ``local_chunks`` slice at a
+    time.  Fails on the first element, named by ``what`` and its index
+    (counted from ``first``), whose condition number ||M||_1 ||M^-1||_1 is
+    not at most CONDITION_LIMIT (a chunk with a singular matrix takes
+    ``np.linalg.cond(M, 1)``: inf)."""
+    for c in local_chunks(n):
         M = build(c)
-        if lo == 0:
+        if c.start == 0:
             inv = np.empty((n,) + M.shape[1:])
         try:
             inv[c] = np.linalg.inv(M)
@@ -202,7 +221,7 @@ def checked_inverses(n: int, build, what: str) -> np.ndarray:
         bad = np.flatnonzero(~(cond <= CONDITION_LIMIT))
         if bad.size:
             raise ValueError(
-                f"{what} {lo + bad[0]} is ill-conditioned "
+                f"{what} {first + c.start + bad[0]} is ill-conditioned "
                 f"(cond_1 = {cond[bad[0]]:.3e} > {CONDITION_LIMIT:.0e})"
             )
     return inv
@@ -516,14 +535,20 @@ class StressBatch:
     the unit tangent of edge e.  Arrays: ``v0`` (n, 3), ``grad_lambda``
     (n, 4, 3), ``volume`` (n,), ``tangents`` (n, 6, 3), ``T`` (n, 6, 3, 3),
     outward unit ``face_normals`` (n, 4, 3) and ``coeffs`` (n, 42, 42).
+    A refused tet is named by its index counted from ``first``, the index
+    of the batch's first tet in its mesh.
     """
 
-    def __init__(self, verts: np.ndarray):
+    def __init__(self, verts: np.ndarray, first: int = 0):
         verts = np.asarray(verts, dtype=float)
         self.v0 = verts[:, 0]
+        # Checked before the inverses of simplex_geometry, which fail
+        # unnamed on an exactly flat tet.
+        bad = np.flatnonzero(~(np.linalg.det(_edge_matrices(verts)) > 0))
+        if bad.size:
+            raise ValueError(f"tet {first + bad[0]} is degenerate or "
+                             "negatively oriented")
         self.grad_lambda, self.volume = simplex_geometry(verts)
-        if np.any(self.volume <= 0):
-            raise ValueError("tet is degenerate or negatively oriented")
         t = verts[:, _EDGE_J] - verts[:, _EDGE_I]
         self.tangents = t / np.linalg.norm(t, axis=-1, keepdims=True)
         self.T = self.tangents[..., :, None] * self.tangents[..., None, :]
@@ -533,7 +558,7 @@ class StressBatch:
         self.coeffs = np.swapaxes(checked_inverses(
             len(verts), lambda c: _stress_dof_matrices(
                 self.tangents[c], self.face_normals[c]),
-            "stress DOF matrix of tet"), 1, 2)
+            "stress DOF matrix of tet", first), 1, 2)
 
     def div_scalars(self, dlam: np.ndarray) -> np.ndarray:
         """(n, ..., 42) scalars d with div(span_k) = d_k t_{e_k}, from a

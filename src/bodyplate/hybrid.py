@@ -14,10 +14,20 @@ system is
     sum_T C_T x_T - D Y = H,                 D = diag(0, K),  H = (0, -f_W)
 
 with M_T = [[A_T, B_T^T], [B_T, 0]] the 54 x 54 local saddle block, its
-essential free-face stress DOFs eliminated symmetrically.  All blocks are
-inverted at once, which leaves the symmetric positive definite system
+essential free-face stress DOFs eliminated symmetrically.  Inverting the
+blocks leaves the symmetric positive definite system
 
     S Y = sum_T C_T M_T^-1 F_T - H,          S = sum_T C_T M_T^-1 C_T^T + D.
+
+The blocks are built and inverted, and S is summed, one
+``fe_elements.local_chunks`` slice of tets at a time, so that only the
+inverses and S reach the size of the mesh.  A multiplier row of S reaches
+the faces of the two tets of its face, so the layout of S follows from the
+tet-face adjacency and each 9 x 9 face block goes straight to its place in
+the CSR arrays of S^T, with no triplet arrays
+(``assembly._scatter_tet_blocks``); the rows and columns of the plate DOFs
+are a small sparse product over the tets on Gamma, placed in the same
+arrays.  The CSR arrays of S^T are the CSC arrays of S.
 
 A solve has two halves: the right-hand side of S Y = r (``load``) and the
 local back-substitution x_T = M_T^-1 (F_T - C_T^T Y) of a given Y
@@ -67,7 +77,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import BlockSystem, BodyBlocks, _scatter
+from .assembly import BlockSystem, BodyBlocks, _scatter, _scatter_tet_blocks
 from .fe_elements import StressDofMap, checked_inverses
 from .solvers import RESIDUAL_CONTRACT, SolveReport, SparseFactor, pcg
 
@@ -258,30 +268,28 @@ class HybridBody:
             self._direct = SparseFactor(self.S)
         return self._direct.solve(r), history, True
 
-    def _condensed(self, lam: np.ndarray) -> sp.csr_matrix:
-        """S = sum_T C_T M_T^-1 C_T^T + diag(0, K).  Tets off Gamma touch
-        multipliers only: their dense blocks are scattered at once.  The few
-        tets on Gamma also touch plate DOFs through G; theirs is a sparse
-        product."""
-        nt = lam.shape[0]
-        n_y = self.n_lam + self.K.shape[0]
+    def _condensed(self, lam: np.ndarray) -> sp.csc_matrix:
+        """S = sum_T C_T W_T C_T^T + diag(0, K) as a CSC matrix, with W_T
+        the stress block of M_T^-1.
+
+        The multiplier block sums the face blocks of the W_T straight into
+        the CSR arrays of S^T, one chunk of tets at a time
+        (``_scatter_tet_blocks``).  The tets on Gamma also reach the plate
+        DOFs through G: the plate rows and columns are a small sparse
+        product plus K, placed into the same arrays.  The CSR arrays of S^T
+        are the CSC arrays of S, so S is never copied."""
+        n, n_y = self.n_lam, self.n_lam + self.K.shape[0]
         W = self.M_inv[:, :42, :42]
-        on_gamma = np.unique(self.G.indices // 42)
-        off = np.ones(nt, dtype=bool)
-        off[on_gamma] = False
-        r, w = lam[off, :36].astype(np.int32), W[off, :36, :36]
-        pair = (r[:, :, None] >= 0) & (r[:, None, :] >= 0)
-        S = sp.coo_matrix(
-            (w[pair], (np.broadcast_to(r[:, :, None], w.shape)[pair],
-                       np.broadcast_to(r[:, None, :], w.shape)[pair])),
-            shape=(n_y, n_y)).tocsr()
-        if on_gamma.size:
+        rest = None
+        if n_y > n:
+            P = sp.block_diag((sp.csr_matrix((n, n)), self.K), format="csr")
+            on_gamma = np.unique(self.G.indices // 42)
             ng = on_gamma.size
             cols = (42 * on_gamma[:, None] + np.arange(42)).ravel()
             r = lam[on_gamma].ravel()
             on = np.flatnonzero(r >= 0)
             C_lam = sp.csr_matrix((np.ones(on.size), (r[on], on)),
-                                  shape=(self.n_lam, 42 * ng))
+                                  shape=(n, 42 * ng))
             C = sp.vstack([C_lam, -self.G[:, cols]]).tocsr()
             loc = np.arange(42 * ng).reshape(ng, 42)
             # The essential DOFs of a tet on Gamma carry data, not unknowns:
@@ -290,11 +298,15 @@ class HybridBody:
                 loc, loc, W[on_gamma] * ~(self.essential[on_gamma][:, :, None]
                                           & np.eye(42, dtype=bool)),
                 (42 * ng, 42 * ng))
-            S = S + C @ W_gamma @ C.T
-        if self.K.shape[0]:
-            S = S + sp.block_diag((sp.csr_matrix((self.n_lam, self.n_lam)),
-                                   self.K))
-        return S.tocsc()
+            P = (C @ W_gamma @ C.T + P).tocoo()
+            # The multiplier block of P is among the face blocks; the rest
+            # goes in transposed, as a part of S^T.
+            keep = (P.row >= n) | (P.col >= n)
+            rest = sp.csr_matrix((P.data[keep], (P.col[keep], P.row[keep])),
+                                 shape=(n_y, n_y))
+        return sp.csc_matrix(_scatter_tet_blocks(
+            self.smap, lam, lambda c: np.swapaxes(W[c], 1, 2), n_y, rest),
+            shape=(n_y, n_y))
 
     # --- the maps C_T and their transposes, on all tets at once -----------
 

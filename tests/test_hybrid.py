@@ -20,7 +20,12 @@ from bodyplate import domain_decomposition as dd
 from bodyplate import fe_elements, hybrid, solvers
 from bodyplate import verification_cli as vcli
 from bodyplate.fe_elements import BodyDGDofMap, PlateDofMap, StressDofMap
-from bodyplate.geometry_mesh import Diagonal, build_body_mesh, build_plate_mesh
+from bodyplate.geometry_mesh import (
+    Diagonal,
+    FaceTag,
+    build_body_mesh,
+    build_plate_mesh,
+)
 from bodyplate.interface_overlay import (
     extract_interface_triangulation,
     intersect_triangulations,
@@ -423,9 +428,10 @@ def test_positive_diagonal_factors_without_pivoting():
 
 
 def test_solve_dd_assembles_the_plate_stiffness_once(monkeypatch):
-    # One solve_dd: one assembly, one stress batch, one plate stiffness, one
-    # condensation, and two factors (the multiplier block and the free
-    # plate), neither of them the coupled S.
+    # One solve_dd: one assembly, whose stress batches cover every tet once
+    # for the body blocks and the interface faces' owners once for the
+    # coupling, one plate stiffness, one condensation, and two factors (the
+    # multiplier block and the free plate), neither of them the coupled S.
     calls = {}
 
     def counted(module, name):
@@ -438,17 +444,23 @@ def test_solve_dd_assembles_the_plate_stiffness_once(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     for module in (asm, dd):
-        for name in ("StressBatch", "assemble_plate_stiffness"):
-            counted(module, name)
-    for module, name in [(dd, "build_mixed_system"), (hybrid, "HybridBody"),
-                         (hybrid, "SparseFactor"), (dd, "SparseFactor")]:
+        counted(module, "assemble_plate_stiffness")
+    for module, name in [(asm, "StressBatch"), (dd, "build_mixed_system"),
+                         (hybrid, "HybridBody"), (hybrid, "SparseFactor"),
+                         (dd, "SparseFactor")]:
         counted(module, name)
-    body, plate = build_body_mesh(1), build_plate_mesh(4)
+    body, plate = build_body_mesh(2), build_plate_mesh(8)
+    monkeypatch.setattr(fe_elements, "LOCAL_CHUNK", 7)
     sol = dd.solve_dd(body, plate, default_case())
     assert sol.report.converged
-    assert {k: len(v) for k, v in calls.items()} == {
-        "build_mixed_system": 1, "StressBatch": 1,
+    counts = {k: len(v) for k, v in calls.items()}
+    batches = calls.pop("StressBatch")
+    assert counts == {
+        "build_mixed_system": 1, "StressBatch": len(batches),
         "assemble_plate_stiffness": 1, "HybridBody": 1, "SparseFactor": 2}
+    n_gamma = np.count_nonzero(body.boundary_tags == FaceTag.INTERFACE)
+    assert [len(args[0]) for args in batches] == (
+        [7] * (body.n_tets // 7) + [body.n_tets % 7] + [n_gamma])
     n_lam = 9 * np.count_nonzero(StressDofMap(body).face_neighbor >= 0)
     n_free = np.count_nonzero(~PlateDofMap(plate).constrained)
     sizes = sorted(args[0].shape[0] for args in calls["SparseFactor"])
