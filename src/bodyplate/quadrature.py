@@ -16,6 +16,7 @@ degrees 3-8.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,10 +187,13 @@ def _gauss_jacobi_01(n: int, alpha: int) -> tuple[np.ndarray, np.ndarray]:
     return (x + 1.0) / 2.0, w / 2.0 ** (alpha + 1)
 
 
+@functools.cache
 def _tet_conical(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Collapsed conical-product rule with n points per direction.
 
-    Exact for total degree 2n-1; all weights positive.
+    Exact for total degree 2n-1; all weights positive.  Computed once per n
+    (the body's blocks ask for their rule once per chunk of tets); callers
+    get copies.
     """
     x1, w1 = _gauss_jacobi_01(n, 2)
     x2, w2 = _gauss_jacobi_01(n, 1)
@@ -217,4 +221,4 @@ def tet_rule(degree: int) -> QuadratureRule:
         return QuadratureRule(pts.copy(), wts.copy(), degree)
     n = (degree + 2) // 2  # 2n - 1 >= degree
     pts, wts = _tet_conical(n)
-    return QuadratureRule(pts, wts, 2 * n - 1)
+    return QuadratureRule(pts.copy(), wts.copy(), 2 * n - 1)
