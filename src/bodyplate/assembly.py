@@ -529,10 +529,14 @@ def assemble_loads(
     f_V[k] = -int_alpha f . psi_k;
     f_W[w] = int_beta (f_membrane, f_bending) . chi_w
              + int_Gamma f_jump . (Pi chi_w  if lowered_jump else chi_w).
+
+    The body load is evaluated one ``local_chunks`` slice of tets at a time.
     """
     rule = tet_rule(quad_volume)
-    pts, w = _mapped_rule(rule, body.vertices[body.tets])
-    loc = -np.einsum("nq,qa,nqc->nac", w, rule.points, case.f_body(pts))
+    loc = np.empty((body.n_tets, 4, 3))
+    for c in local_chunks(body.n_tets):
+        pts, w = _mapped_rule(rule, body.vertices[body.tets[c]])
+        loc[c] = -np.einsum("nq,qa,nqc->nac", w, rule.points, case.f_body(pts))
     f_V = _scatter_vector(vmap.ltg, loc, vmap.n_dofs)
 
     n = pmap.n_dofs

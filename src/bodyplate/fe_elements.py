@@ -31,9 +31,24 @@ per-element classes (``HuMaElement``, ``MorleyElement``,
 ``VectorP1Tet``, ``VectorP1Tri``) are the reference the kernel is tested
 against.
 
+The stress DOF matrix factors as M_T = L_T M_ref, with M_ref one constant
+42 x 42 matrix (``_STRESS_DOF_REF``, tabulated at import with its inverse)
+and L_T block diagonal.  The traction s_k (t_e . n_f) t_e of a spanning
+function vanishes on face f (opposite vertex f) for the three edges in f,
+so the rows of face f are E_f diag(t_e . n_f) times reference rows, E_f
+holding the tangents of the three edges at vertex f as columns, one 3 x 3
+block for all three P1 moments of the face; the six interior rows are
+Q_T[m, e] = t_e[i] t_e[j] ((i, j) = SYM_INDEX_PAIRS[m], 6 x 6) times
+reference rows.  ``StressBatch`` takes M_T^-1 = M_ref^-1 L_T^-1 from four
+3 x 3 and one 6 x 6 inverse per tet; ``HuMaElement`` inverts its dense
+quadrature-built matrix, the reference.
+
 Every local inverse (the DOF matrices here, the saddle blocks of ``hybrid``)
-is taken by ``checked_inverses``, whose one rule refuses an element with a
-1-norm condition number ||M||_1 ||M^-1||_1 above ``CONDITION_LIMIT``.
+is checked by one rule, ``_refuse_ill_conditioned``: it refuses an element
+whose 1-norm condition number ||M||_1 ||M^-1||_1 of the whole matrix is
+above ``CONDITION_LIMIT``, a singular one (or one with a singular block of
+L_T) as cond_1 = inf.  ``checked_inverses`` applies it to dense inverses,
+``StressBatch`` to the block inverses of M_T.
 """
 
 from __future__ import annotations
@@ -88,11 +103,11 @@ _COMPLEMENT = [tuple(sorted(set(range(4)) - set(p))) for p in EDGE_PAIRS]
 SYM_INDEX_PAIRS = [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)]
 
 #: Largest 1-norm condition number ||M||_1 ||M^-1||_1 of an inverted local
-#: matrix (see ``checked_inverses``); a larger one, or NaN, fails.
+#: matrix (see ``_refuse_ill_conditioned``); a larger one, or NaN, fails.
 CONDITION_LIMIT = 1e12
 
 #: Elements whose local work runs together (``local_chunks``): the local
-#: inverses of ``checked_inverses``, the body's blocks
+#: inverses (``checked_inverses``, ``StressBatch``), the body's blocks
 #: (``assembly.BodyBlocks``) and the sums of per-tet blocks into sparse
 #: matrices (``assembly``, ``hybrid``) take their elements this many at a
 #: time, so that only the arrays they keep reach the size of the mesh.
@@ -201,29 +216,49 @@ def local_chunks(n: int):
         yield slice(lo, min(lo + LOCAL_CHUNK, n))
 
 
+def _inverses(M: np.ndarray) -> np.ndarray:
+    """Inverses of a stack of matrices (..., k, k), all NaN for each
+    singular one."""
+    try:
+        return np.linalg.inv(M)
+    except np.linalg.LinAlgError:
+        inv = np.full(M.shape, np.nan)
+        for i in np.ndindex(M.shape[:-2]):
+            try:
+                inv[i] = np.linalg.inv(M[i])
+            except np.linalg.LinAlgError:
+                pass
+        return inv
+
+
+def _refuse_ill_conditioned(M: np.ndarray, inv: np.ndarray, what: str,
+                            first: int) -> None:
+    """The one rule for local inverses: fails on the first of the matrices
+    M (m, k, k), named by ``what`` and its index (counted from ``first``),
+    whose condition number ||M||_1 ||M^-1||_1 is not at most
+    CONDITION_LIMIT.  A singular M, whose ``inv`` is NaN (``_inverses``),
+    reads as cond_1 = inf; an M with NaN entries as NaN."""
+    cond = (np.abs(M).sum(axis=1).max(axis=1)
+            * np.abs(inv).sum(axis=1).max(axis=1))
+    cond[np.isnan(cond) & ~np.isnan(M).any(axis=(1, 2))] = np.inf
+    bad = np.flatnonzero(~(cond <= CONDITION_LIMIT))
+    if bad.size:
+        raise ValueError(
+            f"{what} {first + bad[0]} is ill-conditioned "
+            f"(cond_1 = {cond[bad[0]]:.3e} > {CONDITION_LIMIT:.0e})"
+        )
+
+
 def checked_inverses(n: int, build, what: str, first: int = 0) -> np.ndarray:
     """Inverses (n, k, k) of n local matrices, ``build(c)`` giving those
     (m, k, k) of the elements in slice c, one ``local_chunks`` slice at a
-    time.  Fails on the first element, named by ``what`` and its index
-    (counted from ``first``), whose condition number ||M||_1 ||M^-1||_1 is
-    not at most CONDITION_LIMIT (a chunk with a singular matrix takes
-    ``np.linalg.cond(M, 1)``: inf)."""
+    time, each chunk checked by ``_refuse_ill_conditioned``."""
     for c in local_chunks(n):
         M = build(c)
         if c.start == 0:
             inv = np.empty((n,) + M.shape[1:])
-        try:
-            inv[c] = np.linalg.inv(M)
-            cond = (np.abs(M).sum(axis=1).max(axis=1)
-                    * np.abs(inv[c]).sum(axis=1).max(axis=1))
-        except np.linalg.LinAlgError:
-            cond = np.linalg.cond(M, 1)
-        bad = np.flatnonzero(~(cond <= CONDITION_LIMIT))
-        if bad.size:
-            raise ValueError(
-                f"{what} {first + c.start + bad[0]} is ill-conditioned "
-                f"(cond_1 = {cond[bad[0]]:.3e} > {CONDITION_LIMIT:.0e})"
-            )
+        inv[c] = _inverses(M)
+        _refuse_ill_conditioned(M, inv[c], what, first + c.start)
     return inv
 
 
@@ -513,18 +548,75 @@ def _stress_dof_tables() -> tuple[np.ndarray, np.ndarray]:
 
 _FACE_MOMENTS, _INTERIOR_MEANS = _stress_dof_tables()
 
+#: The three edges at vertex f: the only ones whose spanning functions have
+#: a traction on face f, the face opposite f.
+_VERTEX_EDGES = np.array([[e for e, p in enumerate(EDGE_PAIRS) if f in p]
+                          for f in range(4)])
+
+
+def _stress_dof_reference() -> np.ndarray:
+    """M_ref (42, 42), the stress DOF matrix less its geometry: row
+    9 f + 3 a + j holds face moment a of the spanning functions of edge
+    ``_VERTEX_EDGES[f, j]`` and row 36 + e the interior means of those of
+    edge e, all other entries zero."""
+    ref = np.zeros((42, 42))
+    own = SPAN_EDGE == _VERTEX_EDGES[:, None, :, None]  # (4, 1, 3, 42)
+    ref[:36] = (_FACE_MOMENTS[:, :, None] * own).reshape(36, 42)
+    ref[36:] = _INTERIOR_MEANS * (SPAN_EDGE == np.arange(6)[:, None])
+    return ref
+
+
+_STRESS_DOF_REF = _stress_dof_reference()
+_STRESS_DOF_REF_INV = np.linalg.inv(_STRESS_DOF_REF)
+
+
+def _stress_dof_blocks(tangents: np.ndarray, normals: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """The blocks of L_T with M_T = L_T M_ref: per face f the 3 x 3 block
+    E_f diag(t_e . n_f) (n, 4, 3, 3), E_f with the tangents of the edges
+    at vertex f as columns, and the 6 x 6 block Q_T[m, e] = t_e[i] t_e[j]
+    for (i, j) = SYM_INDEX_PAIRS[m] (n, 6, 6)."""
+    t = tangents[:, _VERTEX_EDGES]  # (n, 4, 3, 3): face, edge, component
+    tn = np.einsum("nfec,nfc->nfe", t, normals)
+    i, j = np.array(SYM_INDEX_PAIRS).T
+    return (np.swapaxes(t, 2, 3) * tn[:, :, None, :],
+            np.swapaxes(tangents[:, :, i] * tangents[:, :, j], 1, 2))
+
+
+def _block_rows(face: np.ndarray, interior: np.ndarray,
+                ref: np.ndarray) -> np.ndarray:
+    """(n, 42, 42) products L ref for the block-diagonal L of the 3 x 3
+    blocks ``face`` (n, 4, 3, 3), one per face acting on each of that face's
+    three moment row triples, and the 6 x 6 block ``interior`` (n, 6, 6)."""
+    out = np.empty((len(face), 42, 42))
+    out[:, :36] = (face[:, :, None] @ ref[:36].reshape(4, 3, 3, 42)
+                   ).reshape(-1, 36, 42)
+    out[:, 36:] = interior @ ref[36:]
+    return out
+
 
 def _stress_dof_matrices(tangents: np.ndarray,
                          normals: np.ndarray) -> np.ndarray:
-    """(n, 42, 42) stress DOF functionals applied to the spanning functions:
-    the reference tables times t_e (t_e . n_f) on face rows and
-    t_e t_e^T on interior rows."""
-    t = tangents[:, SPAN_EDGE]  # (n, 42, 3)
-    tn = np.einsum("nkc,nfc->nfk", t, normals)
-    face = np.einsum("fak,nfk,nkc->nfack", _FACE_MOMENTS, tn, t)
-    i, j = np.array(SYM_INDEX_PAIRS).T
-    interior = _INTERIOR_MEANS * np.swapaxes(t[:, :, i] * t[:, :, j], 1, 2)
-    return np.concatenate([face.reshape(-1, 36, 42), interior], axis=1)
+    """(n, 42, 42) stress DOF functionals applied to the spanning functions,
+    M_T = L_T M_ref: the reference tables times t_e (t_e . n_f) on face rows
+    and t_e t_e^T on interior rows."""
+    return _block_rows(*_stress_dof_blocks(tangents, normals), _STRESS_DOF_REF)
+
+
+def _stress_coefficients(tangents: np.ndarray, normals: np.ndarray,
+                         first: int) -> np.ndarray:
+    """(n, 42, 42) dual-basis coefficients M_T^-T = L_T^-T M_ref^-T of the
+    tets with these tangents and outward normals, from the inverses of the
+    blocks of L_T; checked, with tets named from ``first``, by the rule of
+    ``_refuse_ill_conditioned`` on the whole M_T."""
+    face, interior = _stress_dof_blocks(tangents, normals)
+    coeffs = _block_rows(np.swapaxes(_inverses(face), 2, 3),
+                         np.swapaxes(_inverses(interior), 1, 2),
+                         _STRESS_DOF_REF_INV.T)
+    _refuse_ill_conditioned(_block_rows(face, interior, _STRESS_DOF_REF),
+                            np.swapaxes(coeffs, 1, 2),
+                            "stress DOF matrix of tet", first)
+    return coeffs
 
 
 class StressBatch:
@@ -534,7 +626,9 @@ class StressBatch:
     with s = ``span_scalars``, e_k = ``SPAN_EDGE[k]`` and T[n, e] the dyad of
     the unit tangent of edge e.  Arrays: ``v0`` (n, 3), ``grad_lambda``
     (n, 4, 3), ``volume`` (n,), ``tangents`` (n, 6, 3), ``T`` (n, 6, 3, 3),
-    outward unit ``face_normals`` (n, 4, 3) and ``coeffs`` (n, 42, 42).
+    outward unit ``face_normals`` (n, 4, 3) and ``coeffs`` (n, 42, 42), the
+    transposed inverses of the DOF matrices, taken by blocks one
+    ``local_chunks`` slice at a time (``_stress_coefficients``).
     A refused tet is named by its index counted from ``first``, the index
     of the batch's first tet in its mesh.
     """
@@ -555,10 +649,10 @@ class StressBatch:
         # grad lam_f is normal to face f and points into the tet.
         g = self.grad_lambda
         self.face_normals = -g / np.linalg.norm(g, axis=-1, keepdims=True)
-        self.coeffs = np.swapaxes(checked_inverses(
-            len(verts), lambda c: _stress_dof_matrices(
-                self.tangents[c], self.face_normals[c]),
-            "stress DOF matrix of tet", first), 1, 2)
+        self.coeffs = np.empty((len(verts), 42, 42))
+        for c in local_chunks(len(verts)):
+            self.coeffs[c] = _stress_coefficients(
+                self.tangents[c], self.face_normals[c], first + c.start)
 
     def div_scalars(self, dlam: np.ndarray) -> np.ndarray:
         """(n, ..., 42) scalars d with div(span_k) = d_k t_{e_k}, from a

@@ -24,6 +24,7 @@ __all__ = [
     "TetMesh",
     "TriMesh",
     "build_body_mesh",
+    "body_mesh_from_tets",
     "build_plate_mesh",
     "refine_uniform",
     "validate_mesh",
@@ -207,7 +208,14 @@ def build_body_mesh(n: int) -> TetMesh:
     stride = np.array([m * m, m, 1])
     corners = np.indices((n, n, n)).reshape(3, -1).T @ stride
     tets = (corners[:, None, None] + _KUHN_OFFSETS @ stride).reshape(-1, 4)
+    return body_mesh_from_tets(vertices, tets, n)
 
+
+def body_mesh_from_tets(vertices: np.ndarray, tets: np.ndarray,
+                        n: int) -> TetMesh:
+    """The body mesh of positively oriented tets (nt, 4) on vertices
+    (nv, 3), with the boundary faces found and tagged as in
+    ``build_body_mesh``: INTERFACE at x3 = 0, FREE elsewhere."""
     # Boundary faces: the tet faces seen once, in (tet, local face) order,
     # turned so the right-hand normal points away from the owning tet.
     keys = np.sort(tets[:, TET_LOCAL_FACES], axis=2).reshape(-1, 3)

@@ -233,16 +233,20 @@ class HybridBody:
         free plate DOFs: lambda[f, 3 a + c] = |F| v[vertex a of f, c] on every
         interior face f.  The multipliers are traction moments normalised by
         1/|F|, so the |F| scale makes P carry a rigid motion to the
-        multipliers that S maps to zero on every face away from Gamma."""
+        multipliers that S maps to zero on every face away from Gamma.  A
+        vertex on no interior face (a corner in one tet only) would give
+        three zero columns and a singular P^T S P: v leaves it out."""
         smap = self.smap
         verts = smap.face_vertices[smap.face_neighbor >= 0]
         xyz = smap.mesh.vertices[verts]
         area = 0.5 * np.linalg.norm(
             np.cross(xyz[:, 1] - xyz[:, 0], xyz[:, 2] - xyz[:, 0]), axis=1)
-        cols = (3 * verts[:, :, None] + np.arange(3)).ravel()
+        used, vert = np.unique(verts, return_inverse=True)
+        cols = (3 * vert.reshape(verts.shape)[:, :, None]
+                + np.arange(3)).ravel()
         P_body = sp.csr_matrix(
             (np.repeat(area, 9), (np.arange(self.n_lam), cols)),
-            shape=(self.n_lam, 3 * smap.mesh.n_vertices))
+            shape=(self.n_lam, 3 * used.size))
         return sp.block_diag((P_body, sp.identity(self.K.shape[0])),
                              format="csr")
 

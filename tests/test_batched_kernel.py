@@ -427,24 +427,31 @@ def test_nearly_flat_tets_are_refused_like_the_reference():
 # The one rule for local inverses (``checked_inverses``).
 # ---------------------------------------------------------------------------
 
-def assert_limit_is_cond_1(matrices):
-    """``checked_inverses`` accepts each matrix with CONDITION_LIMIT just
-    above its np.linalg.cond(M, 1) and refuses it just below: the condition
+def assert_limit_is_cond_1(matrices, invert=None, what="matrix"):
+    """``invert(i)``, by default ``checked_inverses`` of matrix i, accepts
+    each matrix with CONDITION_LIMIT just above its np.linalg.cond(M, 1)
+    and refuses it just below, as element 0 of ``what``: the condition
     number it checks is that one to 1e-8 relative."""
-    for M, c in zip(matrices, np.linalg.cond(matrices, 1)):
+    if invert is None:
+        def invert(i):
+            checked_inverses(1, lambda _: matrices[i][None], "matrix")
+    for i, c in enumerate(np.linalg.cond(matrices, 1)):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(fe_elements, "CONDITION_LIMIT", c * (1 + 1e-8))
-            checked_inverses(1, lambda _: M[None], "matrix")
+            invert(i)
             mp.setattr(fe_elements, "CONDITION_LIMIT", c * (1 - 1e-8))
             with pytest.raises(ValueError,
-                               match="matrix 0 is ill-conditioned"):
-                checked_inverses(1, lambda _: M[None], "matrix")
+                               match=f"{what} 0 is ill-conditioned"):
+                invert(i)
 
 
 def test_checked_condition_number_is_cond_1():
     body, plate = build((11, 2, (8, Diagonal.FLIPPED)))
-    k = StressBatch(body.vertices[body.tets])
-    assert_limit_is_cond_1(_stress_dof_matrices(k.tangents, k.face_normals))
+    tets = body.vertices[body.tets]
+    k = StressBatch(tets)
+    assert_limit_is_cond_1(_stress_dof_matrices(k.tangents, k.face_normals),
+                           lambda i: StressBatch(tets[i:i + 1]),
+                           "stress DOF matrix of tet")
     mo = MorleyBatch(plate.vertices[plate.triangles])
     assert_limit_is_cond_1(_morley_dof_matrices(mo.grad_lambda,
                                                 mo.edge_normals))
@@ -475,3 +482,92 @@ def test_chunked_coefficients_equal_one_batch(monkeypatch):
     monkeypatch.setattr(fe_elements, "LOCAL_CHUNK", 5)
     assert np.array_equal(StressBatch(tets).coeffs, whole[0])
     assert np.array_equal(MorleyBatch(tris).coeffs, whole[1])
+
+
+# ---------------------------------------------------------------------------
+# The stress DOF matrix by its structure: M_T = L_T M_ref.
+# ---------------------------------------------------------------------------
+
+#: A regular tet with unit edges.
+REGULAR_TET = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]
+                       ) / np.sqrt(8.0)
+
+#: Single tets: the regular tet with each coordinate moved by up to 0.15,
+#: positively oriented.
+drawn_tets = st.lists(st.floats(-0.15, 0.15), min_size=12, max_size=12).map(
+    lambda d: REGULAR_TET + np.reshape(d, (4, 3)))
+
+
+def unscaled_by_blocks(D, face, interior):
+    """L^-1 D for the block-diagonal L of ``_stress_dof_blocks``, solved
+    block by block."""
+    out = np.empty_like(D)
+    for f in range(4):
+        for a in range(3):
+            rows = slice(9 * f + 3 * a, 9 * f + 3 * a + 3)
+            out[rows] = np.linalg.solve(face[f], D[rows])
+    out[36:] = np.linalg.solve(interior, D[36:])
+    return out
+
+
+def assert_structure_holds(tets):
+    """On each tet the dense DOF matrix of ``HuMaElement``, reduced by the
+    blocks of L_T, is M_ref; ``StressBatch.coeffs`` are its inverses and
+    those of ``_stress_dof_matrices``, transposed."""
+    k = StressBatch(tets)
+    face, interior = fe_elements._stress_dof_blocks(k.tangents, k.face_normals)
+    ref = fe_elements._STRESS_DOF_REF
+    dense = np.linalg.inv(_stress_dof_matrices(k.tangents, k.face_normals))
+    for t, verts in enumerate(tets):
+        el = HuMaElement(verts)
+        got = unscaled_by_blocks(el._dof_matrix(), face[t], interior[t])
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+        scale = np.abs(el.coeffs).max()
+        assert np.abs(k.coeffs[t] - el.coeffs).max() <= RTOL * scale
+        assert np.abs(k.coeffs[t] - dense[t].T).max() <= RTOL * scale
+
+
+@SETTINGS
+@given(meshes)
+def test_stress_dof_structure_on_jittered_meshes(example):
+    body, _ = build(example)
+    assert_structure_holds(body.vertices[body.tets])
+
+
+@settings(max_examples=30, deadline=None)
+@given(drawn_tets)
+def test_stress_dof_structure_on_drawn_tets(verts):
+    if np.linalg.det(verts[1:] - verts[0]) < 0:
+        verts = verts[[0, 1, 3, 2]]
+    assert_structure_holds(verts[None])
+
+
+@pytest.mark.parametrize("first", [0, 10])
+def test_singular_face_block_is_refused_by_name(first):
+    # A zero normal makes face 2's block of tet 3 exactly singular: its
+    # inverse is NaN and its condition number reads as inf.
+    body = build_body_mesh(1)
+    k = StressBatch(body.vertices[body.tets])
+    normals = k.face_normals.copy()
+    normals[3, 2] = 0.0
+    with pytest.raises(ValueError, match=(
+            f"stress DOF matrix of tet {first + 3} is ill-conditioned "
+            r"\(cond_1 = inf")):
+        fe_elements._stress_coefficients(k.tangents, normals, first)
+
+
+def test_singular_block_does_not_hide_an_earlier_refusal():
+    # Tet 1 is nearly flat (finite cond_1 above the limit) and tet 3 has a
+    # singular block: the first refused tet is named.
+    body = build_body_mesh(1)
+    tets = body.vertices[body.tets]
+    tets[1, :, 2] *= 1e-12
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fe_elements, "CONDITION_LIMIT", np.inf)
+        k = StressBatch(tets)
+    normals = k.face_normals.copy()
+    normals[3, 2] = 0.0
+    with pytest.raises(ValueError, match=(
+            r"stress DOF matrix of tet 1 is ill-conditioned \(cond_1 = "
+            r"\d")):
+        fe_elements._stress_coefficients(k.tangents, normals, 0)

@@ -23,8 +23,11 @@ from bodyplate.fe_elements import BodyDGDofMap, PlateDofMap, StressDofMap
 from bodyplate.geometry_mesh import (
     Diagonal,
     FaceTag,
+    body_mesh_from_tets,
     build_body_mesh,
     build_plate_mesh,
+    tet_volume,
+    validate_mesh,
 )
 from bodyplate.interface_overlay import (
     extract_interface_triangulation,
@@ -198,6 +201,50 @@ def test_coarse_transfer_maps_rigid_motions_into_the_kernel_off_gamma():
             r = hb.S @ (Q @ v.ravel())
             defect = np.linalg.norm(r[off]) / np.linalg.norm(r)
             assert (defect <= 1e-12) if small else (defect >= 0.1)
+
+
+def five_tet_cube():
+    """The body's unit cube split into five tets: one on the four even
+    corners and one at each odd corner, tagged as ``build_body_mesh`` tags
+    its sides.  Each odd corner lies in exactly one tet, so on no interior
+    face."""
+    corners = np.indices((2, 2, 2)).reshape(3, -1).T  # id 4 i + 2 j + k
+    tets = np.array([[0, 6, 5, 3], [4, 0, 6, 5], [2, 0, 3, 6], [1, 0, 5, 3],
+                     [7, 6, 3, 5]])
+    flip = tet_volume(corners[tets].astype(float)) < 0
+    tets[flip] = tets[flip][:, [0, 1, 3, 2]]
+    return body_mesh_from_tets(corners + [-0.5, -0.5, 0.0], tets, 1)
+
+
+def test_vertex_on_no_interior_face_leaves_the_coarse_space():
+    body = five_tet_cube()
+    assert sorted(np.bincount(body.tets.ravel())) == [1] * 4 + [4] * 4
+    assert not validate_mesh(body)
+    assert_matches_oracle(body, build_plate_mesh(4), default_case())
+
+
+@pytest.mark.parametrize("n_body", [1, 2, 3])
+def test_coarse_transfer_on_kuhn_meshes_keeps_every_vertex(n_body):
+    # Every vertex of a Kuhn mesh lies on an interior face, so P is the
+    # transfer from all vertices, bit for bit.
+    body = build_body_mesh(n_body)
+    system = asm.build_mixed_system(body, build_plate_mesh(4 * n_body),
+                                    default_case())
+    hb = hybrid.condense(system)[0]
+    smap = hb.smap
+    verts = smap.face_vertices[smap.face_neighbor >= 0]
+    xyz = body.vertices[verts]
+    area = 0.5 * np.linalg.norm(
+        np.cross(xyz[:, 1] - xyz[:, 0], xyz[:, 2] - xyz[:, 0]), axis=1)
+    cols = (3 * verts[:, :, None] + np.arange(3)).ravel()
+    every = sp.block_diag((sp.csr_matrix(
+        (np.repeat(area, 9), (np.arange(hb.n_lam), cols)),
+        shape=(hb.n_lam, 3 * body.n_vertices)),
+        sp.identity(hb.K.shape[0])), format="csr")
+    P = hb._coarse_transfer()
+    assert P.shape == every.shape
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(P, name), getattr(every, name)), name
 
 
 def test_pcg_iterations_stay_flat_under_refinement():

@@ -1,10 +1,10 @@
 """The body's per-tet work, streamed in ``LOCAL_CHUNK`` tet chunks.
 
-``build_mixed_system`` builds the body blocks and ``hybrid.condense`` the
-local inverses and the condensed system S one chunk of tets at a time.
-Here the chunk size must not change a single bit of the kept arrays or of
-the solution, a refused tet must be named by its index in the mesh, and the
-temporaries must stay at the size of a chunk.
+``build_mixed_system`` builds the body blocks and the body load, and
+``hybrid.condense`` the local inverses and the condensed system S, one chunk
+of tets at a time.  Here the chunk size must not change a single bit of the
+kept arrays or of the solution, a refused tet must be named by its index in
+the mesh, and the temporaries must stay at the size of a chunk.
 """
 
 import tracemalloc
@@ -38,7 +38,7 @@ def streamed_arrays(body, plate, chunk):
         "A": system.blocks.A, "B": system.blocks.B,
         "coupling.tet": system.coupling.tet,
         "coupling.rows": system.coupling.rows,
-        "coupling.blocks": system.coupling.blocks,
+        "coupling.blocks": system.coupling.blocks, "f_V": system.f_V,
         "M_inv": hb.M_inv, "S.data": hb.S.data, "S.indices": hb.S.indices,
         "S.indptr": hb.S.indptr,
         "norms": np.array(vcli.compute_error_norms(sol, case).as_tuple()),
@@ -111,13 +111,12 @@ def traced(call):
 
 def test_setup_temporaries_stay_at_chunk_size(monkeypatch):
     # The unit is one chunk of local saddle blocks, 16 x 54 x 54 doubles
-    # (373 KB).  At body 4 / plate 8 the build allocates about 10 units
-    # beyond what it keeps, most of them whole-mesh load quadrature data
-    # that does not scale with the chunk, and the condensation about 6.
-    # One whole-mesh array of the kind the chunks replaced is more than
-    # either margin: (384, 42, 42) doubles, a compliance or coefficient
-    # array, is 14.5 units, and (384, 36, 36), the multiplier part of the
-    # local inverses, is 10.7.
+    # (373 KB).  At body 4 / plate 8 the build allocates about 3 units
+    # beyond what it keeps and the condensation about 6.  One whole-mesh
+    # array of the kind the chunks replaced is more than either margin:
+    # (384, 42, 42) doubles, a compliance or coefficient array, is 14.5
+    # units, (384, 36, 36), the multiplier part of the local inverses, is
+    # 10.7, and the body load's quadrature data on every tet at once is 7.
     chunk = 16
     monkeypatch.setattr(fe_elements, "LOCAL_CHUNK", chunk)
     unit = chunk * 54 * 54 * 8
@@ -126,6 +125,6 @@ def test_setup_temporaries_stay_at_chunk_size(monkeypatch):
     hybrid.condense(asm.build_mixed_system(body, plate, case))
     system, kept, peak = traced(
         lambda: asm.build_mixed_system(body, plate, case))
-    assert peak <= kept + 16 * unit
+    assert peak <= kept + 6 * unit
     _, kept, peak = traced(lambda: hybrid.condense(system))
     assert peak <= kept + 12 * unit
