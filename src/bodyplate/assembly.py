@@ -91,43 +91,36 @@ def _scatter(rows: np.ndarray, cols: np.ndarray, blocks: np.ndarray,
 #: The local stress DOFs of a tet by group: its four faces (nine DOFs
 #: each, shared with the tet across the face) and its interior (six).
 _GROUP_FIRST = np.array([0, 9, 18, 27, 36])
-_GROUP_OF_DOF = np.repeat(np.arange(5), np.diff(np.append(_GROUP_FIRST, 42)))
+_GROUP_SIZE = np.diff(np.append(_GROUP_FIRST, 42))
+_GROUP_OF_DOF = np.repeat(np.arange(5), _GROUP_SIZE)
 
 
-def _scatter_tet_blocks(smap: StressDofMap, dof: np.ndarray, blocks, n: int,
-                        rest: sp.csr_matrix | None = None
+def _scatter_tet_blocks(smap: StressDofMap, blocks
                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The CSR arrays (data, indices, indptr) of the n x n matrix
-    sum_T blocks_T over the local stress DOFs of the tets, plus ``rest``.
-
-    ``dof`` (n_tets, 42) numbers the local DOFs (-1: left out) so that each
-    group of ``_GROUP_FIRST`` is kept or left out whole, onto a contiguous
-    range; ``blocks(c)`` gives the blocks (m, 42, 42) of the tets in slice c.
-    ``rest`` (n x n, sorted indices, None for none) holds the other entries;
-    in a row that the blocks reach they must lie right of the blocks'.
+    """The CSR arrays (data, indices, indptr) of the global stress matrix
+    sum_T blocks_T, ``blocks(c)`` giving the blocks (m, 42, 42) of the tets
+    in slice c on their local DOFs ``smap.ltg``, each group of
+    ``_GROUP_FIRST`` on a contiguous range of global DOFs.
 
     A row of group G reaches the groups of the one or two tets holding G,
     so its layout follows from the tet-face adjacency: no triplets are
     formed.  The blocks are built and added one ``local_chunks`` slice at a
     time.  An entry sums at most two tets, the two sides of a face, so the
     result does not depend on the order of the sums."""
+    dof, n = smap.ltg, smap.n_dofs
     nt = len(dof)
     start = np.minimum.reduceat(dof, _GROUP_FIRST, axis=1)  # (nt, 5)
-    size = np.add.reduceat(dof >= 0, _GROUP_FIRST, axis=1)
+    size = np.broadcast_to(_GROUP_SIZE, start.shape)
     # The tet across each face group, -1 on the boundary and inside.
-    fid = smap.ltg[:, :36:9] // 9
+    fid = dof[:, :36:9] // 9
     owner, nbr = smap.face_owner[fid], smap.face_neighbor[fid]
     other = np.full((nt, 5), -1, dtype=np.int64)
     other[:, :4] = np.where(owner == np.arange(nt)[:, None], nbr, owner)
     across = other >= 0
     o = np.where(across, other, 0)
-    row_len = size.sum(axis=1)[:, None] + across * (
-        size[o].sum(axis=2) - size)
+    row_len = 42 + across * (42 - size)
     counts = np.zeros(n, dtype=np.int64)
-    kept = dof >= 0
-    counts[dof[kept]] = row_len[:, _GROUP_OF_DOF][kept]
-    if rest is not None:
-        counts += np.diff(rest.indptr)
+    counts[dof] = row_len[:, _GROUP_OF_DOF]
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
     itype = np.int32 if max(n, indptr[-1]) < 2**31 else np.int64
@@ -146,18 +139,10 @@ def _scatter_tet_blocks(smap: StressDofMap, dof: np.ndarray, blocks, n: int,
         off_o -= sz[:, :, None] * (st[:, :, None] < st[:, None, :])
         off = off_t + ac[:, :, None] * off_o  # (m, a, b)
         d, g = dof[c], _GROUP_OF_DOF
-        pos = (indptr[np.where(d >= 0, d, 0)][:, :, None]
-               + off[:, g][:, :, g] + (d - st[:, g])[:, None, :])
-        keep = (d >= 0)[:, :, None] & (d >= 0)[:, None, :]
-        pos = pos[keep]
-        np.add.at(data, pos, blocks(c)[keep])
-        indices[pos] = np.broadcast_to(d[:, None, :], keep.shape)[keep]
-    if rest is not None:
-        first = indptr[1:] - np.diff(rest.indptr)  # where rest starts
-        row = np.repeat(np.arange(n), np.diff(rest.indptr))
-        pos = first[row] + np.arange(rest.nnz) - rest.indptr[row]
-        data[pos] = rest.data
-        indices[pos] = rest.indices
+        pos = (indptr[d][:, :, None] + off[:, g][:, :, g]
+               + (d - st[:, g])[:, None, :])
+        np.add.at(data, pos, blocks(c))
+        indices[pos] = np.broadcast_to(d[:, None, :], pos.shape)
     return data, indices, indptr
 
 
@@ -203,8 +188,8 @@ def _scatter_stress(smap: StressDofMap, blocks) -> sp.csr_matrix:
     (m, 42, 42) of the tets in slice c (see ``_scatter_tet_blocks``)."""
     s, n = smap.sign, smap.n_dofs
     return sp.csr_matrix(_scatter_tet_blocks(
-        smap, smap.ltg,
-        lambda c: blocks(c) * s[c, :, None] * s[c, None, :], n), shape=(n, n))
+        smap, lambda c: blocks(c) * s[c, :, None] * s[c, None, :]),
+        shape=(n, n))
 
 
 def _basis_blocks(k: StressBatch, span: np.ndarray) -> np.ndarray:

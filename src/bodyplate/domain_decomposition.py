@@ -227,11 +227,11 @@ def solve_dd(body: TetMesh, plate: TriMesh, case: ManufacturedCase,
                                 quad_interface=quad_interface)
     hb, free, load = condense(system)
     n = hb.n_lam
-    # S is CSC and symmetric: columns stand for rows.  Only its blocks are
-    # kept: hb gives S up, so that S is freed before S_lambda,lambda is
-    # factored.
+    # Only the blocks of S are kept, and S_lambda,lambda as CSC for its
+    # factor: hb gives S up, so that the face blocks are freed before
+    # S_lambda,lambda is factored.
     S, hb.S = hb.S, None
-    S_lw, S_ww, S_ll = S[:n, n:], S[n:, n:], S[:n, :n]
+    S_lw, S_ww, S_ll = S.lw, S.ww, S.ll.tocsc()
     del S
     lu_l, lu_k = SparseFactor(S_ll), SparseFactor(hb.K)
     r_l, r_w = load.r[:n], load.r[n:]

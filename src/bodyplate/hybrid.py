@@ -21,13 +21,14 @@ blocks leaves the symmetric positive definite system
 
 The blocks are built and inverted, and S is summed, one
 ``fe_elements.local_chunks`` slice of tets at a time, so that only the
-inverses and S reach the size of the mesh.  A multiplier row of S reaches
-the faces of the two tets of its face, so the layout of S follows from the
-tet-face adjacency and each 9 x 9 face block goes straight to its place in
-the CSR arrays of S^T, with no triplet arrays
-(``assembly._scatter_tet_blocks``); the rows and columns of the plate DOFs
-are a small sparse product over the tets on Gamma, placed in the same
-arrays.  The CSR arrays of S^T are the CSC arrays of S.
+inverses and S reach the size of the mesh.  S is kept by its blocks
+(``CondensedSystem``).  A multiplier row of S reaches only the faces of the
+one or two tets of its face, so the multiplier block is made of dense 9 x 9
+face blocks: it is stored as such (BSR, one block row per interior face,
+one index per block), its layout follows from the tet-face adjacency, and
+each tet's blocks are added to it whole (``_face_blocks``).  The rows and
+columns of the plate DOFs are a small sparse product over the tets on
+Gamma, kept in CSR.
 
 A solve has two halves: the right-hand side of S Y = r (``load``) and the
 local back-substitution x_T = M_T^-1 (F_T - C_T^T Y) of a given Y
@@ -46,17 +47,20 @@ of the same mesh, Gamma included, with all plate DOFs added as they are:
 P = diag(P_body, I), where lambda[f, 3 a + c] = |F| v[vertex a of f, c] on
 every interior face f.  The multipliers are traction moments against P1
 normalised by 1/|F|, so only with the |F| scale does a rigid motion go to
-multipliers that S maps to zero on every face away from Gamma.  The coarse matrix P^T S P is factored
-once.  The smoother is block Jacobi on the 9 x 9 multiplier block of each
-face and the diagonal of the plate rows, damped by 1/2, and one cycle is
-symmetric multiplicative: smooth, coarse solve, smooth.  CG then takes
-about 50 iterations at every mesh size for a compressible body.  The coarse
-space locks as nu -> 1/2: at nu = 0.4999 the count grows with the mesh,
-92, 664 and 987 at body n = 2, 4 and 8, and at nu = 0.49999 CG does not
-converge in 1000.  There a direct factor of S is the cheaper solve, so CG
-watches its own rate: once the rate over the last PCG_WINDOW iterations
-forecasts more iterations than the factor would cost, CG stops and S is
-factored (``solve_condensed``).
+multipliers that S maps to zero on every face away from Gamma.  S P is
+kept, and the coarse matrix P^T (S P) is factored once.  The smoother is
+block Jacobi on the diagonal 9 x 9 face blocks of S and the diagonal of the
+plate rows, damped by 1/2, and one cycle (``TwoLevelCycle``) is symmetric
+multiplicative: smooth, coarse solve, smooth.  The residual after the
+coarse correction comes from the kept products, S (x + P e) = S x +
+(S P) e, so a CG iteration costs two products with S and one with S P.
+CG then takes about 50 iterations at every mesh size for a compressible
+body.  The coarse space locks as nu -> 1/2: at nu = 0.4999 the count grows
+with the mesh, 92, 664 and 987 at body n = 2, 4 and 8, and at nu = 0.49999
+CG does not converge in 1000.  There a direct factor of S is the cheaper
+solve, so CG watches its own rate: once the rate over the last PCG_WINDOW
+iterations forecasts more iterations than the factor would cost, CG stops
+and S is factored (``solve_condensed``), from one CSC copy of S.
 
 Inverting the blocks (``fe_elements.checked_inverses``) refuses any tet
 whose block has a 1-norm condition number above CONDITION_LIMIT.  Every
@@ -77,12 +81,12 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import BlockSystem, BodyBlocks, _scatter, _scatter_tet_blocks
-from .fe_elements import StressDofMap, checked_inverses
+from .assembly import BlockSystem, BodyBlocks, _scatter
+from .fe_elements import StressDofMap, checked_inverses, local_chunks
 from .solvers import RESIDUAL_CONTRACT, SolveReport, SparseFactor, pcg
 
-__all__ = ["HybridBody", "HybridLoad", "condense", "solve_hybrid",
-           "CONTINUITY_LIMIT"]
+__all__ = ["HybridBody", "HybridLoad", "CondensedSystem", "TwoLevelCycle",
+           "condense", "solve_hybrid", "CONTINUITY_LIMIT"]
 
 #: Largest face-continuity defect ||sum_T C_T sigma_T|| of the back-
 #: substituted local stresses, relative to the larger of their norm and the
@@ -156,6 +160,115 @@ def _multiplier_numbering(smap: StressDofMap) -> tuple[np.ndarray, int]:
     return lam, 9 * interior.size
 
 
+def _face_blocks(lam: np.ndarray, n: int, W: np.ndarray) -> sp.bsr_matrix:
+    """The n x n multiplier block sum_T C_T W_T C_T^T of S in 9 x 9 face
+    blocks, one block row per interior face, for the multiplier numbering
+    ``lam`` and the stress blocks W (n_tets, 42, 42) of the local inverses.
+
+    Tet T adds the block (f, g) for each pair of its interior faces, so the
+    layout follows from the tet-face adjacency.  A diagonal block sums the
+    two tets of its face and every other block comes from one tet, so the
+    result does not depend on the order of the sums: a block is added once
+    from its first tet and once more, on a second pass, from the second.
+    Each tet's local face DOFs are permuted into the faces' multiplier
+    order and its blocks added one ``local_chunks`` slice at a time."""
+    nt, n_f = len(lam), n // 9
+    face = lam[:, :36:9] // 9  # interior face of each face group, or -1
+    pair = (face[:, :, None] >= 0) & (face[:, None, :] >= 0)
+    key = (face[:, :, None] * n_f + face[:, None, :])[pair]
+    key, first, slot_of_pair = np.unique(key, return_index=True,
+                                         return_inverse=True)
+    slot = np.full(pair.shape, -1, dtype=np.int64)
+    slot[pair] = slot_of_pair
+    second = np.zeros(pair.shape, dtype=bool)  # the second tet of a block
+    second[pair] = np.isin(np.arange(slot_of_pair.size), first, invert=True)
+    indptr = np.zeros(n_f + 1, dtype=np.int32)
+    np.cumsum(np.bincount(key // n_f, minlength=n_f), out=indptr[1:])
+    data = np.zeros((key.size, 9, 9))
+    for c in local_chunks(nt):
+        # The local DOF of each multiplier of the tet's four face groups.
+        q = (np.argsort(lam[c, :36].reshape(-1, 4, 9), axis=2, kind="stable")
+             + 9 * np.arange(4)[:, None]).reshape(-1, 36)
+        t = np.arange(len(q))[:, None, None]
+        blocks = W[c][t, q[:, :, None], q[:, None, :]].reshape(
+            -1, 4, 9, 4, 9).transpose(0, 1, 3, 2, 4)
+        for side in (pair[c] & ~second[c], second[c]):
+            data[slot[c][side]] += blocks[side]
+    return sp.bsr_matrix((data, (key % n_f).astype(np.int32), indptr),
+                         shape=(n, n))
+
+
+@dataclass
+class CondensedSystem:
+    """The condensed system S by its blocks: the multiplier block ``ll`` in
+    9 x 9 face blocks, one block row per interior face, and the multiplier-
+    plate block ``lw`` and plate block ``ww`` in CSR.  S is symmetric, so
+    lw^T stands for its plate-multiplier block."""
+
+    ll: sp.bsr_matrix
+    lw: sp.csr_matrix
+    ww: sp.csr_matrix
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        n = self.ll.shape[0] + self.ww.shape[0]
+        return n, n
+
+    @property
+    def nnz(self) -> int:
+        return self.ll.nnz + 2 * self.lw.nnz + self.ww.nnz
+
+    @cached_property
+    def _wl(self) -> sp.csr_matrix:
+        """The plate-multiplier block lw^T."""
+        return self.lw.T.tocsr()
+
+    def __matmul__(self, x):
+        """S x, for a vector or a sparse matrix x (as CSR)."""
+        n = self.ll.shape[0]
+        top = self.ll @ x[:n] + self.lw @ x[n:]
+        bottom = self._wl @ x[:n] + self.ww @ x[n:]
+        if sp.issparse(x):
+            return sp.vstack([top.tocsr(), bottom.tocsr()], format="csr")
+        return np.concatenate([top, bottom])
+
+    def tocsc(self) -> sp.csc_matrix:
+        """S as one CSC matrix, for a direct factor."""
+        return sp.bmat([[self.ll, self.lw], [self._wl, self.ww]],
+                       format="csc")
+
+
+class TwoLevelCycle:
+    """One symmetric multiplicative cycle of the two-level preconditioner of
+    S for the coarse transfer P: smooth, coarse solve, smooth.
+
+    The coarse matrix P^T (S P) is factored once.  The smoother is damped
+    block Jacobi on the diagonal face blocks of S, read from its face-block
+    storage, and the diagonal of the plate rows.  S P is kept, so the
+    residual after the coarse correction x_2 = x_1 + P e needs no second
+    product with S: S x_2 = S x_1 + (S P) e."""
+
+    def __init__(self, S: CondensedSystem, P: sp.csr_matrix):
+        self.S, self.P, self.PT = S, P, P.T.tocsr()
+        self.SP = S @ P
+        self.coarse = SparseFactor(self.PT @ self.SP)
+        ll = S.ll
+        rows = np.repeat(np.arange(len(ll.indptr) - 1), np.diff(ll.indptr))
+        D = ll.data[ll.indices == rows]
+        ptr = np.arange(len(D) + 1)
+        self.smoother = SMOOTHER_DAMPING * sp.block_diag(
+            (sp.bsr_matrix((np.linalg.inv(D), ptr[:-1], ptr)),
+             sp.diags(1.0 / S.ww.diagonal())), format="csr")
+
+    def __call__(self, r: np.ndarray) -> np.ndarray:
+        x = self.smoother @ r
+        Sx = self.S @ x
+        e = self.coarse.apply(self.PT @ (r - Sx))
+        x += self.P @ e
+        Sx += self.SP @ e
+        return x + self.smoother @ (r - Sx)
+
+
 @dataclass
 class HybridLoad:
     """The data of one solve: the local stress and displacement right-hand
@@ -204,29 +317,9 @@ class HybridBody:
         self._direct = None  # the factor of S, once CG has given way to it
 
     @cached_property
-    def _preconditioner(self):
-        """The two-level preconditioner of S, built on the first use: one
-        symmetric multiplicative cycle (smooth, coarse solve, smooth) of
-        damped block Jacobi, on the 9 x 9 multiplier block of each face and
-        the diagonal of the plate rows, around an exact solve on the P1
-        vertex coarse space (P^T S P, one factor)."""
-        S, n = self.S.T, self.n_lam  # S is symmetric: a CSR view for products
-        P = self._coarse_transfer()
-        coarse = SparseFactor((S @ P).T @ P)  # P^T S P, by columns
-        dof = np.arange(n).reshape(-1, 9, 1)  # the nine DOFs of each face
-        rows, cols = np.broadcast_arrays(dof, dof.transpose(0, 2, 1))
-        D = np.asarray(S[rows.ravel(), cols.ravel()]).reshape(-1, 9, 9)
-        ptr = np.arange(n // 9 + 1)
-        smoother = SMOOTHER_DAMPING * sp.block_diag(
-            (sp.bsr_matrix((np.linalg.inv(D), ptr[:-1], ptr)),
-             sp.diags(1.0 / S.diagonal()[n:])), format="csr")
-
-        def apply(r):
-            x = smoother @ r
-            x += P @ coarse.apply(P.T @ (r - S @ x))
-            return x + smoother @ (r - S @ x)
-
-        return apply
+    def _preconditioner(self) -> TwoLevelCycle:
+        """The two-level preconditioner of S, built on the first use."""
+        return TwoLevelCycle(self.S, self._coarse_transfer())
 
     def _coarse_transfer(self) -> sp.csr_matrix:
         """P = diag(P_body, I_plate) from P1 vertex displacements v and the
@@ -262,55 +355,41 @@ class HybridBody:
         and every later solve, with no CG."""
         history: list[float] = []
         if self._direct is None:
-            S = self.S.T
-            budget = max(PCG_MIN_IT, S.shape[0] // PCG_UNKNOWNS_PER_IT)
+            budget = max(PCG_MIN_IT, self.S.shape[0] // PCG_UNKNOWNS_PER_IT)
             y, converged, history, _ = pcg(
-                lambda p: S @ p, self._preconditioner, r, PCG_TOL, budget,
-                label="condensed-system CG", window=PCG_WINDOW)
+                lambda p: self.S @ p, self._preconditioner, r, PCG_TOL,
+                budget, label="condensed-system CG", window=PCG_WINDOW)
             if converged:
                 return y, history, False
-            self._direct = SparseFactor(self.S)
+            self._direct = SparseFactor(self.S.tocsc())
         return self._direct.solve(r), history, True
 
-    def _condensed(self, lam: np.ndarray) -> sp.csc_matrix:
-        """S = sum_T C_T W_T C_T^T + diag(0, K) as a CSC matrix, with W_T
-        the stress block of M_T^-1.
-
-        The multiplier block sums the face blocks of the W_T straight into
-        the CSR arrays of S^T, one chunk of tets at a time
-        (``_scatter_tet_blocks``).  The tets on Gamma also reach the plate
-        DOFs through G: the plate rows and columns are a small sparse
-        product plus K, placed into the same arrays.  The CSR arrays of S^T
-        are the CSC arrays of S, so S is never copied."""
-        n, n_y = self.n_lam, self.n_lam + self.K.shape[0]
+    def _condensed(self, lam: np.ndarray) -> CondensedSystem:
+        """S = sum_T C_T W_T C_T^T + diag(0, K) by its blocks, with W_T the
+        stress block of M_T^-1: the multiplier block summed face block by
+        face block (``_face_blocks``), and the plate rows and columns, which
+        only the tets on Gamma reach (through G), a small sparse product
+        over those tets plus K."""
+        n = self.n_lam
         W = self.M_inv[:, :42, :42]
-        rest = None
-        if n_y > n:
-            P = sp.block_diag((sp.csr_matrix((n, n)), self.K), format="csr")
-            on_gamma = np.unique(self.G.indices // 42)
-            ng = on_gamma.size
-            cols = (42 * on_gamma[:, None] + np.arange(42)).ravel()
-            r = lam[on_gamma].ravel()
-            on = np.flatnonzero(r >= 0)
-            C_lam = sp.csr_matrix((np.ones(on.size), (r[on], on)),
-                                  shape=(n, 42 * ng))
-            C = sp.vstack([C_lam, -self.G[:, cols]]).tocsr()
-            loc = np.arange(42 * ng).reshape(ng, 42)
-            # The essential DOFs of a tet on Gamma carry data, not unknowns:
-            # their decoupled 1/diagonal entries stay out of S.
-            W_gamma = _scatter(
-                loc, loc, W[on_gamma] * ~(self.essential[on_gamma][:, :, None]
-                                          & np.eye(42, dtype=bool)),
-                (42 * ng, 42 * ng))
-            P = (C @ W_gamma @ C.T + P).tocoo()
-            # The multiplier block of P is among the face blocks; the rest
-            # goes in transposed, as a part of S^T.
-            keep = (P.row >= n) | (P.col >= n)
-            rest = sp.csr_matrix((P.data[keep], (P.col[keep], P.row[keep])),
-                                 shape=(n_y, n_y))
-        return sp.csc_matrix(_scatter_tet_blocks(
-            self.smap, lam, lambda c: np.swapaxes(W[c], 1, 2), n_y, rest),
-            shape=(n_y, n_y))
+        on_gamma = np.unique(self.G.indices // 42)
+        ng = on_gamma.size
+        cols = (42 * on_gamma[:, None] + np.arange(42)).ravel()
+        r = lam[on_gamma].ravel()
+        on = np.flatnonzero(r >= 0)
+        C_lam = sp.csr_matrix((np.ones(on.size), (r[on], on)),
+                              shape=(n, 42 * ng))
+        loc = np.arange(42 * ng).reshape(ng, 42)
+        # The essential DOFs of a tet on Gamma carry data, not unknowns:
+        # their decoupled 1/diagonal entries stay out of S.
+        W_gamma = _scatter(
+            loc, loc, W[on_gamma] * ~(self.essential[on_gamma][:, :, None]
+                                      & np.eye(42, dtype=bool)),
+            (42 * ng, 42 * ng))
+        G = self.G[:, cols]
+        WG = W_gamma @ G.T
+        return CondensedSystem(_face_blocks(lam, n, W), -(C_lam @ WG).tocsr(),
+                               (G @ WG + self.K).tocsr())
 
     # --- the maps C_T and their transposes, on all tets at once -----------
 

@@ -120,10 +120,10 @@ def default_case(params: MaterialParams | None = None) -> ManufacturedCase:
     def _pq(x):
         xx, yy = x[..., 0], x[..., 1]
         P = (1.0 - xx * xx) ** 2
-        dP = 4.0 * xx**3 - 4.0 * xx
+        dP = 4.0 * xx * xx * xx - 4.0 * xx
         ddP = 12.0 * xx * xx - 4.0
         Q = (1.0 - yy * yy) ** 2
-        dQ = 4.0 * yy**3 - 4.0 * yy
+        dQ = 4.0 * yy * yy * yy - 4.0 * yy
         ddQ = 12.0 * yy * yy - 4.0
         return P, dP, ddP, Q, dQ, ddQ
 

@@ -20,7 +20,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 __all__ = [
     "QuadratureRule",
@@ -180,11 +179,23 @@ _TET_TABLE = _tet_table()
 
 
 def _gauss_jacobi_01(n: int, alpha: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Jacobi nodes/weights on [0, 1] for the weight (1-x)^alpha."""
-    x, w = roots_jacobi(n, alpha, 0.0)
-    # Map from [-1, 1] with weight (1-t)^alpha to [0, 1] with weight (1-x)^alpha:
-    # t = 2x - 1, (1-t)^alpha = 2^alpha (1-x)^alpha, dt = 2 dx.
-    return (x + 1.0) / 2.0, w / 2.0 ** (alpha + 1)
+    """Gauss-Jacobi nodes/weights on [0, 1] for the weight (1-x)^alpha, by
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
+    three-term recurrence of the orthonormal polynomials, and the weights
+    mu_0 v_0^2 from the first components of its unit eigenvectors.
+
+    The recurrence is that of the Jacobi polynomials P_k^(alpha, 0) on
+    [-1, 1], mapped by t = 2x - 1, which halves the matrix and shifts its
+    diagonal by 1/2; mu_0 = 1 / (alpha + 1) is the integral of the weight.
+    """
+    k = np.arange(1.0, n)
+    s = 2.0 * k + alpha
+    a = np.concatenate([[-alpha / (alpha + 2.0)],
+                        -alpha * alpha / (s * (s + 2.0))])
+    b = 2.0 * k * (k + alpha) / (s * np.sqrt((s - 1.0) * (s + 1.0)))
+    J = np.diag((1.0 + a) / 2.0) + np.diag(b / 2.0, 1) + np.diag(b / 2.0, -1)
+    x, v = np.linalg.eigh(J)
+    return x, v[0] ** 2 / (alpha + 1.0)
 
 
 @functools.cache

@@ -380,7 +380,7 @@ def test_gamma_schur_complement_of_S_is_the_interface_operator(case):
     at = np.searchsorted(free, gamma)
     g = hb.n_lam + at
     rest = np.setdiff1d(np.arange(hb.S.shape[0]), g)
-    S = hb.S.toarray()
+    S = hb.S.tocsc().toarray()
     schur_S = S[np.ix_(g, g)] - S[np.ix_(g, rest)] @ np.linalg.solve(
         S[np.ix_(rest, rest)], S[np.ix_(rest, g)])
 

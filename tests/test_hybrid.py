@@ -121,6 +121,81 @@ def test_global_blocks_scatter_the_local_blocks():
 
 
 # ---------------------------------------------------------------------------
+# The condensed system S in 9 x 9 face blocks.
+# ---------------------------------------------------------------------------
+
+def assembled_S(hb):
+    """S = sum_T C_T W_T C_T^T + diag(0, K) by an assembly of its own: the
+    multiplier block by ``_scatter`` of the W_T on the global multiplier
+    indices, the plate rows and columns by sparse products with the
+    block-diagonal W of every tet."""
+    nt = hb.essential.shape[0]
+    W = hb.M_inv[:, :42, :42] * ~(hb.essential[:, :, None]
+                                  & np.eye(42, dtype=bool))
+    lam, n = hybrid._multiplier_numbering(hb.smap)
+    on = lam >= 0
+    at = np.where(on, lam, 0)
+    ll = asm._scatter(at, at, W * (on[:, :, None] & on[:, None, :]), (n, n))
+    C_lam = sp.csr_matrix((np.ones(np.count_nonzero(on)),
+                           (lam[on], np.flatnonzero(on))), shape=(n, 42 * nt))
+    loc = np.arange(42 * nt).reshape(nt, 42)
+    GW = hb.G @ asm._scatter(loc, loc, W, (42 * nt, 42 * nt))
+    lw = -(C_lam @ GW.T)
+    return sp.bmat([[ll, lw], [lw.T, GW @ hb.G.T + hb.K]], format="csc")
+
+
+def assert_S_is_assembled(body, plate):
+    hb = hybrid.condense(asm.build_mixed_system(body, plate,
+                                                default_case()))[0]
+    S, ref = hb.S, assembled_S(hb)
+    assert S.ll.blocksize == (9, 9)
+    assert len(S.ll.indptr) - 1 == np.count_nonzero(
+        hb.smap.face_neighbor >= 0)
+    assert S.shape == ref.shape
+    assert abs(S.tocsc() - ref).max() <= 1e-14 * abs(ref).max()
+
+
+@pytest.mark.parametrize("n_body, n_plate, diagonal", [
+    (2, 4, Diagonal.SAME_AS_BODY), (2, 8, Diagonal.FLIPPED),
+    (3, 12, Diagonal.FLIPPED)])
+def test_face_block_S_equals_its_assembly(n_body, n_plate, diagonal):
+    assert_S_is_assembled(build_body_mesh(n_body),
+                          build_plate_mesh(n_plate, diagonal))
+
+
+@SETTINGS
+@given(meshes)
+def test_face_block_S_equals_its_assembly_on_jittered_meshes(example):
+    assert_S_is_assembled(*build(example))
+
+
+def _counting(cls, counts, name):
+    """A subclass of the sparse class ``cls`` that counts its products."""
+    class Counting(cls):
+        def __matmul__(self, other):
+            counts[name] = counts.get(name, 0) + 1
+            return super().__matmul__(other)
+    return Counting
+
+
+def test_one_pcg_iteration_makes_two_S_products_and_one_SP_product():
+    # The cycle keeps S P, so the coarse correction costs no S product:
+    # k iterations take k operator products and k + 1 cycles (one before
+    # the first iteration), each of one S product and one S P product.
+    body, plate = build_body_mesh(2), build_plate_mesh(8, Diagonal.FLIPPED)
+    hb, _, load = hybrid.condense(
+        asm.build_mixed_system(body, plate, default_case()))
+    cycle = hb._preconditioner
+    counts = {}
+    hb.S.ll = _counting(sp.bsr_matrix, counts, "ll")(hb.S.ll)
+    cycle.SP = _counting(sp.csr_matrix, counts, "SP")(cycle.SP)
+    _, history, direct = hb.solve_condensed(load.r)
+    k = len(history) - 1
+    assert not direct and k > 10
+    assert counts == {"ll": 2 * k + 1, "SP": k + 1}
+
+
+# ---------------------------------------------------------------------------
 # The body operator of the interface solver.
 # ---------------------------------------------------------------------------
 
@@ -162,7 +237,7 @@ def test_body_operator_matches_saddle_factor(body_setup, with_data):
 
 
 def test_body_operator_factors_an_spd_matrix(body_setup):
-    S = body_setup["op"].hybrid.S
+    S = body_setup["op"].hybrid.S.tocsc()
     assert abs(S - S.T).max() <= 1e-12 * abs(S).max()
     assert np.all(S.diagonal() > 0)
     np.linalg.cholesky(S.toarray())  # raises unless positive definite

@@ -22,6 +22,7 @@ from bodyplate.quadrature import (
     TET_MAX_DEGREE,
     TRIANGLE_MAX_DEGREE,
     QuadratureRule,
+    _gauss_jacobi_01,
     physical_weights,
     tet_rule,
     triangle_rule,
@@ -121,6 +122,19 @@ class TestTetRules:
     def test_degree_out_of_range(self):
         with pytest.raises(ValueError):
             tet_rule(TET_MAX_DEGREE + 1)
+
+    @pytest.mark.parametrize("alpha", [0, 1, 2])
+    @pytest.mark.parametrize("n", range(1, (TET_MAX_DEGREE + 1) // 2 + 2))
+    def test_gauss_jacobi_matches_scipy(self, n, alpha):
+        # The conical rule's 1D factors (Golub-Welsch) against scipy's
+        # roots_jacobi on [-1, 1], mapped to [0, 1] with weight (1-x)^alpha.
+        from scipy.special import roots_jacobi
+
+        t, v = roots_jacobi(n, alpha, 0.0)
+        x, w = _gauss_jacobi_01(n, alpha)
+        assert_allclose(x, (t + 1.0) / 2.0, rtol=0, atol=1e-14)
+        assert_allclose(w, v / 2.0 ** (alpha + 1), rtol=0,
+                        atol=1e-14 * np.max(w))
 
 
 class TestPhysicalWeights:
