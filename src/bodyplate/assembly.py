@@ -88,64 +88,6 @@ def _scatter(rows: np.ndarray, cols: np.ndarray, blocks: np.ndarray,
     ).tocsr()
 
 
-#: The local stress DOFs of a tet by group: its four faces (nine DOFs
-#: each, shared with the tet across the face) and its interior (six).
-_GROUP_FIRST = np.array([0, 9, 18, 27, 36])
-_GROUP_SIZE = np.diff(np.append(_GROUP_FIRST, 42))
-_GROUP_OF_DOF = np.repeat(np.arange(5), _GROUP_SIZE)
-
-
-def _scatter_tet_blocks(smap: StressDofMap, blocks
-                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The CSR arrays (data, indices, indptr) of the global stress matrix
-    sum_T blocks_T, ``blocks(c)`` giving the blocks (m, 42, 42) of the tets
-    in slice c on their local DOFs ``smap.ltg``, each group of
-    ``_GROUP_FIRST`` on a contiguous range of global DOFs.
-
-    A row of group G reaches the groups of the one or two tets holding G,
-    so its layout follows from the tet-face adjacency: no triplets are
-    formed.  The blocks are built and added one ``local_chunks`` slice at a
-    time.  An entry sums at most two tets, the two sides of a face, so the
-    result does not depend on the order of the sums."""
-    dof, n = smap.ltg, smap.n_dofs
-    nt = len(dof)
-    start = np.minimum.reduceat(dof, _GROUP_FIRST, axis=1)  # (nt, 5)
-    size = np.broadcast_to(_GROUP_SIZE, start.shape)
-    # The tet across each face group, -1 on the boundary and inside.
-    fid = dof[:, :36:9] // 9
-    owner, nbr = smap.face_owner[fid], smap.face_neighbor[fid]
-    other = np.full((nt, 5), -1, dtype=np.int64)
-    other[:, :4] = np.where(owner == np.arange(nt)[:, None], nbr, owner)
-    across = other >= 0
-    o = np.where(across, other, 0)
-    row_len = 42 + across * (42 - size)
-    counts = np.zeros(n, dtype=np.int64)
-    counts[dof] = row_len[:, _GROUP_OF_DOF]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    itype = np.int32 if max(n, indptr[-1]) < 2**31 else np.int64
-    indptr = indptr.astype(itype)
-    data = np.zeros(indptr[-1])
-    indices = np.empty(indptr[-1], dtype=itype)
-    for c in local_chunks(nt):
-        st, sz, ac, oc = start[c], size[c], across[c], o[c]
-        # Offset of group b in a row of group a: the sizes of the row's
-        # groups that start before b, over both tets, the shared one once.
-        before = sz[:, None, :] * (st[:, None, :] < st[:, :, None])
-        off_t = before.sum(axis=2)[:, None, :]  # (m, 1, b)
-        so, zo = start[oc], size[oc]  # (m, a, 5)
-        off_o = (zo[:, :, None, :]
-                 * (so[:, :, None, :] < st[:, None, :, None])).sum(axis=3)
-        off_o -= sz[:, :, None] * (st[:, :, None] < st[:, None, :])
-        off = off_t + ac[:, :, None] * off_o  # (m, a, b)
-        d, g = dof[c], _GROUP_OF_DOF
-        pos = (indptr[d][:, :, None] + off[:, g][:, :, g]
-               + (d - st[:, g])[:, None, :])
-        np.add.at(data, pos, blocks(c))
-        indices[pos] = np.broadcast_to(d[:, None, :], pos.shape)
-    return data, indices, indptr
-
-
 def _scatter_vector(idx: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
     """Sum element vectors into a global vector of length n."""
     return np.bincount(idx.ravel(), weights=vals.ravel(), minlength=n)
@@ -178,18 +120,13 @@ def _vector_p1_strains(grad_lambda: np.ndarray) -> np.ndarray:
 # Body bilinear forms.
 # ---------------------------------------------------------------------------
 
-def _stress_batch(body: TetMesh, c: slice) -> StressBatch:
-    """The stress element on the tets of slice c of the body."""
-    return StressBatch(body.vertices[body.tets[c]], c.start)
-
-
-def _scatter_stress(smap: StressDofMap, blocks) -> sp.csr_matrix:
-    """Global stress form from ``blocks(c)``, the unsigned local blocks
-    (m, 42, 42) of the tets in slice c (see ``_scatter_tet_blocks``)."""
-    s, n = smap.sign, smap.n_dofs
-    return sp.csr_matrix(_scatter_tet_blocks(
-        smap, lambda c: blocks(c) * s[c, :, None] * s[c, None, :]),
-        shape=(n, n))
+def _scatter_stress(smap: StressDofMap, blocks: np.ndarray) -> sp.csr_matrix:
+    """Global stress form from the unsigned local blocks (n_tets, 42, 42).
+    An entry sums at most two tets, the two sides of a face, so the result
+    does not depend on the order of the sums."""
+    s = smap.sign
+    return _scatter(smap.ltg, smap.ltg, blocks * s[:, :, None] * s[:, None, :],
+                    (smap.n_dofs, smap.n_dofs))
 
 
 def _basis_blocks(k: StressBatch, span: np.ndarray) -> np.ndarray:
@@ -251,7 +188,7 @@ class BodyBlocks:
         n = body.n_tets
         blocks = cls(np.empty((n, 42, 42)), np.empty((n, 12, 42)))
         for c in local_chunks(n):
-            k = _stress_batch(body, c)
+            k = StressBatch(body.vertices[body.tets[c]], c.start)
             blocks.A[c] = compliance_blocks(k, params, quad_degree)
             blocks.B[c] = divergence_blocks(k, quad_degree)
         return blocks
@@ -264,16 +201,16 @@ def assemble_compliance(
     quad_degree: int = 4,
 ) -> sp.csr_matrix:
     """A[i, j] = int_alpha (C0^-1 phi_j) : phi_i  (symmetric positive definite)."""
-    return _scatter_stress(smap, lambda c: compliance_blocks(
-        _stress_batch(body, c), params, quad_degree))
+    return _scatter_stress(smap, compliance_blocks(
+        StressBatch(body.vertices[body.tets]), params, quad_degree))
 
 
 def assemble_stress_mass(
     body: TetMesh, smap: StressDofMap, quad_degree: int = 4
 ) -> sp.csr_matrix:
     """Plain L2 mass of the stress space, int phi_i : phi_j."""
-    return _scatter_stress(smap, lambda c: _tensor_mass_blocks(
-        _stress_batch(body, c), quad_degree, lambda T: T))
+    return _scatter_stress(smap, _tensor_mass_blocks(
+        StressBatch(body.vertices[body.tets]), quad_degree, lambda T: T))
 
 
 def _div_div_blocks(k: StressBatch, quad_degree: int) -> np.ndarray:
@@ -290,8 +227,8 @@ def assemble_div_div(
     body: TetMesh, smap: StressDofMap, quad_degree: int = 4
 ) -> sp.csr_matrix:
     """int div phi_i . div phi_j (elementwise divergence)."""
-    return _scatter_stress(smap, lambda c: _div_div_blocks(
-        _stress_batch(body, c), quad_degree))
+    return _scatter_stress(smap, _div_div_blocks(
+        StressBatch(body.vertices[body.tets]), quad_degree))
 
 
 def _scatter_divergence(smap: StressDofMap, vmap, loc: np.ndarray
@@ -308,7 +245,7 @@ def assemble_divergence(
 ) -> sp.csr_matrix:
     """B[k, i] = int_alpha div(phi_i) . psi_k  (V x Sigma)."""
     return _scatter_divergence(smap, vmap, divergence_blocks(
-        _stress_batch(body, slice(0, body.n_tets)), quad_degree))
+        StressBatch(body.vertices[body.tets]), quad_degree))
 
 
 def assemble_body_mass(body: TetMesh, vmap, quad_degree: int = 4) -> sp.csr_matrix:
@@ -629,7 +566,7 @@ class BlockSystem:
 
     @cached_property
     def A(self) -> sp.csr_matrix:
-        return _scatter_stress(self.smap, lambda c: self.blocks.A[c])
+        return _scatter_stress(self.smap, self.blocks.A)
 
     @cached_property
     def B(self) -> sp.csr_matrix:
@@ -789,16 +726,18 @@ def assemble_displacement_system(
     body_to_unified[3 * v + 2] = plate_offset + 2 * plate.n_vertices + pv
     aliased = (3 * v[:, None] + np.arange(3)).ravel()
 
-    # Body stiffness and volume load.
-    verts = body.vertices[body.tets]
-    grad, vol = simplex_geometry(verts)
+    # Body stiffness and loads: f_V = -(f, psi) holds each tet's volume load
+    # in the DG layout; the plate load tests the jump with the actual plate
+    # basis.
+    grad, vol = simplex_geometry(body.vertices[body.tets])
     strain = _vector_p1_strains(grad)
     k_loc = np.einsum("n,niab,njab->nij", vol, c0_apply(strain, params), strain)
     gl = body_to_unified[cmap.ltg]
-    rule = tet_rule(quad_volume)
-    pts, w = _mapped_rule(rule, verts)
-    loc = np.einsum("nq,qa,nqc->nac", w, rule.points, case.f_body(pts))
-    rhs = _scatter_vector(gl, loc, n_unified)
+    f_V, f_W = assemble_loads(
+        body, BodyDGDofMap(body), plate, pmap, case,
+        quad_volume=quad_volume, quad_interface=quad_interface, lowered_jump=False,
+    )
+    rhs = _scatter_vector(gl, -f_V.reshape(-1, 12), n_unified)
 
     # Traction (Neumann) term on the free boundary; boundary faces are
     # ordered so that the right-hand normal points outward.
@@ -814,15 +753,9 @@ def assemble_displacement_system(
     loc = np.einsum("nq,qa,nqc->nac", w, frule.points, g.reshape(pts.shape))
     rhs += _scatter_vector(body_to_unified[3 * tri[:, :, None] + np.arange(3)],
                            loc, n_unified)
-
-    # Plate stiffness and loads (jump tested with the actual plate basis).
-    Kp = assemble_plate_stiffness(plate, pmap, params, region="all")
-    _, f_W = assemble_loads(
-        body, BodyDGDofMap(body), plate, pmap, case,
-        quad_volume=quad_volume, quad_interface=quad_interface, lowered_jump=False,
-    )
     rhs[plate_offset:] += f_W
 
+    Kp = assemble_plate_stiffness(plate, pmap, params, region="all")
     K = (_scatter(gl, gl, k_loc, (n_unified, n_unified))
          + sp.block_diag((sp.csr_matrix((nv_body3, nv_body3)), Kp))).tocsr()
     clamped = np.flatnonzero(pmap.constrained) + plate_offset

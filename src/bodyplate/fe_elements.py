@@ -80,7 +80,6 @@ __all__ = [
     "span_scalars",
     "span_dlam",
     "SPAN_EDGE",
-    "lower_morley_to_p1",
     "StressDofMap",
     "BodyDGDofMap",
     "BodyCGDofMap",
@@ -108,9 +107,9 @@ CONDITION_LIMIT = 1e12
 
 #: Elements whose local work runs together (``local_chunks``): the local
 #: inverses (``checked_inverses``, ``StressBatch``), the body's blocks
-#: (``assembly.BodyBlocks``) and the sums of per-tet blocks into sparse
-#: matrices (``assembly``, ``hybrid``) take their elements this many at a
-#: time, so that only the arrays they keep reach the size of the mesh.
+#: (``assembly.BodyBlocks``) and the sums of per-tet blocks into the
+#: condensed system (``hybrid``) take their elements this many at a time,
+#: so that only the arrays they keep reach the size of the mesh.
 LOCAL_CHUNK = 128
 
 _FACE_RULE = triangle_rule(4)
@@ -249,7 +248,7 @@ def _refuse_ill_conditioned(M: np.ndarray, inv: np.ndarray, what: str,
         )
 
 
-def checked_inverses(n: int, build, what: str, first: int = 0) -> np.ndarray:
+def checked_inverses(n: int, build, what: str) -> np.ndarray:
     """Inverses (n, k, k) of n local matrices, ``build(c)`` giving those
     (m, k, k) of the elements in slice c, one ``local_chunks`` slice at a
     time, each chunk checked by ``_refuse_ill_conditioned``."""
@@ -258,7 +257,7 @@ def checked_inverses(n: int, build, what: str, first: int = 0) -> np.ndarray:
         if c.start == 0:
             inv = np.empty((n,) + M.shape[1:])
         inv[c] = _inverses(M)
-        _refuse_ill_conditioned(M, inv[c], what, first + c.start)
+        _refuse_ill_conditioned(M, inv[c], what, c.start)
     return inv
 
 
@@ -415,13 +414,6 @@ def _mono_grad(pts: np.ndarray) -> np.ndarray:
     g[:, 4, 1] = x
     g[:, 5, 1] = 2.0 * y
     return g
-
-
-def lower_morley_to_p1(plate_map: "PlateDofMap", w: np.ndarray) -> np.ndarray:
-    """Vertex-value P1 coefficients of the continuous lowering of a Morley
-    deflection field (identity on vertex values, edge DOFs dropped)."""
-    nv = plate_map.mesh.n_vertices
-    return np.asarray(w)[..., 2 * nv: 3 * nv]
 
 
 # ---------------------------------------------------------------------------
@@ -865,9 +857,6 @@ class PlateDofMap:
     def edge_index(self) -> dict[tuple, int]:
         """Edge number of each sorted vertex pair (built on first use)."""
         return {e: i for i, e in enumerate(map(tuple, self.edges.tolist()))}
-
-    def membrane_slice(self) -> slice:
-        return slice(0, 2 * self.mesh.n_vertices)
 
     def local_morley_coefficients(self, t: int, w: np.ndarray) -> np.ndarray:
         return self.mor_sign[t] * w[self.mor_ltg[t]]

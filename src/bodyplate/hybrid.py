@@ -361,7 +361,12 @@ class HybridBody:
                 budget, label="condensed-system CG", window=PCG_WINDOW)
             if converged:
                 return y, history, False
-            self._direct = SparseFactor(self.S.tocsc())
+            S = self.S.tocsc()
+            # No later solve runs the cycle.  Freeing S P and the coarse
+            # factor after the copy of S lets the factor reuse their memory;
+            # freed before the copy, they raised the peak RSS (glibc malloc).
+            del self._preconditioner
+            self._direct = SparseFactor(S)
         return self._direct.solve(r), history, True
 
     def _condensed(self, lam: np.ndarray) -> CondensedSystem:

@@ -25,7 +25,6 @@ from bodyplate.fe_elements import (
     StressDofMap,
     VectorP1Tet,
     VectorP1Tri,
-    lower_morley_to_p1,
     tet_barycentric,
 )
 from bodyplate.geometry_mesh import (
@@ -348,7 +347,6 @@ class TestDofMaps:
         pmap = PlateDofMap(plate)
         nv = plate.n_vertices
         assert pmap.n_dofs == 3 * nv + pmap.n_edges
-        assert pmap.membrane_slice() == slice(0, 2 * nv)
         # Every boundary vertex contributes 3 constrained DOFs; every
         # boundary edge one more.
         nb = pmap.boundary_vertices.size
@@ -386,11 +384,3 @@ class TestDofMaps:
             n1 = el1.edge_normals[e1]
             assert_allclose(el2.edge_normals[e2], -n1, atol=1e-13)
             assert g1 @ n1 == pytest.approx(g2 @ n1, abs=1e-10)
-
-    def test_lowering_extracts_vertex_values(self):
-        plate = build_plate_mesh(4)
-        pmap = PlateDofMap(plate)
-        w = np.arange(pmap.n_dofs, dtype=float)
-        low = lower_morley_to_p1(pmap, w)
-        nv = plate.n_vertices
-        assert_allclose(low, w[2 * nv: 3 * nv], atol=0)

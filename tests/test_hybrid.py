@@ -379,6 +379,7 @@ def test_direct_factor_serves_every_later_solve(monkeypatch):
     sizes = _count_factors(monkeypatch)
     r = np.random.default_rng(9).standard_normal(hb.S.shape[0])
     _, first, direct_first = hb.solve_condensed(r)
+    assert "_preconditioner" not in vars(hb)
     y, second, direct_second = hb.solve_condensed(r)
     assert len(first) == 3 and second == []
     assert direct_first and direct_second

@@ -49,6 +49,18 @@ class TestSolvers:
         assert sol.u.shape == (sol.cmap.n_dofs,)
         assert report.relative_residual < 1e-10
 
+    def test_displacement_norms_are_pinned(self):
+        # The baseline's seven norms at body 2 / plate 4, to roundoff: no
+        # other test checks its loads.
+        case = default_case()
+        sol, _ = vcli.solve_displacement(build_body_mesh(2),
+                                         build_plate_mesh(4), case)
+        expected = [307.75184599616443, 0.7537165895939332, 4.317103015123003,
+                    0.6100753123743314, 9.176939985216922, 1.5374228510272532,
+                    0.8991900457270154]
+        assert_allclose(vcli.compute_error_norms(sol, case).as_tuple(),
+                        expected, rtol=1e-12, atol=0)
+
 
 # ---------------------------------------------------------------------------
 # Error norms.
