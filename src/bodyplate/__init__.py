@@ -17,8 +17,6 @@ from .geometry_mesh import (
     TriMesh,
     build_body_mesh,
     build_plate_mesh,
-    dump_mesh,
-    refine_uniform,
     validate_mesh,
 )
 from .interface_overlay import (
@@ -55,8 +53,6 @@ __all__ = [
     "TriMesh",
     "build_body_mesh",
     "build_plate_mesh",
-    "dump_mesh",
-    "refine_uniform",
     "validate_mesh",
     "InterfaceFace",
     "OverlayCell",

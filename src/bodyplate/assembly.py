@@ -50,7 +50,14 @@ from .fe_elements import (
     span_dlam,
     span_scalars,
 )
-from .quadrature import TET_MEASURE, physical_weights, tet_rule, triangle_rule
+from .quadrature import (
+    FACE_DEGREE,
+    TET_MEASURE,
+    VOLUME_DEGREE,
+    physical_weights,
+    tet_rule,
+    triangle_rule,
+)
 
 __all__ = [
     "BodyBlocks",
@@ -136,12 +143,12 @@ def _basis_blocks(k: StressBatch, span: np.ndarray) -> np.ndarray:
     return k.coeffs @ span @ np.swapaxes(k.coeffs, 1, 2)
 
 
-def _tensor_mass_blocks(k: StressBatch, quad_degree: int, apply) -> np.ndarray:
+def _tensor_mass_blocks(k: StressBatch, apply) -> np.ndarray:
     """int apply(phi_j) : phi_i for a linear map ``apply`` of symmetric
     matrices.  With spanning functions s_k T_e the integrand separates into
     the reference Gram matrix of the s_k and the edge pairing
     apply(T_e) : T_f."""
-    rule = tet_rule(quad_degree)
+    rule = tet_rule(VOLUME_DEGREE)
     s = span_scalars(rule.points)
     gram = np.einsum("q,qk,ql->kl", rule.weights, s, s)
     pair = np.einsum("neab,nfab->nef", apply(k.T), k.T)
@@ -150,17 +157,15 @@ def _tensor_mass_blocks(k: StressBatch, quad_degree: int, apply) -> np.ndarray:
                          * gram * pair)
 
 
-def compliance_blocks(k: StressBatch, params: MaterialParams,
-                      quad_degree: int = 4) -> np.ndarray:
+def compliance_blocks(k: StressBatch, params: MaterialParams) -> np.ndarray:
     """Unsigned local compliance blocks (n, 42, 42) of the tets of ``k``."""
-    return _tensor_mass_blocks(k, quad_degree,
-                               lambda T: c0_inv_apply(T, params))
+    return _tensor_mass_blocks(k, lambda T: c0_inv_apply(T, params))
 
 
-def divergence_blocks(k: StressBatch, quad_degree: int = 4) -> np.ndarray:
+def divergence_blocks(k: StressBatch) -> np.ndarray:
     """Unsigned local divergence blocks (n, 12, 42): int div(phi_i) . psi_k
     with psi_k the vector P1 basis (local DOF 3 a + c)."""
-    rule = tet_rule(quad_degree)
+    rule = tet_rule(VOLUME_DEGREE)
     # Reference moments int lam_a d(s_k)/d(lam_b), (4, 42, 4).
     moments = np.einsum("q,qa,qkb->akb", rule.weights, rule.points,
                         span_dlam(rule.points))
@@ -181,16 +186,15 @@ class BodyBlocks:
     B: np.ndarray
 
     @classmethod
-    def build(cls, body: TetMesh, params: MaterialParams,
-              quad_degree: int = 4) -> "BodyBlocks":
+    def build(cls, body: TetMesh, params: MaterialParams) -> "BodyBlocks":
         """The blocks of every tet, from one ``StressBatch`` per
         ``local_chunks`` slice: only A and B reach the size of the mesh."""
         n = body.n_tets
         blocks = cls(np.empty((n, 42, 42)), np.empty((n, 12, 42)))
         for c in local_chunks(n):
             k = StressBatch(body.vertices[body.tets[c]], c.start)
-            blocks.A[c] = compliance_blocks(k, params, quad_degree)
-            blocks.B[c] = divergence_blocks(k, quad_degree)
+            blocks.A[c] = compliance_blocks(k, params)
+            blocks.B[c] = divergence_blocks(k)
         return blocks
 
 
@@ -198,24 +202,21 @@ def assemble_compliance(
     body: TetMesh,
     smap: StressDofMap,
     params: MaterialParams,
-    quad_degree: int = 4,
 ) -> sp.csr_matrix:
     """A[i, j] = int_alpha (C0^-1 phi_j) : phi_i  (symmetric positive definite)."""
     return _scatter_stress(smap, compliance_blocks(
-        StressBatch(body.vertices[body.tets]), params, quad_degree))
+        StressBatch(body.vertices[body.tets]), params))
 
 
-def assemble_stress_mass(
-    body: TetMesh, smap: StressDofMap, quad_degree: int = 4
-) -> sp.csr_matrix:
+def assemble_stress_mass(body: TetMesh, smap: StressDofMap) -> sp.csr_matrix:
     """Plain L2 mass of the stress space, int phi_i : phi_j."""
     return _scatter_stress(smap, _tensor_mass_blocks(
-        StressBatch(body.vertices[body.tets]), quad_degree, lambda T: T))
+        StressBatch(body.vertices[body.tets]), lambda T: T))
 
 
-def _div_div_blocks(k: StressBatch, quad_degree: int) -> np.ndarray:
+def _div_div_blocks(k: StressBatch) -> np.ndarray:
     """Unsigned local blocks (n, 42, 42) of int div phi_i . div phi_j."""
-    rule = tet_rule(quad_degree)
+    rule = tet_rule(VOLUME_DEGREE)
     d = k.div_scalars(span_dlam(rule.points))  # div(span_k) = d_k t_{e_k}
     t = k.tangents[:, SPAN_EDGE]
     dd = np.einsum("q,nqk,nql->nkl", rule.weights, d, d)
@@ -223,12 +224,10 @@ def _div_div_blocks(k: StressBatch, quad_degree: int) -> np.ndarray:
     return _basis_blocks(k, (k.volume / TET_MEASURE)[:, None, None] * dd * tt)
 
 
-def assemble_div_div(
-    body: TetMesh, smap: StressDofMap, quad_degree: int = 4
-) -> sp.csr_matrix:
+def assemble_div_div(body: TetMesh, smap: StressDofMap) -> sp.csr_matrix:
     """int div phi_i . div phi_j (elementwise divergence)."""
     return _scatter_stress(smap, _div_div_blocks(
-        StressBatch(body.vertices[body.tets]), quad_degree))
+        StressBatch(body.vertices[body.tets])))
 
 
 def _scatter_divergence(smap: StressDofMap, vmap, loc: np.ndarray
@@ -237,21 +236,18 @@ def _scatter_divergence(smap: StressDofMap, vmap, loc: np.ndarray
                     (vmap.n_dofs, smap.n_dofs))
 
 
-def assemble_divergence(
-    body: TetMesh,
-    smap: StressDofMap,
-    vmap,
-    quad_degree: int = 4,
-) -> sp.csr_matrix:
+def assemble_divergence(body: TetMesh, smap: StressDofMap, vmap
+                        ) -> sp.csr_matrix:
     """B[k, i] = int_alpha div(phi_i) . psi_k  (V x Sigma)."""
     return _scatter_divergence(smap, vmap, divergence_blocks(
-        StressBatch(body.vertices[body.tets]), quad_degree))
+        StressBatch(body.vertices[body.tets])))
 
 
-def assemble_body_mass(body: TetMesh, vmap, quad_degree: int = 4) -> sp.csr_matrix:
+def assemble_body_mass(body: TetMesh, vmap) -> sp.csr_matrix:
     """Vector P1 mass matrix on the body (works for the DG and CG maps)."""
     _, vol = simplex_geometry(body.vertices[body.tets])
-    loc = (vol / TET_MEASURE)[:, None, None] * _p1_mass_table(tet_rule(quad_degree))
+    loc = (vol / TET_MEASURE)[:, None, None] * _p1_mass_table(
+        tet_rule(VOLUME_DEGREE))
     return _scatter(vmap.ltg, vmap.ltg, loc, (vmap.n_dofs, vmap.n_dofs))
 
 
@@ -268,8 +264,8 @@ def assemble_plate_stiffness(
     """Membrane + bending stiffness over the full plate DOF set.
 
     ``region='all'`` integrates over every triangle; ``region='omit_interface'``
-    only over triangles outside closure(Gamma) (used by the domain-
-    decomposition extension energy).
+    only over triangles outside closure(Gamma) (the semidefinite variant of
+    ``domain_decomposition.SchurProduct``).
     """
     if region == "all":
         tri = np.arange(plate.n_triangles)
@@ -413,7 +409,6 @@ def impose_traction_bc(
     body: TetMesh,
     smap: StressDofMap,
     traction_fn,
-    quad_degree: int = 6,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Essential values of the free-face stress DOFs.
 
@@ -423,7 +418,7 @@ def impose_traction_bc(
     value[(p, c)] = (1/|F|) int_F (g . e_c) lam_p with lam_p the face's P1
     basis in sorted-global-vertex order.
     """
-    rule = triangle_rule(quad_degree)
+    rule = triangle_rule(FACE_DEGREE)
     fid = smap.free_face_ids
     owner, local = smap.face_owner[fid], smap.face_owner_local[fid]
     grad, _ = simplex_geometry(body.vertices[body.tets[owner]])
@@ -442,8 +437,6 @@ def assemble_loads(
     plate: TriMesh,
     pmap: PlateDofMap,
     case: ManufacturedCase,
-    quad_volume: int = 4,
-    quad_interface: int = 6,
     lowered_jump: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Load vectors of the mixed system.
@@ -454,7 +447,7 @@ def assemble_loads(
 
     The body load is evaluated one ``local_chunks`` slice of tets at a time.
     """
-    rule = tet_rule(quad_volume)
+    rule = tet_rule(VOLUME_DEGREE)
     loc = np.empty((body.n_tets, 4, 3))
     for c in local_chunks(body.n_tets):
         pts, w = _mapped_rule(rule, body.vertices[body.tets[c]])
@@ -462,7 +455,7 @@ def assemble_loads(
     f_V = _scatter_vector(vmap.ltg, loc, vmap.n_dofs)
 
     n = pmap.n_dofs
-    rule = triangle_rule(quad_volume)
+    rule = triangle_rule(VOLUME_DEGREE)
     verts = plate.vertices[plate.triangles]
     pts, w = _mapped_rule(rule, verts)
     mem = np.einsum("nq,qa,nqc->nac", w, rule.points, case.f_membrane(pts))
@@ -471,7 +464,7 @@ def assemble_loads(
     f_W = (_scatter_vector(pmap.mem_ltg, mem, n)
            + _scatter_vector(pmap.mor_ltg, pmap.mor_sign * bend, n))
 
-    rule = triangle_rule(quad_interface)
+    rule = triangle_rule(FACE_DEGREE)
     region = plate.interface_region_triangles
     verts = plate.vertices[plate.triangles[region]]
     pts, w = _mapped_rule(rule, verts)
@@ -489,12 +482,12 @@ def assemble_loads(
     return f_V, f_W
 
 
-def project_to_Vh(body: TetMesh, vmap, func, quad_degree: int = 4) -> np.ndarray:
+def project_to_Vh(body: TetMesh, vmap, func) -> np.ndarray:
     """Elementwise L2 projection of a vector field onto the discontinuous
     vector P1 space (12 x 12 local mass solves).  The element measure scales
     the local mass and right-hand side alike, so one reference mass serves
     every tet."""
-    rule = tet_rule(quad_degree)
+    rule = tet_rule(VOLUME_DEGREE)
     verts = body.vertices[body.tets]
     f = func(rule.points @ verts)  # (n, nq, 3)
     rhs = np.einsum("q,qa,nqc->nac", rule.weights, rule.points, f)
@@ -619,10 +612,6 @@ def build_mixed_system(
     plate: TriMesh,
     case: ManufacturedCase,
     params: MaterialParams | None = None,
-    quad_volume: int = 4,
-    quad_interface: int = 6,
-    faces: list[InterfaceFace] | None = None,
-    cells: list[OverlayCell] | None = None,
 ) -> BlockSystem:
     """Assemble all blocks of the mixed formulation for a manufactured case."""
     from .interface_overlay import (
@@ -635,22 +624,14 @@ def build_mixed_system(
     smap = StressDofMap(body)
     vmap = BodyDGDofMap(body)
     pmap = PlateDofMap(plate)
+    faces = extract_interface_triangulation(body)
+    cells = intersect_triangulations(faces, plate)
 
-    if faces is None:
-        faces = extract_interface_triangulation(body)
-    if cells is None:
-        cells = intersect_triangulations(faces, plate, quad_degree=quad_interface)
-
-    blocks = BodyBlocks.build(body, params, quad_volume)
+    blocks = BodyBlocks.build(body, params)
     coupling = interface_coupling_blocks(body, plate, pmap, faces, cells)
     K = assemble_plate_stiffness(plate, pmap, params, region="all")
-    f_V, f_W = assemble_loads(
-        body, vmap, plate, pmap, case,
-        quad_volume=quad_volume, quad_interface=quad_interface, lowered_jump=True,
-    )
-    ess_idx, ess_vals = impose_traction_bc(
-        body, smap, case.traction, quad_degree=quad_interface
-    )
+    f_V, f_W = assemble_loads(body, vmap, plate, pmap, case, lowered_jump=True)
+    ess_idx, ess_vals = impose_traction_bc(body, smap, case.traction)
     return BlockSystem(
         body=body, plate=plate, smap=smap, vmap=vmap, pmap=pmap, params=params,
         blocks=blocks, coupling=coupling, K=K, f_V=f_V, f_W=f_W,
@@ -689,8 +670,6 @@ def assemble_displacement_system(
     plate: TriMesh,
     case: ManufacturedCase,
     params: MaterialParams | None = None,
-    quad_volume: int = 4,
-    quad_interface: int = 6,
 ) -> DisplacementSystem:
     """Continuous vector P1 body + (membrane P1, Morley) plate, joined by
     identifying interface vertex DOFs (components 1-2 with membrane values,
@@ -733,10 +712,8 @@ def assemble_displacement_system(
     strain = _vector_p1_strains(grad)
     k_loc = np.einsum("n,niab,njab->nij", vol, c0_apply(strain, params), strain)
     gl = body_to_unified[cmap.ltg]
-    f_V, f_W = assemble_loads(
-        body, BodyDGDofMap(body), plate, pmap, case,
-        quad_volume=quad_volume, quad_interface=quad_interface, lowered_jump=False,
-    )
+    f_V, f_W = assemble_loads(body, BodyDGDofMap(body), plate, pmap, case,
+                              lowered_jump=False)
     rhs = _scatter_vector(gl, -f_V.reshape(-1, 12), n_unified)
 
     # Traction (Neumann) term on the free boundary; boundary faces are
@@ -746,7 +723,7 @@ def assemble_displacement_system(
     nrm = np.cross(coords[:, 1] - coords[:, 0], coords[:, 2] - coords[:, 0])
     area = 0.5 * np.linalg.norm(nrm, axis=1)
     nrm = nrm / (2.0 * area[:, None])
-    frule = triangle_rule(quad_interface)
+    frule = triangle_rule(FACE_DEGREE)
     pts = frule.points @ coords
     w = physical_weights(frule, area[:, None])
     g = case.traction(pts.reshape(-1, 3), np.repeat(nrm, frule.n_points, axis=0))

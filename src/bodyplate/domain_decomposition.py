@@ -123,12 +123,10 @@ class BodyOperator:
     """
 
     def __init__(self, body: TetMesh, smap: StressDofMap, vmap: BodyDGDofMap,
-                 params: MaterialParams, traction_fn, quad_volume: int = 4,
-                 quad_interface: int = 6):
+                 params: MaterialParams, traction_fn):
         self.vmap = vmap
-        blocks = BodyBlocks.build(body, params, quad_volume)
-        ess_idx, ess_vals = impose_traction_bc(body, smap, traction_fn,
-                                               quad_degree=quad_interface)
+        blocks = BodyBlocks.build(body, params)
+        ess_idx, ess_vals = impose_traction_bc(body, smap, traction_fn)
         self.hybrid = HybridBody(smap, blocks, ess_idx)
         self.essential_data = np.zeros(smap.n_dofs)
         self.essential_data[ess_idx] = ess_vals
@@ -207,7 +205,6 @@ def cg_interface_solve(apply_op, apply_prec, b: np.ndarray,
 
 def solve_dd(body: TetMesh, plate: TriMesh, case: ManufacturedCase,
              params: MaterialParams | None = None,
-             quad_volume: int = 4, quad_interface: int = 6,
              tol: float = CG_TOL, max_it: int = CG_MAX_IT) -> DDSolution:
     """Solve the coupled problem by the interface CG method.
 
@@ -222,9 +219,7 @@ def solve_dd(body: TetMesh, plate: TriMesh, case: ManufacturedCase,
     CG plate solution there, and the junction residual its distance from
     the final w.
     """
-    system = build_mixed_system(body, plate, case, params,
-                                quad_volume=quad_volume,
-                                quad_interface=quad_interface)
+    system = build_mixed_system(body, plate, case, params)
     hb, free, load = condense(system)
     n = hb.n_lam
     # Only the blocks of S are kept, and S_lambda,lambda as CSC for its

@@ -852,11 +852,3 @@ class PlateDofMap:
         constrained[np.concatenate([2 * bv, 2 * bv + 1, 2 * nv + bv,
                                     3 * nv + edge])] = True
         self.constrained = constrained
-
-    @cached_property
-    def edge_index(self) -> dict[tuple, int]:
-        """Edge number of each sorted vertex pair (built on first use)."""
-        return {e: i for i, e in enumerate(map(tuple, self.edges.tolist()))}
-
-    def local_morley_coefficients(self, t: int, w: np.ndarray) -> np.ndarray:
-        return self.mor_sign[t] * w[self.mor_ltg[t]]

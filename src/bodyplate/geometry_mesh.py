@@ -26,9 +26,7 @@ __all__ = [
     "build_body_mesh",
     "body_mesh_from_tets",
     "build_plate_mesh",
-    "refine_uniform",
     "validate_mesh",
-    "dump_mesh",
     "GEOM_TOL",
     "GAMMA_HALF_WIDTH",
 ]
@@ -74,7 +72,6 @@ class TetMesh:
     boundary_owners : (nb,) int array of owning tet indices.
     boundary_tags : (nb,) int array of FaceTag values.
     n : int, cells per unit edge (h-level parameter).
-    level : int, refinement counter.
     """
 
     vertices: np.ndarray
@@ -83,7 +80,6 @@ class TetMesh:
     boundary_owners: np.ndarray
     boundary_tags: np.ndarray
     n: int
-    level: int = 0
 
     def __post_init__(self):
         _freeze(self.vertices, self.tets, self.boundary_faces,
@@ -118,7 +114,7 @@ class TriMesh:
     interface_region_triangles : int array
         Indices of triangles contained in closure(Gamma).
     diagonal : Diagonal
-    n : int, cells per side; level : refinement counter.
+    n : int, cells per side.
     """
 
     vertices: np.ndarray
@@ -127,7 +123,6 @@ class TriMesh:
     interface_region_triangles: np.ndarray
     diagonal: Diagonal
     n: int
-    level: int = 0
 
     def __post_init__(self):
         _freeze(self.vertices, self.triangles, self.boundary_edges,
@@ -237,7 +232,6 @@ def body_mesh_from_tets(vertices: np.ndarray, tets: np.ndarray,
         boundary_tags=np.where(on_gamma, int(FaceTag.INTERFACE),
                                int(FaceTag.FREE)).astype(np.int64),
         n=n,
-        level=0,
     )
 
 
@@ -294,7 +288,6 @@ def build_plate_mesh(n: int, diagonal: Diagonal = Diagonal.SAME_AS_BODY) -> TriM
         interface_region_triangles=region,
         diagonal=diagonal,
         n=n,
-        level=0,
     )
 
 
@@ -335,20 +328,8 @@ def _match_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Refinement, validation, dumping.
+# Validation.
 # ---------------------------------------------------------------------------
-
-def refine_uniform(mesh):
-    """Uniform refinement: rebuild at 2n with the level counter advanced."""
-    if isinstance(mesh, TetMesh):
-        out = build_body_mesh(2 * mesh.n)
-    elif isinstance(mesh, TriMesh):
-        out = build_plate_mesh(2 * mesh.n, mesh.diagonal)
-    else:
-        raise TypeError(f"cannot refine object of type {type(mesh)!r}")
-    out.level = mesh.level + 1
-    return out
-
 
 def resolves_interface_boundary(plate: TriMesh) -> bool:
     """True when every plate triangle is contained in closure(Gamma) or has
@@ -421,22 +402,3 @@ def validate_mesh(mesh) -> list[str]:
         problems.append(f"unknown mesh type {type(mesh)!r}")
     return problems
 
-
-def dump_mesh(mesh, stream) -> None:
-    """Write a plain-text mesh dump: one `v x y [z]` line per vertex followed
-    by one `t i j k [l]` line per element."""
-    close = False
-    if isinstance(stream, (str, bytes)):
-        stream = open(stream, "w")
-        close = True
-    try:
-        for v in mesh.vertices:
-            coords = " ".join(f"{c:.17g}" for c in v)
-            stream.write(f"v {coords}\n")
-        elems = mesh.tets if isinstance(mesh, TetMesh) else mesh.triangles
-        for e in elems:
-            ids = " ".join(str(int(i)) for i in e)
-            stream.write(f"t {ids}\n")
-    finally:
-        if close:
-            stream.close()

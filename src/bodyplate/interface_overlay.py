@@ -35,7 +35,7 @@ from .geometry_mesh import (
     triangle_area,
 )
 from .fe_elements import simplex_barycentric, simplex_geometry
-from .quadrature import triangle_rule
+from .quadrature import FACE_DEGREE, triangle_rule
 
 __all__ = [
     "InterfaceFace",
@@ -298,10 +298,9 @@ def _candidate_pairs(lo_a, hi_a, lo_b, hi_b) -> tuple[np.ndarray, np.ndarray]:
 def intersect_triangulations(
     faces: list[InterfaceFace],
     plate: TriMesh,
-    quad_degree: int = 6,
 ) -> list[OverlayCell]:
     """Common refinement of the projected interface faces and the plate's
-    interface-region triangles, with mapped quadrature of the given degree on
+    interface-region triangles, with the mapped ``FACE_DEGREE`` rule on
     every cell, sorted by (face_id, tri_id).  Raises if the overlay area
     defect exceeds ``AREA_DEFECT_TOL``.
 
@@ -333,7 +332,7 @@ def intersect_triangulations(
         raise ValueError(
             f"overlay area defect: cells cover {total:.15g} of {GAMMA_AREA}"
         )
-    pts, wts, n_fan = _fan_quadrature(poly, count, triangle_rule(quad_degree))
+    pts, wts, n_fan = _fan_quadrature(poly, count, triangle_rule(FACE_DEGREE))
     split = np.cumsum(n_fan)[:-1]
     return [
         OverlayCell(face_id=f, tri_id=t, polygon=p[:m],

@@ -8,7 +8,7 @@ broadcast over leading dimensions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,9 +44,9 @@ class MaterialParams:
 
     def __post_init__(self):
         for name in ("e_alpha", "e_beta", "t_beta"):
-            if not getattr(self, name) > 0:
-                raise ValueError(
-                    f"{name} must be positive, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"got {getattr(self, name)}")
         if not (-1.0 < self.nu_alpha < 0.5):
             raise ValueError(f"nu_alpha must lie in (-1, 1/2), got {self.nu_alpha}")
         if not (-1.0 < self.nu_beta < 0.5):
@@ -68,9 +68,6 @@ class MaterialParams:
             * self.nu_alpha
             / ((1.0 + self.nu_alpha) * (1.0 - 2.0 * self.nu_alpha))
         )
-
-    def with_(self, **kwargs) -> "MaterialParams":
-        return replace(self, **kwargs)
 
 
 def default_params() -> MaterialParams:

@@ -8,6 +8,10 @@ tetrahedron); integrating a function over a physical simplex therefore reads
 
 or, equivalently, ``sum(physical_weights(rule, measure) * f)``.
 
+The library integrates with three fixed degrees: ``VOLUME_DEGREE`` on tets and
+plate triangles, ``FACE_DEGREE`` on faces and interface cells, and
+``NORM_DEGREE`` in the error norms.
+
 Triangle rules are symmetric positive-weight tables (Dunavant-style orbits) for
 degrees up to 10.  Tetrahedron rules are tabulated for degrees 1-2 and fall back
 to a collapsed Gauss-Jacobi conical product (always positive weights) for
@@ -28,10 +32,26 @@ __all__ = [
     "physical_weights",
     "TRIANGLE_MAX_DEGREE",
     "TET_MAX_DEGREE",
+    "VOLUME_DEGREE",
+    "FACE_DEGREE",
+    "NORM_DEGREE",
 ]
 
 TRIANGLE_MAX_DEGREE = 10
 TET_MAX_DEGREE = 8
+
+#: Tets and plate triangles.  The compliance, stress-mass and div-div
+#: integrands are polynomials of degree 4 on each tet, so this rule is exact
+#: for them.  The body load, the body mass and ``project_to_Vh`` share the
+#: rule, so the divergence of a discrete stress solution equals the negated
+#: load projection, M_V^-1 B sigma = -P f, exactly and not by two matching
+#: defaults.
+VOLUME_DEGREE = 4
+#: Faces and interface overlay cells: traction data, coupling and jump loads.
+FACE_DEGREE = 6
+#: Error norms.  The exact fields are not polynomials; a rule above the
+#: assembly's keeps its own error out of the measured rates.
+NORM_DEGREE = 8
 
 #: Reference measures.
 TRI_MEASURE = 0.5

@@ -1,6 +1,6 @@
 """Error norms, convergence studies, and the command-line interface.
 
-Norms computed against a manufactured case (quadrature degree 8 by default):
+Norms computed against a manufactured case with the ``NORM_DEGREE`` (8) rule:
 body stress and displacement L2 errors; membrane H1 seminorm and L2 error;
 deflection broken-Hessian seminorm, broken-H1 seminorm, and L2 error.  Rates
 are consecutive-level log2 ratios.
@@ -37,13 +37,7 @@ from .geometry_mesh import Diagonal, TetMesh, TriMesh, build_body_mesh, build_pl
 from .hybrid import solve_hybrid
 from .manufactured import ManufacturedCase, default_case
 from .materials import MaterialParams, c0_apply, default_params
-from .quadrature import (
-    TET_MAX_DEGREE,
-    TRIANGLE_MAX_DEGREE,
-    physical_weights,
-    tet_rule,
-    triangle_rule,
-)
+from .quadrature import NORM_DEGREE, physical_weights, tet_rule, triangle_rule
 from .solvers import SolveReport, solve_saddle_point
 
 __all__ = [
@@ -102,7 +96,6 @@ class SolutionFields:
 
 def solve_mixed(body: TetMesh, plate: TriMesh, case: ManufacturedCase,
                 params: MaterialParams | None = None,
-                quad_volume: int = 4, quad_interface: int = 6,
                 ) -> tuple[SolutionFields, SolveReport]:
     """Assemble the mixed formulation and solve it by hybridization: static
     condensation onto the face multipliers and the plate DOFs, solved by
@@ -113,10 +106,7 @@ def solve_mixed(body: TetMesh, plate: TriMesh, case: ManufacturedCase,
     (sigma, u, w)."""
     if params is None:
         params = case.params
-    system = _asm.build_mixed_system(
-        body, plate, case, params,
-        quad_volume=quad_volume, quad_interface=quad_interface,
-    )
+    system = _asm.build_mixed_system(body, plate, case, params)
     sigma, u, w, report = solve_hybrid(system)
     sol = SolutionFields(
         method="mixed-nc", body=body, plate=plate, params=params,
@@ -128,15 +118,11 @@ def solve_mixed(body: TetMesh, plate: TriMesh, case: ManufacturedCase,
 
 def solve_displacement(body: TetMesh, plate: TriMesh, case: ManufacturedCase,
                        params: MaterialParams | None = None,
-                       quad_volume: int = 4, quad_interface: int = 6,
                        ) -> tuple[SolutionFields, SolveReport]:
     """Assemble and solve the continuous-displacement baseline."""
     if params is None:
         params = case.params
-    system = _asm.assemble_displacement_system(
-        body, plate, case, params,
-        quad_volume=quad_volume, quad_interface=quad_interface,
-    )
+    system = _asm.assemble_displacement_system(body, plate, case, params)
     M_ff, rhs_f = system.constraints.reduce(system.K, system.rhs)
     x_f, report = solve_saddle_point(M_ff, rhs_f)
     u, w = system.split(system.constraints.expand(x_f))
@@ -152,13 +138,13 @@ def solve_displacement(body: TetMesh, plate: TriMesh, case: ManufacturedCase,
 # ---------------------------------------------------------------------------
 
 #: Quadrature points per batch of tets in the body norms, which bounds the
-#: sampled (points, 3, 3) fields at the degree-8 rule.
+#: sampled (points, 3, 3) fields at the ``NORM_DEGREE`` rule.
 _NORM_BATCH_POINTS = 2**15
 
 
-def _body_errors(sol: SolutionFields, case: ManufacturedCase,
-                 degree: int) -> tuple[float, float]:
-    rule = tet_rule(degree)
+def _body_errors(sol: SolutionFields, case: ManufacturedCase
+                 ) -> tuple[float, float]:
+    rule = tet_rule(NORM_DEGREE)
     step = max(1, _NORM_BATCH_POINTS // rule.n_points)
     sq = sum(_body_squared_errors(sol, case, rule, slice(i, i + step))
              for i in range(0, sol.body.n_tets, step))
@@ -195,9 +181,9 @@ def _body_squared_errors(sol: SolutionFields, case: ManufacturedCase, rule,
 
 
 def _plate_errors(plate: TriMesh, pmap: PlateDofMap, w_vec: np.ndarray,
-                  case: ManufacturedCase, degree: int
+                  case: ManufacturedCase
                   ) -> tuple[float, float, float, float, float]:
-    rule = triangle_rule(degree)
+    rule = triangle_rule(NORM_DEGREE)
     verts = plate.vertices[plate.triangles]
     mo = MorleyBatch(verts)
     wq = physical_weights(rule, mo.area[:, None])
@@ -225,12 +211,12 @@ def _plate_errors(plate: TriMesh, pmap: PlateDofMap, w_vec: np.ndarray,
             np.sqrt(e3_h1), np.sqrt(e3_l2))
 
 
-def compute_error_norms(sol: SolutionFields, case: ManufacturedCase,
-                        degree: int = 8) -> ErrorRecord:
+def compute_error_norms(sol: SolutionFields, case: ManufacturedCase
+                        ) -> ErrorRecord:
     """All seven error norms of a solved configuration."""
-    err_sig, err_u = _body_errors(sol, case, degree)
+    err_sig, err_u = _body_errors(sol, case)
     mem_h1, mem_l2, e3_h2, e3_h1, e3_l2 = _plate_errors(
-        sol.plate, sol.pmap, sol.w, case, degree
+        sol.plate, sol.pmap, sol.w, case
     )
     return ErrorRecord(sigma=err_sig, u=err_u, umem_h1=mem_h1,
                        umem_l2=mem_l2, u3_h2=e3_h2, u3_h1=e3_h1, u3_l2=e3_l2)
@@ -269,8 +255,6 @@ class ConvergenceReport:
 def run_convergence_study(method: str, levels: int, matching: bool,
                           case: ManufacturedCase | None = None,
                           params: MaterialParams | None = None,
-                          quad_volume: int = 4, quad_interface: int = 6,
-                          quad_error: int = 8,
                           progress=None) -> ConvergenceReport:
     """Solve a sequence of uniformly refined configurations.
 
@@ -302,12 +286,10 @@ def run_convergence_study(method: str, levels: int, matching: bool,
         body = build_body_mesh(n_body)
         plate = build_plate_mesh(n_plate, diagonal)
         if method == "mixed-nc":
-            sol, _ = solve_mixed(body, plate, case, params,
-                                 quad_volume, quad_interface)
+            sol, _ = solve_mixed(body, plate, case, params)
         else:
-            sol, _ = solve_displacement(body, plate, case, params,
-                                        quad_volume, quad_interface)
-        rec = compute_error_norms(sol, case, degree=quad_error)
+            sol, _ = solve_displacement(body, plate, case, params)
+        rec = compute_error_norms(sol, case)
         rows.append(ConvergenceRow(level=lvl, n_body=n_body, n_plate=n_plate,
                                    h_alpha=body.h, h_beta=plate.h, errors=rec))
         del sol
@@ -373,9 +355,6 @@ class RunConfig:
     e_beta: float = default_params().e_beta
     nu_beta: float = 0.3
     t_beta: float = 0.02
-    quad_volume: int = 4
-    quad_interface: int = 6
-    quad_error: int = 8
     dd_tol: float = 1e-6
     dd_max_it: int = 200
 
@@ -423,14 +402,8 @@ def _invalid(cfg: RunConfig) -> str | None:
         cfg.material_params()
     except ValueError as exc:
         return str(exc)
-    both = min(TET_MAX_DEGREE, TRIANGLE_MAX_DEGREE)  # tets and plate triangles
-    for key, top in (("quad_volume", both),
-                     ("quad_interface", TRIANGLE_MAX_DEGREE),
-                     ("quad_error", both)):
-        if not 0 <= getattr(cfg, key) <= top:
-            return f"{key} must be in [0, {top}], got {getattr(cfg, key)}"
-    if not cfg.dd_tol > 0:
-        return f"dd_tol must be positive, got {cfg.dd_tol}"
+    if not 0 < cfg.dd_tol < 1:
+        return f"dd_tol must lie in (0, 1), got {cfg.dd_tol}"
     if cfg.dd_max_it < 1:
         return f"dd_max_it must be >= 1, got {cfg.dd_max_it}"
     return None
@@ -522,12 +495,10 @@ def _solve_command(args, cfg: RunConfig) -> int:
     params = cfg.material_params()
     case = default_case(params)
     if args.method == "mixed-nc":
-        sol, rep = solve_mixed(body, plate, case, params,
-                               cfg.quad_volume, cfg.quad_interface)
+        sol, rep = solve_mixed(body, plate, case, params)
     else:
-        sol, rep = solve_displacement(body, plate, case, params,
-                                      cfg.quad_volume, cfg.quad_interface)
-    rec = compute_error_norms(sol, case, degree=cfg.quad_error)
+        sol, rep = solve_displacement(body, plate, case, params)
+    rec = compute_error_norms(sol, case)
     row = ConvergenceRow(level=args.body_level, n_body=body.n,
                          n_plate=plate.n, h_alpha=body.h, h_beta=plate.h,
                          errors=rec)
@@ -557,7 +528,6 @@ def _convergence_command(args, cfg: RunConfig) -> int:
     case = default_case(params)
     report = run_convergence_study(
         args.method, args.levels, args.matching == "yes", case, params,
-        cfg.quad_volume, cfg.quad_interface, cfg.quad_error,
         progress=lambda msg: print(msg, flush=True),
     )
     print(format_convergence_table(report))
@@ -568,8 +538,8 @@ def _convergence_command(args, cfg: RunConfig) -> int:
 
 
 def _dd_command(args, cfg: RunConfig) -> int:
-    if args.tol is not None and not args.tol > 0:
-        print(f"error: --tol must be positive, got {args.tol}",
+    if args.tol is not None and not 0 < args.tol < 1:
+        print(f"error: --tol must lie in (0, 1), got {args.tol}",
               file=sys.stderr)
         return 2
     meshes = _meshes(args)
@@ -578,8 +548,6 @@ def _dd_command(args, cfg: RunConfig) -> int:
     body, plate = meshes
     params = cfg.material_params()
     sol = solve_dd(body, plate, default_case(params), params,
-                   quad_volume=cfg.quad_volume,
-                   quad_interface=cfg.quad_interface,
                    tol=cfg.dd_tol if args.tol is None else args.tol,
                    max_it=cfg.dd_max_it)
     r = sol.report

@@ -40,6 +40,8 @@ from bodyplate.manufactured import constant_stress_case, default_case
 from bodyplate.materials import c0_inv_apply, default_params
 from bodyplate.quadrature import physical_weights, tet_rule, triangle_rule
 
+from test_batched_kernel import ref_loads
+
 
 def assemble_interface_coupling_direct(body, smap, plate, pmap, faces,
                                        quad_degree=6):
@@ -229,7 +231,7 @@ class TestPlateStiffness:
         grad = np.array([b, c])
         w = np.zeros(pmap.n_dofs)
         w[2 * nv: 3 * nv] = a + plate.vertices @ grad
-        for (va, vb), eid in pmap.edge_index.items():
+        for eid, (va, vb) in enumerate(pmap.edges):
             t_vec = plate.vertices[vb] - plate.vertices[va]
             nrm = np.array([t_vec[1], -t_vec[0]])
             nrm /= np.linalg.norm(nrm)
@@ -416,17 +418,16 @@ class TestLoadsAndProjection:
         assert_allclose(f_V[2::3], -vol / 4.0, atol=1e-12)
 
     def test_load_weak_residual_against_fine_quadrature(self, params):
-        # Same loads assembled with the default and a finer volume rule agree
-        # to quadrature accuracy (the integrands are smooth).
+        # The assembled loads and a reference with finer volume and face
+        # rules agree to quadrature accuracy (the integrands are smooth).
         body = build_body_mesh(2)
         plate = build_plate_mesh(4, Diagonal.SAME_AS_BODY)
         vmap = BodyDGDofMap(body)
         pmap = PlateDofMap(plate)
         case = default_case()
-        f_V4, f_W4 = asm.assemble_loads(body, vmap, plate, pmap, case,
-                                        quad_volume=4, quad_interface=6)
-        f_V8, f_W8 = asm.assemble_loads(body, vmap, plate, pmap, case,
-                                        quad_volume=8, quad_interface=10)
+        f_V4, f_W4 = asm.assemble_loads(body, vmap, plate, pmap, case)
+        f_V8, f_W8 = ref_loads(body, vmap, plate, pmap, case,
+                               lowered_jump=True, degrees=(8, 10))
         assert np.max(np.abs(f_V4 - f_V8)) < 1e-3 * max(1.0, np.max(np.abs(f_V8)))
         assert np.max(np.abs(f_W4 - f_W8)) < 1e-3 * max(1.0, np.max(np.abs(f_W8)))
 

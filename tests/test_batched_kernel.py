@@ -205,9 +205,12 @@ def ref_coupling(body, smap, plate, pmap, faces, cells, elements):
     return coo(blocks, (pmap.n_dofs, smap.n_dofs))
 
 
-def ref_loads(body, vmap, plate, pmap, case, lowered_jump):
+def ref_loads(body, vmap, plate, pmap, case, lowered_jump, degrees=(4, 6)):
+    """The mixed loads, element by element, with the (volume, face) rule
+    degrees ``degrees``; the library's are (4, 6)."""
+    volume, face = degrees
     f_V = np.zeros(vmap.n_dofs)
-    rule = tet_rule(4)
+    rule = tet_rule(volume)
     for t in range(body.n_tets):
         verts = body.tet_vertices(t)
         w = physical_weights(rule, VectorP1Tet(verts).volume)
@@ -215,7 +218,7 @@ def ref_loads(body, vmap, plate, pmap, case, lowered_jump):
         np.add.at(f_V, vmap.ltg[t],
                   -np.einsum("q,qa,qc->ac", w, rule.points, fv).ravel())
     f_W = np.zeros(pmap.n_dofs)
-    rule = triangle_rule(4)
+    rule = triangle_rule(volume)
     for t in range(plate.n_triangles):
         verts = plate.triangle_vertices(t)
         w = physical_weights(rule, VectorP1Tri(verts).area)
@@ -225,7 +228,7 @@ def ref_loads(body, vmap, plate, pmap, case, lowered_jump):
         mo = MorleyElement(verts)
         np.add.at(f_W, pmap.mor_ltg[t], pmap.mor_sign[t] * np.einsum(
             "q,qi,q->i", w, mo.value(pts), case.f_bending(pts)))
-    rule = triangle_rule(6)
+    rule = triangle_rule(face)
     for t in plate.interface_region_triangles:
         verts = plate.triangle_vertices(t)
         w = physical_weights(rule, VectorP1Tri(verts).area)
@@ -304,7 +307,7 @@ def ref_error_norms(sol, case, elements=None):
         w = physical_weights(rule, mem.area)
         pts = rule.points @ verts
         mc = wv[pmap.mem_ltg[t]]
-        c3 = pmap.local_morley_coefficients(t, wv)
+        c3 = pmap.mor_sign[t] * wv[pmap.mor_ltg[t]]
         diffs = [
             np.einsum("i,icd->cd", mc, mem.gradient())[None]
             - case.grad_u_membrane(pts),

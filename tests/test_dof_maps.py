@@ -137,7 +137,6 @@ def check_plate_map(plate):
     assert pmap.n_edges == len(edges)
     assert pmap.n_dofs == 3 * plate.n_vertices + len(edges)
     assert_same(pmap.edges, np.array(edges, dtype=np.int64))
-    assert pmap.edge_index == index
     assert_same(pmap.mem_ltg, mem)
     assert_same(pmap.mor_ltg, mor)
     assert_same(pmap.mor_sign, sign)

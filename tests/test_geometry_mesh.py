@@ -4,10 +4,9 @@ The body occupies (-1/2, 1/2)^2 x (0, 1) and is divided into n^3 cubes, each
 split into six positively oriented tetrahedra; the plate occupies (-1, 1)^2
 divided into n^2 squares of two triangles each.  Checks cover element counts,
 total measures, boundary extraction and tagging, the interface-resolution
-predicate, uniform refinement, validation, and the text dump format.
+predicate, and validation.
 """
 
-import io
 from dataclasses import replace
 
 import numpy as np
@@ -19,8 +18,6 @@ from bodyplate.geometry_mesh import (
     FaceTag,
     build_body_mesh,
     build_plate_mesh,
-    dump_mesh,
-    refine_uniform,
     resolves_interface_boundary,
     tet_volume,
     triangle_area,
@@ -236,43 +233,3 @@ class TestValidate:
     def test_unknown_type(self):
         assert validate_mesh(object())[0].startswith("unknown mesh type")
 
-
-class TestRefinement:
-    def test_body_refinement(self):
-        coarse = build_body_mesh(2)
-        fine = refine_uniform(coarse)
-        assert fine.n == 4
-        assert fine.level == coarse.level + 1
-        assert fine.n_tets == 8 * coarse.n_tets
-
-    def test_plate_refinement_keeps_diagonal(self):
-        coarse = build_plate_mesh(4, Diagonal.FLIPPED)
-        fine = refine_uniform(coarse)
-        assert fine.n == 8
-        assert fine.diagonal is Diagonal.FLIPPED
-
-    def test_refinement_rejects_unknown(self):
-        with pytest.raises(TypeError):
-            refine_uniform(object())
-
-
-class TestDump:
-    def test_body_dump_format(self):
-        mesh = build_body_mesh(1)
-        buf = io.StringIO()
-        dump_mesh(mesh, buf)
-        lines = buf.getvalue().splitlines()
-        v_lines = [l for l in lines if l.startswith("v ")]
-        t_lines = [l for l in lines if l.startswith("t ")]
-        assert len(v_lines) == mesh.n_vertices
-        assert len(t_lines) == mesh.n_tets
-        assert len(v_lines[0].split()) == 4  # v x y z
-        assert len(t_lines[0].split()) == 5  # t i j k l
-
-    def test_plate_dump_roundtrip_coordinates(self):
-        mesh = build_plate_mesh(2)
-        buf = io.StringIO()
-        dump_mesh(mesh, buf)
-        first = buf.getvalue().splitlines()[0].split()
-        assert first[0] == "v"
-        assert_allclose([float(x) for x in first[1:]], mesh.vertices[0], rtol=1e-16)

@@ -56,11 +56,6 @@ class TestMaterialParams:
         with pytest.raises(ValueError):
             MaterialParams(1.0, 0.3, 1.0, 0.3, 0.0)
 
-    def test_with_override(self, params):
-        q = params.with_(e_alpha=1.0)
-        assert q.e_alpha == 1.0
-        assert q.nu_alpha == params.nu_alpha
-
 
 class TestBodyLaw:
     def test_identity_strain_oracle(self, params):

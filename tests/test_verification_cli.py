@@ -15,6 +15,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from bodyplate import verification_cli as vcli
+from bodyplate.domain_decomposition import solve_dd
 from bodyplate.fe_elements import BodyDGDofMap, PlateDofMap, StressDofMap
 from bodyplate.geometry_mesh import Diagonal, build_body_mesh, build_plate_mesh
 from bodyplate.manufactured import constant_stress_case, default_case
@@ -50,16 +51,39 @@ class TestSolvers:
         assert report.relative_residual < 1e-10
 
     def test_displacement_norms_are_pinned(self):
-        # The baseline's seven norms at body 2 / plate 4, to roundoff: no
-        # other test checks its loads.
+        # The seven norms to roundoff: of the displacement baseline (no other
+        # test checks its loads), and of the mixed and DD solves on a
+        # matching and a non-matching pair, so that a change meant to leave
+        # the rules and the solves as they are shows any drift.
         case = default_case()
-        sol, _ = vcli.solve_displacement(build_body_mesh(2),
-                                         build_plate_mesh(4), case)
-        expected = [307.75184599616443, 0.7537165895939332, 4.317103015123003,
-                    0.6100753123743314, 9.176939985216922, 1.5374228510272532,
-                    0.8991900457270154]
-        assert_allclose(vcli.compute_error_norms(sol, case).as_tuple(),
-                        expected, rtol=1e-12, atol=0)
+        body = build_body_mesh(2)
+        matching = build_plate_mesh(4)
+        flipped = build_plate_mesh(8, Diagonal.FLIPPED)
+        dd = solve_dd(body, flipped, case)
+        dd_sol = vcli.SolutionFields(
+            method="mixed-nc", body=body, plate=flipped, params=case.params,
+            u=dd.u, w=dd.w, pmap=PlateDofMap(flipped), sigma=dd.sigma,
+            smap=StressDofMap(body), vmap=BodyDGDofMap(body))
+        for sol, expected in (
+            (vcli.solve_displacement(body, matching, case)[0],
+             [307.75184599616443, 0.7537165895939332, 4.317103015123003,
+              0.6100753123743314, 9.176939985216922, 1.5374228510272532,
+              0.8991900457270154]),
+            (vcli.solve_mixed(body, matching, case)[0],
+             [89.24868459157089, 0.6457999050373789, 4.3171198796535855,
+              0.610061401538106, 8.824386224405115, 1.492433154593008,
+              0.9347275167520603]),
+            (vcli.solve_mixed(body, flipped, case)[0],
+             [82.27689312598153, 0.3286976814796543, 2.437315927373007,
+              0.353980294926702, 4.948526667740904, 0.4673282405440638,
+              0.2940076602551515]),
+            (dd_sol,
+             [82.27689311681152, 0.32869766473863127, 2.4373159273746348,
+              0.35398029492882505, 4.948526659255986, 0.4673282433241717,
+              0.29400766015386687]),
+        ):
+            assert_allclose(vcli.compute_error_norms(sol, case).as_tuple(),
+                            expected, rtol=1e-12, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +234,7 @@ class TestConfig:
         assert p.e_alpha == d.e_alpha
         assert p.e_beta == d.e_beta
         assert p.t_beta == d.t_beta
-        assert cfg.quad_volume == 4
+        assert cfg.dd_max_it == 200
         assert cfg.dd_tol == 1e-6
 
     def test_load_good_file(self, tmp_path):
@@ -219,13 +243,13 @@ class TestConfig:
             "# material overrides\n"
             "e_alpha = 2e2\n"
             "\n"
-            "quad_volume = 6   # higher-order volume quadrature\n"
+            "dd_max_it = 500   # a longer interface CG budget\n"
             "dd_tol=1e-8\n"
         )
         cfg = vcli.load_config(str(path))
         assert cfg.e_alpha == 200.0
-        assert cfg.quad_volume == 6
-        assert isinstance(cfg.quad_volume, int)
+        assert cfg.dd_max_it == 500
+        assert isinstance(cfg.dd_max_it, int)
         assert cfg.dd_tol == 1e-8
         # Untouched keys keep their defaults.
         assert cfg.nu_alpha == 0.3
@@ -244,7 +268,7 @@ class TestConfig:
 
     def test_bad_value_type(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("quad_volume = 4.5\n")
+        path.write_text("dd_max_it = 4.5\n")
         with pytest.raises(vcli.ConfigError, match="bad value"):
             vcli.load_config(str(path))
 
@@ -369,6 +393,17 @@ class TestCli:
          "t_beta"),
         ("quad_error = 99",
          ["solve", "--body-level", "0", "--plate-level", "2"], "quad_error"),
+        ("e_alpha = inf", ["solve", "--body-level", "0", "--plate-level", "2"],
+         "e_alpha"),
+        ("t_beta = inf", ["solve", "--body-level", "0", "--plate-level", "2"],
+         "t_beta"),
+        ("dd_tol = inf",
+         ["dd-solve", "--body-level", "0", "--plate-level", "2"], "dd_tol"),
+        (None, ["dd-solve", "--body-level", "0", "--plate-level", "2",
+                "--tol", "2"], "--tol"),
+        # The quadrature degrees are fixed: their old keys are unknown.
+        ("quad_volume = 4",
+         ["solve", "--body-level", "0", "--plate-level", "2"], "quad_volume"),
     ])
     def test_bad_input_is_usage_error(self, tmp_path, capsys, config, argv,
                                       name):
