@@ -277,10 +277,13 @@ def assemble_plate_stiffness(
 
     mo = MorleyBatch(plate.vertices[plate.triangles[tri]])
     strain = _vector_p1_strains(mo.grad_lambda)
-    k_mem = np.einsum("n,niab,njab->nij", mo.area, c1_apply(strain, params),
-                      strain)
+    k_mem = mo.area[:, None, None] * (
+        c1_apply(strain, params).reshape(-1, 6, 4)
+        @ np.swapaxes(strain.reshape(-1, 6, 4), 1, 2))
     hess = mo.hessians()
-    k_bend = np.einsum("n,niab,njab->nij", mo.area, c2_apply(hess, params), hess)
+    k_bend = mo.area[:, None, None] * (
+        c2_apply(hess, params).reshape(-1, 6, 4)
+        @ np.swapaxes(hess.reshape(-1, 6, 4), 1, 2))
     s = pmap.mor_sign[tri]
     shape = (pmap.n_dofs, pmap.n_dofs)
     return (_scatter(pmap.mem_ltg[tri], pmap.mem_ltg[tri], k_mem, shape)
@@ -451,16 +454,16 @@ def assemble_loads(
     loc = np.empty((body.n_tets, 4, 3))
     for c in local_chunks(body.n_tets):
         pts, w = _mapped_rule(rule, body.vertices[body.tets[c]])
-        loc[c] = -np.einsum("nq,qa,nqc->nac", w, rule.points, case.f_body(pts))
+        loc[c] = -(rule.points.T @ (w[..., None] * case.f_body(pts)))
     f_V = _scatter_vector(vmap.ltg, loc, vmap.n_dofs)
 
     n = pmap.n_dofs
     rule = triangle_rule(VOLUME_DEGREE)
     verts = plate.vertices[plate.triangles]
     pts, w = _mapped_rule(rule, verts)
-    mem = np.einsum("nq,qa,nqc->nac", w, rule.points, case.f_membrane(pts))
-    bend = np.einsum("nq,nqi,nq->ni", w, MorleyBatch(verts).values(rule.points),
-                     case.f_bending(pts))
+    mem = rule.points.T @ (w[..., None] * case.f_membrane(pts))
+    bend = ((w * case.f_bending(pts))[:, None]
+            @ MorleyBatch(verts).values(rule.points))[:, 0]
     f_W = (_scatter_vector(pmap.mem_ltg, mem, n)
            + _scatter_vector(pmap.mor_ltg, pmap.mor_sign * bend, n))
 
@@ -469,14 +472,14 @@ def assemble_loads(
     verts = plate.vertices[plate.triangles[region]]
     pts, w = _mapped_rule(rule, verts)
     fj = case.f_jump(pts)  # (n, nq, 3)
-    mem = np.einsum("nq,qa,nqc->nac", w, rule.points, fj[..., :2])
+    mem = rule.points.T @ (w[..., None] * fj[..., :2])
     f_W += _scatter_vector(pmap.mem_ltg[region], mem, n)
     if lowered_jump:
-        low = np.einsum("nq,qa,nq->na", w, rule.points, fj[..., 2])
+        low = (w * fj[..., 2]) @ rule.points
         f_W += _scatter_vector(pmap.mor_ltg[region, :3], low, n)
     else:
-        jump = np.einsum("nq,nqi,nq->ni", w,
-                         MorleyBatch(verts).values(rule.points), fj[..., 2])
+        jump = ((w * fj[..., 2])[:, None]
+                @ MorleyBatch(verts).values(rule.points))[:, 0]
         f_W += _scatter_vector(pmap.mor_ltg[region],
                                pmap.mor_sign[region] * jump, n)
     return f_V, f_W

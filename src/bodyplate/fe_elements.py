@@ -27,9 +27,19 @@ combined with per-element geometry and dual-basis coefficients computed for a
 batch of elements at once, so the cost does not depend on the mesh being
 structured.  The body's batches are ``LOCAL_CHUNK`` tets (``local_chunks``),
 so that only the arrays that are kept reach the size of the mesh.  The
-per-element classes (``HuMaElement``, ``MorleyElement``,
-``VectorP1Tet``, ``VectorP1Tri``) are the reference the kernel is tested
-against.
+per-element classes (``HuMaElement``, ``MorleyElement``) are the reference
+the kernel is tested against.
+
+Contraction rule: a batched product goes through ``@``, so that BLAS runs
+it, one product per element or one for the whole batch; ``np.einsum``
+without ``optimize`` never calls BLAS and runs a contraction as a plain C
+loop.  ``einsum`` stays where no matmul form exists (an elementwise product
+summed over an axis, as in ``div_scalars`` and the squared sums of the error
+norms) and where ``@`` measured slower (the one 4 x 3 product per point of
+``simplex_barycentric``); the per-element reference classes, the import-time
+tables and the construction of ``StressBatch`` and ``MorleyBatch`` keep
+theirs.  A product per element has the same operands whatever the batch, so
+its result does not depend on how the elements are batched.
 
 The stress DOF matrix factors as M_T = L_T M_ref, with M_ref one constant
 42 x 42 matrix (``_STRESS_DOF_REF``, tabulated at import with its inverse)
@@ -71,8 +81,6 @@ from .quadrature import tet_rule, triangle_rule
 __all__ = [
     "HuMaElement",
     "MorleyElement",
-    "VectorP1Tet",
-    "VectorP1Tri",
     "StressBatch",
     "MorleyBatch",
     "simplex_geometry",
@@ -271,76 +279,6 @@ def tet_barycentric(verts: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Barycentric coordinates of 3D points with respect to a tetrahedron."""
     grad, _ = _simplex_geometry_one(verts)
     return simplex_barycentric(grad, verts[0], np.atleast_2d(points))
-
-
-# ---------------------------------------------------------------------------
-# Vector P1 elements.
-# ---------------------------------------------------------------------------
-
-class VectorP1Tri:
-    """Vector-valued P1 on a physical triangle; local DOF (a, c) -> basis
-    hat_a e_c at local index 2a + c."""
-
-    n_dofs = 6
-
-    def __init__(self, verts: np.ndarray):
-        self.verts = np.asarray(verts, dtype=float)
-        self.grad_lambda, self.area = _simplex_geometry_one(self.verts)
-
-    def value(self, bary: np.ndarray) -> np.ndarray:
-        """(nq, 6, 2) basis values at barycentric points."""
-        bary = np.atleast_2d(bary)
-        nq = bary.shape[0]
-        out = np.zeros((nq, 6, 2))
-        for a in range(3):
-            for c in range(2):
-                out[:, 2 * a + c, c] = bary[:, a]
-        return out
-
-    def gradient(self) -> np.ndarray:
-        """(6, 2, 2) constant gradients d(basis_i)_r / dx_s."""
-        out = np.zeros((6, 2, 2))
-        for a in range(3):
-            for c in range(2):
-                out[2 * a + c, c, :] = self.grad_lambda[a]
-        return out
-
-    def strain(self) -> np.ndarray:
-        g = self.gradient()
-        return 0.5 * (g + np.swapaxes(g, 1, 2))
-
-
-class VectorP1Tet:
-    """Vector-valued P1 on a physical tetrahedron; local DOF (a, c) -> basis
-    hat_a e_c at local index 3a + c."""
-
-    n_dofs = 12
-
-    def __init__(self, verts: np.ndarray):
-        self.verts = np.asarray(verts, dtype=float)
-        self.grad_lambda, self.volume = _simplex_geometry_one(self.verts)
-
-    def value(self, bary: np.ndarray) -> np.ndarray:
-        """(nq, 12, 3) basis values at barycentric points."""
-        bary = np.atleast_2d(bary)
-        nq = bary.shape[0]
-        out = np.zeros((nq, 12, 3))
-        for a in range(4):
-            for c in range(3):
-                out[:, 3 * a + c, c] = bary[:, a]
-        return out
-
-    def gradient(self) -> np.ndarray:
-        """(12, 3, 3) constant gradients d(basis_i)_r / dx_s."""
-        out = np.zeros((12, 3, 3))
-        for a in range(4):
-            for c in range(3):
-                out[3 * a + c, c, :] = self.grad_lambda[a]
-        return out
-
-    def strain(self) -> np.ndarray:
-        g = self.gradient()
-        return 0.5 * (g + np.swapaxes(g, 1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -649,7 +587,7 @@ class StressBatch:
     def div_scalars(self, dlam: np.ndarray) -> np.ndarray:
         """(n, ..., 42) scalars d with div(span_k) = d_k t_{e_k}, from a
         ``span_dlam`` table (..., 42, 4)."""
-        tau = np.einsum("nec,nbc->neb", self.tangents, self.grad_lambda)
+        tau = self.tangents @ np.swapaxes(self.grad_lambda, 1, 2)
         return np.einsum("...kb,nkb->n...k", dlam, tau[:, SPAN_EDGE])
 
 
@@ -687,18 +625,20 @@ class MorleyBatch:
 
     def values(self, bary: np.ndarray) -> np.ndarray:
         """(n, nq, 6) basis values at barycentric points (nq, 3)."""
-        return np.einsum("qk,nik->nqi", _p2_scalars(bary), self.coeffs)
+        return _p2_scalars(bary) @ np.swapaxes(self.coeffs, 1, 2)
 
     def gradients(self, bary: np.ndarray) -> np.ndarray:
         """(n, nq, 6, 2) basis gradients at barycentric points (nq, 3)."""
-        d = np.einsum("qkb,nbx->nqkx", _p2_dlam(bary), self.grad_lambda)
-        return np.einsum("nik,nqkx->nqix", self.coeffs, d)
+        dlam = _p2_dlam(bary)  # (nq, 6, 3)
+        d = self.coeffs @ np.moveaxis(dlam, 0, 1).reshape(6, -1)
+        d = d.reshape(-1, 6, len(dlam), 3) @ self.grad_lambda[:, None]
+        return np.swapaxes(d, 1, 2)
 
     def hessians(self) -> np.ndarray:
         """(n, 6, 2, 2) constant basis Hessians."""
-        g = self.grad_lambda
-        h = np.einsum("kbc,nbx,ncy->nkxy", _P2_D2, g, g)
-        return np.einsum("nik,nkxy->nixy", self.coeffs, h)
+        g = self.grad_lambda[:, None]
+        h = np.swapaxes(g, 2, 3) @ _P2_D2 @ g  # (n, 6, 2, 2)
+        return (self.coeffs @ h.reshape(-1, 6, 4)).reshape(h.shape)
 
 
 # ---------------------------------------------------------------------------

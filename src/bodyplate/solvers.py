@@ -148,8 +148,13 @@ def pcg(apply_op, apply_prec, b: np.ndarray, tol: float, max_it: int,
     whether it converged, and the relative U-norm and Euclidean residual
     histories (both start at 1, or are [0.0] for b = 0).  Raises a
     ``RuntimeError`` naming ``label`` and the iteration when p^T A p or
-    r^T z is not positive: the operator or the preconditioner is not SPD.
+    r^T z is not positive: the operator or the preconditioner is not SPD,
+    and a ``ValueError`` for a ``tol`` outside (0, 1): at 1 or more CG would
+    report convergence after one iteration whatever the residual, at 0 or
+    less it would never converge.
     """
+    if not 0 < tol < 1:
+        raise ValueError(f"{label} tol must lie in (0, 1), got {tol}")
     x = np.zeros_like(b)
     nb = np.linalg.norm(b)
     if nb == 0.0:

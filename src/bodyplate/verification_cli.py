@@ -30,6 +30,9 @@ from .fe_elements import (
     PlateDofMap,
     StressBatch,
     StressDofMap,
+    _p2_dlam,
+    _p2_scalars,
+    _P2_D2,
     simplex_geometry,
     span_scalars,
 )
@@ -161,23 +164,25 @@ def _body_squared_errors(sol: SolutionFields, case: ManufacturedCase, rule,
         # Contract the coefficients first: sigma_h = sum_e g_e T_e with g_e
         # the edge-e part of the spanning-function expansion.
         coeffs = sol.smap.sign[el] * sol.sigma[sol.smap.ltg[el]]
-        span = np.einsum("ni,nik->nk", coeffs, k.coeffs).reshape(-1, 6, 7)
+        span = (coeffs[:, None] @ k.coeffs).reshape(-1, 6, 7)
         s = span_scalars(rule.points).reshape(-1, 6, 7)
-        g = np.einsum("nek,qek->nqe", span, s)
-        sig_h = np.einsum("nqe,neab->nqab", g, k.T)
+        # g[n, q, e] = span[n, e] . s[q, e]: one product per edge.
+        g = np.swapaxes(span, 0, 1) @ np.moveaxis(s, 0, 2)  # (6, n, nq)
+        sig_h = np.moveaxis(g, 0, 2) @ k.T.reshape(-1, 6, 9)
+        sig_h = sig_h.reshape(sig_h.shape[:2] + (3, 3))
         uc = sol.u[sol.vmap.ltg[el]].reshape(-1, 4, 3)
     else:
         grad_lambda, vol = simplex_geometry(verts)
         uc = sol.u[sol.cmap.ltg[el]].reshape(-1, 4, 3)
-        grad = np.einsum("nac,nad->ncd", uc, grad_lambda)
+        grad = np.swapaxes(uc, 1, 2) @ grad_lambda
         eps = 0.5 * (grad + np.swapaxes(grad, 1, 2))
         sig_h = c0_apply(eps, sol.params)[:, None]
     pts = rule.points @ verts
     w = physical_weights(rule, vol[:, None])
     d = sig_h - case.sigma_body(pts)
-    du = np.einsum("qa,nac->nqc", rule.points, uc) - case.u_body(pts)
-    return np.array([np.einsum("nq,nqab,nqab->", w, d, d),
-                     np.einsum("nq,nqc,nqc->", w, du, du)])
+    du = rule.points @ uc - case.u_body(pts)
+    return np.array([np.vdot(w, np.einsum("nqab,nqab->nq", d, d)),
+                     np.vdot(w, np.einsum("nqc,nqc->nq", du, du))])
 
 
 def _plate_errors(plate: TriMesh, pmap: PlateDofMap, w_vec: np.ndarray,
@@ -192,21 +197,24 @@ def _plate_errors(plate: TriMesh, pmap: PlateDofMap, w_vec: np.ndarray,
     def sq(d):
         """Squared L2 norm of an (n, nq, ...) field sampled at the points."""
         d = d.reshape(d.shape[0], d.shape[1], -1)
-        return float(np.einsum("nq,nqk,nqk->", wq, d, d))
+        return float(np.vdot(wq, np.einsum("nqk,nqk->nq", d, d)))
 
     mc = w_vec[pmap.mem_ltg].reshape(-1, 3, 2)
-    grad_h = np.einsum("nac,nad->ncd", mc, mo.grad_lambda)
-    e_mem_h1 = sq(grad_h[:, None] - case.grad_u_membrane(pts))
-    um_h = np.einsum("qa,nac->nqc", rule.points, mc)
-    e_mem_l2 = sq(um_h - case.u_membrane(pts))
+    g = mo.grad_lambda
+    e_mem_h1 = sq((np.swapaxes(mc, 1, 2) @ g)[:, None]
+                  - case.grad_u_membrane(pts))
+    e_mem_l2 = sq(rule.points @ mc - case.u_membrane(pts))
 
+    # Contract the DOF values first: the deflection is sum_k p[n, k]
+    # lam_a lam_b over the six barycentric quadratics of ``MorleyBatch``,
+    # differentiated through the barycentric gradients g.
     c3 = pmap.mor_sign * w_vec[pmap.mor_ltg]
-    hess_h = np.einsum("ni,nicd->ncd", c3, mo.hessians())
-    e3_h2 = sq(hess_h[:, None] - case.hess_u3(pts))
-    grad3_h = np.einsum("ni,nqic->nqc", c3, mo.gradients(rule.points))
-    e3_h1 = sq(grad3_h - case.grad_u3(pts))
-    w3_h = np.einsum("ni,nqi->nq", c3, mo.values(rule.points))
-    e3_l2 = sq(w3_h - case.u3(pts))
+    p = (c3[:, None] @ mo.coeffs)[:, 0]
+    d2 = (p @ _P2_D2.reshape(6, 9)).reshape(-1, 3, 3)
+    e3_h2 = sq((np.swapaxes(g, 1, 2) @ d2 @ g)[:, None] - case.hess_u3(pts))
+    d1 = p @ np.moveaxis(_p2_dlam(rule.points), 0, 1).reshape(6, -1)
+    e3_h1 = sq(d1.reshape(len(p), -1, 3) @ g - case.grad_u3(pts))
+    e3_l2 = sq(p @ _p2_scalars(rule.points).T - case.u3(pts))
     return (np.sqrt(e_mem_h1), np.sqrt(e_mem_l2), np.sqrt(e3_h2),
             np.sqrt(e3_h1), np.sqrt(e3_l2))
 

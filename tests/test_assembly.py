@@ -21,7 +21,6 @@ from bodyplate.fe_elements import (
     MorleyElement,
     PlateDofMap,
     StressDofMap,
-    VectorP1Tet,
     tet_barycentric,
 )
 from bodyplate.geometry_mesh import (
@@ -40,7 +39,7 @@ from bodyplate.manufactured import constant_stress_case, default_case
 from bodyplate.materials import c0_inv_apply, default_params
 from bodyplate.quadrature import physical_weights, tet_rule, triangle_rule
 
-from test_batched_kernel import ref_loads
+from test_batched_kernel import VectorP1Tet, ref_loads
 
 
 def assemble_interface_coupling_direct(body, smap, plate, pmap, faces,

@@ -1,12 +1,12 @@
 """The batched element kernel against per-element reference loops.
 
 Every assembled form, data term and error norm is recomputed here one element
-at a time with the reference classes (``HuMaElement``, ``MorleyElement``,
-``VectorP1Tet``, ``VectorP1Tri``), on meshes whose vertices are jittered so
-that no two elements are congruent.  Jitter keeps the outer faces of the body
-and Gamma fixed and moves plate vertices only strictly inside or strictly
-outside closure(Gamma), off the clamped boundary, so the plate still resolves
-Gamma.  The constant-stress patch test must still hold on these meshes.
+at a time with the reference classes (``HuMaElement``, ``MorleyElement`` and
+this file's ``VectorP1Tet``, ``VectorP1Tri``), on meshes whose vertices are
+jittered so that no two elements are congruent.  Jitter keeps the outer faces
+of the body and Gamma fixed and moves plate vertices only strictly inside or
+strictly outside closure(Gamma), off the clamped boundary, so the plate still
+resolves Gamma.  The constant-stress patch test must still hold on these meshes.
 """
 
 from dataclasses import replace
@@ -31,11 +31,10 @@ from bodyplate.fe_elements import (
     PlateDofMap,
     StressBatch,
     StressDofMap,
-    VectorP1Tet,
-    VectorP1Tri,
     _morley_dof_matrices,
     _stress_dof_matrices,
     checked_inverses,
+    simplex_geometry,
     span_dlam,
     span_scalars,
     tet_barycentric,
@@ -60,12 +59,89 @@ from bodyplate.materials import (
     c2_apply,
     default_params,
 )
-from bodyplate.quadrature import physical_weights, tet_rule, triangle_rule
+from bodyplate.quadrature import (
+    NORM_DEGREE,
+    physical_weights,
+    tet_rule,
+    triangle_rule,
+)
 
 RTOL = 1e-12
 JITTER = 0.2
 
 SETTINGS = settings(max_examples=6, deadline=None)
+
+
+# ---------------------------------------------------------------------------
+# Vector P1 elements: the per-element reference of the P1 terms.
+# ---------------------------------------------------------------------------
+
+class VectorP1Tri:
+    """Vector-valued P1 on a physical triangle; local DOF (a, c) -> basis
+    hat_a e_c at local index 2a + c."""
+
+    n_dofs = 6
+
+    def __init__(self, verts: np.ndarray):
+        self.verts = np.asarray(verts, dtype=float)
+        grad, area = simplex_geometry(self.verts[None])
+        self.grad_lambda, self.area = grad[0], float(area[0])
+
+    def value(self, bary: np.ndarray) -> np.ndarray:
+        """(nq, 6, 2) basis values at barycentric points."""
+        bary = np.atleast_2d(bary)
+        nq = bary.shape[0]
+        out = np.zeros((nq, 6, 2))
+        for a in range(3):
+            for c in range(2):
+                out[:, 2 * a + c, c] = bary[:, a]
+        return out
+
+    def gradient(self) -> np.ndarray:
+        """(6, 2, 2) constant gradients d(basis_i)_r / dx_s."""
+        out = np.zeros((6, 2, 2))
+        for a in range(3):
+            for c in range(2):
+                out[2 * a + c, c, :] = self.grad_lambda[a]
+        return out
+
+    def strain(self) -> np.ndarray:
+        g = self.gradient()
+        return 0.5 * (g + np.swapaxes(g, 1, 2))
+
+
+class VectorP1Tet:
+    """Vector-valued P1 on a physical tetrahedron; local DOF (a, c) -> basis
+    hat_a e_c at local index 3a + c."""
+
+    n_dofs = 12
+
+    def __init__(self, verts: np.ndarray):
+        self.verts = np.asarray(verts, dtype=float)
+        grad, volume = simplex_geometry(self.verts[None])
+        self.grad_lambda, self.volume = grad[0], float(volume[0])
+
+    def value(self, bary: np.ndarray) -> np.ndarray:
+        """(nq, 12, 3) basis values at barycentric points."""
+        bary = np.atleast_2d(bary)
+        nq = bary.shape[0]
+        out = np.zeros((nq, 12, 3))
+        for a in range(4):
+            for c in range(3):
+                out[:, 3 * a + c, c] = bary[:, a]
+        return out
+
+    def gradient(self) -> np.ndarray:
+        """(12, 3, 3) constant gradients d(basis_i)_r / dx_s."""
+        out = np.zeros((12, 3, 3))
+        for a in range(4):
+            for c in range(3):
+                out[3 * a + c, c, :] = self.grad_lambda[a]
+        return out
+
+    def strain(self) -> np.ndarray:
+        g = self.gradient()
+        return 0.5 * (g + np.swapaxes(g, 1, 2))
 
 
 def jittered_body(n, seed):
@@ -485,6 +561,35 @@ def test_chunked_coefficients_equal_one_batch(monkeypatch):
     monkeypatch.setattr(fe_elements, "LOCAL_CHUNK", 5)
     assert np.array_equal(StressBatch(tets).coeffs, whole[0])
     assert np.array_equal(MorleyBatch(tris).coeffs, whole[1])
+
+
+def test_morley_fields_equal_per_slice():
+    # 128 triangles in slices of 7: the last slice is ragged.
+    _, plate = build((12, 2, (8, Diagonal.FLIPPED)))
+    tris = plate.vertices[plate.triangles]
+    bary = triangle_rule(NORM_DEGREE).points
+
+    def fields(mo):
+        return mo.values(bary), mo.gradients(bary), mo.hessians()
+
+    whole = fields(MorleyBatch(tris))
+    assert len(tris) % 7
+    for lo in range(0, len(tris), 7):
+        for part, ref in zip(fields(MorleyBatch(tris[lo:lo + 7])), whole):
+            assert np.array_equal(part, ref[lo:lo + 7])
+
+
+@pytest.mark.parametrize("solve", [vcli.solve_mixed, vcli.solve_displacement])
+def test_norm_batches_move_the_norms_by_roundoff(monkeypatch, solve):
+    # 48 tets in batches of 5, the last one ragged.
+    case = default_case()
+    sol, _ = solve(build_body_mesh(2), build_plate_mesh(4), case)
+    whole = vcli.compute_error_norms(sol, case).as_tuple()
+    monkeypatch.setattr(vcli, "_NORM_BATCH_POINTS",
+                        5 * tet_rule(NORM_DEGREE).n_points)
+    assert sol.body.n_tets % 5
+    assert_allclose(vcli.compute_error_norms(sol, case).as_tuple(), whole,
+                    rtol=1e-13, atol=0)
 
 
 # ---------------------------------------------------------------------------

@@ -367,6 +367,13 @@ def test_solve_dd_matches_the_composed_operators_on_jittered_meshes(example):
     assert_matches_reference(body, plate, default_case())
 
 
+def test_solve_dd_refuses_a_tolerance_outside_unit_interval(case):
+    # tol = 2 used to stop after one iteration and report convergence.
+    with pytest.raises(ValueError, match="interface CG tol must lie in"):
+        dd.solve_dd(build_body_mesh(2),
+                    build_plate_mesh(8, Diagonal.FLIPPED), case, tol=2.0)
+
+
 def test_gamma_schur_complement_of_S_is_the_interface_operator(case):
     # Body n = 2 / plate n = 8 flipped: eliminating the multipliers and the
     # plate interior from the coupled S leaves S_K + E, built densely from

@@ -23,8 +23,6 @@ from bodyplate.fe_elements import (
     MorleyElement,
     PlateDofMap,
     StressDofMap,
-    VectorP1Tet,
-    VectorP1Tri,
     tet_barycentric,
 )
 from bodyplate.geometry_mesh import (
@@ -33,6 +31,7 @@ from bodyplate.geometry_mesh import (
     build_plate_mesh,
 )
 from bodyplate.quadrature import tet_rule, triangle_rule
+from test_batched_kernel import VectorP1Tet, VectorP1Tri
 
 REFERENCE_TET = np.array(
     [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]

@@ -141,6 +141,11 @@ class TestPcg:
             pcg(lambda p: p, lambda r: prec * r, np.array([1.0, 0.0, 0.5]),
                 1e-12, 10, label="lab")
 
+    @pytest.mark.parametrize("tol", [0.0, 1.0, np.nan])
+    def test_tolerance_outside_unit_interval_is_refused(self, tol):
+        with pytest.raises(ValueError, match="lab tol must lie in"):
+            pcg(lambda p: p, lambda r: r, np.ones(3), tol, 10, label="lab")
+
     def test_window_stops_a_stalled_iteration_early(self):
         # Unpreconditioned CG on a spread spectrum: far from 1e-13 in 60
         # iterations, which the rate over a window of 5 forecasts.
