@@ -39,7 +39,11 @@ norms) and where ``@`` measured slower (the one 4 x 3 product per point of
 ``simplex_barycentric``); the per-element reference classes, the import-time
 tables and the construction of ``StressBatch`` and ``MorleyBatch`` keep
 theirs.  A product per element has the same operands whatever the batch, so
-its result does not depend on how the elements are batched.
+the kernel's per-element results (``StressBatch``, ``MorleyBatch.values``
+and ``hessians``, the plate stiffness, the loads) do not depend on how the
+elements are batched.  The error norms also make products for the whole
+batch (``MorleyBatch.fields``, the body's edge scalars), which are
+batch-invariant only up to roundoff.
 
 The stress DOF matrix factors as M_T = L_T M_ref, with M_ref one constant
 42 x 42 matrix (``_STRESS_DOF_REF``, tabulated at import with its inverse)
@@ -627,18 +631,24 @@ class MorleyBatch:
         """(n, nq, 6) basis values at barycentric points (nq, 3)."""
         return _p2_scalars(bary) @ np.swapaxes(self.coeffs, 1, 2)
 
-    def gradients(self, bary: np.ndarray) -> np.ndarray:
-        """(n, nq, 6, 2) basis gradients at barycentric points (nq, 3)."""
-        dlam = _p2_dlam(bary)  # (nq, 6, 3)
-        d = self.coeffs @ np.moveaxis(dlam, 0, 1).reshape(6, -1)
-        d = d.reshape(-1, 6, len(dlam), 3) @ self.grad_lambda[:, None]
-        return np.swapaxes(d, 1, 2)
-
     def hessians(self) -> np.ndarray:
         """(n, 6, 2, 2) constant basis Hessians."""
         g = self.grad_lambda[:, None]
         h = np.swapaxes(g, 2, 3) @ _P2_D2 @ g  # (n, 6, 2, 2)
         return (self.coeffs @ h.reshape(-1, 6, 4)).reshape(h.shape)
+
+    def fields(self, dofs: np.ndarray, bary: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Value (n, nq), gradient (n, nq, 2) and constant Hessian (n, 2, 2)
+        at barycentric points (nq, 3) of the function with DOF values
+        ``dofs`` (n, 6).  The DOF values are contracted first, onto the six
+        quadratics, so value and gradient are one product for the batch."""
+        dofs = dofs[:, None]
+        p = (dofs @ self.coeffs)[:, 0]
+        dlam = np.moveaxis(_p2_dlam(bary), 0, 1).reshape(6, -1)
+        grad = (p @ dlam).reshape(len(p), -1, 3) @ self.grad_lambda
+        hess = dofs @ self.hessians().reshape(-1, 6, 4)
+        return p @ _p2_scalars(bary).T, grad, hess.reshape(-1, 2, 2)
 
 
 # ---------------------------------------------------------------------------

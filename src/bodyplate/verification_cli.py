@@ -30,9 +30,6 @@ from .fe_elements import (
     PlateDofMap,
     StressBatch,
     StressDofMap,
-    _p2_dlam,
-    _p2_scalars,
-    _P2_D2,
     simplex_geometry,
     span_scalars,
 )
@@ -200,21 +197,15 @@ def _plate_errors(plate: TriMesh, pmap: PlateDofMap, w_vec: np.ndarray,
         return float(np.vdot(wq, np.einsum("nqk,nqk->nq", d, d)))
 
     mc = w_vec[pmap.mem_ltg].reshape(-1, 3, 2)
-    g = mo.grad_lambda
-    e_mem_h1 = sq((np.swapaxes(mc, 1, 2) @ g)[:, None]
+    e_mem_h1 = sq((np.swapaxes(mc, 1, 2) @ mo.grad_lambda)[:, None]
                   - case.grad_u_membrane(pts))
     e_mem_l2 = sq(rule.points @ mc - case.u_membrane(pts))
 
-    # Contract the DOF values first: the deflection is sum_k p[n, k]
-    # lam_a lam_b over the six barycentric quadratics of ``MorleyBatch``,
-    # differentiated through the barycentric gradients g.
-    c3 = pmap.mor_sign * w_vec[pmap.mor_ltg]
-    p = (c3[:, None] @ mo.coeffs)[:, 0]
-    d2 = (p @ _P2_D2.reshape(6, 9)).reshape(-1, 3, 3)
-    e3_h2 = sq((np.swapaxes(g, 1, 2) @ d2 @ g)[:, None] - case.hess_u3(pts))
-    d1 = p @ np.moveaxis(_p2_dlam(rule.points), 0, 1).reshape(6, -1)
-    e3_h1 = sq(d1.reshape(len(p), -1, 3) @ g - case.grad_u3(pts))
-    e3_l2 = sq(p @ _p2_scalars(rule.points).T - case.u3(pts))
+    w3_h, grad3_h, hess3_h = mo.fields(
+        pmap.mor_sign * w_vec[pmap.mor_ltg], rule.points)
+    e3_h2 = sq(hess3_h[:, None] - case.hess_u3(pts))
+    e3_h1 = sq(grad3_h - case.grad_u3(pts))
+    e3_l2 = sq(w3_h - case.u3(pts))
     return (np.sqrt(e_mem_h1), np.sqrt(e_mem_l2), np.sqrt(e3_h2),
             np.sqrt(e3_h1), np.sqrt(e3_l2))
 

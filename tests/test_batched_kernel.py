@@ -568,15 +568,24 @@ def test_morley_fields_equal_per_slice():
     _, plate = build((12, 2, (8, Diagonal.FLIPPED)))
     tris = plate.vertices[plate.triangles]
     bary = triangle_rule(NORM_DEGREE).points
-
-    def fields(mo):
-        return mo.values(bary), mo.gradients(bary), mo.hessians()
-
-    whole = fields(MorleyBatch(tris))
+    dofs = np.random.default_rng(3).standard_normal((len(tris), 6))
+    mo = MorleyBatch(tris)
+    whole = mo.values(bary), mo.hessians()
+    value, grad, hess = mo.fields(dofs, bary)
+    assert_allclose(value, (whole[0] @ dofs[:, :, None])[..., 0],
+                    rtol=1e-13, atol=1e-13 * np.abs(value).max())
+    assert_allclose(hess, np.einsum("ni,nixy->nxy", dofs, whole[1]),
+                    rtol=1e-13, atol=1e-13 * np.abs(hess).max())
     assert len(tris) % 7
     for lo in range(0, len(tris), 7):
-        for part, ref in zip(fields(MorleyBatch(tris[lo:lo + 7])), whole):
-            assert np.array_equal(part, ref[lo:lo + 7])
+        part = MorleyBatch(tris[lo:lo + 7])
+        assert np.array_equal(part.values(bary), whole[0][lo:lo + 7])
+        assert np.array_equal(part.hessians(), whole[1][lo:lo + 7])
+        # The value and gradient are one product for the whole batch.
+        for f, ref in zip(part.fields(dofs[lo:lo + 7], bary),
+                          (value, grad, hess)):
+            assert_allclose(f, ref[lo:lo + 7], rtol=1e-13,
+                            atol=1e-13 * np.abs(ref).max())
 
 
 @pytest.mark.parametrize("solve", [vcli.solve_mixed, vcli.solve_displacement])
