@@ -180,21 +180,30 @@ class BodyBlocks:
     """The body's per-tet blocks in unsigned local coordinates (each tet's
     own basis, before the -1 sign a non-owner tet sees on a shared face):
     compliance ``A`` (n_tets, 42, 42) and divergence ``B`` (n_tets, 12, 42).
-    The global blocks are their signed scatters."""
+    The global blocks are their signed scatters.  Beside them, the checked
+    blocks of L_T^-1 of every tet (``StressBatch.face_inv`` (n_tets, 4, 3,
+    3) and ``interior_inv`` (n_tets, 6, 6), 72 doubles per tet), from which
+    the error norms take the stress field (``stress_span_coefficients``)."""
 
     A: np.ndarray
     B: np.ndarray
+    face_inv: np.ndarray
+    interior_inv: np.ndarray
 
     @classmethod
     def build(cls, body: TetMesh, params: MaterialParams) -> "BodyBlocks":
         """The blocks of every tet, from one ``StressBatch`` per
-        ``local_chunks`` slice: only A and B reach the size of the mesh."""
+        ``local_chunks`` slice: only the kept blocks reach the size of the
+        mesh."""
         n = body.n_tets
-        blocks = cls(np.empty((n, 42, 42)), np.empty((n, 12, 42)))
+        blocks = cls(np.empty((n, 42, 42)), np.empty((n, 12, 42)),
+                     np.empty((n, 4, 3, 3)), np.empty((n, 6, 6)))
         for c in local_chunks(n):
             k = StressBatch(body.vertices[body.tets[c]], c.start)
             blocks.A[c] = compliance_blocks(k, params)
             blocks.B[c] = divergence_blocks(k)
+            blocks.face_inv[c] = k.face_inv
+            blocks.interior_inv[c] = k.interior_inv
         return blocks
 
 

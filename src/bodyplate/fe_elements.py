@@ -54,8 +54,12 @@ holding the tangents of the three edges at vertex f as columns, one 3 x 3
 block for all three P1 moments of the face; the six interior rows are
 Q_T[m, e] = t_e[i] t_e[j] ((i, j) = SYM_INDEX_PAIRS[m], 6 x 6) times
 reference rows.  ``StressBatch`` takes M_T^-1 = M_ref^-1 L_T^-1 from four
-3 x 3 and one 6 x 6 inverse per tet; ``HuMaElement`` inverts its dense
-quadrature-built matrix, the reference.
+3 x 3 and one 6 x 6 inverse per tet and keeps those blocks of L_T^-1 (72
+doubles per tet); ``HuMaElement`` inverts its dense quadrature-built matrix,
+the reference.  ``stress_span_coefficients`` maps local stress DOF values x
+to spanning coefficients through the kept blocks, M_T^-1 x = M_ref^-1
+(L_T^-1 x), so the error norms of a solution whose blocks were kept by the
+solve (``assembly.BodyBlocks``) need neither M_T^-1 nor a second check.
 
 Every local inverse (the DOF matrices here, the saddle blocks of ``hybrid``)
 is checked by one rule, ``_refuse_ill_conditioned``: it refuses an element
@@ -91,6 +95,8 @@ __all__ = [
     "simplex_barycentric",
     "span_scalars",
     "span_dlam",
+    "stress_span_coefficients",
+    "edge_tangents",
     "SPAN_EDGE",
     "StressDofMap",
     "BodyDGDofMap",
@@ -165,6 +171,13 @@ def simplex_geometry(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Tinv = np.linalg.inv(T)  # rows: gradients of lam_1..lam_d
     grad = np.concatenate([-Tinv.sum(axis=1, keepdims=True), Tinv], axis=1)
     return grad, np.linalg.det(T) / (2.0 if d == 2 else 6.0)
+
+
+def edge_tangents(verts: np.ndarray) -> np.ndarray:
+    """Unit tangents (n, 6, 3) of the ``EDGE_PAIRS`` edges, from the lower
+    local vertex to the higher, of a batch of tets (n, 4, 3)."""
+    t = verts[:, _EDGE_J] - verts[:, _EDGE_I]
+    return t / np.linalg.norm(t, axis=-1, keepdims=True)
 
 
 def simplex_barycentric(grad: np.ndarray, v0: np.ndarray,
@@ -538,19 +551,37 @@ def _stress_dof_matrices(tangents: np.ndarray,
 
 
 def _stress_coefficients(tangents: np.ndarray, normals: np.ndarray,
-                         first: int) -> np.ndarray:
+                         first: int
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(n, 42, 42) dual-basis coefficients M_T^-T = L_T^-T M_ref^-T of the
     tets with these tangents and outward normals, from the inverses of the
-    blocks of L_T; checked, with tets named from ``first``, by the rule of
-    ``_refuse_ill_conditioned`` on the whole M_T."""
+    blocks of L_T, with those inverses: face blocks (n, 4, 3, 3) and
+    interior block (n, 6, 6).  Checked, with tets named from ``first``, by
+    the rule of ``_refuse_ill_conditioned`` on the whole M_T."""
     face, interior = _stress_dof_blocks(tangents, normals)
-    coeffs = _block_rows(np.swapaxes(_inverses(face), 2, 3),
-                         np.swapaxes(_inverses(interior), 1, 2),
+    face_inv, interior_inv = _inverses(face), _inverses(interior)
+    coeffs = _block_rows(np.swapaxes(face_inv, 2, 3),
+                         np.swapaxes(interior_inv, 1, 2),
                          _STRESS_DOF_REF_INV.T)
     _refuse_ill_conditioned(_block_rows(face, interior, _STRESS_DOF_REF),
                             np.swapaxes(coeffs, 1, 2),
                             "stress DOF matrix of tet", first)
-    return coeffs
+    return coeffs, face_inv, interior_inv
+
+
+def stress_span_coefficients(x: np.ndarray, face_inv: np.ndarray,
+                             interior_inv: np.ndarray) -> np.ndarray:
+    """Spanning-function coefficients M_T^-1 x = M_ref^-1 (L_T^-1 x) (n, 42)
+    of the stress fields with local (signed) DOF values x (n, 42), from the
+    kept blocks of L_T^-1 (``StressBatch.face_inv``, ``interior_inv``): the
+    field is sum_k c[n, k] s_k T[n, e_k], as ``x @ StressBatch.coeffs``
+    gives it.  Face block f acts on each of the face's three moment
+    triples; M_ref^-1 is one product for the whole batch."""
+    y = np.empty_like(x)
+    y[:, :36] = (x[:, :36].reshape(-1, 4, 3, 3)
+                 @ np.swapaxes(face_inv, 2, 3)).reshape(-1, 36)
+    y[:, 36:] = (interior_inv @ x[:, 36:, None])[..., 0]
+    return y @ _STRESS_DOF_REF_INV.T
 
 
 class StressBatch:
@@ -562,7 +593,9 @@ class StressBatch:
     (n, 4, 3), ``volume`` (n,), ``tangents`` (n, 6, 3), ``T`` (n, 6, 3, 3),
     outward unit ``face_normals`` (n, 4, 3) and ``coeffs`` (n, 42, 42), the
     transposed inverses of the DOF matrices, taken by blocks one
-    ``local_chunks`` slice at a time (``_stress_coefficients``).
+    ``local_chunks`` slice at a time (``_stress_coefficients``), with those
+    blocks of L_T^-1: ``face_inv`` (n, 4, 3, 3) and ``interior_inv``
+    (n, 6, 6), for ``stress_span_coefficients``.
     A refused tet is named by its index counted from ``first``, the index
     of the batch's first tet in its mesh.
     """
@@ -577,16 +610,19 @@ class StressBatch:
             raise ValueError(f"tet {first + bad[0]} is degenerate or "
                              "negatively oriented")
         self.grad_lambda, self.volume = simplex_geometry(verts)
-        t = verts[:, _EDGE_J] - verts[:, _EDGE_I]
-        self.tangents = t / np.linalg.norm(t, axis=-1, keepdims=True)
+        self.tangents = edge_tangents(verts)
         self.T = self.tangents[..., :, None] * self.tangents[..., None, :]
         # grad lam_f is normal to face f and points into the tet.
         g = self.grad_lambda
         self.face_normals = -g / np.linalg.norm(g, axis=-1, keepdims=True)
-        self.coeffs = np.empty((len(verts), 42, 42))
-        for c in local_chunks(len(verts)):
-            self.coeffs[c] = _stress_coefficients(
-                self.tangents[c], self.face_normals[c], first + c.start)
+        n = len(verts)
+        self.coeffs = np.empty((n, 42, 42))
+        self.face_inv = np.empty((n, 4, 3, 3))
+        self.interior_inv = np.empty((n, 6, 6))
+        for c in local_chunks(n):
+            self.coeffs[c], self.face_inv[c], self.interior_inv[c] = (
+                _stress_coefficients(self.tangents[c], self.face_normals[c],
+                                     first + c.start))
 
     def div_scalars(self, dlam: np.ndarray) -> np.ndarray:
         """(n, ..., 42) scalars d with div(span_k) = d_k t_{e_k}, from a

@@ -26,12 +26,18 @@ __all__ = ["ManufacturedCase", "default_case", "constant_stress_case"]
 INTERFACE_NORMAL = np.array([0.0, 0.0, -1.0])
 
 
+def _sym(g: np.ndarray) -> np.ndarray:
+    """Symmetric parts of (..., 3, 3) matrices."""
+    return 0.5 * (g + np.swapaxes(g, -1, -2))
+
+
 @dataclass
 class ManufacturedCase:
     """Exact solution bundle.
 
     Function signatures (all vectorized over leading axes):
-      u_body(x): (...,3) -> (...,3)          grad_u_body: -> (...,3,3) [i,j]=d u_i/d x_j
+      u_grad_body(x): (...,3) -> (u, grad u), (...,3) and (...,3,3) with
+                      [i,j] = d u_i/d x_j, from one evaluation
       hess_u_body: -> (...,3,3,3)            [i,j,k] = d2 u_i / dx_j dx_k
       u_membrane(p): (...,2) -> (...,2)      grad/hess analogous in 2D
       u3(p): (...,2) -> (...)                with grad_u3, hess_u3, bilap_u3
@@ -39,8 +45,7 @@ class ManufacturedCase:
 
     name: str
     params: MaterialParams
-    u_body: Callable
-    grad_u_body: Callable
+    u_grad_body: Callable
     hess_u_body: Callable
     u_membrane: Callable
     grad_u_membrane: Callable
@@ -52,12 +57,23 @@ class ManufacturedCase:
 
     # -- derived body data ---------------------------------------------------
 
+    def u_body(self, x: np.ndarray) -> np.ndarray:
+        return self.u_grad_body(x)[0]
+
+    def grad_u_body(self, x: np.ndarray) -> np.ndarray:
+        return self.u_grad_body(x)[1]
+
     def strain_body(self, x: np.ndarray) -> np.ndarray:
-        g = self.grad_u_body(x)
-        return 0.5 * (g + np.swapaxes(g, -1, -2))
+        return _sym(self.grad_u_body(x))
 
     def sigma_body(self, x: np.ndarray) -> np.ndarray:
         return c0_apply(self.strain_body(x), self.params)
+
+    def body_fields(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Displacement and stress (``u_body``, ``sigma_body``) from one
+        evaluation of the exact body solution."""
+        u, g = self.u_grad_body(x)
+        return u, c0_apply(_sym(g), self.params)
 
     def f_body(self, x: np.ndarray) -> np.ndarray:
         """Volume load -div sigma = -mu lap(u) - (mu+lambda) grad(div u)."""
@@ -127,30 +143,23 @@ def default_case(params: MaterialParams | None = None) -> ManufacturedCase:
         ddQ = 12.0 * yy * yy - 4.0
         return P, dP, ddP, Q, dQ, ddQ
 
-    def u_body(x):
+    def u_grad_body(x):
         x = np.asarray(x, dtype=float)
         sx, cx, sy, cy = _parts(x)
         P, dP, ddP, Q, dQ, ddQ = _pq(x)
         z = x[..., 2]
         R = 1.0 + z * z
         s = sx * sy
-        return np.stack([s * R, s * R, P * Q * R], axis=-1)
-
-    def grad_u_body(x):
-        x = np.asarray(x, dtype=float)
-        sx, cx, sy, cy = _parts(x)
-        P, dP, ddP, Q, dQ, ddQ = _pq(x)
-        z = x[..., 2]
-        R = 1.0 + z * z
+        u = np.stack([s * R, s * R, P * Q * R], axis=-1)
         g = np.zeros(x.shape[:-1] + (3, 3))
         g[..., 0, 0] = pi * cx * sy * R
         g[..., 0, 1] = pi * sx * cy * R
-        g[..., 0, 2] = sx * sy * 2.0 * z
+        g[..., 0, 2] = s * 2.0 * z
         g[..., 1, :] = g[..., 0, :]
         g[..., 2, 0] = dP * Q * R
         g[..., 2, 1] = P * dQ * R
         g[..., 2, 2] = P * Q * 2.0 * z
-        return g
+        return u, g
 
     def hess_u_body(x):
         x = np.asarray(x, dtype=float)
@@ -228,8 +237,7 @@ def default_case(params: MaterialParams | None = None) -> ManufacturedCase:
     return ManufacturedCase(
         name="smooth-benchmark",
         params=params,
-        u_body=u_body,
-        grad_u_body=grad_u_body,
+        u_grad_body=u_grad_body,
         hess_u_body=hess_u_body,
         u_membrane=u_membrane,
         grad_u_membrane=grad_u_membrane,
@@ -255,15 +263,11 @@ def constant_stress_case(
         params = default_params()
     c = np.asarray(c, dtype=float)
 
-    def u_body(x):
-        x = np.asarray(x, dtype=float)
-        return x[..., 2:3] * c
-
-    def grad_u_body(x):
+    def u_grad_body(x):
         x = np.asarray(x, dtype=float)
         g = np.zeros(x.shape[:-1] + (3, 3))
         g[..., :, 2] = c
-        return g
+        return x[..., 2:3] * c, g
 
     def hess_u_body(x):
         x = np.asarray(x, dtype=float)
@@ -276,8 +280,7 @@ def constant_stress_case(
     return ManufacturedCase(
         name="constant-stress-patch",
         params=params,
-        u_body=u_body,
-        grad_u_body=grad_u_body,
+        u_grad_body=u_grad_body,
         hess_u_body=hess_u_body,
         u_membrane=lambda p: _zeros2(p, (2,)),
         grad_u_membrane=lambda p: _zeros2(p, (2, 2)),

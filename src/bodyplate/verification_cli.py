@@ -30,8 +30,10 @@ from .fe_elements import (
     PlateDofMap,
     StressBatch,
     StressDofMap,
+    edge_tangents,
     simplex_geometry,
     span_scalars,
+    stress_span_coefficients,
 )
 from .geometry_mesh import Diagonal, TetMesh, TriMesh, build_body_mesh, build_plate_mesh
 from .hybrid import solve_hybrid
@@ -79,7 +81,13 @@ class ErrorRecord:
 
 @dataclass
 class SolutionFields:
-    """A solved configuration: discrete fields plus their DOF maps."""
+    """A solved configuration: discrete fields plus their DOF maps.
+
+    ``l_inv`` holds the blocks of L_T^-1 of every tet (``BodyBlocks``
+    ``face_inv`` and ``interior_inv``) that the solve built and checked;
+    the stress norms take sigma_h through them.  Without them (a
+    ``SolutionFields`` made by hand) the norms build them again, tet batch
+    by tet batch, with the same check (``StressBatch``)."""
 
     method: str
     body: TetMesh
@@ -92,6 +100,7 @@ class SolutionFields:
     smap: StressDofMap | None = None
     vmap: BodyDGDofMap | None = None
     cmap: BodyCGDofMap | None = None
+    l_inv: tuple[np.ndarray, np.ndarray] | None = None
 
 
 def solve_mixed(body: TetMesh, plate: TriMesh, case: ManufacturedCase,
@@ -112,6 +121,7 @@ def solve_mixed(body: TetMesh, plate: TriMesh, case: ManufacturedCase,
         method="mixed-nc", body=body, plate=plate, params=params,
         u=u, w=w, pmap=system.pmap, sigma=sigma, smap=system.smap,
         vmap=system.vmap,
+        l_inv=(system.blocks.face_inv, system.blocks.interior_inv),
     )
     return sol, report
 
@@ -156,16 +166,25 @@ def _body_squared_errors(sol: SolutionFields, case: ManufacturedCase, rule,
     """Squared stress and displacement errors over the tets ``el``."""
     verts = sol.body.vertices[sol.body.tets[el]]
     if sol.method == "mixed-nc":
-        k = StressBatch(verts)
-        vol = k.volume
+        if sol.l_inv is None:
+            # Built before simplex_geometry, which fails unnamed on a flat
+            # tet.
+            k = StressBatch(verts, el.start)
+            l_inv = k.face_inv, k.interior_inv
+        else:
+            l_inv = tuple(b[el] for b in sol.l_inv)
+        _, vol = simplex_geometry(verts)
         # Contract the coefficients first: sigma_h = sum_e g_e T_e with g_e
         # the edge-e part of the spanning-function expansion.
-        coeffs = sol.smap.sign[el] * sol.sigma[sol.smap.ltg[el]]
-        span = (coeffs[:, None] @ k.coeffs).reshape(-1, 6, 7)
+        span = stress_span_coefficients(
+            sol.smap.sign[el] * sol.sigma[sol.smap.ltg[el]], *l_inv
+        ).reshape(-1, 6, 7)
         s = span_scalars(rule.points).reshape(-1, 6, 7)
         # g[n, q, e] = span[n, e] . s[q, e]: one product per edge.
         g = np.swapaxes(span, 0, 1) @ np.moveaxis(s, 0, 2)  # (6, n, nq)
-        sig_h = np.moveaxis(g, 0, 2) @ k.T.reshape(-1, 6, 9)
+        t = edge_tangents(verts)
+        T = t[..., :, None] * t[..., None, :]
+        sig_h = np.moveaxis(g, 0, 2) @ T.reshape(-1, 6, 9)
         sig_h = sig_h.reshape(sig_h.shape[:2] + (3, 3))
         uc = sol.u[sol.vmap.ltg[el]].reshape(-1, 4, 3)
     else:
@@ -176,8 +195,9 @@ def _body_squared_errors(sol: SolutionFields, case: ManufacturedCase, rule,
         sig_h = c0_apply(eps, sol.params)[:, None]
     pts = rule.points @ verts
     w = physical_weights(rule, vol[:, None])
-    d = sig_h - case.sigma_body(pts)
-    du = rule.points @ uc - case.u_body(pts)
+    u_ex, sig_ex = case.body_fields(pts)
+    d = sig_h - sig_ex
+    du = rule.points @ uc - u_ex
     return np.array([np.vdot(w, np.einsum("nqab,nqab->nq", d, d)),
                      np.vdot(w, np.einsum("nqc,nqc->nq", du, du))])
 

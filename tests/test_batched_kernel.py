@@ -37,6 +37,7 @@ from bodyplate.fe_elements import (
     simplex_geometry,
     span_dlam,
     span_scalars,
+    stress_span_coefficients,
     tet_barycentric,
 )
 from bodyplate.geometry_mesh import (
@@ -599,6 +600,59 @@ def test_norm_batches_move_the_norms_by_roundoff(monkeypatch, solve):
     assert sol.body.n_tets % 5
     assert_allclose(vcli.compute_error_norms(sol, case).as_tuple(), whole,
                     rtol=1e-13, atol=0)
+
+
+def assert_span_coefficients_are_coeffs(tets):
+    """``stress_span_coefficients`` through the kept blocks of L_T^-1 is
+    x @ ``StressBatch.coeffs``, tet by tet, to 1e-14 of the tet's largest
+    coefficient."""
+    k = StressBatch(tets)
+    x = np.random.default_rng(len(tets)).standard_normal((len(tets), 42))
+    ref = (x[:, None] @ k.coeffs)[:, 0]
+    got = stress_span_coefficients(x, k.face_inv, k.interior_inv)
+    err = np.abs(got - ref).max(axis=1)
+    assert np.all(err <= 1e-14 * np.abs(ref).max(axis=1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_span_coefficients_are_coeffs_on_kuhn_meshes(n):
+    body = build_body_mesh(n)
+    assert_span_coefficients_are_coeffs(body.vertices[body.tets])
+
+
+@SETTINGS
+@given(meshes)
+def test_span_coefficients_are_coeffs_on_jittered_meshes(example):
+    body, _ = build(example)
+    assert_span_coefficients_are_coeffs(body.vertices[body.tets])
+
+
+def test_span_coefficients_do_not_depend_on_chunks(monkeypatch):
+    body, _ = build((13, 3, (8, Diagonal.FLIPPED)))
+    tets = body.vertices[body.tets]
+    x = np.random.default_rng(4).standard_normal((len(tets), 42))
+    k = StressBatch(tets)
+    whole = stress_span_coefficients(x, k.face_inv, k.interior_inv)
+    monkeypatch.setattr(fe_elements, "LOCAL_CHUNK", 5)
+    assert len(tets) % 5
+    k = StressBatch(tets)
+    assert np.array_equal(
+        stress_span_coefficients(x, k.face_inv, k.interior_inv), whole)
+
+
+@pytest.mark.parametrize("meshes_of", [
+    lambda: (build_body_mesh(2), build_plate_mesh(8, Diagonal.FLIPPED)),
+    lambda: build((14, 3, (8, Diagonal.SAME_AS_BODY)))])
+def test_carried_blocks_give_the_hand_built_norms(meshes_of):
+    # The norms of a solve_mixed solution use the blocks of L_T^-1 that
+    # the solve checked; a SolutionFields made by hand has none, and the
+    # norms build them again.
+    case = default_case()
+    sol, _ = vcli.solve_mixed(*meshes_of(), case)
+    assert sol.l_inv is not None
+    carried = vcli.compute_error_norms(sol, case).as_tuple()
+    rebuilt = vcli.compute_error_norms(replace(sol, l_inv=None), case)
+    assert_allclose(carried, rebuilt.as_tuple(), rtol=1e-13, atol=0)
 
 
 # ---------------------------------------------------------------------------

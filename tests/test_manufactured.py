@@ -7,6 +7,8 @@ defining formulas.  Also pins down a handful of exact point values so a silent
 sign or scaling change cannot slip through.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -230,3 +232,26 @@ class TestConstantStressCase:
         p = np.zeros((1, 2))
         sig = case.sigma_body(np.array([[0.0, 0.0, 0.0]]))[0]
         assert_allclose(case.f_jump(p)[0], -sig[:, 2], atol=1e-13)
+
+
+class TestBodyFields:
+    @pytest.mark.parametrize("make", [default_case, constant_stress_case])
+    def test_one_evaluation_equals_the_separate_fields(self, make,
+                                                       body_points):
+        # The error norms take u and sigma from one evaluation of the exact
+        # body solution; they must be those of u_body and sigma_body, bit
+        # for bit.
+        case = make()
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return case.u_grad_body(x)
+
+        one = replace(case, u_grad_body=counted)
+        x = body_points.reshape(4, 10, 3)
+        u, sigma = one.body_fields(x)
+        assert len(calls) == 1
+        assert u.shape == (4, 10, 3) and sigma.shape == (4, 10, 3, 3)
+        assert np.array_equal(u, case.u_body(x))
+        assert np.array_equal(sigma, case.sigma_body(x))

@@ -36,6 +36,8 @@ def streamed_arrays(body, plate, chunk):
         sol, _ = vcli.solve_mixed(body, plate, case)
     return {
         "A": system.blocks.A, "B": system.blocks.B,
+        "face_inv": system.blocks.face_inv,
+        "interior_inv": system.blocks.interior_inv,
         "coupling.tet": system.coupling.tet,
         "coupling.rows": system.coupling.rows,
         "coupling.blocks": system.coupling.blocks, "f_V": system.f_V,
@@ -92,6 +94,23 @@ def test_refused_tet_in_a_later_chunk_is_named(monkeypatch, lift, message):
     body = flattened_body(lift)
     with pytest.raises(ValueError, match=message):
         asm.build_mixed_system(body, build_plate_mesh(4), default_case())
+
+
+def test_hand_built_solution_refuses_the_flat_tet_in_the_norms():
+    # No solve reaches the norms of this body, so they check its stress
+    # element themselves, by the rule of the solve.
+    body, plate = flattened_body(1e-11), build_plate_mesh(4)
+    smap, vmap, pmap = (fe_elements.StressDofMap(body),
+                        fe_elements.BodyDGDofMap(body),
+                        fe_elements.PlateDofMap(plate))
+    case = default_case()
+    sol = vcli.SolutionFields(
+        method="mixed-nc", body=body, plate=plate, params=case.params,
+        u=np.zeros(vmap.n_dofs), w=np.zeros(pmap.n_dofs), pmap=pmap,
+        sigma=np.zeros(smap.n_dofs), smap=smap, vmap=vmap)
+    with pytest.raises(ValueError, match="stress DOF matrix of tet 10 is "
+                       "ill-conditioned"):
+        vcli.compute_error_norms(sol, case)
 
 
 # ---------------------------------------------------------------------------

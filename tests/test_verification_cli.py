@@ -9,6 +9,7 @@ bad inputs, and the command-line entry against its exit-code contract.
 
 import re
 import sys
+from dataclasses import fields as dc_fields
 
 import numpy as np
 import pytest
@@ -38,6 +39,25 @@ class TestSolvers:
         assert sol.u.shape == (sol.vmap.n_dofs,)
         assert sol.w.shape == (sol.pmap.n_dofs,)
         assert report.relative_residual < 1e-10
+
+    def test_mixed_solution_keeps_72_doubles_per_tet(self):
+        # Beside the fields, a solution keeps only the checked blocks of
+        # L_T^-1 for its norms: a kept solution stays alive while the next
+        # solve runs, so every kept byte adds to the peak.
+        case = default_case()
+        body = build_body_mesh(2)
+        sol, _ = vcli.solve_mixed(body, build_plate_mesh(8, Diagonal.FLIPPED),
+                                  case)
+        kept = 0
+        for f in dc_fields(sol):
+            if f.name in ("sigma", "u", "w"):
+                continue
+            value = getattr(sol, f.name)
+            for a in (value if isinstance(value, tuple) else (value,)):
+                if isinstance(a, np.ndarray):
+                    kept += (a if a.base is None else a.base).nbytes
+        assert sol.l_inv is not None
+        assert kept <= 72 * 8 * body.n_tets
 
     def test_displacement_smoke(self):
         case = default_case()
