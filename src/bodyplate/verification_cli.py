@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields as dc_fields
 import numpy as np
 
 from . import assembly as _asm
-from .domain_decomposition import solve_dd
+from .domain_decomposition import CG_MAX_IT, CG_TOL, solve_dd
 from .fe_elements import (
     BodyCGDofMap,
     BodyDGDofMap,
@@ -216,16 +216,16 @@ def _plate_errors(plate: TriMesh, pmap: PlateDofMap, w_vec: np.ndarray,
         d = d.reshape(d.shape[0], d.shape[1], -1)
         return float(np.vdot(wq, np.einsum("nqk,nqk->nq", d, d)))
 
+    u_mem, grad_mem, u3, grad3 = case.plate_fields(pts)
     mc = w_vec[pmap.mem_ltg].reshape(-1, 3, 2)
-    e_mem_h1 = sq((np.swapaxes(mc, 1, 2) @ mo.grad_lambda)[:, None]
-                  - case.grad_u_membrane(pts))
-    e_mem_l2 = sq(rule.points @ mc - case.u_membrane(pts))
+    e_mem_h1 = sq((np.swapaxes(mc, 1, 2) @ mo.grad_lambda)[:, None] - grad_mem)
+    e_mem_l2 = sq(rule.points @ mc - u_mem)
 
     w3_h, grad3_h, hess3_h = mo.fields(
         pmap.mor_sign * w_vec[pmap.mor_ltg], rule.points)
     e3_h2 = sq(hess3_h[:, None] - case.hess_u3(pts))
-    e3_h1 = sq(grad3_h - case.grad_u3(pts))
-    e3_l2 = sq(w3_h - case.u3(pts))
+    e3_h1 = sq(grad3_h - grad3)
+    e3_l2 = sq(w3_h - u3)
     return (np.sqrt(e_mem_h1), np.sqrt(e_mem_l2), np.sqrt(e3_h2),
             np.sqrt(e3_h1), np.sqrt(e3_l2))
 
@@ -369,13 +369,13 @@ def format_convergence_table(report: ConvergenceReport) -> str:
 class RunConfig:
     """Defaults overridable by a `key = value` config file."""
 
-    e_alpha: float = 100.0
-    nu_alpha: float = 0.3
+    e_alpha: float = default_params().e_alpha
+    nu_alpha: float = default_params().nu_alpha
     e_beta: float = default_params().e_beta
-    nu_beta: float = 0.3
-    t_beta: float = 0.02
-    dd_tol: float = 1e-6
-    dd_max_it: int = 200
+    nu_beta: float = default_params().nu_beta
+    t_beta: float = default_params().t_beta
+    dd_tol: float = CG_TOL
+    dd_max_it: int = CG_MAX_IT
 
     def material_params(self) -> MaterialParams:
         return MaterialParams(e_alpha=self.e_alpha, nu_alpha=self.nu_alpha,
@@ -474,7 +474,8 @@ def _build_parser() -> argparse.ArgumentParser:
     dp.add_argument("--plate-level", type=int, required=True)
     dp.add_argument("--diagonal", choices=["same", "flipped"], default="same")
     dp.add_argument("--tol", type=float,
-                    help="relative CG tolerance (default: dd_tol, 1e-6)")
+                    help="relative CG tolerance in (0, 1) (default: dd_tol "
+                    f"of --config, else {CG_TOL:g})")
     dp.add_argument("--out", help="write the CG history CSV here")
     return p
 

@@ -54,29 +54,44 @@ def plate_points():
     return rng.uniform(-0.95, 0.95, size=(40, 2))
 
 
+@pytest.fixture(scope="module")
+def beta_points():
+    """Points across all of beta = (-1, 1)^2, corners and centre included,
+    with their lift (p, 0) to the body's coordinates."""
+    rng = np.random.default_rng(18)
+    p = np.vstack([rng.uniform(-1.0, 1.0, size=(60, 2)),
+                   [[-1.0, -1.0], [1.0, 1.0], [0.0, 0.0]]])
+    return p, np.column_stack([p, np.zeros(len(p))])
+
+
+def u_body(case):
+    return lambda x: case.u_grad_body(x)[0]
+
+
+def grad_u_body(case):
+    return lambda x: case.u_grad_body(x)[1]
+
+
 class TestDerivativeTables:
     def test_grad_u_body(self, case, body_points):
-        fd = fd_gradient(case.u_body, body_points)
-        assert_allclose(case.grad_u_body(body_points), fd, atol=FD_TOL)
+        fd = fd_gradient(u_body(case), body_points)
+        assert_allclose(grad_u_body(case)(body_points), fd, atol=FD_TOL)
 
     def test_hess_u_body(self, case, body_points):
-        fd = fd_gradient(case.grad_u_body, body_points)
+        fd = fd_gradient(grad_u_body(case), body_points)
         assert_allclose(case.hess_u_body(body_points), fd, atol=FD_TOL)
 
-    def test_grad_u_membrane(self, case, plate_points):
-        fd = fd_gradient(case.u_membrane, plate_points)
-        assert_allclose(case.grad_u_membrane(plate_points), fd, atol=FD_TOL)
-
-    def test_hess_u_membrane(self, case, plate_points):
-        fd = fd_gradient(case.grad_u_membrane, plate_points)
-        assert_allclose(case.hess_u_membrane(plate_points), fd, atol=FD_TOL)
-
-    def test_grad_u3(self, case, plate_points):
-        fd = fd_gradient(case.u3, plate_points)
-        assert_allclose(case.grad_u3(plate_points), fd, atol=FD_TOL)
+    def test_plate_fields_gradients(self, case, plate_points):
+        # The in-plane derivatives of the plate values are the plate
+        # gradients: plate_fields slices the right rows and columns.
+        u_mem, grad_mem, u3, grad3 = case.plate_fields(plate_points)
+        fd_mem = fd_gradient(lambda p: case.plate_fields(p)[0], plate_points)
+        fd3 = fd_gradient(lambda p: case.plate_fields(p)[2], plate_points)
+        assert_allclose(grad_mem, fd_mem, atol=FD_TOL)
+        assert_allclose(grad3, fd3, atol=FD_TOL)
 
     def test_hess_u3(self, case, plate_points):
-        fd = fd_gradient(case.grad_u3, plate_points)
+        fd = fd_gradient(lambda p: case.plate_fields(p)[3], plate_points)
         assert_allclose(case.hess_u3(plate_points), fd, atol=FD_TOL)
 
     def test_bilap_u3(self, case, plate_points):
@@ -106,18 +121,19 @@ class TestInducedData:
 
     def test_sigma_is_c0_of_strain(self, case, body_points):
         sig = case.sigma_body(body_points)
-        eps = case.strain_body(body_points)
+        g = grad_u_body(case)(body_points)
+        eps = 0.5 * (g + np.swapaxes(g, -1, -2))
         assert_allclose(sig, c0_apply(eps, case.params), atol=1e-12)
         assert_allclose(sig, np.swapaxes(sig, -1, -2), atol=1e-12)
 
-    def test_f_jump_is_interface_traction(self, case):
-        rng = np.random.default_rng(2)
-        p = rng.uniform(-0.45, 0.45, size=(20, 2))
-        x = np.column_stack([p, np.zeros(len(p))])
-        expected = np.einsum(
-            "qab,b->qa", case.sigma_body(x), INTERFACE_NORMAL
-        )
-        assert_allclose(case.f_jump(p), expected, atol=1e-12)
+    def test_f_jump_is_interface_traction(self, beta_points):
+        # f_jump = sigma(p, 0) n = -sigma(p, 0) e3 on all of beta, not only
+        # on Gamma, for both cases.
+        p, x = beta_points
+        for make in (default_case, constant_stress_case):
+            case = make()
+            assert np.array_equal(case.f_jump(p),
+                                  -case.sigma_body(x)[:, :, 2])
 
     def test_f_bending_formula(self, case, plate_points):
         assert_allclose(
@@ -131,7 +147,7 @@ class TestInducedData:
         prm = case.params
 
         def n_stress(p):
-            g = case.grad_u_membrane(p)
+            g = case.plate_fields(p)[1]
             eps = 0.5 * (g + np.swapaxes(g, -1, -2))
             c = prm.e_beta * prm.t_beta / (1.0 - prm.nu_beta**2)
             tr = eps[..., 0, 0] + eps[..., 1, 1]
@@ -153,13 +169,29 @@ class TestInducedData:
 
 
 class TestCompatibility:
-    def test_plate_fields_are_body_trace(self, case):
-        rng = np.random.default_rng(7)
-        p = rng.uniform(-0.45, 0.45, size=(25, 2))
-        x = np.column_stack([p, np.zeros(len(p))])
-        ub = case.u_body(x)
-        assert_allclose(case.u_membrane(p), ub[:, :2], atol=1e-13)
-        assert_allclose(case.u3(p), ub[:, 2], atol=1e-13)
+    def test_plate_fields_are_body_trace(self, beta_points):
+        # The plate's values and gradients are the body's at (p, 0) on all
+        # of beta, for both cases.
+        p, x = beta_points
+        n = len(p)
+        for make in (default_case, constant_stress_case):
+            case = make()
+            u, g = case.u_grad_body(x)
+            u_mem, grad_mem, u3, grad3 = case.plate_fields(p)
+            assert u_mem.shape == (n, 2) and grad_mem.shape == (n, 2, 2)
+            assert u3.shape == (n,) and grad3.shape == (n, 2)
+            assert np.array_equal(u_mem, u[:, :2])
+            assert np.array_equal(grad_mem, g[:, :2, :2])
+            assert np.array_equal(u3, u[:, 2])
+            assert np.array_equal(grad3, g[:, 2, :2])
+
+    def test_hess_u3_is_body_hessian(self, beta_points):
+        # The one plate table kept beside the body's cannot drift from it.
+        p, x = beta_points
+        for make in (default_case, constant_stress_case):
+            case = make()
+            assert np.array_equal(case.hess_u3(p),
+                                  case.hess_u_body(x)[:, 2, :2, :2])
 
     def test_clamped_plate_boundary(self, case):
         # u* and u3 and grad u3 vanish on the boundary of (-1,1)^2.
@@ -170,13 +202,14 @@ class TestCompatibility:
             np.column_stack([np.full_like(s, -1.0), s]),
             np.column_stack([np.full_like(s, 1.0), s]),
         ):
-            assert_allclose(case.u_membrane(edge), 0.0, atol=1e-13)
-            assert_allclose(case.u3(edge), 0.0, atol=1e-13)
-            assert_allclose(case.grad_u3(edge), 0.0, atol=1e-13)
+            u_mem, _, u3, grad3 = case.plate_fields(edge)
+            assert_allclose(u_mem, 0.0, atol=1e-13)
+            assert_allclose(u3, 0.0, atol=1e-13)
+            assert_allclose(grad3, 0.0, atol=1e-13)
 
     def test_point_values(self, case):
         # u^alpha(0, 0, 0) = (0, 0, 1): S(0,0) = 0, P(0) Q(0) R(0) = 1.
-        val = case.u_body(np.array([[0.0, 0.0, 0.0]]))
+        val = case.u_grad_body(np.array([[0.0, 0.0, 0.0]]))[0]
         assert_allclose(val, [[0.0, 0.0, 1.0]], atol=1e-14)
         # In-plane shear stresses vanish at the origin by symmetry.
         sig = case.sigma_body(np.array([[0.0, 0.0, 0.0]]))[0]
@@ -193,7 +226,7 @@ class TestCompatibility:
         xg, wg = leggauss(20)
         P = np.column_stack([np.repeat(xg, 20), np.tile(xg, 20)])
         W = np.outer(wg, wg).ravel()
-        val = float(np.sum(W * case.u3(P) ** 2))
+        val = float(np.sum(W * case.plate_fields(P)[2] ** 2))
         assert val == pytest.approx((256.0 / 315.0) ** 2, rel=1e-12)
 
 
@@ -222,8 +255,8 @@ class TestConstantStressCase:
     def test_plate_fields_vanish(self):
         case = constant_stress_case()
         p = np.random.default_rng(2).uniform(-0.9, 0.9, size=(5, 2))
-        assert_allclose(case.u_membrane(p), 0.0, atol=0)
-        assert_allclose(case.u3(p), 0.0, atol=0)
+        for field in case.plate_fields(p):
+            assert_allclose(field, 0.0, atol=0)
         assert_allclose(case.f_bending(p), 0.0, atol=0)
 
     def test_jump_equals_minus_stress_column(self):
@@ -239,8 +272,8 @@ class TestBodyFields:
     def test_one_evaluation_equals_the_separate_fields(self, make,
                                                        body_points):
         # The error norms take u and sigma from one evaluation of the exact
-        # body solution; they must be those of u_body and sigma_body, bit
-        # for bit.
+        # body solution; they must be the value of u_grad_body and
+        # sigma_body, bit for bit.
         case = make()
         calls = []
 
@@ -253,5 +286,6 @@ class TestBodyFields:
         u, sigma = one.body_fields(x)
         assert len(calls) == 1
         assert u.shape == (4, 10, 3) and sigma.shape == (4, 10, 3, 3)
-        assert np.array_equal(u, case.u_body(x))
+        assert np.array_equal(u, case.u_grad_body(x)[0])
         assert np.array_equal(sigma, case.sigma_body(x))
+

@@ -16,7 +16,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from bodyplate import verification_cli as vcli
-from bodyplate.domain_decomposition import solve_dd
+from bodyplate.domain_decomposition import CG_MAX_IT, CG_TOL, solve_dd
 from bodyplate.fe_elements import BodyDGDofMap, PlateDofMap, StressDofMap
 from bodyplate.geometry_mesh import Diagonal, build_body_mesh, build_plate_mesh
 from bodyplate.manufactured import constant_stress_case, default_case
@@ -251,11 +251,10 @@ class TestConfig:
         cfg = vcli.RunConfig()
         p = cfg.material_params()
         d = default_params()
-        assert p.e_alpha == d.e_alpha
-        assert p.e_beta == d.e_beta
-        assert p.t_beta == d.t_beta
-        assert cfg.dd_max_it == 200
-        assert cfg.dd_tol == 1e-6
+        for key in ("e_alpha", "nu_alpha", "e_beta", "nu_beta", "t_beta"):
+            assert getattr(p, key) == getattr(d, key), key
+        assert cfg.dd_tol == CG_TOL
+        assert cfg.dd_max_it == CG_MAX_IT
 
     def test_load_good_file(self, tmp_path):
         path = tmp_path / "run.cfg"
