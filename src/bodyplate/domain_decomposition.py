@@ -174,12 +174,18 @@ class DDReport:
 
 @dataclass
 class DDSolution:
+    """The fields of a ``solve_dd`` with its interface CG report.
+    ``l_inv`` holds the blocks of L_T^-1 of every tet that the solve built
+    and checked (``BodyBlocks`` ``face_inv`` and ``interior_inv``), for
+    ``verification_cli.SolutionFields.l_inv``."""
+
     sigma: np.ndarray
     u: np.ndarray
     w: np.ndarray
     x_gamma: np.ndarray
     report: DDReport
     junction_residual: float
+    l_inv: tuple[np.ndarray, np.ndarray]
 
 
 def cg_interface_solve(apply_op, apply_prec, b: np.ndarray,
@@ -258,4 +264,6 @@ def solve_dd(body: TetMesh, plate: TriMesh, case: ManufacturedCase,
     x = trace[gamma]
     junction = float(np.linalg.norm(w[gamma] - x))
     return DDSolution(sigma=sigma, u=u, w=w, x_gamma=x,
-                      report=report, junction_residual=junction)
+                      report=report, junction_residual=junction,
+                      l_inv=(system.blocks.face_inv,
+                             system.blocks.interior_inv))

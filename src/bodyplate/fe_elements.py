@@ -64,9 +64,13 @@ solve (``assembly.BodyBlocks``) need neither M_T^-1 nor a second check.
 Every local inverse (the DOF matrices here, the saddle blocks of ``hybrid``)
 is checked by one rule, ``_refuse_ill_conditioned``: it refuses an element
 whose 1-norm condition number ||M||_1 ||M^-1||_1 of the whole matrix is
-above ``CONDITION_LIMIT``, a singular one (or one with a singular block of
-L_T) as cond_1 = inf.  ``checked_inverses`` applies it to dense inverses,
-``StressBatch`` to the block inverses of M_T.
+above ``CONDITION_LIMIT``, a singular one as cond_1 = inf.  It takes the
+1-norms of the matrices and their inverses, so a caller that never forms
+the matrix passes its norm.  ``checked_inverses`` applies it to dense
+inverses; ``StressBatch`` to the block inverses of M_T, where a singular
+block of L_T reads as inf; ``hybrid`` to the local saddle blocks inverted
+by elimination, where a compliance block or Schur complement with no
+Cholesky factor reads as inf.
 """
 
 from __future__ import annotations
@@ -124,10 +128,11 @@ SYM_INDEX_PAIRS = [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)]
 CONDITION_LIMIT = 1e12
 
 #: Elements whose local work runs together (``local_chunks``): the local
-#: inverses (``checked_inverses``, ``StressBatch``), the body's blocks
-#: (``assembly.BodyBlocks``) and the sums of per-tet blocks into the
-#: condensed system (``hybrid``) take their elements this many at a time,
-#: so that only the arrays they keep reach the size of the mesh.
+#: inverses (``checked_inverses``, ``StressBatch``, the saddle blocks of
+#: ``hybrid``), the body's blocks (``assembly.BodyBlocks``) and the sums of
+#: per-tet blocks into the condensed system (``hybrid``) take their
+#: elements this many at a time, so that only the arrays they keep reach
+#: the size of the mesh.
 LOCAL_CHUNK = 128
 
 _FACE_RULE = triangle_rule(4)
@@ -240,31 +245,44 @@ def local_chunks(n: int):
         yield slice(lo, min(lo + LOCAL_CHUNK, n))
 
 
+def _stacked(f, M: np.ndarray) -> np.ndarray:
+    """f of a stack of matrices (..., k, k) by one call, or, where that
+    raises ``LinAlgError``, by one call per matrix, all NaN for each matrix
+    on which it raises."""
+    try:
+        return f(M)
+    except np.linalg.LinAlgError:
+        out = np.full(M.shape, np.nan)
+        for i in np.ndindex(M.shape[:-2]):
+            try:
+                out[i] = f(M[i])
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
 def _inverses(M: np.ndarray) -> np.ndarray:
     """Inverses of a stack of matrices (..., k, k), all NaN for each
     singular one."""
-    try:
-        return np.linalg.inv(M)
-    except np.linalg.LinAlgError:
-        inv = np.full(M.shape, np.nan)
-        for i in np.ndindex(M.shape[:-2]):
-            try:
-                inv[i] = np.linalg.inv(M[i])
-            except np.linalg.LinAlgError:
-                pass
-        return inv
+    return _stacked(np.linalg.inv, M)
 
 
-def _refuse_ill_conditioned(M: np.ndarray, inv: np.ndarray, what: str,
+def _norm_1(M: np.ndarray) -> np.ndarray:
+    """The 1-norms ||M||_1 (the largest column sums of |M|) of a stack of
+    matrices (m, k, k)."""
+    return np.abs(M).sum(axis=1).max(axis=1)
+
+
+def _refuse_ill_conditioned(norm: np.ndarray, inv: np.ndarray, what: str,
                             first: int) -> None:
     """The one rule for local inverses: fails on the first of the matrices
-    M (m, k, k), named by ``what`` and its index (counted from ``first``),
-    whose condition number ||M||_1 ||M^-1||_1 is not at most
-    CONDITION_LIMIT.  A singular M, whose ``inv`` is NaN (``_inverses``),
-    reads as cond_1 = inf; an M with NaN entries as NaN."""
-    cond = (np.abs(M).sum(axis=1).max(axis=1)
-            * np.abs(inv).sum(axis=1).max(axis=1))
-    cond[np.isnan(cond) & ~np.isnan(M).any(axis=(1, 2))] = np.inf
+    M, named by ``what`` and its index (counted from ``first``), whose
+    condition number ||M||_1 ||M^-1||_1 is not at most CONDITION_LIMIT,
+    given their 1-norms ``norm`` (m,) (``_norm_1``) and inverses ``inv``
+    (m, k, k).  A singular M, whose ``inv`` is NaN (``_inverses``), reads
+    as cond_1 = inf; an M with NaN entries, whose norm is NaN, as NaN."""
+    cond = norm * _norm_1(inv)
+    cond[np.isnan(cond) & ~np.isnan(norm)] = np.inf
     bad = np.flatnonzero(~(cond <= CONDITION_LIMIT))
     if bad.size:
         raise ValueError(
@@ -282,7 +300,7 @@ def checked_inverses(n: int, build, what: str) -> np.ndarray:
         if c.start == 0:
             inv = np.empty((n,) + M.shape[1:])
         inv[c] = _inverses(M)
-        _refuse_ill_conditioned(M, inv[c], what, c.start)
+        _refuse_ill_conditioned(_norm_1(M), inv[c], what, c.start)
     return inv
 
 
@@ -563,9 +581,9 @@ def _stress_coefficients(tangents: np.ndarray, normals: np.ndarray,
     coeffs = _block_rows(np.swapaxes(face_inv, 2, 3),
                          np.swapaxes(interior_inv, 1, 2),
                          _STRESS_DOF_REF_INV.T)
-    _refuse_ill_conditioned(_block_rows(face, interior, _STRESS_DOF_REF),
-                            np.swapaxes(coeffs, 1, 2),
-                            "stress DOF matrix of tet", first)
+    _refuse_ill_conditioned(
+        _norm_1(_block_rows(face, interior, _STRESS_DOF_REF)),
+        np.swapaxes(coeffs, 1, 2), "stress DOF matrix of tet", first)
     return coeffs, face_inv, interior_inv
 
 

@@ -62,14 +62,18 @@ solve, so CG watches its own rate: once the rate over the last PCG_WINDOW
 iterations forecasts more iterations than the factor would cost, CG stops
 and S is factored (``solve_condensed``), from one CSC copy of S.
 
-Inverting the blocks (``fe_elements.checked_inverses``) refuses any tet
-whose block has a 1-norm condition number above CONDITION_LIMIT.  Every
-solve then checks, in this order: the face-continuity defect of the
-back-substituted local stresses, relative to the stress norm; and the
-relative residual of the coupled system in (sigma, u, w), evaluated tet by
-tet from the local blocks with the owner copy of sigma in every tet (the
-multipliers drop out), against the residual contract; over the body rows
-only, with w as data, when the plate rows are not part of the solve.
+The blocks are inverted by block elimination, without forming them: a
+Cholesky factor of A_T and one of the 12 x 12 Schur complement give every
+block of M_T^-1 by BLAS products (``_local_saddle_inverses``).  The one
+rule of ``fe_elements._refuse_ill_conditioned`` refuses any tet whose block
+has a 1-norm condition number above CONDITION_LIMIT, and one whose A_T or
+Schur complement has no Cholesky factor.  Every solve then checks, in this
+order: the face-continuity defect of the back-substituted local stresses,
+relative to the stress norm; and the relative residual of the coupled
+system in (sigma, u, w), evaluated tet by tet from the local blocks with
+the owner copy of sigma in every tet (the multipliers drop out), against
+the residual contract; over the body rows only, with w as data, when the
+plate rows are not part of the solve.
 """
 
 from __future__ import annotations
@@ -79,10 +83,16 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
 from .assembly import BlockSystem, BodyBlocks, _scatter
-from .fe_elements import StressDofMap, checked_inverses, local_chunks
+from .fe_elements import (
+    StressDofMap,
+    _refuse_ill_conditioned,
+    _stacked,
+    local_chunks,
+)
 from .solvers import RESIDUAL_CONTRACT, SolveReport, SparseFactor, pcg
 
 __all__ = ["HybridBody", "HybridLoad", "CondensedSystem", "TwoLevelCycle",
@@ -122,28 +132,67 @@ def _matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.einsum("nij,nj->ni", M, x)
 
 
-def _saddle_blocks(A: np.ndarray, B: np.ndarray, ess: np.ndarray
-                   ) -> np.ndarray:
-    """Local saddle blocks [[A, B^T], [B, 0]] (n, 54, 54) with the essential
-    stress DOFs ``ess`` (n, 42) eliminated symmetrically: their row and
-    column zeroed, the diagonal kept at its compliance value."""
-    M = np.zeros((len(ess), 54, 54))
-    M[:, :42, :42] = A
-    M[:, 42:, :42] = B
-    M[:, :42, 42:] = np.swapaxes(B, 1, 2)
-    keep = np.concatenate([~ess, np.ones((len(ess), 12), dtype=bool)],
-                          axis=1)
-    M *= keep[:, :, None] & keep[:, None, :]
-    t, i = np.nonzero(ess)
-    M[t, i, i] = A[t, i, i]
-    return M
+def _inverse_cholesky_factors(M: np.ndarray) -> np.ndarray:
+    """L^-1 for the Cholesky factors M = L L^T of a stack of symmetric
+    positive definite matrices (m, k, k), all NaN for each one that is not
+    positive definite or has NaN entries.  Each step acts on each matrix
+    alone, so the result does not depend on the stack."""
+    def invert(M):
+        L = np.linalg.cholesky(M)
+        if np.isnan(L).any():  # NaN in M gives a NaN factor, not an error
+            raise np.linalg.LinAlgError("NaN Cholesky factor")
+        return scipy.linalg.inv(L, assume_a="lower triangular",
+                                check_finite=False)
+    return _stacked(invert, M)
 
 
 def _local_saddle_inverses(blocks: BodyBlocks, essential: np.ndarray
                            ) -> np.ndarray:
-    """Inverses (n, 54, 54) of the local saddle blocks."""
-    return checked_inverses(len(essential), lambda c: _saddle_blocks(
-        blocks.A[c], blocks.B[c], essential[c]), "local saddle block of tet")
+    """Inverses (n, 54, 54) of the local saddle blocks M_T = [[A, B^T],
+    [B, 0]], their essential stress DOFs ``essential`` (n, 42) eliminated
+    symmetrically: in A their rows and columns zeroed and the diagonal
+    kept, in B their columns zeroed.
+
+    By block elimination, one ``local_chunks`` slice at a time, from the
+    Cholesky factors A = L L^T and Sigma = L_S L_S^T of A and of the 12 x 12
+    Schur complement Sigma = B A^-1 B^T = Y^T Y, Y = L^-1 B^T.  Z = Y L_S^-T
+    has orthonormal columns and P = I - Z Z^T projects onto the complement
+    of its range, so that
+
+        M_T^-1 = [[(P L^-1)^T (P L^-1),  L^-T Z L_S^-1    ],
+                  [(L^-T Z L_S^-1)^T,    -L_S^-T L_S^-1]].
+
+    The stress block A^-1 - A^-1 B^T Sigma^-1 B A^-1 is taken as a product
+    of P L^-1 with itself, not as that difference: as nu -> 1/2, A^-1 grows
+    like 1 / (1 - 2 nu), and the difference loses digits in proportion.
+
+    Checked by the rule of ``_refuse_ill_conditioned`` on the whole M_T,
+    its 1-norm from the column sums of |A| and |B|: a block whose A or
+    Sigma is not positive definite has a NaN inverse, so cond_1 = inf."""
+    n = len(essential)
+    M_inv = np.empty((n, 54, 54))
+    for c in local_chunks(n):
+        keep = ~essential[c]
+        A = blocks.A[c] * (keep[:, :, None] & keep[:, None, :])
+        t, i = np.nonzero(essential[c])
+        A[t, i, i] = blocks.A[c][t, i, i]
+        B = blocks.B[c] * keep[:, None, :]
+        norm = np.maximum(
+            (np.abs(A).sum(axis=1) + np.abs(B).sum(axis=1)).max(axis=1),
+            np.abs(B).sum(axis=2).max(axis=1))
+        L_inv = _inverse_cholesky_factors(A)
+        Y = L_inv @ np.swapaxes(B, 1, 2)
+        LS_inv = _inverse_cholesky_factors(np.swapaxes(Y, 1, 2) @ Y)
+        Z = Y @ np.swapaxes(LS_inv, 1, 2)
+        out = M_inv[c]
+        out[:, :42, 42:] = np.swapaxes(L_inv, 1, 2) @ (Z @ LS_inv)
+        out[:, 42:, :42] = np.swapaxes(out[:, :42, 42:], 1, 2)
+        out[:, 42:, 42:] = -(np.swapaxes(LS_inv, 1, 2) @ LS_inv)
+        L_inv -= Z @ (np.swapaxes(Z, 1, 2) @ L_inv)  # now P L^-1
+        np.matmul(np.swapaxes(L_inv, 1, 2), L_inv, out=out[:, :42, :42])
+        _refuse_ill_conditioned(norm, out, "local saddle block of tet",
+                                c.start)
+    return M_inv
 
 
 def _multiplier_numbering(smap: StressDofMap) -> tuple[np.ndarray, int]:

@@ -528,6 +528,23 @@ def assert_limit_is_cond_1(matrices, invert=None, what="matrix"):
                 invert(i)
 
 
+def saddle_blocks(A, B, ess):
+    """Local saddle blocks [[A, B^T], [B, 0]] (n, 54, 54) with the essential
+    stress DOFs ``ess`` (n, 42) eliminated symmetrically: their row and
+    column zeroed, the diagonal kept at its compliance value.  The library
+    inverts these blocks by elimination and never builds them."""
+    M = np.zeros((len(ess), 54, 54))
+    M[:, :42, :42] = A
+    M[:, 42:, :42] = B
+    M[:, :42, 42:] = np.swapaxes(B, 1, 2)
+    keep = np.concatenate([~ess, np.ones((len(ess), 12), dtype=bool)],
+                          axis=1)
+    M *= keep[:, :, None] & keep[:, None, :]
+    t, i = np.nonzero(ess)
+    M[t, i, i] = A[t, i, i]
+    return M
+
+
 def test_checked_condition_number_is_cond_1():
     body, plate = build((11, 2, (8, Diagonal.FLIPPED)))
     tets = body.vertices[body.tets]
@@ -542,8 +559,12 @@ def test_checked_condition_number_is_cond_1():
     hb = hybrid.condense(system)[0]
     ess = hb.essential[:12]
     assert ess.any()  # blocks with eliminated free-face DOFs among them
-    assert_limit_is_cond_1(hybrid._saddle_blocks(
-        hb.blocks.A[:12], hb.blocks.B[:12], ess))
+    A, B = hb.blocks.A[:12], hb.blocks.B[:12]
+    assert_limit_is_cond_1(
+        saddle_blocks(A, B, ess),
+        lambda i: hybrid._local_saddle_inverses(
+            replace(hb.blocks, A=A[i:i + 1], B=B[i:i + 1]), ess[i:i + 1]),
+        "local saddle block of tet")
 
 
 def test_degenerate_tet_in_a_later_chunk_is_named(monkeypatch):

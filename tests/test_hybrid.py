@@ -40,7 +40,7 @@ from bodyplate.solvers import (
     SparseFactor,
     solve_saddle_point,
 )
-from test_batched_kernel import SETTINGS, build, meshes
+from test_batched_kernel import SETTINGS, build, meshes, saddle_blocks
 
 ORACLE_RTOL = 1e-10
 
@@ -459,6 +459,62 @@ def test_stress_error_stays_bounded_towards_incompressibility(sweep):
 
 
 # ---------------------------------------------------------------------------
+# The local saddle inverses by block elimination against LU inverses.
+# ---------------------------------------------------------------------------
+
+def local_inverses(body, plate, case):
+    """The elimination's inverses of the local saddle blocks of the coupled
+    system and the blocks themselves, built whole."""
+    system = asm.build_mixed_system(body, plate, case)
+    hb = hybrid.condense(system)[0]
+    assert hb.essential.any()
+    return hb.M_inv, saddle_blocks(system.blocks.A, system.blocks.B,
+                                   hb.essential)
+
+
+def assert_inverses_equal_lu(body, plate):
+    """Each block of M_T^-1 (stress, stress-displacement, displacement) to
+    1e-12 relative to its largest entry, tet by tet."""
+    got, M = local_inverses(body, plate, default_case())
+    ref = np.linalg.inv(M)
+    for rows in (slice(0, 42), slice(42, 54)):
+        for cols in (slice(0, 42), slice(42, 54)):
+            g, r = got[:, rows, cols], ref[:, rows, cols]
+            assert np.all(np.abs(g - r).max(axis=(1, 2))
+                          <= 1e-12 * np.abs(r).max(axis=(1, 2)))
+
+
+@pytest.mark.parametrize("n_body, n_plate", [(1, 4), (2, 4), (2, 8), (3, 12),
+                                             (4, 8)])
+@pytest.mark.parametrize("diagonal", [Diagonal.SAME_AS_BODY,
+                                      Diagonal.FLIPPED])
+def test_local_saddle_inverses_equal_lu_inverses(n_body, n_plate, diagonal):
+    assert_inverses_equal_lu(build_body_mesh(n_body),
+                             build_plate_mesh(n_plate, diagonal))
+
+
+@SETTINGS
+@given(meshes)
+def test_local_saddle_inverses_equal_lu_inverses_on_jittered_meshes(example):
+    assert_inverses_equal_lu(*build(example))
+
+
+@pytest.mark.parametrize("nu", [0.4999, 0.49999])
+def test_local_saddle_inverses_keep_the_lu_residual_towards_incompressibility(
+        nu):
+    # A^-1 grows like 1 / (1 - 2 nu).  Taken as the difference A^-1 -
+    # X Sigma^-1 X^T, the stress block leaves largest residuals M_T M_T^-1
+    # - I of 918 (0.4999) and 7.5e3 (0.49999) times the LU's on this mesh;
+    # as a product of P L^-1 with itself, 1.25 and 0.92 times.
+    case = default_case(replace(default_params(), nu_alpha=nu))
+    got, M = local_inverses(build_body_mesh(3),
+                            build_plate_mesh(12, Diagonal.FLIPPED), case)
+    eye = np.eye(54)
+    residual = np.abs(M @ got - eye).max()
+    assert residual <= 2 * np.abs(M @ np.linalg.inv(M) - eye).max()
+
+
+# ---------------------------------------------------------------------------
 # Named failures.
 # ---------------------------------------------------------------------------
 
@@ -496,6 +552,19 @@ def test_bad_block_in_a_later_chunk_names_its_global_tet(blocks, defect,
         b.A[5] *= 1e-14
     with pytest.raises(ValueError, match="local saddle block of tet 5 is "
                        "ill-conditioned"):
+        hybrid.HybridBody(smap, b, ess)
+
+
+def test_compliance_block_not_positive_definite_is_refused(blocks,
+                                                          monkeypatch):
+    # With -A_T the saddle block stays invertible, as well conditioned as
+    # before, but the elimination has no Cholesky factor of it.  Six tets in
+    # chunks of four: tet 5 is the second chunk's tet 1.
+    monkeypatch.setattr(fe_elements, "LOCAL_CHUNK", 4)
+    smap, b, ess = blocks
+    b.A[5] *= -1.0
+    with pytest.raises(ValueError, match=r"local saddle block of tet 5 is "
+                       r"ill-conditioned \(cond_1 = inf"):
         hybrid.HybridBody(smap, b, ess)
 
 

@@ -105,6 +105,22 @@ class TestSolvers:
             assert_allclose(vcli.compute_error_norms(sol, case).as_tuple(),
                             expected, rtol=1e-12, atol=0)
 
+    def test_dd_solution_carries_the_checked_stress_blocks(self):
+        # The norms of a DD solve through the L_T^-1 blocks its solve built
+        # and checked equal those that build the blocks again per batch.
+        case = default_case()
+        body, plate = build_body_mesh(2), build_plate_mesh(8, Diagonal.FLIPPED)
+        dd = solve_dd(body, plate, case)
+        fields = dict(
+            method="mixed-nc", body=body, plate=plate, params=case.params,
+            u=dd.u, w=dd.w, pmap=PlateDofMap(plate), sigma=dd.sigma,
+            smap=StressDofMap(body), vmap=BodyDGDofMap(body))
+        carried = vcli.SolutionFields(**fields, l_inv=dd.l_inv)
+        hand_built = vcli.SolutionFields(**fields)
+        assert_allclose(vcli.compute_error_norms(carried, case).as_tuple(),
+                        vcli.compute_error_norms(hand_built, case).as_tuple(),
+                        rtol=1e-13, atol=0)
+
 
 # ---------------------------------------------------------------------------
 # Error norms.
