@@ -219,11 +219,11 @@ def solve_dd(body: TetMesh, plate: TriMesh, case: ManufacturedCase,
     multiplier block S_lambda,lambda and of the free plate stiffness K_ff;
     CG on the plate Schur complement S_ww - S_w,lambda S_lambda,lambda^-1
     S_lambda,w with preconditioner K_ff^-1, both applying these factors
-    unrefined; then the multipliers, the local back-substitution and one
-    plate solve, all refined.  The coupled S itself is never solved or
-    preconditioned.  The interface DOF set only reports: ``x_gamma`` is the
-    CG plate solution there, and the junction residual its distance from
-    the final w.
+    unchecked; then the multipliers, the local back-substitution and one
+    plate solve, each checked against its residual contract.  The coupled
+    S itself is never solved or preconditioned.  The interface DOF set only
+    reports: ``x_gamma`` is the CG plate solution there, and the junction
+    residual its distance from the final w.
     """
     system = build_mixed_system(body, plate, case, params)
     hb, free, load = condense(system)
@@ -240,7 +240,7 @@ def solve_dd(body: TetMesh, plate: TriMesh, case: ManufacturedCase,
     def multipliers(w):
         return lu_l.solve(r_l - S_lw @ w)
 
-    # Inside CG the inverse is an operator: one unrefined solve.
+    # Inside CG the inverse is an operator: one unchecked solve.
     def apply_op(w):
         return S_ww @ w - S_lw.T @ lu_l.apply(S_lw @ w)
 

@@ -598,7 +598,7 @@ def solve_hybrid(system: BlockSystem
     w = np.zeros(system.pmap.n_dofs)
     w[free] = y[hb.n_lam:]
     report = SolveReport(hb.S.shape[0], hb.S.nnz, rel,
-                         time.perf_counter() - t0, 0,
+                         time.perf_counter() - t0,
                          iterations=max(len(history) - 1, 0), history=history,
                          direct_fallback=direct)
     return sigma, u, w, report

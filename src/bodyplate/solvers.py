@@ -1,22 +1,21 @@
-"""Sparse direct solves with residual verification, and the one
+"""Sparse direct solves checked against one residual contract, and the one
 preconditioned conjugate-gradient loop.
 
-Every factorization goes through one factor object, ``SparseFactor``:
-SuperLU in symmetric mode, with the ordering picked from the matrix itself.
-A matrix whose diagonal is positive throughout (the coarse matrix of the
-condensed-system preconditioner, the multiplier block and the free plate
-stiffness of the interface solver, the displacement baseline, the condensed
-system S itself as a test oracle) is factored without pivoting on a
-minimum-degree ordering of A^T + A; any other (the indefinite saddle-point
-system, kept as the monolithic test oracle) on COLAMD with a small
-diagonal-pivot threshold.  ``SparseFactor.solve`` checks the relative
-residual, applies up to two steps of iterative refinement until it reaches
-1e-15 or stagnates, and fails loudly if the final residual is above 1e-10.
-Refining to near roundoff keeps downstream identities that amplify the
-residual (equilibrium checks, mass-inverse applications) at their own
-roundoff level.  ``SparseFactor.apply`` is one unrefined triangular solve,
-for applying an inverse as an operator inside an iteration whose own
-tolerance is far above roundoff.
+Every matrix the library factors is symmetric positive definite (SPD): the
+coarse matrix of the condensed-system preconditioner, the multiplier block
+and the free plate stiffness of the interface solver, the condensed system S
+once its CG gives way, and the displacement baseline.  They all go through
+one factor object, ``SparseFactor``: SuperLU in symmetric mode, without
+pivoting, on a minimum-degree ordering of A^T + A.  It refuses by name a
+matrix with a diagonal entry that is not positive, which no SPD matrix has.
+``SparseFactor.solve`` is one triangular solve and one check of the relative
+residual; it fails loudly above ``RESIDUAL_CONTRACT`` = 1e-10.  No solve is
+refined: on the library's systems, wherever the first residual was above
+1e-15, two passes of iterative refinement lowered it by less than a factor
+of 2 and never below 1e-15 (``BENCH_one_direct_solve.json``).
+``SparseFactor.apply`` is the same triangular solve without the check, for
+applying an inverse as an operator inside an iteration whose own tolerance
+is far above roundoff.
 
 Every iterative solve goes through one loop, ``pcg``: preconditioned CG
 from zero with breakdown checks on p^T A p and r^T z, stopped on the U-norm
@@ -39,64 +38,47 @@ import scipy.sparse.linalg as spla
 __all__ = ["SolveReport", "solve_saddle_point", "SparseFactor", "pcg"]
 
 RESIDUAL_CONTRACT = 1e-10
-REFINE_THRESHOLD = 1e-15
-_MAX_REFINE_PASSES = 2
-
-
-def _refine(lu, M, b, x, nb):
-    """Iterative refinement toward REFINE_THRESHOLD, keeping the best
-    iterate if a pass stops improving the residual.  Returns the iterate,
-    its relative residual and the number of passes run."""
-    r = b - M @ x
-    rel = np.linalg.norm(r) / nb
-    passes = 0
-    while rel > REFINE_THRESHOLD and passes < _MAX_REFINE_PASSES:
-        passes += 1
-        x_new = x + lu.solve(r)
-        r_new = b - M @ x_new
-        rel_new = np.linalg.norm(r_new) / nb
-        if rel_new >= rel:
-            break
-        x, r, rel = x_new, r_new, rel_new
-    return x, rel, passes
 
 
 @dataclass
 class SolveReport:
     """Diagnostics of a solve: the size and nnz of the system solved, the
-    relative residual, the wall time and the refinement passes of a direct
-    solve, or the iteration count and relative U-norm residual history of
-    an iterative one (0 and empty for a direct solve), and whether the
-    iterative solve gave way to a direct one."""
+    relative residual and the wall time, the iteration count and relative
+    U-norm residual history of an iterative solve (0 and empty for a direct
+    one), and whether the iterative solve gave way to a direct one."""
 
     size: int
     nnz: int
     relative_residual: float
     wall_time: float
-    refine_passes: int
     iterations: int = 0
     history: list[float] = field(default_factory=list)
     direct_fallback: bool = False
 
 
 class SparseFactor:
-    """LU factorization reused across many solves (e.g. the domain-
-    decomposition operators); every solve is refined and checked against the
-    residual contract.  A positive diagonal selects the pivot-free
-    minimum-degree factorization, anything else the pivoting COLAMD one.
-    """
+    """Factor of a symmetric positive definite matrix, reused across many
+    solves (e.g. the domain-decomposition operators).  A matrix with a
+    diagonal entry that is not positive is refused before factoring, with
+    the row and value of the first such entry; every ``solve`` is checked
+    against the residual contract."""
 
     def __init__(self, M: sp.spmatrix):
         M = M.tocsc()
+        d = M.diagonal()
+        bad = np.flatnonzero(~(d > 0))
+        if bad.size:
+            i = bad[0]
+            raise RuntimeError(
+                f"sparse factorization failed: diagonal entry {i} is "
+                f"{d[i]:.3e}, not positive; SparseFactor factors symmetric "
+                "positive definite matrices only"
+            )
         self.M = M
-        if np.all(M.diagonal() > 0):
-            ordering, pivot_thresh = "MMD_AT_PLUS_A", 0.0
-        else:
-            ordering, pivot_thresh = "COLAMD", 0.001
         t0 = time.perf_counter()
         try:
             self.lu = spla.splu(
-                M, permc_spec=ordering, diag_pivot_thresh=pivot_thresh,
+                M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                 options=dict(SymmetricMode=True),
             )
         except RuntimeError as exc:
@@ -105,35 +87,38 @@ class SparseFactor:
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solution of M x = b."""
-        return self.refined_solve(b)[0]
+        return self.checked_solve(b)[0]
 
     def apply(self, b: np.ndarray) -> np.ndarray:
-        """M^-1 b by one triangular solve, without refinement or residual
-        check: for operator applications inside an iteration only."""
+        """M^-1 b by one triangular solve, without the residual check: for
+        operator applications inside an iteration only."""
         return self.lu.solve(np.asarray(b, dtype=float))
 
-    def refined_solve(self, b: np.ndarray) -> tuple[np.ndarray, float, int]:
-        """Solution of M x = b with its relative residual and the number of
-        refinement passes; a zero right-hand side gives zero at once."""
+    def checked_solve(self, b: np.ndarray) -> tuple[np.ndarray, float]:
+        """Solution of M x = b by one triangular solve, and its relative
+        residual, which must meet the contract; a zero right-hand side gives
+        zero at once."""
         b = np.asarray(b, dtype=float)
         nb = np.linalg.norm(b)
         if nb == 0.0:
-            return np.zeros_like(b), 0.0, 0
-        x, rel, passes = _refine(self.lu, self.M, b, self.lu.solve(b), nb)
-        if rel > RESIDUAL_CONTRACT:
+            return np.zeros_like(b), 0.0
+        x = self.lu.solve(b)
+        rel = np.linalg.norm(b - self.M @ x) / nb
+        if not rel <= RESIDUAL_CONTRACT:
             raise RuntimeError(
                 f"direct solve residual {rel:.3e} exceeds {RESIDUAL_CONTRACT:.1e}"
             )
-        return x, rel, passes
+        return x, rel
 
 
 def solve_saddle_point(M: sp.spmatrix,
                        b: np.ndarray) -> tuple[np.ndarray, SolveReport]:
-    """Direct solve of a symmetric system, indefinite (saddle point) or
-    positive definite."""
+    """Direct solve of a symmetric positive definite system, with its
+    report.  It keeps its saddle-point name because ``bench/layertrace.py``
+    wraps it by that name."""
     t0 = time.perf_counter()
-    x, rel, passes = SparseFactor(M).refined_solve(b)
-    return x, SolveReport(M.shape[0], M.nnz, rel, time.perf_counter() - t0, passes)
+    x, rel = SparseFactor(M).checked_solve(b)
+    return x, SolveReport(M.shape[0], M.nnz, rel, time.perf_counter() - t0)
 
 
 def pcg(apply_op, apply_prec, b: np.ndarray, tol: float, max_it: int,

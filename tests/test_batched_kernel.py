@@ -14,6 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -66,6 +67,7 @@ from bodyplate.quadrature import (
     tet_rule,
     triangle_rule,
 )
+from bodyplate.solvers import RESIDUAL_CONTRACT
 
 RTOL = 1e-12
 JITTER = 0.2
@@ -543,6 +545,39 @@ def saddle_blocks(A, B, ess):
     t, i = np.nonzero(ess)
     M[t, i, i] = A[t, i, i]
     return M
+
+
+def oracle_solve(M, b):
+    """Solution of the symmetric indefinite system M x = b: the monolithic
+    saddle-point oracle, which the library's SPD-only factor refuses.
+    SuperLU on a COLAMD ordering with diagonal-pivot threshold 0.001, in
+    symmetric mode, then up to two passes of iterative refinement towards a
+    relative residual of 1e-15, keeping the best iterate; the final residual
+    must meet the library's contract.  Without the refinement the oracle
+    differs from the hybrid solves by up to 5e-9 on the test meshes."""
+    b = np.asarray(b, dtype=float)
+    nb = np.linalg.norm(b)
+    if nb == 0.0:
+        return np.zeros_like(b)
+    M = M.tocsc()
+    lu = spla.splu(M, permc_spec="COLAMD", diag_pivot_thresh=0.001,
+                   options=dict(SymmetricMode=True))
+    x = lu.solve(b)
+    r = b - M @ x
+    rel = np.linalg.norm(r) / nb
+    for _ in range(2):
+        if rel <= 1e-15:
+            break
+        x_new = x + lu.solve(r)
+        r_new = b - M @ x_new
+        rel_new = np.linalg.norm(r_new) / nb
+        if rel_new >= rel:
+            break
+        x, r, rel = x_new, r_new, rel_new
+    if rel > RESIDUAL_CONTRACT:
+        raise RuntimeError(f"oracle residual {rel:.3e} exceeds "
+                           f"{RESIDUAL_CONTRACT:.1e}")
+    return x
 
 
 def test_checked_condition_number_is_cond_1():

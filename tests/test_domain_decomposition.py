@@ -25,8 +25,7 @@ from bodyplate.interface_overlay import (
     intersect_triangulations,
 )
 from bodyplate.manufactured import default_case
-from bodyplate.solvers import solve_saddle_point
-from test_batched_kernel import SETTINGS, build, meshes
+from test_batched_kernel import SETTINGS, build, meshes, oracle_solve
 
 
 @pytest.fixture(scope="module")
@@ -234,8 +233,7 @@ def monolithic(case):
     system = asm.build_mixed_system(body, plate, case)
     M, rhs, cons = system.monolithic()
     M_ff, rhs_f = cons.reduce(M, rhs)
-    x_f, _ = solve_saddle_point(M_ff, rhs_f)
-    return system.split(cons.expand(x_f))
+    return system.split(cons.expand(oracle_solve(M_ff, rhs_f)))
 
 
 @pytest.fixture(scope="module")

@@ -3,9 +3,10 @@
 ``solve_mixed`` and ``BodyOperator`` condense the broken body system onto
 face multipliers (``bodyplate.hybrid``).  Here both are compared with the
 indefinite monolithic system factored directly (``BlockSystem.monolithic``
-plus ``solve_saddle_point``) on matching, flipped and jittered meshes, over
-a sweep of material parameters towards incompressibility, and each named
-failure of the hybrid path is provoked once.
+plus the pivoted ``oracle_solve`` of ``test_batched_kernel``) on matching,
+flipped and jittered meshes, over a sweep of material parameters towards
+incompressibility, and each named failure of the hybrid path is provoked
+once.
 """
 
 from dataclasses import replace
@@ -40,7 +41,13 @@ from bodyplate.solvers import (
     SparseFactor,
     solve_saddle_point,
 )
-from test_batched_kernel import SETTINGS, build, meshes, saddle_blocks
+from test_batched_kernel import (
+    SETTINGS,
+    build,
+    meshes,
+    oracle_solve,
+    saddle_blocks,
+)
 
 ORACLE_RTOL = 1e-10
 
@@ -50,8 +57,7 @@ def monolithic_fields(body, plate, case):
     system = asm.build_mixed_system(body, plate, case)
     M, rhs, cons = system.monolithic()
     M_ff, rhs_f = cons.reduce(M, rhs)
-    x_f, _ = solve_saddle_point(M_ff, rhs_f)
-    return system.split(cons.expand(x_f))
+    return system.split(cons.expand(oracle_solve(M_ff, rhs_f)))
 
 
 def relative_difference(got, ref):
@@ -231,8 +237,7 @@ def test_body_operator_matches_saddle_factor(body_setup, with_data):
         sigma, u = s["op"].solve(s["G"].T @ w, rhs_v, with_data=with_data)
         M_ff, rhs_f = cons.reduce(s["saddle"],
                                   np.concatenate([s["G"].T @ w, rhs_v]))
-        x_f, _ = solve_saddle_point(M_ff, rhs_f)
-        x = cons.expand(x_f)
+        x = cons.expand(oracle_solve(M_ff, rhs_f))
         assert relative_difference((sigma, u), (x[:ns], x[ns:])) <= ORACLE_RTOL
 
 
