@@ -44,11 +44,15 @@ from .fe_elements import (
     PlateDofMap,
     StressBatch,
     StressDofMap,
+    div_scalars,
     local_chunks,
     simplex_barycentric,
     simplex_geometry,
     span_dlam,
     span_scalars,
+    stress_dual_coefficients,
+    stress_span_adjoint,
+    stress_span_coefficients,
 )
 from .quadrature import (
     FACE_DEGREE,
@@ -136,11 +140,53 @@ def _scatter_stress(smap: StressDofMap, blocks: np.ndarray) -> sp.csr_matrix:
                     (smap.n_dofs, smap.n_dofs))
 
 
-def _basis_blocks(k: StressBatch, span: np.ndarray) -> np.ndarray:
+def _volume_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The reference Gram matrix int s_k s_l of the spanning scalars (42,
+    42) and the reference moments int lam_a d(s_k)/d(lam_b) (4, 42, 4) of
+    the divergence against the P1 hats."""
+    rule = tet_rule(VOLUME_DEGREE)
+    s = span_scalars(rule.points)
+    gram = np.einsum("q,qk,ql->kl", rule.weights, s, s)
+    moments = np.einsum("q,qa,qkb->akb", rule.weights, rule.points,
+                        span_dlam(rule.points))
+    return gram, moments
+
+
+_SPAN_GRAM, _DIV_MOMENTS = _volume_tables()
+
+#: ``_DIV_MOMENTS`` by edge group: (6, 7, 16), row p of group e holding the
+#: (a, b) moments of spanning function 7 e + p.
+_DIV_MOMENTS_BY_EDGE = np.moveaxis(_DIV_MOMENTS.reshape(4, 6, 7, 4), 0, 2
+                                   ).reshape(6, 7, 16)
+
+
+def _basis_blocks(coeffs: np.ndarray, span: np.ndarray) -> np.ndarray:
     """Basis matrices (n, 42, 42) of a form whose matrices on the spanning
-    functions are ``span``; the dual-basis coefficients map one to the
-    other."""
-    return k.coeffs @ span @ np.swapaxes(k.coeffs, 1, 2)
+    functions are ``span``; the dual-basis coefficients ``coeffs`` map one
+    to the other."""
+    return coeffs @ span @ np.swapaxes(coeffs, 1, 2)
+
+
+def _edge_pairing(k: StressBatch, apply) -> np.ndarray:
+    """The 6 x 6 edge pairings apply(T_e) : T_f (n, 6, 6) of the tets of
+    ``k`` for a linear map ``apply`` of symmetric matrices."""
+    return np.einsum("neab,nfab->nef", apply(k.T), k.T)
+
+
+def _mass_span(volume: np.ndarray, pairing: np.ndarray) -> np.ndarray:
+    """int apply(s_l T_f) : s_k T_e (n, 42, 42) on the spanning functions:
+    the reference Gram matrix of the s_k times the edge pairing."""
+    return ((volume / TET_MEASURE)[:, None, None] * _SPAN_GRAM
+            * pairing[:, SPAN_EDGE][:, :, SPAN_EDGE])
+
+
+def _divergence_span(volume: np.ndarray, tau: np.ndarray,
+                     tangents: np.ndarray) -> np.ndarray:
+    """int div(s_k T_e) . psi_i (n, 12, 42) on the spanning functions, from
+    the tangent-gradient table ``tau`` of ``div_scalars``."""
+    d = div_scalars(_DIV_MOMENTS, tau) * (volume / TET_MEASURE)[:, None, None]
+    t = np.swapaxes(tangents[:, SPAN_EDGE], 1, 2)  # (n, 3, 42)
+    return (d[:, :, None, :] * t[:, None, :, :]).reshape(-1, 12, 42)
 
 
 def _tensor_mass_blocks(k: StressBatch, apply) -> np.ndarray:
@@ -148,13 +194,8 @@ def _tensor_mass_blocks(k: StressBatch, apply) -> np.ndarray:
     matrices.  With spanning functions s_k T_e the integrand separates into
     the reference Gram matrix of the s_k and the edge pairing
     apply(T_e) : T_f."""
-    rule = tet_rule(VOLUME_DEGREE)
-    s = span_scalars(rule.points)
-    gram = np.einsum("q,qk,ql->kl", rule.weights, s, s)
-    pair = np.einsum("neab,nfab->nef", apply(k.T), k.T)
-    pair = pair[:, SPAN_EDGE][:, :, SPAN_EDGE]
-    return _basis_blocks(k, (k.volume / TET_MEASURE)[:, None, None]
-                         * gram * pair)
+    return _basis_blocks(k.coeffs, _mass_span(k.volume,
+                                              _edge_pairing(k, apply)))
 
 
 def compliance_blocks(k: StressBatch, params: MaterialParams) -> np.ndarray:
@@ -165,46 +206,117 @@ def compliance_blocks(k: StressBatch, params: MaterialParams) -> np.ndarray:
 def divergence_blocks(k: StressBatch) -> np.ndarray:
     """Unsigned local divergence blocks (n, 12, 42): int div(phi_i) . psi_k
     with psi_k the vector P1 basis (local DOF 3 a + c)."""
-    rule = tet_rule(VOLUME_DEGREE)
-    # Reference moments int lam_a d(s_k)/d(lam_b), (4, 42, 4).
-    moments = np.einsum("q,qa,qkb->akb", rule.weights, rule.points,
-                        span_dlam(rule.points))
-    d = k.div_scalars(moments) * (k.volume / TET_MEASURE)[:, None, None]
-    t = np.swapaxes(k.tangents[:, SPAN_EDGE], 1, 2)  # (n, 3, 42)
-    span = (d[:, :, None, :] * t[:, None, :, :]).reshape(-1, 12, 42)
-    return span @ np.swapaxes(k.coeffs, 1, 2)
+    return (_divergence_span(k.volume, k.tangent_gradients, k.tangents)
+            @ np.swapaxes(k.coeffs, 1, 2))
 
 
 @dataclass
 class BodyBlocks:
-    """The body's per-tet blocks in unsigned local coordinates (each tet's
-    own basis, before the -1 sign a non-owner tet sees on a shared face):
-    compliance ``A`` (n_tets, 42, 42) and divergence ``B`` (n_tets, 12, 42).
-    The global blocks are their signed scatters.  Beside them, the checked
-    blocks of L_T^-1 of every tet (``StressBatch.face_inv`` (n_tets, 4, 3,
-    3) and ``interior_inv`` (n_tets, 6, 6), 72 doubles per tet), from which
-    the error norms take the stress field (``stress_span_coefficients``)."""
+    """The body's per-tet data, from which its compliance blocks A_T (42 x
+    42) and divergence blocks B_T (12 x 42), in unsigned local coordinates
+    (before the -1 sign a non-owner tet sees on a shared face), are applied
+    to every tet or formed for a few.  The global blocks are their signed
+    scatters.  With M_T^-1 = M_ref^-1 L_T^-1,
 
-    A: np.ndarray
-    B: np.ndarray
+        A_T = M_T^-T (|T| / |T^| G o Pi_T[E, E]) M_T^-1,   B_T = D_T M_T^-1,
+
+    G the Gram matrix of the spanning scalars, E = ``SPAN_EDGE``, Pi_T the
+    6 x 6 edge pairing C0^-1(T_e) : T_f and D_T the divergence of the
+    spanning functions against the P1 hats.  Kept per tet, 151 doubles in
+    place of the 2,268 of A_T and B_T: the checked blocks of L_T^-1
+    (``face_inv`` (n, 4, 3, 3) and ``interior_inv`` (n, 6, 6), which also
+    give the error norms their stress field), the ``volume``, the
+    ``pairing`` Pi_T, the ``tangent_gradients`` (n, 6, 4) of
+    ``div_scalars`` and the ``tangents`` (n, 6, 3).  ``compliance`` and
+    ``divergence`` form blocks bit for bit as ``compliance_blocks`` and
+    ``divergence_blocks`` do."""
+
     face_inv: np.ndarray
     interior_inv: np.ndarray
+    volume: np.ndarray
+    pairing: np.ndarray
+    tangent_gradients: np.ndarray
+    tangents: np.ndarray
 
     @classmethod
     def build(cls, body: TetMesh, params: MaterialParams) -> "BodyBlocks":
-        """The blocks of every tet, from one ``StressBatch`` per
-        ``local_chunks`` slice: only the kept blocks reach the size of the
+        """The data of every tet, from one ``StressBatch`` per
+        ``local_chunks`` slice: only the kept data reach the size of the
         mesh."""
         n = body.n_tets
-        blocks = cls(np.empty((n, 42, 42)), np.empty((n, 12, 42)),
-                     np.empty((n, 4, 3, 3)), np.empty((n, 6, 6)))
+        blocks = cls(np.empty((n, 4, 3, 3)), np.empty((n, 6, 6)),
+                     np.empty(n), np.empty((n, 6, 6)), np.empty((n, 6, 4)),
+                     np.empty((n, 6, 3)))
         for c in local_chunks(n):
             k = StressBatch(body.vertices[body.tets[c]], c.start)
-            blocks.A[c] = compliance_blocks(k, params)
-            blocks.B[c] = divergence_blocks(k)
             blocks.face_inv[c] = k.face_inv
             blocks.interior_inv[c] = k.interior_inv
+            blocks.volume[c] = k.volume
+            blocks.pairing[c] = _edge_pairing(
+                k, lambda T: c0_inv_apply(T, params))
+            blocks.tangent_gradients[c] = k.tangent_gradients
+            blocks.tangents[c] = k.tangents
         return blocks
+
+    def _coeffs(self, t) -> np.ndarray:
+        return stress_dual_coefficients(self.face_inv[t], self.interior_inv[t])
+
+    def compliance(self, t) -> np.ndarray:
+        """The compliance blocks (m, 42, 42) of the tets ``t`` (a slice or
+        an index array)."""
+        return _basis_blocks(self._coeffs(t),
+                             _mass_span(self.volume[t], self.pairing[t]))
+
+    def divergence(self, t) -> np.ndarray:
+        """The divergence blocks (m, 12, 42) of the tets ``t``."""
+        return (_divergence_span(self.volume[t], self.tangent_gradients[t],
+                                 self.tangents[t])
+                @ np.swapaxes(self._coeffs(t), 1, 2))
+
+    def _span(self, x: np.ndarray) -> np.ndarray:
+        """M_T^-1 x_T (n, 6, 7), by edge group."""
+        return stress_span_coefficients(x, self.face_inv,
+                                        self.interior_inv).reshape(-1, 6, 7)
+
+    def _basis(self, y: np.ndarray) -> np.ndarray:
+        """M_T^-T y_T (n, 42) of the scaled spanning values y (n, 6, 7)."""
+        scale = (self.volume / TET_MEASURE)[:, None]
+        return stress_span_adjoint(scale * y.reshape(-1, 42), self.face_inv,
+                                   self.interior_inv)
+
+    def apply_A(self, x: np.ndarray) -> np.ndarray:
+        """A_T x_T (n, 42) for local stress values x (n, 42) of every tet,
+        one GEMM with G per edge group."""
+        c = self._span(x)
+        y = np.empty_like(c)
+        for e in range(6):
+            y[:, e] = ((self.pairing[:, e, :, None] * c).reshape(-1, 42)
+                       @ _SPAN_GRAM[7 * e:7 * e + 7].T)
+        return self._basis(y)
+
+    def apply_B(self, x: np.ndarray) -> np.ndarray:
+        """B_T x_T (n, 12) for local stress values x (n, 42) of every tet,
+        one GEMM with the divergence moments per edge group."""
+        c = self._span(x)
+        # d[n, a, e] = sum_k D[n, a, k] c[n, k] over the spanning functions
+        # k of edge e, D the div_scalars of the moments: int lam_a div(c_k
+        # s_k T_e) = D[n, a, k] c[n, k] t_e.
+        d = np.stack([(c[:, e] @ _DIV_MOMENTS_BY_EDGE[e]).reshape(-1, 4, 4)
+                      @ self.tangent_gradients[:, e, :, None]
+                      for e in range(6)], axis=2)[..., 0]
+        scale = (self.volume / TET_MEASURE)[:, None, None]
+        return (scale * (d @ self.tangents)).reshape(-1, 12)
+
+    def apply_Bt(self, u: np.ndarray) -> np.ndarray:
+        """B_T^T u_T (n, 42) for local displacement values u (n, 12) of
+        every tet, one GEMM with the divergence moments per edge group."""
+        # ut[n, a, e] = u[n, a] . t_e
+        ut = u.reshape(-1, 4, 3) @ np.swapaxes(self.tangents, 1, 2)
+        y = np.empty((len(u), 6, 7))
+        for e in range(6):
+            y[:, e] = ((ut[:, :, e, None] * self.tangent_gradients[:, e, None])
+                       .reshape(-1, 16) @ _DIV_MOMENTS_BY_EDGE[e].T)
+        return self._basis(y)
 
 
 def assemble_compliance(
@@ -226,11 +338,13 @@ def assemble_stress_mass(body: TetMesh, smap: StressDofMap) -> sp.csr_matrix:
 def _div_div_blocks(k: StressBatch) -> np.ndarray:
     """Unsigned local blocks (n, 42, 42) of int div phi_i . div phi_j."""
     rule = tet_rule(VOLUME_DEGREE)
-    d = k.div_scalars(span_dlam(rule.points))  # div(span_k) = d_k t_{e_k}
+    # div(span_k) = d_k t_{e_k}
+    d = div_scalars(span_dlam(rule.points), k.tangent_gradients)
     t = k.tangents[:, SPAN_EDGE]
     dd = np.einsum("q,nqk,nql->nkl", rule.weights, d, d)
     tt = np.einsum("nkc,nlc->nkl", t, t)
-    return _basis_blocks(k, (k.volume / TET_MEASURE)[:, None, None] * dd * tt)
+    return _basis_blocks(k.coeffs,
+                         (k.volume / TET_MEASURE)[:, None, None] * dd * tt)
 
 
 def assemble_div_div(body: TetMesh, smap: StressDofMap) -> sp.csr_matrix:
@@ -551,9 +665,10 @@ class Constraints:
 
 @dataclass
 class BlockSystem:
-    """The mixed formulation: the body's local blocks, the interface
-    coupling's cell blocks, the plate stiffness, loads and constraint data.
-    The global body blocks A, B and G are scattered on first use."""
+    """The mixed formulation: the body's per-tet data (``BodyBlocks``), the
+    interface coupling's cell blocks, the plate stiffness, loads and
+    constraint data.  The global body blocks A, B and G, which only the
+    monolithic test oracle reads, are formed and scattered on first use."""
 
     body: TetMesh
     plate: TriMesh
@@ -571,11 +686,12 @@ class BlockSystem:
 
     @cached_property
     def A(self) -> sp.csr_matrix:
-        return _scatter_stress(self.smap, self.blocks.A)
+        return _scatter_stress(self.smap, self.blocks.compliance(slice(None)))
 
     @cached_property
     def B(self) -> sp.csr_matrix:
-        return _scatter_divergence(self.smap, self.vmap, self.blocks.B)
+        return _scatter_divergence(self.smap, self.vmap,
+                                   self.blocks.divergence(slice(None)))
 
     @cached_property
     def G(self) -> sp.csr_matrix:

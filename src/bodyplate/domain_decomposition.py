@@ -200,11 +200,16 @@ def cg_interface_solve(apply_op, apply_prec, b: np.ndarray,
     The reported residual history is the relative U-norm of the residual of
     the equivalent fixed-point equation (I + S_K^-1 E) x = S_K^-1 b, which is
     sqrt(r^T z) of standard PCG; the Euclidean relative residual is logged
-    alongside.
+    alongside.  Raises a ``RuntimeError`` when CG does not reach ``tol`` in
+    ``max_it`` iterations, so a returned report has always converged.
     """
     x, converged, hist_u, hist_e = pcg(apply_op, apply_prec, b, tol, max_it,
                                        label="interface CG")
     it = len(hist_u) - 1
+    if not converged:
+        raise RuntimeError(
+            f"interface CG did not converge in {it} iterations: relative "
+            f"U-norm residual {hist_u[-1]:.3e} above tol {tol:.1e}")
     rho = (hist_u[-1]) ** (1.0 / it) if it > 0 else 0.0
     return x, DDReport(it, converged, rho, hist_u, hist_e)
 
@@ -219,8 +224,10 @@ def solve_dd(body: TetMesh, plate: TriMesh, case: ManufacturedCase,
     multiplier block S_lambda,lambda and of the free plate stiffness K_ff;
     CG on the plate Schur complement S_ww - S_w,lambda S_lambda,lambda^-1
     S_lambda,w with preconditioner K_ff^-1, both applying these factors
-    unchecked; then the multipliers, the local back-substitution and one
-    plate solve, each checked against its residual contract.  The coupled
+    unchecked, which raises a ``RuntimeError`` if it does not converge in
+    ``max_it`` iterations; then the multipliers, the local
+    back-substitution and one plate solve, each checked against its
+    residual contract.  The coupled
     S itself is never solved or preconditioned.  The interface DOF set only
     reports: ``x_gamma`` is the CG plate solution there, and the junction
     residual its distance from the final w.

@@ -58,8 +58,13 @@ reference rows.  ``StressBatch`` takes M_T^-1 = M_ref^-1 L_T^-1 from four
 doubles per tet); ``HuMaElement`` inverts its dense quadrature-built matrix,
 the reference.  ``stress_span_coefficients`` maps local stress DOF values x
 to spanning coefficients through the kept blocks, M_T^-1 x = M_ref^-1
-(L_T^-1 x), so the error norms of a solution whose blocks were kept by the
-solve (``assembly.BodyBlocks``) need neither M_T^-1 nor a second check.
+(L_T^-1 x), and ``stress_span_adjoint`` maps back by the transpose,
+M_T^-T c = L_T^-T (M_ref^-T c); ``stress_dual_coefficients`` forms M_T^-T
+from them, bit for bit as ``StressBatch`` does.  So the solve keeps the
+blocks of L_T^-1 and a few per-tet tables in place of its compliance and
+divergence blocks (``assembly.BodyBlocks``), applies those blocks through
+the maps and forms them only for the tets that need them, and the error
+norms of its solution need neither M_T^-1 nor a second check.
 
 Every local inverse (the DOF matrices here, the saddle blocks of ``hybrid``)
 is checked by one rule, ``_refuse_ill_conditioned``: it refuses an element
@@ -100,6 +105,9 @@ __all__ = [
     "span_scalars",
     "span_dlam",
     "stress_span_coefficients",
+    "stress_span_adjoint",
+    "stress_dual_coefficients",
+    "div_scalars",
     "edge_tangents",
     "SPAN_EDGE",
     "StressDofMap",
@@ -128,11 +136,12 @@ SYM_INDEX_PAIRS = [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)]
 CONDITION_LIMIT = 1e12
 
 #: Elements whose local work runs together (``local_chunks``): the local
-#: inverses (``checked_inverses``, ``StressBatch``, the saddle blocks of
-#: ``hybrid``), the body's blocks (``assembly.BodyBlocks``) and the sums of
-#: per-tet blocks into the condensed system (``hybrid``) take their
-#: elements this many at a time, so that only the arrays they keep reach
-#: the size of the mesh.
+#: inverses (``checked_inverses``, ``StressBatch``), the body's per-tet data
+#: (``assembly.BodyBlocks``), and in ``hybrid`` the formed blocks, their
+#: elimination and the sums of the stress blocks into the condensed
+#: system, and the local solves by the kept factors, take their elements
+#: this many at a time, so that only the arrays they keep reach the size of
+#: the mesh.
 LOCAL_CHUNK = 128
 
 _FACE_RULE = triangle_rule(4)
@@ -578,13 +587,20 @@ def _stress_coefficients(tangents: np.ndarray, normals: np.ndarray,
     the rule of ``_refuse_ill_conditioned`` on the whole M_T."""
     face, interior = _stress_dof_blocks(tangents, normals)
     face_inv, interior_inv = _inverses(face), _inverses(interior)
-    coeffs = _block_rows(np.swapaxes(face_inv, 2, 3),
-                         np.swapaxes(interior_inv, 1, 2),
-                         _STRESS_DOF_REF_INV.T)
+    coeffs = stress_dual_coefficients(face_inv, interior_inv)
     _refuse_ill_conditioned(
         _norm_1(_block_rows(face, interior, _STRESS_DOF_REF)),
         np.swapaxes(coeffs, 1, 2), "stress DOF matrix of tet", first)
     return coeffs, face_inv, interior_inv
+
+
+def stress_dual_coefficients(face_inv: np.ndarray,
+                             interior_inv: np.ndarray) -> np.ndarray:
+    """(n, 42, 42) dual-basis coefficients M_T^-T = L_T^-T M_ref^-T from
+    the blocks of L_T^-1 (``StressBatch.face_inv``, ``interior_inv``), as
+    ``StressBatch.coeffs`` holds them, bit for bit."""
+    return _block_rows(np.swapaxes(face_inv, 2, 3),
+                       np.swapaxes(interior_inv, 1, 2), _STRESS_DOF_REF_INV.T)
 
 
 def stress_span_coefficients(x: np.ndarray, face_inv: np.ndarray,
@@ -600,6 +616,18 @@ def stress_span_coefficients(x: np.ndarray, face_inv: np.ndarray,
                  @ np.swapaxes(face_inv, 2, 3)).reshape(-1, 36)
     y[:, 36:] = (interior_inv @ x[:, 36:, None])[..., 0]
     return y @ _STRESS_DOF_REF_INV.T
+
+
+def stress_span_adjoint(c: np.ndarray, face_inv: np.ndarray,
+                        interior_inv: np.ndarray) -> np.ndarray:
+    """M_T^-T c = L_T^-T (M_ref^-T c) (n, 42) for spanning-function
+    values c (n, 42), the transpose of ``stress_span_coefficients``: it
+    takes a form on the spanning functions to the basis functions."""
+    y = c @ _STRESS_DOF_REF_INV
+    out = np.empty_like(y)
+    out[:, :36] = (y[:, :36].reshape(-1, 4, 3, 3) @ face_inv).reshape(-1, 36)
+    out[:, 36:] = (y[:, None, 36:] @ interior_inv)[:, 0]
+    return out
 
 
 class StressBatch:
@@ -642,11 +670,17 @@ class StressBatch:
                 _stress_coefficients(self.tangents[c], self.face_normals[c],
                                      first + c.start))
 
-    def div_scalars(self, dlam: np.ndarray) -> np.ndarray:
-        """(n, ..., 42) scalars d with div(span_k) = d_k t_{e_k}, from a
-        ``span_dlam`` table (..., 42, 4)."""
-        tau = self.tangents @ np.swapaxes(self.grad_lambda, 1, 2)
-        return np.einsum("...kb,nkb->n...k", dlam, tau[:, SPAN_EDGE])
+    @property
+    def tangent_gradients(self) -> np.ndarray:
+        """(n, 6, 4) table t_e . grad lam_b of ``div_scalars``."""
+        return self.tangents @ np.swapaxes(self.grad_lambda, 1, 2)
+
+
+def div_scalars(dlam: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """(n, ..., 42) scalars d with div(span_k) = d_k t_{e_k}, from a
+    ``span_dlam`` table (..., 42, 4) and the tangent-gradient table
+    tau[n, e, b] = t_e . grad lam_b (n, 6, 4)."""
+    return np.einsum("...kb,nkb->n...k", dlam, tau[:, SPAN_EDGE])
 
 
 def _morley_dof_matrices(grad_lambda: np.ndarray,

@@ -19,16 +19,21 @@ blocks leaves the symmetric positive definite system
 
     S Y = sum_T C_T M_T^-1 F_T - H,          S = sum_T C_T M_T^-1 C_T^T + D.
 
-The blocks are built and inverted, and S is summed, one
-``fe_elements.local_chunks`` slice of tets at a time, so that only the
-inverses and S reach the size of the mesh.  S is kept by its blocks
-(``CondensedSystem``).  A multiplier row of S reaches only the faces of the
-one or two tets of its face, so the multiplier block is made of dense 9 x 9
-face blocks: it is stored as such (BSR, one block row per interior face,
-one index per block), its layout follows from the tet-face adjacency, and
-each tet's blocks are added to it whole (``_face_blocks``).  The rows and
-columns of the plate DOFs are a small sparse product over the tets on
-Gamma, kept in CSR.
+The blocks are formed from ``assembly.BodyBlocks`` and eliminated, and S is
+summed, in one pass over ``fe_elements.local_chunks`` slices of tets
+(``HybridBody._condensed``), so that only the factors of the elimination
+and S reach the size of the mesh: L^-1 and L_S^-1 with their triangles
+packed, and Z (see below), 1,485 doubles per tet.  No block A_T, B_T or
+M_T^-1 is kept; later solves apply M_T^-1 by the factors (``_local_solve``)
+and A_T and B_T by their structure (``BodyBlocks.apply_A``, ``apply_B``,
+``apply_Bt``), forming dense blocks only for the few tets that hold
+essential data.  S is kept by its blocks (``CondensedSystem``).  A
+multiplier row of S reaches only the faces of the one or two tets of its
+face, so the multiplier block is made of dense 9 x 9 face blocks: it is
+stored as such (BSR, one block row per interior face, one index per block),
+its layout follows from the tet-face adjacency, and each tet's blocks are
+added to it whole (``_FaceBlocks``).  The rows and columns of the plate
+DOFs are a small sparse product over the tets on Gamma, kept in CSR.
 
 A solve has two halves: the right-hand side of S Y = r (``load``) and the
 local back-substitution x_T = M_T^-1 (F_T - C_T^T Y) of a given Y
@@ -62,18 +67,20 @@ solve, so CG watches its own rate: once the rate over the last PCG_WINDOW
 iterations forecasts more iterations than the factor would cost, CG stops
 and S is factored (``solve_condensed``), from one CSC copy of S.
 
-The blocks are inverted by block elimination, without forming them: a
-Cholesky factor of A_T and one of the 12 x 12 Schur complement give every
-block of M_T^-1 by BLAS products (``_local_saddle_inverses``).  The one
-rule of ``fe_elements._refuse_ill_conditioned`` refuses any tet whose block
+The saddle blocks are eliminated without forming them: a Cholesky factor
+L of A_T and one, L_S, of the 12 x 12 Schur complement give every block of
+M_T^-1 by BLAS products (``_local_saddle_factors``), the inverse factors
+by LAPACK ``dtrtri``.  Each chunk forms its M_T^-1 once, for the stress
+block W_T that S sums and for the one rule of
+``fe_elements._refuse_ill_conditioned``, which refuses any tet whose block
 has a 1-norm condition number above CONDITION_LIMIT, and one whose A_T or
-Schur complement has no Cholesky factor.  Every solve then checks, in this
-order: the face-continuity defect of the back-substituted local stresses,
-relative to the stress norm; and the relative residual of the coupled
-system in (sigma, u, w), evaluated tet by tet from the local blocks with
-the owner copy of sigma in every tet (the multipliers drop out), against
-the residual contract; over the body rows only, with w as data, when the
-plate rows are not part of the solve.
+Schur complement has no Cholesky factor; then drops it.  Every solve then
+checks, in this order: the face-continuity defect of the back-substituted
+local stresses, relative to the stress norm; and the relative residual of
+the coupled system in (sigma, u, w), evaluated tet by tet from the
+structured local blocks with the owner copy of sigma in every tet (the
+multipliers drop out), against the residual contract; over the body rows
+only, with w as data, when the plate rows are not part of the solve.
 """
 
 from __future__ import annotations
@@ -83,8 +90,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
+from scipy.linalg.lapack import dtrtri
 
 from .assembly import BlockSystem, BodyBlocks, _scatter
 from .fe_elements import (
@@ -127,37 +134,65 @@ PCG_WINDOW = 10
 SMOOTHER_DAMPING = 0.5
 
 
-def _matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Batched products (n, r, c) @ (n, c) -> (n, r)."""
-    return np.einsum("nij,nj->ni", M, x)
+#: The lower triangles of L_T^-1 (42 x 42) and L_S^-1 (12 x 12), packed
+#: row by row.
+_TRIL = {k: np.tril_indices(k) for k in (42, 12)}
+
+
+def _packed(L: np.ndarray) -> np.ndarray:
+    """The lower triangles (m, k (k + 1) / 2) of matrices L (m, k, k)."""
+    rows, cols = _TRIL[L.shape[1]]
+    return L[:, rows, cols]
+
+
+def _unpacked(packed: np.ndarray, k: int) -> np.ndarray:
+    """The lower triangular matrices (m, k, k) of their packed triangles
+    (m, k (k + 1) / 2)."""
+    out = np.zeros((len(packed), k, k))
+    out[:, _TRIL[k][0], _TRIL[k][1]] = packed
+    return out
 
 
 def _inverse_cholesky_factors(M: np.ndarray) -> np.ndarray:
     """L^-1 for the Cholesky factors M = L L^T of a stack of symmetric
     positive definite matrices (m, k, k), all NaN for each one that is not
-    positive definite or has NaN entries.  Each step acts on each matrix
-    alone, so the result does not depend on the stack."""
-    def invert(M):
-        L = np.linalg.cholesky(M)
-        if np.isnan(L).any():  # NaN in M gives a NaN factor, not an error
-            raise np.linalg.LinAlgError("NaN Cholesky factor")
-        return scipy.linalg.inv(L, assume_a="lower triangular",
-                                check_finite=False)
-    return _stacked(invert, M)
+    positive definite or has NaN entries.  One LAPACK ``dtrtri`` per
+    matrix, so the result does not depend on the stack."""
+    L = _stacked(np.linalg.cholesky, M)  # NaN in M gives a NaN factor
+    for i, Li in enumerate(L):
+        L[i], info = dtrtri(Li, lower=1)
+        if info != 0:
+            L[i] = np.nan
+    return L
 
 
-def _local_saddle_inverses(blocks: BodyBlocks, essential: np.ndarray
-                           ) -> np.ndarray:
-    """Inverses (n, 54, 54) of the local saddle blocks M_T = [[A, B^T],
-    [B, 0]], their essential stress DOFs ``essential`` (n, 42) eliminated
-    symmetrically: in A their rows and columns zeroed and the diagonal
-    kept, in B their columns zeroed.
+def _saddle_inverses(L_inv: np.ndarray, LS_inv: np.ndarray, Z: np.ndarray
+                     ) -> np.ndarray:
+    """The inverses (m, 54, 54) of local saddle blocks from the factors of
+    their block elimination (``_local_saddle_factors``)."""
+    out = np.empty((len(Z), 54, 54))
+    out[:, :42, 42:] = np.swapaxes(L_inv, 1, 2) @ (Z @ LS_inv)
+    out[:, 42:, :42] = np.swapaxes(out[:, :42, 42:], 1, 2)
+    out[:, 42:, 42:] = -(np.swapaxes(LS_inv, 1, 2) @ LS_inv)
+    PL = Z @ (np.swapaxes(Z, 1, 2) @ L_inv)
+    np.subtract(L_inv, PL, out=PL)
+    np.matmul(np.swapaxes(PL, 1, 2), PL, out=out[:, :42, :42])
+    return out
 
-    By block elimination, one ``local_chunks`` slice at a time, from the
-    Cholesky factors A = L L^T and Sigma = L_S L_S^T of A and of the 12 x 12
-    Schur complement Sigma = B A^-1 B^T = Y^T Y, Y = L^-1 B^T.  Z = Y L_S^-T
-    has orthonormal columns and P = I - Z Z^T projects onto the complement
-    of its range, so that
+
+def _local_saddle_factors(A: np.ndarray, B: np.ndarray,
+                          essential: np.ndarray, first: int):
+    """The block elimination of the local saddle blocks M_T = [[A, B^T],
+    [B, 0]] of a few tets, from their compliance blocks A (m, 42, 42) and
+    divergence blocks B (m, 12, 42), with their essential stress DOFs
+    ``essential`` (m, 42) eliminated symmetrically, in place, so that no
+    copy of a chunk's blocks is held: in A their rows and columns zeroed
+    and the diagonal kept, in B their columns zeroed.
+
+    From the Cholesky factors A = L L^T and Sigma = L_S L_S^T of A and of
+    the 12 x 12 Schur complement Sigma = B A^-1 B^T = Y^T Y, Y = L^-1 B^T,
+    Z = Y L_S^-T has orthonormal columns and P = I - Z Z^T projects onto
+    the complement of its range, so that
 
         M_T^-1 = [[(P L^-1)^T (P L^-1),  L^-T Z L_S^-1    ],
                   [(L^-T Z L_S^-1)^T,    -L_S^-T L_S^-1]].
@@ -166,33 +201,29 @@ def _local_saddle_inverses(blocks: BodyBlocks, essential: np.ndarray
     of P L^-1 with itself, not as that difference: as nu -> 1/2, A^-1 grows
     like 1 / (1 - 2 nu), and the difference loses digits in proportion.
 
-    Checked by the rule of ``_refuse_ill_conditioned`` on the whole M_T,
-    its 1-norm from the column sums of |A| and |B|: a block whose A or
-    Sigma is not positive definite has a NaN inverse, so cond_1 = inf."""
-    n = len(essential)
-    M_inv = np.empty((n, 54, 54))
-    for c in local_chunks(n):
-        keep = ~essential[c]
-        A = blocks.A[c] * (keep[:, :, None] & keep[:, None, :])
-        t, i = np.nonzero(essential[c])
-        A[t, i, i] = blocks.A[c][t, i, i]
-        B = blocks.B[c] * keep[:, None, :]
-        norm = np.maximum(
-            (np.abs(A).sum(axis=1) + np.abs(B).sum(axis=1)).max(axis=1),
-            np.abs(B).sum(axis=2).max(axis=1))
-        L_inv = _inverse_cholesky_factors(A)
-        Y = L_inv @ np.swapaxes(B, 1, 2)
-        LS_inv = _inverse_cholesky_factors(np.swapaxes(Y, 1, 2) @ Y)
-        Z = Y @ np.swapaxes(LS_inv, 1, 2)
-        out = M_inv[c]
-        out[:, :42, 42:] = np.swapaxes(L_inv, 1, 2) @ (Z @ LS_inv)
-        out[:, 42:, :42] = np.swapaxes(out[:, :42, 42:], 1, 2)
-        out[:, 42:, 42:] = -(np.swapaxes(LS_inv, 1, 2) @ LS_inv)
-        L_inv -= Z @ (np.swapaxes(Z, 1, 2) @ L_inv)  # now P L^-1
-        np.matmul(np.swapaxes(L_inv, 1, 2), L_inv, out=out[:, :42, :42])
-        _refuse_ill_conditioned(norm, out, "local saddle block of tet",
-                                c.start)
-    return M_inv
+    Checked, with tets named from ``first``, by the rule of
+    ``_refuse_ill_conditioned`` on the whole M_T, its 1-norm from the column
+    sums of |A| and |B| and that of M_T^-1 from the formed inverse: a block
+    whose A or Sigma is not positive definite has a NaN inverse, so
+    cond_1 = inf.  Returns L^-1, L_S^-1, Z and the stress block W of
+    M_T^-1 (m, 42, 42)."""
+    keep = ~essential
+    t, i = np.nonzero(essential)
+    diagonal = A[t, i, i]
+    A *= keep[:, :, None] & keep[:, None, :]
+    A[t, i, i] = diagonal
+    B *= keep[:, None, :]
+    norm = np.maximum(
+        (np.abs(A).sum(axis=1) + np.abs(B).sum(axis=1)).max(axis=1),
+        np.abs(B).sum(axis=2).max(axis=1))
+    L_inv = _inverse_cholesky_factors(A)
+    Y = L_inv @ np.swapaxes(B, 1, 2)
+    del A, B  # unless the caller holds them, the blocks go before M_T^-1
+    LS_inv = _inverse_cholesky_factors(np.swapaxes(Y, 1, 2) @ Y)
+    Z = Y @ np.swapaxes(LS_inv, 1, 2)
+    M_inv = _saddle_inverses(L_inv, LS_inv, Z)
+    _refuse_ill_conditioned(norm, M_inv, "local saddle block of tet", first)
+    return L_inv, LS_inv, Z, M_inv[:, :42, :42]
 
 
 def _multiplier_numbering(smap: StressDofMap) -> tuple[np.ndarray, int]:
@@ -209,10 +240,11 @@ def _multiplier_numbering(smap: StressDofMap) -> tuple[np.ndarray, int]:
     return lam, 9 * interior.size
 
 
-def _face_blocks(lam: np.ndarray, n: int, W: np.ndarray) -> sp.bsr_matrix:
+class _FaceBlocks:
     """The n x n multiplier block sum_T C_T W_T C_T^T of S in 9 x 9 face
     blocks, one block row per interior face, for the multiplier numbering
-    ``lam`` and the stress blocks W (n_tets, 42, 42) of the local inverses.
+    ``lam``, summed from the stress blocks W_T of the local inverses one
+    ``local_chunks`` slice at a time (``add``).
 
     Tet T adds the block (f, g) for each pair of its interior faces, so the
     layout follows from the tet-face adjacency.  A diagonal block sums the
@@ -220,31 +252,41 @@ def _face_blocks(lam: np.ndarray, n: int, W: np.ndarray) -> sp.bsr_matrix:
     result does not depend on the order of the sums: a block is added once
     from its first tet and once more, on a second pass, from the second.
     Each tet's local face DOFs are permuted into the faces' multiplier
-    order and its blocks added one ``local_chunks`` slice at a time."""
-    nt, n_f = len(lam), n // 9
-    face = lam[:, :36:9] // 9  # interior face of each face group, or -1
-    pair = (face[:, :, None] >= 0) & (face[:, None, :] >= 0)
-    key = (face[:, :, None] * n_f + face[:, None, :])[pair]
-    key, first, slot_of_pair = np.unique(key, return_index=True,
-                                         return_inverse=True)
-    slot = np.full(pair.shape, -1, dtype=np.int64)
-    slot[pair] = slot_of_pair
-    second = np.zeros(pair.shape, dtype=bool)  # the second tet of a block
-    second[pair] = np.isin(np.arange(slot_of_pair.size), first, invert=True)
-    indptr = np.zeros(n_f + 1, dtype=np.int32)
-    np.cumsum(np.bincount(key // n_f, minlength=n_f), out=indptr[1:])
-    data = np.zeros((key.size, 9, 9))
-    for c in local_chunks(nt):
+    order and its blocks added whole."""
+
+    def __init__(self, lam: np.ndarray, n: int):
+        self.lam, self.n, n_f = lam, n, n // 9
+        face = lam[:, :36:9] // 9  # interior face of each face group, or -1
+        self.pair = (face[:, :, None] >= 0) & (face[:, None, :] >= 0)
+        key = (face[:, :, None] * n_f + face[:, None, :])[self.pair]
+        key, first, slot_of_pair = np.unique(key, return_index=True,
+                                             return_inverse=True)
+        self.slot = np.full(self.pair.shape, -1, dtype=np.int64)
+        self.slot[self.pair] = slot_of_pair
+        self.second = np.zeros(self.pair.shape, dtype=bool)
+        self.second[self.pair] = np.isin(np.arange(slot_of_pair.size), first,
+                                         invert=True)
+        self.indptr = np.zeros(n_f + 1, dtype=np.int32)
+        np.cumsum(np.bincount(key // n_f, minlength=n_f), out=self.indptr[1:])
+        self.indices = (key % n_f).astype(np.int32)
+        self.data = np.zeros((key.size, 9, 9))
+
+    def add(self, c: slice, W: np.ndarray) -> None:
+        """Add the stress blocks W (m, 42, 42) of the tets of slice c."""
         # The local DOF of each multiplier of the tet's four face groups.
-        q = (np.argsort(lam[c, :36].reshape(-1, 4, 9), axis=2, kind="stable")
+        q = (np.argsort(self.lam[c, :36].reshape(-1, 4, 9), axis=2,
+                        kind="stable")
              + 9 * np.arange(4)[:, None]).reshape(-1, 36)
         t = np.arange(len(q))[:, None, None]
-        blocks = W[c][t, q[:, :, None], q[:, None, :]].reshape(
+        blocks = W[t, q[:, :, None], q[:, None, :]].reshape(
             -1, 4, 9, 4, 9).transpose(0, 1, 3, 2, 4)
-        for side in (pair[c] & ~second[c], second[c]):
-            data[slot[c][side]] += blocks[side]
-    return sp.bsr_matrix((data, (key % n_f).astype(np.int32), indptr),
-                         shape=(n, n))
+        for side in (self.pair[c] & ~self.second[c], self.second[c]):
+            self.data[self.slot[c][side]] += blocks[side]
+
+    def matrix(self) -> sp.bsr_matrix:
+        """The summed multiplier block."""
+        return sp.bsr_matrix((self.data, self.indices, self.indptr),
+                             shape=(self.n, self.n))
 
 
 @dataclass
@@ -338,11 +380,15 @@ class HybridBody:
     """The broken body system of a mesh, condensed onto its face multipliers
     and, when coupled, the free plate DOFs.
 
-    ``blocks`` are the unsigned local blocks and ``essential_idx`` the global
-    stress DOFs that carry traction data.  ``coupling`` is None for the body
-    alone (Gamma then carries natural stress DOFs), or (G_loc, K): the
-    interface coupling in local columns (n_w, 42 n_tets) and the plate
-    stiffness, both restricted to the free plate DOFs.
+    ``blocks`` are the body's per-tet data, from which the unsigned local
+    blocks are formed and applied, and ``essential_idx`` the global stress
+    DOFs that carry traction data.  ``coupling`` is None for the body alone
+    (Gamma then carries natural stress DOFs), or (G_loc, K): the interface
+    coupling in local columns (n_w, 42 n_tets) and the plate stiffness,
+    both restricted to the free plate DOFs.  The factors of each tet's
+    elimination are kept for later solves: ``L_inv`` (n_tets, 903) and
+    ``LS_inv`` (n_tets, 78), the lower triangles of L^-1 and L_S^-1 packed
+    row by row, and ``Z`` (n_tets, 42, 12).
     """
 
     def __init__(self, smap: StressDofMap, blocks: BodyBlocks,
@@ -355,7 +401,9 @@ class HybridBody:
         self.essential = ess[smap.ltg]
         self.owned = smap.sign > 0
         self.blocks = blocks
-        self.M_inv = _local_saddle_inverses(blocks, self.essential)
+        self.L_inv = np.empty((nt, 42 * 43 // 2))
+        self.LS_inv = np.empty((nt, 12 * 13 // 2))
+        self.Z = np.empty((nt, 42, 12))
         lam, self.n_lam = _multiplier_numbering(smap)
         self._on_face = lam >= 0
         self._lam = lam[self._on_face]
@@ -420,14 +468,26 @@ class HybridBody:
 
     def _condensed(self, lam: np.ndarray) -> CondensedSystem:
         """S = sum_T C_T W_T C_T^T + diag(0, K) by its blocks, with W_T the
-        stress block of M_T^-1: the multiplier block summed face block by
-        face block (``_face_blocks``), and the plate rows and columns, which
-        only the tets on Gamma reach (through G), a small sparse product
-        over those tets plus K."""
-        n = self.n_lam
-        W = self.M_inv[:, :42, :42]
+        stress block of M_T^-1, in one pass over ``local_chunks`` slices of
+        tets: each forms its blocks A_T and B_T, eliminates them
+        (``_local_saddle_factors``), keeps the factors and adds W_T to the
+        multiplier block (``_FaceBlocks``) and, for the tets on Gamma, to
+        the plate rows and columns, which only those tets reach (through
+        G): a small sparse product over them plus K."""
+        n, nt = self.n_lam, len(lam)
         on_gamma = np.unique(self.G.indices // 42)
         ng = on_gamma.size
+        face_blocks = _FaceBlocks(lam, n)
+        W_gamma = np.empty((ng, 42, 42))
+        for c in local_chunks(nt):
+            L_inv, LS_inv, Z, W = _local_saddle_factors(
+                self.blocks.compliance(c), self.blocks.divergence(c),
+                self.essential[c], c.start)
+            self.L_inv[c], self.LS_inv[c] = _packed(L_inv), _packed(LS_inv)
+            self.Z[c] = Z
+            face_blocks.add(c, W)
+            g = slice(*np.searchsorted(on_gamma, (c.start, c.stop)))
+            W_gamma[g] = W[on_gamma[g] - c.start]
         cols = (42 * on_gamma[:, None] + np.arange(42)).ravel()
         r = lam[on_gamma].ravel()
         on = np.flatnonzero(r >= 0)
@@ -436,14 +496,40 @@ class HybridBody:
         loc = np.arange(42 * ng).reshape(ng, 42)
         # The essential DOFs of a tet on Gamma carry data, not unknowns:
         # their decoupled 1/diagonal entries stay out of S.
-        W_gamma = _scatter(
-            loc, loc, W[on_gamma] * ~(self.essential[on_gamma][:, :, None]
-                                      & np.eye(42, dtype=bool)),
-            (42 * ng, 42 * ng))
+        W_gamma *= ~(self.essential[on_gamma][:, :, None]
+                     & np.eye(42, dtype=bool))
+        W_gamma = _scatter(loc, loc, W_gamma, (42 * ng, 42 * ng))
         G = self.G[:, cols]
         WG = W_gamma @ G.T
-        return CondensedSystem(_face_blocks(lam, n, W), -(C_lam @ WG).tocsr(),
+        return CondensedSystem(face_blocks.matrix(), -(C_lam @ WG).tocsr(),
                                (G @ WG + self.K).tocsr())
+
+    def _local_solve(self, F: np.ndarray) -> np.ndarray:
+        """x_T = M_T^-1 F_T (n_tets, 54) for every tet, from the kept
+        factors, one ``local_chunks`` slice at a time: with g and h the
+        stress and displacement rows of F_T,
+
+            x_sigma = L^-T [P^T P (L^-1 g) + Z (L_S^-1 h)],
+            x_u = L_S^-T [Z^T (L^-1 g) - L_S^-1 h].
+
+        P is applied twice, as in the stress block (P L^-1)^T (P L^-1) that
+        S sums: Z is orthonormal only to roundoff times the condition of
+        the Schur complement, and with P once the stresses disagree with S
+        by that much (on a Delaunay body-8 mesh, a ``solve_dd`` residual of
+        1.3e-9 in place of 3.5e-11)."""
+        x = np.empty_like(F)
+        for c in local_chunks(len(F)):
+            L_inv = _unpacked(self.L_inv[c], 42)
+            LS_inv = _unpacked(self.LS_inv[c], 12)
+            Z, Zt = self.Z[c], np.swapaxes(self.Z[c], 1, 2)
+            y = L_inv @ F[c, :42, None]
+            k = LS_inv @ F[c, 42:, None]
+            t = Zt @ y
+            p = y - Z @ t
+            p -= Z @ (Zt @ p)
+            x[c, :42] = (np.swapaxes(L_inv, 1, 2) @ (p + Z @ k))[..., 0]
+            x[c, 42:] = (np.swapaxes(LS_inv, 1, 2) @ (t - k))[..., 0]
+        return x
 
     # --- the maps C_T and their transposes, on all tets at once -----------
 
@@ -475,12 +561,19 @@ class HybridBody:
         v = (np.zeros(ltg.shape) if sigma_data is None
              else np.where(self.essential, sigma_data[ltg], 0.0))
         f_w = np.zeros(self.K.shape[0]) if f_w is None else f_w
-        A, B = self.blocks.A, self.blocks.B
-        F = np.concatenate([f_sigma - _matvec(A, v), f_u - _matvec(B, v)],
-                           axis=1)
-        F[:, :42][self.essential] = (np.diagonal(A, axis1=1, axis2=2) * v
-                                     )[self.essential]
-        broken = _matvec(self.M_inv, F)[:, :42]
+        F = np.concatenate([f_sigma, f_u], axis=1)
+        # Only the few tets that hold essential data form their blocks, one
+        # ``local_chunks`` slice of them at a time.
+        diagonal = np.zeros(ltg.shape)  # of A_T on those tets
+        held = np.flatnonzero(v.any(axis=1))
+        for c in local_chunks(held.size):
+            t = held[c]
+            A, B = self.blocks.compliance(t), self.blocks.divergence(t)
+            F[t, :42] -= (A @ v[t, :, None])[..., 0]
+            F[t, 42:] -= (B @ v[t, :, None])[..., 0]
+            diagonal[t] = np.diagonal(A, axis1=1, axis2=2)
+        F[:, :42][self.essential] = (diagonal * v)[self.essential]
+        broken = self._local_solve(F)[:, :42]
         r = self._apply_C(broken)
         r[self.n_lam:] += f_w
         return HybridLoad(f_sigma, f_u, f_w, v, F, np.linalg.norm(broken), r)
@@ -493,7 +586,7 @@ class HybridBody:
         covers the body rows, with the plate values of Y as data."""
         F = load.F.copy()
         F[:, :42] -= self._apply_Ct(y)
-        x = _matvec(self.M_inv, F)
+        x = self._local_solve(F)
         x[:, :42][self.essential] = load.v[self.essential]
         self._check_continuity(x[:, :42], load.norm_broken)
         sigma = np.zeros(self.smap.n_dofs)
@@ -533,26 +626,28 @@ class HybridBody:
     def _residual(self, sigma, u, w, load: HybridLoad,
                   plate_rows: bool) -> float:
         """Relative residual of the coupled system in (sigma, u, w) over its
-        free rows, tet by tet from the local blocks: every tet sees the owner
-        copy of sigma, so the multipliers drop out.  The right-hand side has
+        free rows, tet by tet from the local blocks applied by their
+        structure: every tet sees the owner copy of sigma, so the
+        multipliers drop out.  The right-hand side has
         the essential data moved over, and without ``plate_rows`` also w.
         Fails above the residual contract."""
         ltg, sign = self.smap.ltg, self.smap.sign
         s = sign * sigma[ltg]
-        A, B = self.blocks.A, self.blocks.B
+        blocks = self.blocks
         g = (self.G.T @ w).reshape(ltg.shape)
-        r_sigma = (_matvec(A, s) + np.einsum("nji,nj->ni", B, u) - g
+        r_sigma = (blocks.apply_A(s) + blocks.apply_Bt(u) - g
                    - load.f_sigma)
-        b_sigma = load.f_sigma - _matvec(A, load.v)
+        # F holds f_sigma - A v on the free rows and f_u - B v.
+        b_sigma = load.F[:, :42]
 
         def rows(loc):
             """Global free stress rows of signed local rows."""
             return np.bincount(ltg.ravel(), weights=(sign * loc).ravel(),
                                minlength=self.smap.n_dofs)[self.free_sigma]
 
-        r = [rows(r_sigma), (_matvec(B, s) - load.f_u).ravel()]
+        r = [rows(r_sigma), (blocks.apply_B(s) - load.f_u).ravel()]
         b = [rows(b_sigma if plate_rows else b_sigma + g),
-             (load.f_u - _matvec(B, load.v)).ravel()]
+             load.F[:, 42:].ravel()]
         if plate_rows:
             r.append(-self.plate_load(sigma) - self.K @ w + load.f_w)
             b.append(load.f_w + self.G @ load.v.ravel())

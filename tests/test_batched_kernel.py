@@ -594,11 +594,11 @@ def test_checked_condition_number_is_cond_1():
     hb = hybrid.condense(system)[0]
     ess = hb.essential[:12]
     assert ess.any()  # blocks with eliminated free-face DOFs among them
-    A, B = hb.blocks.A[:12], hb.blocks.B[:12]
+    A, B = hb.blocks.compliance(slice(12)), hb.blocks.divergence(slice(12))
     assert_limit_is_cond_1(
         saddle_blocks(A, B, ess),
-        lambda i: hybrid._local_saddle_inverses(
-            replace(hb.blocks, A=A[i:i + 1], B=B[i:i + 1]), ess[i:i + 1]),
+        lambda i: hybrid._local_saddle_factors(
+            A[i:i + 1], B[i:i + 1], ess[i:i + 1], 0),
         "local saddle block of tet")
 
 

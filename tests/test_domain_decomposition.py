@@ -220,10 +220,10 @@ class TestCgInterfaceSolve:
         Q = rng.standard_normal((30, 30))
         A = Q @ Q.T + 1e-4 * np.eye(30)
         b = rng.standard_normal(30)
-        x, report = dd.cg_interface_solve(lambda v: A @ v, lambda v: v, b,
-                                          tol=1e-14, max_it=2)
-        assert not report.converged
-        assert report.iterations == 2
+        with pytest.raises(RuntimeError, match="interface CG did not "
+                           "converge in 2 iterations"):
+            dd.cg_interface_solve(lambda v: A @ v, lambda v: v, b,
+                                  tol=1e-14, max_it=2)
 
 
 @pytest.fixture(scope="module")
@@ -274,6 +274,15 @@ class TestEndToEnd:
         assert h[0] == 1.0
         assert h[-1] <= 1e-6
         assert len(dd_solution.report.history_euclid) == len(h)
+
+    def test_nonconvergence_raises(self, case):
+        # One iteration leaves a junction residual of about 0.15: no
+        # solution comes back.
+        with pytest.raises(RuntimeError, match="interface CG did not "
+                           "converge in 1 iterations"):
+            dd.solve_dd(build_body_mesh(2),
+                        build_plate_mesh(8, Diagonal.FLIPPED), case,
+                        max_it=1)
 
     def test_non_matching_also_converges(self, case):
         body = build_body_mesh(1)
@@ -433,15 +442,16 @@ def test_solve_dd_does_not_depend_on_the_interface_set(case, monkeypatch):
 
 
 def test_reconstruction_keeps_the_body_residual_check(case, monkeypatch):
-    # A wrong displacement entry of one local inverse leaves S, and so the
-    # CG, intact; only the back-substituted body rows see it.
-    original = hybrid._local_saddle_inverses
+    # A wrong displacement entry of one local inverse, entry (50, 50) of
+    # M_T^-1 raised by one, leaves S, and so the CG, intact; only the
+    # back-substituted body rows see it.
+    original = hybrid.HybridBody._local_solve
 
-    def corrupted(blocks, essential):
-        M_inv = original(blocks, essential)
-        M_inv[0, 50, 50] += 1.0
-        return M_inv
+    def corrupted(self, F):
+        x = original(self, F)
+        x[0, 50] += F[0, 50]
+        return x
 
-    monkeypatch.setattr(hybrid, "_local_saddle_inverses", corrupted)
+    monkeypatch.setattr(hybrid.HybridBody, "_local_solve", corrupted)
     with pytest.raises(RuntimeError, match="hybrid solve residual"):
         dd.solve_dd(build_body_mesh(1), build_plate_mesh(4), case)

@@ -15,12 +15,18 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given
+from scipy.spatial import Delaunay
 
 from bodyplate import assembly as asm
 from bodyplate import domain_decomposition as dd
 from bodyplate import fe_elements, hybrid, solvers
 from bodyplate import verification_cli as vcli
-from bodyplate.fe_elements import BodyDGDofMap, PlateDofMap, StressDofMap
+from bodyplate.fe_elements import (
+    BodyDGDofMap,
+    PlateDofMap,
+    StressBatch,
+    StressDofMap,
+)
 from bodyplate.geometry_mesh import (
     Diagonal,
     FaceTag,
@@ -130,14 +136,21 @@ def test_global_blocks_scatter_the_local_blocks():
 # The condensed system S in 9 x 9 face blocks.
 # ---------------------------------------------------------------------------
 
+def kept_inverses(hb):
+    """The local saddle inverses (n_tets, 54, 54) of the kept factors of
+    the elimination, formed as the kernel forms them."""
+    return hybrid._saddle_inverses(hybrid._unpacked(hb.L_inv, 42),
+                                   hybrid._unpacked(hb.LS_inv, 12), hb.Z)
+
+
 def assembled_S(hb):
     """S = sum_T C_T W_T C_T^T + diag(0, K) by an assembly of its own: the
     multiplier block by ``_scatter`` of the W_T on the global multiplier
     indices, the plate rows and columns by sparse products with the
     block-diagonal W of every tet."""
     nt = hb.essential.shape[0]
-    W = hb.M_inv[:, :42, :42] * ~(hb.essential[:, :, None]
-                                  & np.eye(42, dtype=bool))
+    W = kept_inverses(hb)[:, :42, :42] * ~(hb.essential[:, :, None]
+                                           & np.eye(42, dtype=bool))
     lam, n = hybrid._multiplier_numbering(hb.smap)
     on = lam >= 0
     at = np.where(on, lam, 0)
@@ -173,6 +186,111 @@ def test_face_block_S_equals_its_assembly(n_body, n_plate, diagonal):
 @given(meshes)
 def test_face_block_S_equals_its_assembly_on_jittered_meshes(example):
     assert_S_is_assembled(*build(example))
+
+
+# ---------------------------------------------------------------------------
+# The body blocks applied by their structure.
+# ---------------------------------------------------------------------------
+
+def dense_blocks(body, params):
+    k = StressBatch(body.vertices[body.tets])
+    return asm.compliance_blocks(k, params), asm.divergence_blocks(k)
+
+
+def assert_applies_equal_dense(body):
+    # Tet by tet, relative to the dense product of that tet.
+    params = default_params()
+    blocks = asm.BodyBlocks.build(body, params)
+    A, B = dense_blocks(body, params)
+    rng = np.random.default_rng(17)
+    x = rng.standard_normal((body.n_tets, 42))
+    u = rng.standard_normal((body.n_tets, 12))
+    for got, M, v in ((blocks.apply_A(x), A, x), (blocks.apply_B(x), B, x),
+                      (blocks.apply_Bt(u), np.swapaxes(B, 1, 2), u)):
+        ref = (M @ v[:, :, None])[..., 0]
+        assert np.all(np.linalg.norm(got - ref, axis=1)
+                      <= 1e-14 * np.linalg.norm(ref, axis=1))
+
+
+@pytest.mark.parametrize("n_body", [1, 2, 3])
+def test_structured_applies_equal_dense_blocks(n_body):
+    assert_applies_equal_dense(build_body_mesh(n_body))
+
+
+@SETTINGS
+@given(meshes)
+def test_structured_applies_equal_dense_blocks_on_jittered_meshes(example):
+    assert_applies_equal_dense(build(example)[0])
+
+
+def dense_residual(hb, A, B, sigma, u, w, load, plate_rows):
+    """The relative residual of ``HybridBody._residual`` from the dense
+    local blocks A and B."""
+    ltg, sign = hb.smap.ltg, hb.smap.sign
+    s = sign * sigma[ltg]
+    g = (hb.G.T @ w).reshape(ltg.shape)
+
+    def apply(M, v):
+        return (M @ v[:, :, None])[..., 0]
+
+    def rows(loc):
+        return np.bincount(ltg.ravel(), weights=(sign * loc).ravel(),
+                           minlength=hb.smap.n_dofs)[hb.free_sigma]
+
+    r_sigma = (apply(A, s) + apply(np.swapaxes(B, 1, 2), u) - g
+               - load.f_sigma)
+    b_sigma = load.f_sigma - apply(A, load.v)
+    r = [rows(r_sigma), (apply(B, s) - load.f_u).ravel()]
+    b = [rows(b_sigma if plate_rows else b_sigma + g),
+         (load.f_u - apply(B, load.v)).ravel()]
+    if plate_rows:
+        r.append(-hb.plate_load(sigma) - hb.K @ w + load.f_w)
+        b.append(load.f_w + hb.G @ load.v.ravel())
+    return np.linalg.norm(np.concatenate(r)) / np.linalg.norm(
+        np.concatenate(b))
+
+
+def assert_residual_equals_dense(body, plate, monkeypatch):
+    # At the solution, where the residual is roundoff, the two agree to
+    # 1e-14 of the right-hand side; away from it, where the residual is of
+    # order one, to 1e-14 relative.
+    monkeypatch.setattr(hybrid, "RESIDUAL_CONTRACT", np.inf)
+    case = default_case()
+    hb, _, load = hybrid.condense(asm.build_mixed_system(body, plate, case))
+    assert load.v.any()
+    A, B = dense_blocks(body, case.params)
+    y = hb.solve_condensed(load.r)[0]
+    solution = (*hb.back_substitute(y, load)[:2], y[hb.n_lam:])
+    rng = np.random.default_rng(23)
+    away = (rng.standard_normal(hb.smap.n_dofs),
+            rng.standard_normal((body.n_tets, 12)),
+            rng.standard_normal(hb.K.shape[0]))
+
+    def both(fields, plate_rows):
+        return (hb._residual(*fields, load, plate_rows),
+                dense_residual(hb, A, B, *fields, load, plate_rows))
+
+    for plate_rows in (True, False):
+        got, ref = both(solution, plate_rows)
+        assert abs(got - ref) <= 1e-14
+        got, ref = both(away, plate_rows)
+        assert abs(got - ref) <= 1e-14 * ref
+
+
+@pytest.mark.parametrize("n_body, n_plate", [(1, 4), (2, 8), (3, 12)])
+def test_hybrid_residual_equals_the_dense_block_residual(n_body, n_plate,
+                                                         monkeypatch):
+    assert_residual_equals_dense(build_body_mesh(n_body),
+                                 build_plate_mesh(n_plate, Diagonal.FLIPPED),
+                                 monkeypatch)
+
+
+@SETTINGS
+@given(meshes)
+def test_hybrid_residual_equals_the_dense_block_residual_on_jittered_meshes(
+        example):
+    with pytest.MonkeyPatch.context() as mp:
+        assert_residual_equals_dense(*build(example), mp)
 
 
 def _counting(cls, counts, name):
@@ -469,12 +587,15 @@ def test_stress_error_stays_bounded_towards_incompressibility(sweep):
 
 def local_inverses(body, plate, case):
     """The elimination's inverses of the local saddle blocks of the coupled
-    system and the blocks themselves, built whole."""
+    system, from its kept factors, and the blocks themselves, built whole
+    from one ``StressBatch``."""
     system = asm.build_mixed_system(body, plate, case)
     hb = hybrid.condense(system)[0]
     assert hb.essential.any()
-    return hb.M_inv, saddle_blocks(system.blocks.A, system.blocks.B,
-                                   hb.essential)
+    k = StressBatch(body.vertices[body.tets])
+    return kept_inverses(hb), saddle_blocks(
+        asm.compliance_blocks(k, case.params), asm.divergence_blocks(k),
+        hb.essential)
 
 
 def assert_inverses_equal_lu(body, plate):
@@ -519,6 +640,52 @@ def test_local_saddle_inverses_keep_the_lu_residual_towards_incompressibility(
     assert residual <= 2 * np.abs(M @ np.linalg.inv(M) - eye).max()
 
 
+def delaunay_body(n, amp, seed):
+    """scipy's Delaunay tetrahedralization of the ``build_body_mesh(n)``
+    vertices, each interior coordinate moved by up to amp / n: off the Kuhn
+    connectivity, with badly shaped tets."""
+    body = build_body_mesh(n)
+    v = body.vertices.copy()
+    interior = np.ones(len(v), dtype=bool)
+    interior[np.unique(body.boundary_faces)] = False
+    v[interior] += np.random.default_rng(seed).uniform(
+        -amp, amp, (np.count_nonzero(interior), 3)) / n
+    tets = Delaunay(v).simplices.astype(np.int64)
+    vol = tet_volume(v[tets])
+    tets, vol = tets[np.abs(vol) > 1e-14], vol[np.abs(vol) > 1e-14]
+    tets[vol < 0] = tets[vol < 0][:, [0, 1, 3, 2]]
+    return body_mesh_from_tets(v, tets, n)
+
+
+LOCAL_SOLVE_MESHES = {
+    "kuhn": lambda: (build_body_mesh(3), build_plate_mesh(12,
+                                                          Diagonal.FLIPPED)),
+    "jittered": lambda: build((7, 3, (8, Diagonal.FLIPPED))),
+    "delaunay-0.45": lambda: (delaunay_body(4, 0.45, 0),
+                              build_plate_mesh(8, Diagonal.FLIPPED)),
+    "delaunay-0.2": lambda: (delaunay_body(4, 0.2, 1),
+                             build_plate_mesh(8, Diagonal.FLIPPED)),
+}
+
+
+@pytest.mark.parametrize("name", list(LOCAL_SOLVE_MESHES))
+def test_local_solve_applies_the_inverses_that_S_sums(name):
+    # Tet by tet, relative to the largest entries of M_T^-1 and F_T.  With
+    # the projector P applied once, where the stress block of S is
+    # (P L^-1)^T (P L^-1), the Delaunay meshes differ by 3.3e-15 and
+    # 2.6e-14 (and a body-8 one by 1.4e-13, enough to breach the residual
+    # contract of solve_dd).
+    body, plate = LOCAL_SOLVE_MESHES[name]()
+    hb = hybrid.condense(asm.build_mixed_system(body, plate,
+                                                default_case()))[0]
+    M_inv = kept_inverses(hb)
+    F = np.random.default_rng(3).standard_normal((body.n_tets, 54))
+    ref = (M_inv @ F[:, :, None])[..., 0]
+    scale = np.abs(M_inv).max(axis=(1, 2)) * np.abs(F).max(axis=1)
+    assert np.all(np.abs(hb._local_solve(F) - ref).max(axis=1)
+                  <= 2e-15 * scale)
+
+
 # ---------------------------------------------------------------------------
 # Named failures.
 # ---------------------------------------------------------------------------
@@ -529,17 +696,19 @@ def blocks():
     body = build_body_mesh(1)
     smap = StressDofMap(body)
     system = asm.build_mixed_system(body, build_plate_mesh(4), case)
-    return smap, replace(system.blocks, A=system.blocks.A.copy(),
-                         B=system.blocks.B.copy()), system.sigma_essential_idx
+    b = system.blocks
+    return smap, replace(b, pairing=b.pairing.copy(),
+                         tangent_gradients=b.tangent_gradients.copy()
+                         ), system.sigma_essential_idx
 
 
 @pytest.mark.parametrize("defect", ["singular", "ill-conditioned"])
 def test_bad_local_block_names_its_tet(blocks, defect):
     smap, b, ess = blocks
     if defect == "singular":
-        b.B[3] = 0.0
+        b.tangent_gradients[3] = 0.0  # B_T = 0
     else:
-        b.A[3] *= 1e-14
+        b.pairing[3] *= 1e-14  # A_T scaled by 1e-14
     with pytest.raises(ValueError, match="local saddle block of tet 3 is "
                        "ill-conditioned"):
         hybrid.HybridBody(smap, b, ess)
@@ -552,9 +721,9 @@ def test_bad_block_in_a_later_chunk_names_its_global_tet(blocks, defect,
     monkeypatch.setattr(fe_elements, "LOCAL_CHUNK", 4)
     smap, b, ess = blocks
     if defect == "singular":
-        b.B[5] = 0.0
+        b.tangent_gradients[5] = 0.0  # B_T = 0
     else:
-        b.A[5] *= 1e-14
+        b.pairing[5] *= 1e-14  # A_T scaled by 1e-14
     with pytest.raises(ValueError, match="local saddle block of tet 5 is "
                        "ill-conditioned"):
         hybrid.HybridBody(smap, b, ess)
@@ -567,7 +736,7 @@ def test_compliance_block_not_positive_definite_is_refused(blocks,
     # chunks of four: tet 5 is the second chunk's tet 1.
     monkeypatch.setattr(fe_elements, "LOCAL_CHUNK", 4)
     smap, b, ess = blocks
-    b.A[5] *= -1.0
+    b.pairing[5] *= -1.0  # A_T negated
     with pytest.raises(ValueError, match=r"local saddle block of tet 5 is "
                        r"ill-conditioned \(cond_1 = inf"):
         hybrid.HybridBody(smap, b, ess)
@@ -575,9 +744,13 @@ def test_compliance_block_not_positive_definite_is_refused(blocks,
 
 def test_chunked_local_inverses_equal_one_batch(blocks, monkeypatch):
     smap, b, ess = blocks
-    whole = hybrid.HybridBody(smap, b, ess).M_inv
+    names = ("L_inv", "LS_inv", "Z")
+    hb = hybrid.HybridBody(smap, b, ess)
+    whole = [getattr(hb, name) for name in names]
     monkeypatch.setattr(fe_elements, "LOCAL_CHUNK", 4)
-    assert np.array_equal(hybrid.HybridBody(smap, b, ess).M_inv, whole)
+    hb = hybrid.HybridBody(smap, b, ess)
+    for name, ref in zip(names, whole):
+        assert np.array_equal(getattr(hb, name), ref), name
 
 
 def _body_solve(hb, smap):
@@ -593,22 +766,32 @@ def test_clean_body_solve_passes_both_checks(blocks):
 
 
 def test_residual_breach_is_named(blocks):
-    # A wrong displacement entry in one local inverse leaves the stresses,
-    # and so their face continuity, intact.
+    # A wrong displacement entry in one local inverse, entry (50, 50) of
+    # M_T^-1 raised by one, leaves the stresses, and so their face
+    # continuity, intact.  The factors share L_S^-1 between the stress and
+    # the displacement rows, so the fault goes into their product.
     smap, b, ess = blocks
     hb = hybrid.HybridBody(smap, b, ess)
-    hb.M_inv[0, 50, 50] += 1.0
+    local_solve = hb._local_solve
+
+    def corrupted(F):
+        x = local_solve(F)
+        x[0, 50] += F[0, 50]
+        return x
+
+    hb._local_solve = corrupted
     with pytest.raises(RuntimeError, match="hybrid solve residual"):
         _body_solve(hb, smap)
 
 
 def test_face_continuity_defect_is_named(blocks):
-    # A wrong stress entry on an interior face of one local inverse breaks
-    # the agreement of the neighbouring stresses on that face.
+    # A wrong stress entry on an interior face of one kept factor L_T^-1
+    # breaks the agreement of the neighbouring stresses on that face.
     smap, b, ess = blocks
     hb = hybrid.HybridBody(smap, b, ess)
     t, i = np.argwhere(hb._on_face)[0]
-    hb.M_inv[t, i, i] *= 1.01
+    rows, cols = np.tril_indices(42)
+    hb.L_inv[t, (rows == i) & (cols == i)] *= 1.01
     with pytest.raises(RuntimeError, match="face continuity defect"):
         _body_solve(hb, smap)
 

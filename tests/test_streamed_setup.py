@@ -1,13 +1,15 @@
 """The body's per-tet work, streamed in ``LOCAL_CHUNK`` tet chunks.
 
-``build_mixed_system`` builds the body blocks and the body load, and
-``hybrid.condense`` the local inverses and the condensed system S, one chunk
-of tets at a time.  Here the chunk size must not change a single bit of the
-kept arrays or of the solution, a refused tet must be named by its index in
-the mesh, and the temporaries must stay at the size of a chunk.
+``build_mixed_system`` builds the body's per-tet data and the body load, and
+``hybrid.condense`` the local blocks, their elimination and the condensed
+system S, one chunk of tets at a time.  Here the chunk size must not change
+a single bit of the kept arrays or of the solution, a refused tet must be
+named by its index in the mesh, and the temporaries must stay at the size
+of a chunk.
 """
 
 import tracemalloc
+from dataclasses import fields as dc_fields
 from dataclasses import replace
 
 import numpy as np
@@ -35,13 +37,12 @@ def streamed_arrays(body, plate, chunk):
         hb = hybrid.condense(system)[0]
         sol, _ = vcli.solve_mixed(body, plate, case)
     return {
-        "A": system.blocks.A, "B": system.blocks.B,
-        "face_inv": system.blocks.face_inv,
-        "interior_inv": system.blocks.interior_inv,
+        **{f"blocks.{f.name}": getattr(system.blocks, f.name)
+           for f in dc_fields(system.blocks)},
         "coupling.tet": system.coupling.tet,
         "coupling.rows": system.coupling.rows,
         "coupling.blocks": system.coupling.blocks, "f_V": system.f_V,
-        "M_inv": hb.M_inv,
+        "L_inv": hb.L_inv, "LS_inv": hb.LS_inv, "Z": hb.Z,
         **{f"S.{block}.{name}": getattr(getattr(hb.S, block), name)
            for block in ("ll", "lw", "ww")
            for name in ("data", "indices", "indptr")},
@@ -132,8 +133,9 @@ def traced(call):
 
 def test_setup_temporaries_stay_at_chunk_size(monkeypatch):
     # The unit is one chunk of local saddle blocks, 16 x 54 x 54 doubles
-    # (373 KB).  At body 4 / plate 8 the build and the condensation each
-    # allocate about 3 units beyond what they keep.  One whole-mesh array
+    # (373 KB).  At body 4 / plate 8 the build allocates about 3 units
+    # beyond what it keeps, and the condensation, which forms and
+    # eliminates each chunk's blocks, about 5.  One whole-mesh array
     # of the kind the chunks replaced is more than the margin of 6:
     # (384, 42, 42) doubles, a compliance or coefficient array, is 14.5
     # units, (384, 36, 36), the multiplier part of the local inverses, is

@@ -15,12 +15,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from bodyplate import assembly as asm
+from bodyplate import hybrid
 from bodyplate import verification_cli as vcli
 from bodyplate.domain_decomposition import CG_MAX_IT, CG_TOL, solve_dd
 from bodyplate.fe_elements import BodyDGDofMap, PlateDofMap, StressDofMap
 from bodyplate.geometry_mesh import Diagonal, build_body_mesh, build_plate_mesh
 from bodyplate.manufactured import constant_stress_case, default_case
 from bodyplate.materials import default_params
+from test_batched_kernel import build
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +61,30 @@ class TestSolvers:
                     kept += (a if a.base is None else a.base).nbytes
         assert sol.l_inv is not None
         assert kept <= 72 * 8 * body.n_tets
+
+    @pytest.mark.parametrize("meshes", ["kuhn", "jittered"])
+    def test_hybrid_body_keeps_no_local_block(self, meshes):
+        # The set-up keeps the factors of the local elimination (1,485
+        # doubles per tet) and the data to apply A_T and B_T (151), never
+        # the blocks A_T, B_T or M_T^-1 themselves, through a solve.
+        if meshes == "kuhn":
+            body, plate = build_body_mesh(3), build_plate_mesh(
+                12, Diagonal.FLIPPED)
+        else:
+            body, plate = build((7, 3, (8, Diagonal.FLIPPED)))
+        hb, _, load = hybrid.condense(asm.build_mixed_system(
+            body, plate, default_case()))
+        hb.back_substitute(hb.solve_condensed(load.r)[0], load)
+        nt = body.n_tets
+        bases = {}
+        for owner in (hb, hb.blocks):
+            for value in vars(owner).values():
+                if isinstance(value, np.ndarray):
+                    base = value if value.base is None else value.base
+                    bases[id(base)] = base
+        for a in bases.values():
+            assert a.shape not in ((nt, 54, 54), (nt, 42, 42), (nt, 12, 42))
+        assert sum(a.nbytes for a in bases.values()) <= 1900 * 8 * nt
 
     def test_displacement_smoke(self):
         case = default_case()
@@ -412,6 +439,15 @@ class TestCli:
         assert len(loose) < len(default)
         assert explicit == default
         assert default[-1] <= 1e-6
+
+    def test_dd_solve_nonconvergence_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text("dd_max_it = 1\n")
+        rc = vcli.cli_main(["--config", str(cfg), "dd-solve", "--body-level",
+                            "0", "--plate-level", "2"])
+        assert rc == 1
+        assert ("interface CG did not converge in 1 iterations"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("config, argv, name", [
         (None, ["solve", "--body-level", "-1", "--plate-level", "2"],
