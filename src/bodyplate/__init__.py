@@ -36,7 +36,7 @@ from .materials import (
 )
 from .quadrature import QuadratureRule, tet_rule, triangle_rule
 from .manufactured import ManufacturedCase, constant_stress_case, default_case
-from .domain_decomposition import DDSolution, solve_dd
+from .domain_decomposition import solve_dd
 from .verification_cli import (
     ErrorRecord,
     SolutionFields,
@@ -71,7 +71,6 @@ __all__ = [
     "ManufacturedCase",
     "constant_stress_case",
     "default_case",
-    "DDSolution",
     "solve_dd",
     "ErrorRecord",
     "SolutionFields",

@@ -23,7 +23,7 @@ K-harmonically into I (Toselli & Widlund 2005, Domain Decomposition
 Methods), with the same r^T z and Euclidean residuals.  T = I + S_K^-1 E is
 self-adjoint and positive in <a, b>_U = a^T S_K b, and r^T z is the squared
 U-norm of the T-equation residual.  The solve never reads Gamma: it only
-reports the CG trace there and the junction residual.
+reports the junction residual there.
 
 ``SchurProduct``, ``BodyOperator`` and ``PlateOperator`` build S_K, E and
 the plate solves from their own assembly, for checking the operator
@@ -32,7 +32,8 @@ identities; ``solve_dd`` does not use them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -44,18 +45,16 @@ from .assembly import (
 )
 from .fe_elements import BodyDGDofMap, PlateDofMap, StressDofMap
 from .geometry_mesh import GAMMA_HALF_WIDTH, TetMesh, TriMesh
-from .hybrid import HybridBody, condense
+from .hybrid import HybridBody, condense, mixed_solution
 from .manufactured import ManufacturedCase
 from .materials import MaterialParams
-from .solvers import SparseFactor, pcg
+from .solvers import SolutionFields, SolveReport, SparseFactor, pcg
 
 __all__ = [
     "build_interface_dof_set",
     "SchurProduct",
     "BodyOperator",
     "PlateOperator",
-    "DDReport",
-    "DDSolution",
     "cg_interface_solve",
     "solve_dd",
 ]
@@ -135,9 +134,10 @@ class BodyOperator:
               with_data: bool) -> tuple[np.ndarray, np.ndarray]:
         """Solve the body saddle problem; ``with_data`` switches on the
         inhomogeneous traction values.  Returns (sigma, u) full vectors."""
-        sigma, x_u, _, _, _ = self.hybrid.solve(
-            rhs_sigma, rhs_v[self.vmap.ltg],
-            sigma_data=self.essential_data if with_data else None)
+        hb = self.hybrid
+        load = hb.load(rhs_sigma, rhs_v[self.vmap.ltg],
+                       sigma_data=self.essential_data if with_data else None)
+        sigma, x_u, _ = hb.back_substitute(hb.solve_condensed(load.r)[0], load)
         u = np.zeros(self.vmap.n_dofs)
         u[self.vmap.ltg] = x_u
         return sigma, u
@@ -161,36 +161,9 @@ class PlateOperator:
         return w
 
 
-@dataclass
-class DDReport:
-    """Interface CG history."""
-
-    iterations: int
-    converged: bool
-    rho_avg: float
-    history_u: list[float] = field(default_factory=list)
-    history_euclid: list[float] = field(default_factory=list)
-
-
-@dataclass
-class DDSolution:
-    """The fields of a ``solve_dd`` with its interface CG report.
-    ``l_inv`` holds the blocks of L_T^-1 of every tet that the solve built
-    and checked (``BodyBlocks`` ``face_inv`` and ``interior_inv``), for
-    ``verification_cli.SolutionFields.l_inv``."""
-
-    sigma: np.ndarray
-    u: np.ndarray
-    w: np.ndarray
-    x_gamma: np.ndarray
-    report: DDReport
-    junction_residual: float
-    l_inv: tuple[np.ndarray, np.ndarray]
-
-
 def cg_interface_solve(apply_op, apply_prec, b: np.ndarray,
                        tol: float = CG_TOL, max_it: int = CG_MAX_IT
-                       ) -> tuple[np.ndarray, DDReport]:
+                       ) -> tuple[np.ndarray, SolveReport]:
     """Preconditioned CG (the shared ``solvers.pcg`` loop) on the interface
     system: in ``solve_dd`` the plate Schur complement of S, K + E = S_ww -
     S_w,lambda S_lambda,lambda^-1 S_lambda,w, with preconditioner K^-1,
@@ -199,10 +172,12 @@ def cg_interface_solve(apply_op, apply_prec, b: np.ndarray,
 
     The reported residual history is the relative U-norm of the residual of
     the equivalent fixed-point equation (I + S_K^-1 E) x = S_K^-1 b, which is
-    sqrt(r^T z) of standard PCG; the Euclidean relative residual is logged
-    alongside.  Raises a ``RuntimeError`` when CG does not reach ``tol`` in
-    ``max_it`` iterations, so a returned report has always converged.
+    sqrt(r^T z) of standard PCG; the Euclidean relative residual, logged
+    alongside, ends in the report's relative residual (nnz 0: matrix-free).
+    Raises a ``RuntimeError`` when CG does not reach ``tol`` in ``max_it``
+    iterations, so a returned report has always converged.
     """
+    t0 = time.perf_counter()
     x, converged, hist_u, hist_e = pcg(apply_op, apply_prec, b, tol, max_it,
                                        label="interface CG")
     it = len(hist_u) - 1
@@ -210,13 +185,14 @@ def cg_interface_solve(apply_op, apply_prec, b: np.ndarray,
         raise RuntimeError(
             f"interface CG did not converge in {it} iterations: relative "
             f"U-norm residual {hist_u[-1]:.3e} above tol {tol:.1e}")
-    rho = (hist_u[-1]) ** (1.0 / it) if it > 0 else 0.0
-    return x, DDReport(it, converged, rho, hist_u, hist_e)
+    return x, SolveReport(b.size, 0, hist_e[-1], time.perf_counter() - t0,
+                          iterations=it, history=hist_u,
+                          history_euclid=hist_e)
 
 
 def solve_dd(body: TetMesh, plate: TriMesh, case: ManufacturedCase,
              params: MaterialParams | None = None,
-             tol: float = CG_TOL, max_it: int = CG_MAX_IT) -> DDSolution:
+             tol: float = CG_TOL, max_it: int = CG_MAX_IT) -> SolutionFields:
     """Solve the coupled problem by the interface CG method.
 
     Pipeline: one assembly (``build_mixed_system``) and one condensation
@@ -227,11 +203,13 @@ def solve_dd(body: TetMesh, plate: TriMesh, case: ManufacturedCase,
     unchecked, which raises a ``RuntimeError`` if it does not converge in
     ``max_it`` iterations; then the multipliers, the local
     back-substitution and one plate solve, each checked against its
-    residual contract.  The coupled
-    S itself is never solved or preconditioned.  The interface DOF set only
-    reports: ``x_gamma`` is the CG plate solution there, and the junction
-    residual its distance from the final w.
+    residual contract.  The coupled S itself is never solved or
+    preconditioned.  The interface DOF set only reports: the junction
+    residual is the distance there between the CG plate solution and the
+    final w.  The report gives the size and nnz of S, the relative residual
+    of the body rows and the interface CG iterations and histories.
     """
+    t0 = time.perf_counter()
     system = build_mixed_system(body, plate, case, params)
     hb, free, load = condense(system)
     n = hb.n_lam
@@ -239,6 +217,7 @@ def solve_dd(body: TetMesh, plate: TriMesh, case: ManufacturedCase,
     # factor: hb gives S up, so that the face blocks are freed before
     # S_lambda,lambda is factored.
     S, hb.S = hb.S, None
+    size, nnz = S.shape[0], S.nnz
     S_lw, S_ww, S_ll = S.lw, S.ww, S.ll.tocsc()
     del S
     lu_l, lu_k = SparseFactor(S_ll), SparseFactor(hb.K)
@@ -260,17 +239,13 @@ def solve_dd(body: TetMesh, plate: TriMesh, case: ManufacturedCase,
 
     # Reconstruction, the CG plate solution as data of the body rows.
     y = np.concatenate([multipliers(w_cg), w_cg])
-    sigma, x_u, _ = hb.back_substitute(y, load, plate_rows=False)
-    u = np.zeros(system.vmap.n_dofs)
-    u[system.vmap.ltg] = x_u
+    sigma, x_u, rel = hb.back_substitute(y, load, plate_rows=False)
     w = np.zeros(system.pmap.n_dofs)
     w[free] = lu_k.solve(load.f_w - hb.plate_load(sigma))
     gamma = build_interface_dof_set(plate, system.pmap)
     trace = np.zeros(system.pmap.n_dofs)
     trace[free] = w_cg
-    x = trace[gamma]
-    junction = float(np.linalg.norm(w[gamma] - x))
-    return DDSolution(sigma=sigma, u=u, w=w, x_gamma=x,
-                      report=report, junction_residual=junction,
-                      l_inv=(system.blocks.face_inv,
-                             system.blocks.interior_inv))
+    junction = float(np.linalg.norm(w[gamma] - trace[gamma]))
+    return mixed_solution(system, sigma, x_u, w, replace(
+        report, size=size, nnz=nnz, relative_residual=rel,
+        wall_time=time.perf_counter() - t0), junction)

@@ -37,13 +37,13 @@ DOFs are a small sparse product over the tets on Gamma, kept in CSR.
 
 A solve has two halves: the right-hand side of S Y = r (``load``) and the
 local back-substitution x_T = M_T^-1 (F_T - C_T^T Y) of a given Y
-(``back_substitute``).  ``solve_hybrid`` and ``HybridBody.solve`` join them
-by ``solve_condensed``, preconditioned CG on S (the one CG loop,
-``solvers.pcg``), which gives way to a direct factor of S only where CG
-would cost more than that factor.  ``domain_decomposition.solve_dd``
-eliminates the blocks of S instead and never builds the preconditioner.
-The solution is that of the monolithic system: the owner copy of sigma_T is
-the global stress.
+(``back_substitute``).  ``solve_hybrid`` and
+``domain_decomposition.BodyOperator`` join them by ``solve_condensed``,
+preconditioned CG on S (the one CG loop, ``solvers.pcg``), which gives way
+to a direct factor of S only where CG would cost more than that factor.
+``domain_decomposition.solve_dd`` eliminates the blocks of S instead and
+never builds the preconditioner.  The solution is that of the monolithic
+system: the owner copy of sigma_T is the global stress.
 
 The preconditioner is two-level, auxiliary-space (Hiptmair & Xu 2007) in
 the form given for hybridized methods by Cockburn, Dubois, Gopalakrishnan &
@@ -86,7 +86,7 @@ only, with w as data, when the plate rows are not part of the solve.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -100,10 +100,11 @@ from .fe_elements import (
     _stacked,
     local_chunks,
 )
-from .solvers import RESIDUAL_CONTRACT, SolveReport, SparseFactor, pcg
+from .solvers import (RESIDUAL_CONTRACT, SolutionFields, SolveReport,
+                      SparseFactor, pcg)
 
 __all__ = ["HybridBody", "HybridLoad", "CondensedSystem", "TwoLevelCycle",
-           "condense", "solve_hybrid", "CONTINUITY_LIMIT"]
+           "condense", "mixed_solution", "solve_hybrid", "CONTINUITY_LIMIT"]
 
 #: Largest face-continuity defect ||sum_T C_T sigma_T|| of the back-
 #: substituted local stresses, relative to the larger of their norm and the
@@ -441,30 +442,38 @@ class HybridBody:
                              format="csr")
 
     def solve_condensed(self, r: np.ndarray
-                        ) -> tuple[np.ndarray, list[float], bool]:
-        """Y with S Y = r, the relative U-norm residual history of the CG
-        and whether the solve gave way to a direct factor of S.
+                        ) -> tuple[np.ndarray, SolveReport]:
+        """Y with S Y = r and the report of its solve: the relative residual
+        of S Y = r (Euclidean), the CG iterations and histories, and whether
+        the solve gave way to a direct factor of S.
 
         Two-level preconditioned CG from zero, within the budget of
         max(PCG_MIN_IT, n // PCG_UNKNOWNS_PER_IT) iterations for S of size
         n.  When CG stops short of PCG_TOL, because it reached the budget or
         its rate forecasts more, S is factored; that factor then serves this
         and every later solve, with no CG."""
-        history: list[float] = []
+        t0 = time.perf_counter()
+        history, euclid = [], []
         if self._direct is None:
             budget = max(PCG_MIN_IT, self.S.shape[0] // PCG_UNKNOWNS_PER_IT)
-            y, converged, history, _ = pcg(
+            y, converged, history, euclid = pcg(
                 lambda p: self.S @ p, self._preconditioner, r, PCG_TOL,
                 budget, label="condensed-system CG", window=PCG_WINDOW)
-            if converged:
-                return y, history, False
-            S = self.S.tocsc()
-            # No later solve runs the cycle.  Freeing S P and the coarse
-            # factor after the copy of S lets the factor reuse their memory;
-            # freed before the copy, they raised the peak RSS (glibc malloc).
-            del self._preconditioner
-            self._direct = SparseFactor(S)
-        return self._direct.solve(r), history, True
+            rel = euclid[-1]
+            if not converged:
+                S = self.S.tocsc()
+                # No later solve runs the cycle.  Freeing S P and the coarse
+                # factor after the copy of S lets the factor reuse their
+                # memory; freed before the copy, they raised the peak RSS
+                # (glibc malloc).
+                del self._preconditioner
+                self._direct = SparseFactor(S)
+        if self._direct is not None:
+            y, rel = self._direct.checked_solve(r)
+        return y, SolveReport(self.S.shape[0], self.S.nnz, rel,
+                              time.perf_counter() - t0,
+                              max(len(history) - 1, 0), history, euclid,
+                              direct_fallback=self._direct is not None)
 
     def _condensed(self, lam: np.ndarray) -> CondensedSystem:
         """S = sum_T C_T W_T C_T^T + diag(0, K) by its blocks, with W_T the
@@ -595,18 +604,6 @@ class HybridBody:
                              plate_rows)
         return sigma, x[:, 42:], rel
 
-    def solve(self, rhs_sigma: np.ndarray, f_u: np.ndarray,
-              f_w: np.ndarray | None = None,
-              sigma_data: np.ndarray | None = None):
-        """Solve S Y = r for the data of ``load`` and back-substitute.
-        Returns the global stress, the local displacements (n_tets, 12), the
-        free plate DOFs, the relative residual of the coupled system and the
-        number of CG iterations of the S solve."""
-        load = self.load(rhs_sigma, f_u, f_w, sigma_data)
-        y, history, _ = self.solve_condensed(load.r)
-        sigma, u, rel = self.back_substitute(y, load)
-        return sigma, u, y[self.n_lam:], rel, max(len(history) - 1, 0)
-
     def plate_load(self, sigma: np.ndarray) -> np.ndarray:
         """G sigma on the free plate DOFs, by the owner copies of sigma."""
         return self.G @ (self.smap.sign * sigma[self.smap.ltg]).ravel()
@@ -679,21 +676,31 @@ def condense(system: BlockSystem
     return hb, free, load
 
 
-def solve_hybrid(system: BlockSystem
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, SolveReport]:
-    """Hybridized solve of the coupled mixed system: global (sigma, u, w)
-    and a report on the condensed system S (its size and nnz) with the
-    relative residual of the coupled system."""
-    t0 = time.perf_counter()
-    hb, free, load = condense(system)
-    y, history, direct = hb.solve_condensed(load.r)
-    sigma, x_u, rel = hb.back_substitute(y, load)
+def mixed_solution(system: BlockSystem, sigma: np.ndarray, x_u: np.ndarray,
+                   w: np.ndarray, report: SolveReport,
+                   junction_residual: float | None = None) -> SolutionFields:
+    """The ``SolutionFields`` of a hybridized solve of ``system``, from its
+    local displacements (n_tets, 12), with the checked L_T^-1 blocks."""
     u = np.zeros(system.vmap.n_dofs)
     u[system.vmap.ltg] = x_u
+    return SolutionFields(
+        method="mixed-nc", body=system.body, plate=system.plate,
+        params=system.params, u=u, w=w, pmap=system.pmap, sigma=sigma,
+        smap=system.smap, vmap=system.vmap,
+        l_inv=(system.blocks.face_inv, system.blocks.interior_inv),
+        report=report, junction_residual=junction_residual)
+
+
+def solve_hybrid(system: BlockSystem) -> SolutionFields:
+    """Hybridized solve of the coupled mixed system: global (sigma, u, w)
+    and a report on the condensed system S (its size and nnz, the CG
+    iterations and histories) with the relative residual of the coupled
+    system."""
+    t0 = time.perf_counter()
+    hb, free, load = condense(system)
+    y, report = hb.solve_condensed(load.r)
+    sigma, x_u, rel = hb.back_substitute(y, load)
     w = np.zeros(system.pmap.n_dofs)
     w[free] = y[hb.n_lam:]
-    report = SolveReport(hb.S.shape[0], hb.S.nnz, rel,
-                         time.perf_counter() - t0,
-                         iterations=max(len(history) - 1, 0), history=history,
-                         direct_fallback=direct)
-    return sigma, u, w, report
+    return mixed_solution(system, sigma, x_u, w, replace(
+        report, relative_residual=rel, wall_time=time.perf_counter() - t0))

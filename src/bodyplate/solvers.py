@@ -24,6 +24,9 @@ history logged alongside; optionally also stopped, unconverged, once its
 recent rate forecasts more iterations than its cap.
 The interface solver (``domain_decomposition.cg_interface_solve``) and the
 condensed-system solve (``hybrid.HybridBody.solve_condensed``) both run it.
+
+Every solve reports on one ``SolveReport``; the three coupled solves return
+their fields as one ``SolutionFields``, which the error norms take as is.
 """
 
 from __future__ import annotations
@@ -35,17 +38,23 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-__all__ = ["SolveReport", "solve_saddle_point", "SparseFactor", "pcg"]
+from .fe_elements import BodyCGDofMap, BodyDGDofMap, PlateDofMap, StressDofMap
+from .geometry_mesh import TetMesh, TriMesh
+from .materials import MaterialParams
+
+__all__ = ["SolveReport", "SolutionFields", "solve_saddle_point",
+           "SparseFactor", "pcg"]
 
 RESIDUAL_CONTRACT = 1e-10
 
 
 @dataclass
 class SolveReport:
-    """Diagnostics of a solve: the size and nnz of the system solved, the
-    relative residual and the wall time, the iteration count and relative
-    U-norm residual history of an iterative solve (0 and empty for a direct
-    one), and whether the iterative solve gave way to a direct one."""
+    """Diagnostics of a solve: the size and nnz of the system solved (nnz 0
+    when matrix-free), its relative residual, the wall time of the whole
+    public solve call, assembly included, the iterations with the relative
+    U-norm and Euclidean residual histories (0 and empty for a direct
+    solve), and whether an iterative solve gave way to a direct one."""
 
     size: int
     nnz: int
@@ -53,7 +62,48 @@ class SolveReport:
     wall_time: float
     iterations: int = 0
     history: list[float] = field(default_factory=list)
+    history_euclid: list[float] = field(default_factory=list)
     direct_fallback: bool = False
+
+    @property
+    def converged(self) -> bool:
+        """Always true: every solver raises rather than return an
+        unconverged solve."""
+        return True
+
+    @property
+    def rho_avg(self) -> float:
+        """Average reduction of the U-norm residual per iteration,
+        history[-1] ** (1 / iterations); 0 without iterations."""
+        it = self.iterations
+        return self.history[-1] ** (1.0 / it) if it else 0.0
+
+
+@dataclass
+class SolutionFields:
+    """A solved configuration: discrete fields plus their DOF maps.
+
+    ``l_inv`` holds the blocks of L_T^-1 of every tet (``BodyBlocks``
+    ``face_inv`` and ``interior_inv``) that the solve built and checked;
+    the stress norms take sigma_h through them.  Without them (a
+    ``SolutionFields`` made by hand) the norms build them again, tet batch
+    by tet batch, with the same check (``StressBatch``).  ``report`` is the
+    solve's report; ``junction_residual`` is set by ``solve_dd`` only."""
+
+    method: str
+    body: TetMesh
+    plate: TriMesh
+    params: MaterialParams
+    u: np.ndarray
+    w: np.ndarray
+    pmap: PlateDofMap
+    sigma: np.ndarray | None = None
+    smap: StressDofMap | None = None
+    vmap: BodyDGDofMap | None = None
+    cmap: BodyCGDofMap | None = None
+    l_inv: tuple[np.ndarray, np.ndarray] | None = None
+    report: SolveReport | None = None
+    junction_residual: float | None = None
 
 
 class SparseFactor:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from dataclasses import dataclass, fields as dc_fields
 
 import numpy as np
@@ -24,12 +25,9 @@ import numpy as np
 from . import assembly as _asm
 from .domain_decomposition import CG_MAX_IT, CG_TOL, solve_dd
 from .fe_elements import (
-    BodyCGDofMap,
-    BodyDGDofMap,
     MorleyBatch,
     PlateDofMap,
     StressBatch,
-    StressDofMap,
     edge_tangents,
     simplex_geometry,
     span_scalars,
@@ -40,7 +38,7 @@ from .hybrid import solve_hybrid
 from .manufactured import ManufacturedCase, default_case
 from .materials import MaterialParams, c0_apply, default_params
 from .quadrature import NORM_DEGREE, physical_weights, tet_rule, triangle_rule
-from .solvers import SolveReport, solve_saddle_point
+from .solvers import SolutionFields, SolveReport, solve_saddle_point
 
 __all__ = [
     "ErrorRecord",
@@ -79,30 +77,6 @@ class ErrorRecord:
         return tuple(getattr(self, f) for f in ERROR_FIELDS)
 
 
-@dataclass
-class SolutionFields:
-    """A solved configuration: discrete fields plus their DOF maps.
-
-    ``l_inv`` holds the blocks of L_T^-1 of every tet (``BodyBlocks``
-    ``face_inv`` and ``interior_inv``) that the solve built and checked;
-    the stress norms take sigma_h through them.  Without them (a
-    ``SolutionFields`` made by hand) the norms build them again, tet batch
-    by tet batch, with the same check (``StressBatch``)."""
-
-    method: str
-    body: TetMesh
-    plate: TriMesh
-    params: MaterialParams
-    u: np.ndarray
-    w: np.ndarray
-    pmap: PlateDofMap
-    sigma: np.ndarray | None = None
-    smap: StressDofMap | None = None
-    vmap: BodyDGDofMap | None = None
-    cmap: BodyCGDofMap | None = None
-    l_inv: tuple[np.ndarray, np.ndarray] | None = None
-
-
 def solve_mixed(body: TetMesh, plate: TriMesh, case: ManufacturedCase,
                 params: MaterialParams | None = None,
                 ) -> tuple[SolutionFields, SolveReport]:
@@ -112,33 +86,26 @@ def solve_mixed(body: TetMesh, plate: TriMesh, case: ManufacturedCase,
     more.  The report gives the size and nnz of that condensed system, the
     PCG iteration count and residual history, whether the solve gave way to
     the factor, and the relative residual of the coupled system in
-    (sigma, u, w)."""
-    if params is None:
-        params = case.params
-    system = _asm.build_mixed_system(body, plate, case, params)
-    sigma, u, w, report = solve_hybrid(system)
-    sol = SolutionFields(
-        method="mixed-nc", body=body, plate=plate, params=params,
-        u=u, w=w, pmap=system.pmap, sigma=sigma, smap=system.smap,
-        vmap=system.vmap,
-        l_inv=(system.blocks.face_inv, system.blocks.interior_inv),
-    )
-    return sol, report
+    (sigma, u, w).  The report is also the solution's ``report``."""
+    t0 = time.perf_counter()
+    sol = solve_hybrid(_asm.build_mixed_system(body, plate, case, params))
+    sol.report.wall_time = time.perf_counter() - t0
+    return sol, sol.report
 
 
 def solve_displacement(body: TetMesh, plate: TriMesh, case: ManufacturedCase,
                        params: MaterialParams | None = None,
                        ) -> tuple[SolutionFields, SolveReport]:
     """Assemble and solve the continuous-displacement baseline."""
-    if params is None:
-        params = case.params
+    t0 = time.perf_counter()
     system = _asm.assemble_displacement_system(body, plate, case, params)
     M_ff, rhs_f = system.constraints.reduce(system.K, system.rhs)
     x_f, report = solve_saddle_point(M_ff, rhs_f)
     u, w = system.split(system.constraints.expand(x_f))
+    report.wall_time = time.perf_counter() - t0
     sol = SolutionFields(
-        method="displacement", body=body, plate=plate, params=params,
-        u=u, w=w, pmap=system.pmap, cmap=system.cmap,
+        method="displacement", body=body, plate=plate, params=system.params,
+        u=u, w=w, pmap=system.pmap, cmap=system.cmap, report=report,
     )
     return sol, report
 
@@ -575,11 +542,11 @@ def _dd_command(args, cfg: RunConfig) -> int:
     print(f"interface CG: {r.iterations} iterations, average reduction "
           f"{rho}, junction residual {sol.junction_residual:.3e}")
     print("iter  res_rel")
-    for i, h in enumerate(r.history_u):
+    for i, h in enumerate(r.history):
         print(f"{i:4d}  {h:.6e}")
     if args.out:
         lines = ["iter,res_rel"]
-        lines += [f"{i},{h:.6e}" for i, h in enumerate(r.history_u)]
+        lines += [f"{i},{h:.6e}" for i, h in enumerate(r.history)]
         with open(args.out, "w", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
         print(f"wrote {args.out}")

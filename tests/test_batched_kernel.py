@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from bodyplate import assembly as asm
 from bodyplate import fe_elements, hybrid
 from bodyplate import verification_cli as vcli
+from bodyplate.domain_decomposition import solve_dd
 from bodyplate.fe_elements import (
     EDGE_PAIRS,
     BodyCGDofMap,
@@ -699,15 +700,19 @@ def test_span_coefficients_do_not_depend_on_chunks(monkeypatch):
         stress_span_coefficients(x, k.face_inv, k.interior_inv), whole)
 
 
-@pytest.mark.parametrize("meshes_of", [
-    lambda: (build_body_mesh(2), build_plate_mesh(8, Diagonal.FLIPPED)),
-    lambda: build((14, 3, (8, Diagonal.SAME_AS_BODY)))])
-def test_carried_blocks_give_the_hand_built_norms(meshes_of):
-    # The norms of a solve_mixed solution use the blocks of L_T^-1 that
-    # the solve checked; a SolutionFields made by hand has none, and the
-    # norms build them again.
+@pytest.mark.parametrize("solved", [
+    lambda case: vcli.solve_mixed(
+        build_body_mesh(2), build_plate_mesh(8, Diagonal.FLIPPED), case)[0],
+    lambda case: vcli.solve_mixed(
+        *build((14, 3, (8, Diagonal.SAME_AS_BODY))), case)[0],
+    lambda case: solve_dd(
+        build_body_mesh(2), build_plate_mesh(8, Diagonal.FLIPPED), case)])
+def test_carried_blocks_give_the_hand_built_norms(solved):
+    # The norms of a solve_mixed or solve_dd solution use the blocks of
+    # L_T^-1 that the solve checked; a SolutionFields made by hand has none,
+    # and the norms build them again.
     case = default_case()
-    sol, _ = vcli.solve_mixed(*meshes_of(), case)
+    sol = solved(case)
     assert sol.l_inv is not None
     carried = vcli.compute_error_norms(sol, case).as_tuple()
     rebuilt = vcli.compute_error_norms(replace(sol, l_inv=None), case)

@@ -313,9 +313,9 @@ def test_one_pcg_iteration_makes_two_S_products_and_one_SP_product():
     counts = {}
     hb.S.ll = _counting(sp.bsr_matrix, counts, "ll")(hb.S.ll)
     cycle.SP = _counting(sp.csr_matrix, counts, "SP")(cycle.SP)
-    _, history, direct = hb.solve_condensed(load.r)
-    k = len(history) - 1
-    assert not direct and k > 10
+    _, report = hb.solve_condensed(load.r)
+    k = report.iterations
+    assert not report.direct_fallback and k > 10
     assert counts == {"ll": 2 * k + 1, "SP": k + 1}
 
 
@@ -455,6 +455,7 @@ def test_pcg_iterations_stay_flat_under_refinement():
         assert report.history[0] == 1.0
         assert report.history[-1] <= hybrid.PCG_TOL
         assert len(report.history) == report.iterations + 1
+        assert len(report.history_euclid) == report.iterations + 1
         its.append(report.iterations)
     assert max(its) <= 80
     assert max(its) <= 1.25 * min(its)
@@ -501,11 +502,11 @@ def test_direct_factor_serves_every_later_solve(monkeypatch):
                            system.sigma_essential_idx)
     sizes = _count_factors(monkeypatch)
     r = np.random.default_rng(9).standard_normal(hb.S.shape[0])
-    _, first, direct_first = hb.solve_condensed(r)
+    _, first = hb.solve_condensed(r)
     assert "_preconditioner" not in vars(hb)
-    y, second, direct_second = hb.solve_condensed(r)
-    assert len(first) == 3 and second == []
-    assert direct_first and direct_second
+    y, second = hb.solve_condensed(r)
+    assert len(first.history) == 3 and second.history == []
+    assert first.direct_fallback and second.direct_fallback
     assert sizes == [3 * body.n_vertices, hb.S.shape[0]]
     assert np.linalg.norm(hb.S @ y - r) <= 1e-12 * np.linalg.norm(r)
 
@@ -755,13 +756,14 @@ def test_chunked_local_inverses_equal_one_batch(blocks, monkeypatch):
 
 def _body_solve(hb, smap):
     rng = np.random.default_rng(5)
-    return hb.solve(rng.standard_normal(smap.n_dofs),
-                    rng.standard_normal(smap.ltg.shape[:1] + (12,)))
+    load = hb.load(rng.standard_normal(smap.n_dofs),
+                   rng.standard_normal(smap.ltg.shape[:1] + (12,)))
+    return hb.back_substitute(hb.solve_condensed(load.r)[0], load)
 
 
 def test_clean_body_solve_passes_both_checks(blocks):
     smap, b, ess = blocks
-    *_, rel, _ = _body_solve(hybrid.HybridBody(smap, b, ess), smap)
+    *_, rel = _body_solve(hybrid.HybridBody(smap, b, ess), smap)
     assert rel <= RESIDUAL_CONTRACT
 
 

@@ -9,6 +9,7 @@ bad inputs, and the command-line entry against its exit-code contract.
 
 import re
 import sys
+import time
 from dataclasses import fields as dc_fields
 
 import numpy as np
@@ -16,9 +17,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from bodyplate import assembly as asm
+from bodyplate import domain_decomposition as dd_module
 from bodyplate import hybrid
 from bodyplate import verification_cli as vcli
 from bodyplate.domain_decomposition import CG_MAX_IT, CG_TOL, solve_dd
+from bodyplate.solvers import SolutionFields, SolveReport
 from bodyplate.fe_elements import BodyDGDofMap, PlateDofMap, StressDofMap
 from bodyplate.geometry_mesh import Diagonal, build_body_mesh, build_plate_mesh
 from bodyplate.manufactured import constant_stress_case, default_case
@@ -43,14 +46,9 @@ class TestSolvers:
         assert sol.w.shape == (sol.pmap.n_dofs,)
         assert report.relative_residual < 1e-10
 
-    def test_mixed_solution_keeps_72_doubles_per_tet(self):
-        # Beside the fields, a solution keeps only the checked blocks of
-        # L_T^-1 for its norms: a kept solution stays alive while the next
-        # solve runs, so every kept byte adds to the peak.
-        case = default_case()
-        body = build_body_mesh(2)
-        sol, _ = vcli.solve_mixed(body, build_plate_mesh(8, Diagonal.FLIPPED),
-                                  case)
+    @staticmethod
+    def kept_bytes(sol):
+        """Bytes of the arrays a solution keeps beside sigma, u and w."""
         kept = 0
         for f in dc_fields(sol):
             if f.name in ("sigma", "u", "w"):
@@ -59,8 +57,83 @@ class TestSolvers:
             for a in (value if isinstance(value, tuple) else (value,)):
                 if isinstance(a, np.ndarray):
                     kept += (a if a.base is None else a.base).nbytes
+        return kept
+
+    def test_mixed_solution_keeps_72_doubles_per_tet(self):
+        # Beside the fields, a solution keeps only the checked blocks of
+        # L_T^-1 for its norms: a kept solution stays alive while the next
+        # solve runs, so every kept byte adds to the peak.
+        case = default_case()
+        body = build_body_mesh(2)
+        sol, _ = vcli.solve_mixed(body, build_plate_mesh(8, Diagonal.FLIPPED),
+                                  case)
         assert sol.l_inv is not None
-        assert kept <= 72 * 8 * body.n_tets
+        assert self.kept_bytes(sol) <= 72 * 8 * body.n_tets
+
+    def test_dd_solution_keeps_72_doubles_per_tet(self):
+        case = default_case()
+        body = build_body_mesh(2)
+        sol = solve_dd(body, build_plate_mesh(8, Diagonal.FLIPPED), case)
+        assert sol.l_inv is not None
+        assert self.kept_bytes(sol) <= 72 * 8 * body.n_tets
+
+    def test_every_solver_returns_one_result_and_report(self):
+        # The three solves return the same result type carrying the same
+        # report type; the DD report gives the size and nnz of the same
+        # condensed S that the mixed solve solves whole.
+        case = default_case()
+        body = build_body_mesh(2)
+        mixed, mixed_report = vcli.solve_mixed(body, build_plate_mesh(4),
+                                               case)
+        disp, disp_report = vcli.solve_displacement(body, build_plate_mesh(4),
+                                                    case)
+        dd = solve_dd(body, build_plate_mesh(4), case)
+        for sol, report in ((mixed, mixed_report), (disp, disp_report),
+                            (dd, dd.report)):
+            assert type(sol) is SolutionFields
+            assert type(report) is SolveReport
+            assert sol.report is report
+            assert report.converged
+        assert (dd.report.size, dd.report.nnz) == (mixed_report.size,
+                                                   mixed_report.nnz)
+        assert dd.report.relative_residual <= 1e-10
+        assert mixed.junction_residual is None
+        assert dd.junction_residual <= 1e-5
+
+    def test_wall_time_covers_the_assembly(self, monkeypatch):
+        # A 50 ms sleep in each solver's assembly call shows in its report.
+        def slowed(original):
+            def wrapper(*args, **kwargs):
+                time.sleep(0.05)
+                return original(*args, **kwargs)
+            return wrapper
+
+        for module, name in ((asm, "build_mixed_system"),
+                             (dd_module, "build_mixed_system"),
+                             (asm, "assemble_displacement_system")):
+            monkeypatch.setattr(module, name, slowed(getattr(module, name)))
+        case = default_case()
+        body = build_body_mesh(2)
+        reports = (
+            vcli.solve_mixed(body, build_plate_mesh(4), case)[1],
+            vcli.solve_displacement(body, build_plate_mesh(4), case)[1],
+            solve_dd(body, build_plate_mesh(4), case).report,
+        )
+        for report in reports:
+            assert report.wall_time >= 0.05
+
+    def test_dd_norms_build_no_stress_batch(self, monkeypatch):
+        # A solve_dd result carries the checked L_T^-1 blocks, so its norms
+        # take sigma_h through them and build no StressBatch.
+        case = default_case()
+        sol = solve_dd(build_body_mesh(2),
+                       build_plate_mesh(8, Diagonal.FLIPPED), case)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the norms built a StressBatch")
+
+        monkeypatch.setattr(vcli, "StressBatch", refused)
+        assert all(np.isfinite(vcli.compute_error_norms(sol, case).as_tuple()))
 
     @pytest.mark.parametrize("meshes", ["kuhn", "jittered"])
     def test_hybrid_body_keeps_no_local_block(self, meshes):
@@ -106,11 +179,6 @@ class TestSolvers:
         body = build_body_mesh(2)
         matching = build_plate_mesh(4)
         flipped = build_plate_mesh(8, Diagonal.FLIPPED)
-        dd = solve_dd(body, flipped, case)
-        dd_sol = vcli.SolutionFields(
-            method="mixed-nc", body=body, plate=flipped, params=case.params,
-            u=dd.u, w=dd.w, pmap=PlateDofMap(flipped), sigma=dd.sigma,
-            smap=StressDofMap(body), vmap=BodyDGDofMap(body))
         for sol, expected in (
             (vcli.solve_displacement(body, matching, case)[0],
              [307.75184599616443, 0.7537165895939332, 4.317103015123003,
@@ -124,29 +192,13 @@ class TestSolvers:
              [82.27689312598153, 0.3286976814796543, 2.437315927373007,
               0.353980294926702, 4.948526667740904, 0.4673282405440638,
               0.2940076602551515]),
-            (dd_sol,
+            (solve_dd(body, flipped, case),
              [82.27689311681152, 0.32869766473863127, 2.4373159273746348,
               0.35398029492882505, 4.948526659255986, 0.4673282433241717,
               0.29400766015386687]),
         ):
             assert_allclose(vcli.compute_error_norms(sol, case).as_tuple(),
                             expected, rtol=1e-12, atol=0)
-
-    def test_dd_solution_carries_the_checked_stress_blocks(self):
-        # The norms of a DD solve through the L_T^-1 blocks its solve built
-        # and checked equal those that build the blocks again per batch.
-        case = default_case()
-        body, plate = build_body_mesh(2), build_plate_mesh(8, Diagonal.FLIPPED)
-        dd = solve_dd(body, plate, case)
-        fields = dict(
-            method="mixed-nc", body=body, plate=plate, params=case.params,
-            u=dd.u, w=dd.w, pmap=PlateDofMap(plate), sigma=dd.sigma,
-            smap=StressDofMap(body), vmap=BodyDGDofMap(body))
-        carried = vcli.SolutionFields(**fields, l_inv=dd.l_inv)
-        hand_built = vcli.SolutionFields(**fields)
-        assert_allclose(vcli.compute_error_norms(carried, case).as_tuple(),
-                        vcli.compute_error_norms(hand_built, case).as_tuple(),
-                        rtol=1e-13, atol=0)
 
 
 # ---------------------------------------------------------------------------
