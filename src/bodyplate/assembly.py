@@ -13,11 +13,14 @@ and f_W the plate load (smooth part against the actual plate basis, interface
 jump part against the lowered basis).  Traction data enters through essential
 stress DOFs on free faces; the clamped plate boundary through zero plate DOFs.
 
-The body forms are built as per-tet local blocks in each tet's own basis
-(``BodyBlocks``, ``CouplingBlocks``, from one ``StressBatch``); the global
-blocks are their signed scatters.  The production solve works on the local
-blocks directly (``hybrid``); the assembled monolithic matrix serves as the
-test oracle.
+The body forms are per-tet local blocks in each tet's own basis, all taken
+from one ``fe_elements.StressBatch`` of the body, which keeps no block: the
+compliance and divergence blocks are formed for a few tets at a time
+(``compliance_blocks``, ``divergence_blocks``) or applied to every tet by
+their structure (``apply_A``, ``apply_B``, ``apply_Bt``), and the coupling
+is kept per overlay cell (``CouplingBlocks``).  The global blocks are their
+signed scatters.  The production solve works on the local blocks directly
+(``hybrid``); the assembled monolithic matrix serves as the test oracle.
 
 The displacement baseline shares vertex DOFs between the continuous body P1
 space and the plate along the interface (components 1-2 with the membrane,
@@ -45,6 +48,7 @@ from .fe_elements import (
     StressBatch,
     StressDofMap,
     div_scalars,
+    face_normals,
     local_chunks,
     simplex_barycentric,
     simplex_geometry,
@@ -64,10 +68,12 @@ from .quadrature import (
 )
 
 __all__ = [
-    "BodyBlocks",
     "CouplingBlocks",
     "compliance_blocks",
     "divergence_blocks",
+    "apply_A",
+    "apply_B",
+    "apply_Bt",
     "interface_coupling_blocks",
     "assemble_compliance",
     "assemble_stress_mass",
@@ -167,10 +173,18 @@ def _basis_blocks(coeffs: np.ndarray, span: np.ndarray) -> np.ndarray:
     return coeffs @ span @ np.swapaxes(coeffs, 1, 2)
 
 
-def _edge_pairing(k: StressBatch, apply) -> np.ndarray:
-    """The 6 x 6 edge pairings apply(T_e) : T_f (n, 6, 6) of the tets of
-    ``k`` for a linear map ``apply`` of symmetric matrices."""
-    return np.einsum("neab,nfab->nef", apply(k.T), k.T)
+def _coefficients(k: StressBatch, t) -> np.ndarray:
+    """The dual-basis coefficients M_T^-T (m, 42, 42) of the tets ``t`` (a
+    slice or an index array) of ``k``."""
+    return stress_dual_coefficients(k.face_inv[t], k.interior_inv[t])
+
+
+def _edge_pairing(tangents: np.ndarray, apply) -> np.ndarray:
+    """The 6 x 6 edge pairings apply(T_e) : T_f (n, 6, 6) of the tets with
+    edge ``tangents`` (n, 6, 3), T_e = t_e t_e^T, for a linear map
+    ``apply`` of symmetric matrices."""
+    T = tangents[..., :, None] * tangents[..., None, :]
+    return np.einsum("neab,nfab->nef", apply(T), T)
 
 
 def _mass_span(volume: np.ndarray, pairing: np.ndarray) -> np.ndarray:
@@ -189,134 +203,93 @@ def _divergence_span(volume: np.ndarray, tau: np.ndarray,
     return (d[:, :, None, :] * t[:, None, :, :]).reshape(-1, 12, 42)
 
 
-def _tensor_mass_blocks(k: StressBatch, apply) -> np.ndarray:
-    """int apply(phi_j) : phi_i for a linear map ``apply`` of symmetric
-    matrices.  With spanning functions s_k T_e the integrand separates into
-    the reference Gram matrix of the s_k and the edge pairing
-    apply(T_e) : T_f."""
-    return _basis_blocks(k.coeffs, _mass_span(k.volume,
-                                              _edge_pairing(k, apply)))
+def _tensor_mass_blocks(k: StressBatch, apply, t) -> np.ndarray:
+    """int apply(phi_j) : phi_i (m, 42, 42) on the tets ``t`` of ``k`` for a
+    linear map ``apply`` of symmetric matrices.  With spanning functions
+    s_k T_e the integrand separates into the reference Gram matrix of the
+    s_k and the edge pairing apply(T_e) : T_f."""
+    return _basis_blocks(_coefficients(k, t), _mass_span(
+        k.volume[t], _edge_pairing(k.tangents[t], apply)))
 
 
-def compliance_blocks(k: StressBatch, params: MaterialParams) -> np.ndarray:
-    """Unsigned local compliance blocks (n, 42, 42) of the tets of ``k``."""
-    return _tensor_mass_blocks(k, lambda T: c0_inv_apply(T, params))
+def compliance_blocks(k: StressBatch, params: MaterialParams, t
+                      ) -> np.ndarray:
+    """Unsigned local compliance blocks A_T (m, 42, 42) of the tets ``t`` (a
+    slice or an index array) of ``k``: with M_T^-1 = M_ref^-1 L_T^-1,
+
+        A_T = M_T^-T (|T| / |T^| G o Pi_T[E, E]) M_T^-1,
+
+    G the Gram matrix of the spanning scalars, E = ``SPAN_EDGE`` and Pi_T
+    the 6 x 6 edge pairing C0^-1(T_e) : T_f, formed from the tangents."""
+    return _tensor_mass_blocks(k, lambda T: c0_inv_apply(T, params), t)
 
 
-def divergence_blocks(k: StressBatch) -> np.ndarray:
-    """Unsigned local divergence blocks (n, 12, 42): int div(phi_i) . psi_k
-    with psi_k the vector P1 basis (local DOF 3 a + c)."""
-    return (_divergence_span(k.volume, k.tangent_gradients, k.tangents)
-            @ np.swapaxes(k.coeffs, 1, 2))
+def divergence_blocks(k: StressBatch, t) -> np.ndarray:
+    """Unsigned local divergence blocks B_T = D_T M_T^-1 (m, 12, 42) of the
+    tets ``t`` of ``k``: int div(phi_i) . psi_k with psi_k the vector P1
+    basis (local DOF 3 a + c), D_T the divergence of the spanning functions
+    against it."""
+    return (_divergence_span(k.volume[t], k.tangent_gradients[t],
+                             k.tangents[t])
+            @ np.swapaxes(_coefficients(k, t), 1, 2))
 
 
-@dataclass
-class BodyBlocks:
-    """The body's per-tet data, from which its compliance blocks A_T (42 x
-    42) and divergence blocks B_T (12 x 42), in unsigned local coordinates
-    (before the -1 sign a non-owner tet sees on a shared face), are applied
-    to every tet or formed for a few.  The global blocks are their signed
-    scatters.  With M_T^-1 = M_ref^-1 L_T^-1,
+# The local blocks of every tet applied by their structure, one GEMM with
+# a reference table per edge group, within roundoff of the dense products
+# of ``compliance_blocks`` and ``divergence_blocks``; x (n, 42) are local
+# (unsigned) stress values and u (n, 12) local displacement values of every
+# tet of ``k``.
 
-        A_T = M_T^-T (|T| / |T^| G o Pi_T[E, E]) M_T^-1,   B_T = D_T M_T^-1,
+def _span_groups(k: StressBatch, x: np.ndarray) -> np.ndarray:
+    """M_T^-1 x_T (n, 6, 7), by edge group."""
+    return stress_span_coefficients(x, k.face_inv,
+                                    k.interior_inv).reshape(-1, 6, 7)
 
-    G the Gram matrix of the spanning scalars, E = ``SPAN_EDGE``, Pi_T the
-    6 x 6 edge pairing C0^-1(T_e) : T_f and D_T the divergence of the
-    spanning functions against the P1 hats.  Kept per tet, 151 doubles in
-    place of the 2,268 of A_T and B_T: the checked blocks of L_T^-1
-    (``face_inv`` (n, 4, 3, 3) and ``interior_inv`` (n, 6, 6), which also
-    give the error norms their stress field), the ``volume``, the
-    ``pairing`` Pi_T, the ``tangent_gradients`` (n, 6, 4) of
-    ``div_scalars`` and the ``tangents`` (n, 6, 3).  ``compliance`` and
-    ``divergence`` form blocks bit for bit as ``compliance_blocks`` and
-    ``divergence_blocks`` do."""
 
-    face_inv: np.ndarray
-    interior_inv: np.ndarray
-    volume: np.ndarray
-    pairing: np.ndarray
-    tangent_gradients: np.ndarray
-    tangents: np.ndarray
+def _basis_values(k: StressBatch, y: np.ndarray) -> np.ndarray:
+    """M_T^-T y_T (n, 42) of the spanning values y (n, 6, 7) scaled by
+    |T| / |T^|."""
+    scale = (k.volume / TET_MEASURE)[:, None]
+    return stress_span_adjoint(scale * y.reshape(-1, 42), k.face_inv,
+                               k.interior_inv)
 
-    @classmethod
-    def build(cls, body: TetMesh, params: MaterialParams) -> "BodyBlocks":
-        """The data of every tet, from one ``StressBatch`` per
-        ``local_chunks`` slice: only the kept data reach the size of the
-        mesh."""
-        n = body.n_tets
-        blocks = cls(np.empty((n, 4, 3, 3)), np.empty((n, 6, 6)),
-                     np.empty(n), np.empty((n, 6, 6)), np.empty((n, 6, 4)),
-                     np.empty((n, 6, 3)))
-        for c in local_chunks(n):
-            k = StressBatch(body.vertices[body.tets[c]], c.start)
-            blocks.face_inv[c] = k.face_inv
-            blocks.interior_inv[c] = k.interior_inv
-            blocks.volume[c] = k.volume
-            blocks.pairing[c] = _edge_pairing(
-                k, lambda T: c0_inv_apply(T, params))
-            blocks.tangent_gradients[c] = k.tangent_gradients
-            blocks.tangents[c] = k.tangents
-        return blocks
 
-    def _coeffs(self, t) -> np.ndarray:
-        return stress_dual_coefficients(self.face_inv[t], self.interior_inv[t])
+def apply_A(k: StressBatch, params: MaterialParams, x: np.ndarray
+            ) -> np.ndarray:
+    """A_T x_T (n, 42) for every tet, one GEMM with G per edge group."""
+    pairing = _edge_pairing(k.tangents, lambda T: c0_inv_apply(T, params))
+    c = _span_groups(k, x)
+    y = np.empty_like(c)
+    for e in range(6):
+        y[:, e] = ((pairing[:, e, :, None] * c).reshape(-1, 42)
+                   @ _SPAN_GRAM[7 * e:7 * e + 7].T)
+    return _basis_values(k, y)
 
-    def compliance(self, t) -> np.ndarray:
-        """The compliance blocks (m, 42, 42) of the tets ``t`` (a slice or
-        an index array)."""
-        return _basis_blocks(self._coeffs(t),
-                             _mass_span(self.volume[t], self.pairing[t]))
 
-    def divergence(self, t) -> np.ndarray:
-        """The divergence blocks (m, 12, 42) of the tets ``t``."""
-        return (_divergence_span(self.volume[t], self.tangent_gradients[t],
-                                 self.tangents[t])
-                @ np.swapaxes(self._coeffs(t), 1, 2))
+def apply_B(k: StressBatch, x: np.ndarray) -> np.ndarray:
+    """B_T x_T (n, 12) for every tet, one GEMM with the divergence moments
+    per edge group."""
+    c = _span_groups(k, x)
+    # d[n, a, e] = sum_k D[n, a, k] c[n, k] over the spanning functions k
+    # of edge e, D the div_scalars of the moments: int lam_a div(c_k s_k
+    # T_e) = D[n, a, k] c[n, k] t_e.
+    d = np.stack([(c[:, e] @ _DIV_MOMENTS_BY_EDGE[e]).reshape(-1, 4, 4)
+                  @ k.tangent_gradients[:, e, :, None]
+                  for e in range(6)], axis=2)[..., 0]
+    scale = (k.volume / TET_MEASURE)[:, None, None]
+    return (scale * (d @ k.tangents)).reshape(-1, 12)
 
-    def _span(self, x: np.ndarray) -> np.ndarray:
-        """M_T^-1 x_T (n, 6, 7), by edge group."""
-        return stress_span_coefficients(x, self.face_inv,
-                                        self.interior_inv).reshape(-1, 6, 7)
 
-    def _basis(self, y: np.ndarray) -> np.ndarray:
-        """M_T^-T y_T (n, 42) of the scaled spanning values y (n, 6, 7)."""
-        scale = (self.volume / TET_MEASURE)[:, None]
-        return stress_span_adjoint(scale * y.reshape(-1, 42), self.face_inv,
-                                   self.interior_inv)
-
-    def apply_A(self, x: np.ndarray) -> np.ndarray:
-        """A_T x_T (n, 42) for local stress values x (n, 42) of every tet,
-        one GEMM with G per edge group."""
-        c = self._span(x)
-        y = np.empty_like(c)
-        for e in range(6):
-            y[:, e] = ((self.pairing[:, e, :, None] * c).reshape(-1, 42)
-                       @ _SPAN_GRAM[7 * e:7 * e + 7].T)
-        return self._basis(y)
-
-    def apply_B(self, x: np.ndarray) -> np.ndarray:
-        """B_T x_T (n, 12) for local stress values x (n, 42) of every tet,
-        one GEMM with the divergence moments per edge group."""
-        c = self._span(x)
-        # d[n, a, e] = sum_k D[n, a, k] c[n, k] over the spanning functions
-        # k of edge e, D the div_scalars of the moments: int lam_a div(c_k
-        # s_k T_e) = D[n, a, k] c[n, k] t_e.
-        d = np.stack([(c[:, e] @ _DIV_MOMENTS_BY_EDGE[e]).reshape(-1, 4, 4)
-                      @ self.tangent_gradients[:, e, :, None]
-                      for e in range(6)], axis=2)[..., 0]
-        scale = (self.volume / TET_MEASURE)[:, None, None]
-        return (scale * (d @ self.tangents)).reshape(-1, 12)
-
-    def apply_Bt(self, u: np.ndarray) -> np.ndarray:
-        """B_T^T u_T (n, 42) for local displacement values u (n, 12) of
-        every tet, one GEMM with the divergence moments per edge group."""
-        # ut[n, a, e] = u[n, a] . t_e
-        ut = u.reshape(-1, 4, 3) @ np.swapaxes(self.tangents, 1, 2)
-        y = np.empty((len(u), 6, 7))
-        for e in range(6):
-            y[:, e] = ((ut[:, :, e, None] * self.tangent_gradients[:, e, None])
-                       .reshape(-1, 16) @ _DIV_MOMENTS_BY_EDGE[e].T)
-        return self._basis(y)
+def apply_Bt(k: StressBatch, u: np.ndarray) -> np.ndarray:
+    """B_T^T u_T (n, 42) for every tet, one GEMM with the divergence
+    moments per edge group."""
+    # ut[n, a, e] = u[n, a] . t_e
+    ut = u.reshape(-1, 4, 3) @ np.swapaxes(k.tangents, 1, 2)
+    y = np.empty((len(u), 6, 7))
+    for e in range(6):
+        y[:, e] = ((ut[:, :, e, None] * k.tangent_gradients[:, e, None])
+                   .reshape(-1, 16) @ _DIV_MOMENTS_BY_EDGE[e].T)
+    return _basis_values(k, y)
 
 
 def assemble_compliance(
@@ -326,13 +299,13 @@ def assemble_compliance(
 ) -> sp.csr_matrix:
     """A[i, j] = int_alpha (C0^-1 phi_j) : phi_i  (symmetric positive definite)."""
     return _scatter_stress(smap, compliance_blocks(
-        StressBatch(body.vertices[body.tets]), params))
+        StressBatch(body.vertices[body.tets]), params, slice(None)))
 
 
 def assemble_stress_mass(body: TetMesh, smap: StressDofMap) -> sp.csr_matrix:
     """Plain L2 mass of the stress space, int phi_i : phi_j."""
     return _scatter_stress(smap, _tensor_mass_blocks(
-        StressBatch(body.vertices[body.tets]), lambda T: T))
+        StressBatch(body.vertices[body.tets]), lambda T: T, slice(None)))
 
 
 def _div_div_blocks(k: StressBatch) -> np.ndarray:
@@ -343,7 +316,7 @@ def _div_div_blocks(k: StressBatch) -> np.ndarray:
     t = k.tangents[:, SPAN_EDGE]
     dd = np.einsum("q,nqk,nql->nkl", rule.weights, d, d)
     tt = np.einsum("nkc,nlc->nkl", t, t)
-    return _basis_blocks(k.coeffs,
+    return _basis_blocks(_coefficients(k, slice(None)),
                          (k.volume / TET_MEASURE)[:, None, None] * dd * tt)
 
 
@@ -363,7 +336,7 @@ def assemble_divergence(body: TetMesh, smap: StressDofMap, vmap
                         ) -> sp.csr_matrix:
     """B[k, i] = int_alpha div(phi_i) . psi_k  (V x Sigma)."""
     return _scatter_divergence(smap, vmap, divergence_blocks(
-        StressBatch(body.vertices[body.tets])))
+        StressBatch(body.vertices[body.tets]), slice(None)))
 
 
 def assemble_body_mass(body: TetMesh, vmap) -> sp.csr_matrix:
@@ -456,30 +429,33 @@ class CouplingBlocks:
 
 def interface_coupling_blocks(
     body: TetMesh,
+    stress: StressBatch,
     plate: TriMesh,
     pmap: PlateDofMap,
     faces: list[InterfaceFace],
     cells: list[OverlayCell],
 ) -> CouplingBlocks:
     """Local blocks of G[w, s] = int_Gamma (phi_s n) . (Pi chi_w) on the
-    overlay cells, from the stress element on the interface faces' owner
-    tets.
+    overlay cells, from the stress element of every tet of ``body``
+    (``stress``) and the geometry of the interface faces' owner tets.
 
     Pi is the trace lowering: membrane test functions unchanged, Morley test
     functions replaced by the continuous P1 field of their vertex values
     (Morley edge DOFs yield identically zero rows).
     """
     owner, local = _interface_local_faces(body, faces)
-    k = StressBatch(body.vertices[body.tets[owner]])  # entry f: f's owner
+    verts = body.vertices[body.tets[owner]]  # entry f: f's owner
+    grad, _ = simplex_geometry(verts)
     cell_face = np.array([c.face_id for c in cells], dtype=np.int64)
     cell_tri = np.array([c.tri_id for c in cells], dtype=np.int64)
-    mom = _overlay_moments(k, cell_face, plate, cells, cell_tri)
+    mom = _overlay_moments(grad, verts[:, 0], cell_face, plate, cells,
+                           cell_tri)
     # The traction of span_k is s_k (t_{e_k} . n) t_{e_k}.
-    t = k.tangents[:, SPAN_EDGE]  # (n_faces, 42, 3)
-    nrm = k.face_normals[np.arange(owner.size), local]
+    t = stress.tangents[owner][:, SPAN_EDGE]  # (n_faces, 42, 3)
+    nrm = face_normals(grad)[np.arange(owner.size), local]
     mom = mom * np.einsum("fkc,fc->fk", t, nrm)[cell_face][:, None]
     span = mom[:, :, None, :] * np.swapaxes(t, 1, 2)[cell_face][:, None]
-    coeffs = np.swapaxes(k.coeffs[cell_face], 1, 2)
+    coeffs = np.swapaxes(_coefficients(stress, owner)[cell_face], 1, 2)
     blk = (span.reshape(-1, 9, 42) @ coeffs).reshape(-1, 3, 3, 42)
     rows = [pmap.mem_ltg[cell_tri], pmap.mor_ltg[cell_tri, :3]]
     blocks = [blk[:, :, :2].reshape(-1, 6, 42), blk[:, :, 2]]
@@ -498,25 +474,27 @@ def assemble_interface_coupling(
 ) -> sp.csr_matrix:
     """G[w, s] = int_Gamma (phi_s n) . (Pi chi_w), assembled on the overlay
     (see ``interface_coupling_blocks``)."""
-    return interface_coupling_blocks(body, plate, pmap, faces, cells).scatter(
-        smap, pmap.n_dofs)
+    return interface_coupling_blocks(
+        body, StressBatch(body.vertices[body.tets]), plate, pmap, faces,
+        cells).scatter(smap, pmap.n_dofs)
 
 
-def _overlay_moments(k: StressBatch, cell_tet: np.ndarray, plate: TriMesh,
-                     cells: list[OverlayCell], cell_tri: np.ndarray
-                     ) -> np.ndarray:
+def _overlay_moments(grad: np.ndarray, v0: np.ndarray, cell_tet: np.ndarray,
+                     plate: TriMesh, cells: list[OverlayCell],
+                     cell_tri: np.ndarray) -> np.ndarray:
     """Per-cell moments int_cell hat_a s_k, (n_cells, 3, 42): the quadrature
     points of all cells flattened, with the spanning scalars of the face's
-    owner tet (``k`` entry ``cell_tet``) and the P1 hats of the plate
-    triangle at each point.  A function of its own so that the per-point
-    arrays are freed before the per-cell products of the caller."""
+    owner tet (barycentric gradients ``grad`` and first vertex ``v0``, entry
+    ``cell_tet``) and the P1 hats of the plate triangle at each point.  A
+    function of its own so that the per-point arrays are freed before the
+    per-cell products of the caller."""
     point_cell = np.repeat(np.arange(len(cells)),
                            [c.weights.shape[0] for c in cells])
     pts = np.concatenate([c.points for c in cells])
     wts = np.concatenate([c.weights for c in cells])
     pts3 = np.column_stack([pts, np.zeros(pts.shape[0])])
     tet = cell_tet[point_cell]
-    s = span_scalars(simplex_barycentric(k.grad_lambda[tet], k.v0[tet], pts3))
+    s = span_scalars(simplex_barycentric(grad[tet], v0[tet], pts3))
     tri_verts = plate.vertices[plate.triangles[cell_tri]]
     grad, _ = simplex_geometry(tri_verts)
     hat = simplex_barycentric(grad[point_cell], tri_verts[point_cell, 0], pts)
@@ -548,8 +526,7 @@ def impose_traction_bc(
     fid = smap.free_face_ids
     owner, local = smap.face_owner[fid], smap.face_owner_local[fid]
     grad, _ = simplex_geometry(body.vertices[body.tets[owner]])
-    nrm = -grad[np.arange(fid.size), local]
-    nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
+    nrm = face_normals(grad)[np.arange(fid.size), local]
     pts = rule.points @ body.vertices[smap.face_vertices[fid]]
     g = traction_fn(pts.reshape(-1, 3), np.repeat(nrm, rule.n_points, axis=0))
     g = g.reshape(pts.shape)
@@ -665,10 +642,11 @@ class Constraints:
 
 @dataclass
 class BlockSystem:
-    """The mixed formulation: the body's per-tet data (``BodyBlocks``), the
-    interface coupling's cell blocks, the plate stiffness, loads and
-    constraint data.  The global body blocks A, B and G, which only the
-    monolithic test oracle reads, are formed and scattered on first use."""
+    """The mixed formulation: the body's stress element (``StressBatch``),
+    the material parameters of its compliance, the interface coupling's
+    cell blocks, the plate stiffness, loads and constraint data.  The
+    global body blocks A, B and G, which only the monolithic test oracle
+    reads, are formed and scattered on first use."""
 
     body: TetMesh
     plate: TriMesh
@@ -676,7 +654,7 @@ class BlockSystem:
     vmap: BodyDGDofMap
     pmap: PlateDofMap
     params: MaterialParams
-    blocks: BodyBlocks
+    stress: StressBatch
     coupling: CouplingBlocks
     K: sp.csr_matrix
     f_V: np.ndarray
@@ -686,12 +664,13 @@ class BlockSystem:
 
     @cached_property
     def A(self) -> sp.csr_matrix:
-        return _scatter_stress(self.smap, self.blocks.compliance(slice(None)))
+        return _scatter_stress(self.smap, compliance_blocks(
+            self.stress, self.params, slice(None)))
 
     @cached_property
     def B(self) -> sp.csr_matrix:
-        return _scatter_divergence(self.smap, self.vmap,
-                                   self.blocks.divergence(slice(None)))
+        return _scatter_divergence(self.smap, self.vmap, divergence_blocks(
+            self.stress, slice(None)))
 
     @cached_property
     def G(self) -> sp.csr_matrix:
@@ -755,14 +734,15 @@ def build_mixed_system(
     faces = extract_interface_triangulation(body)
     cells = intersect_triangulations(faces, plate)
 
-    blocks = BodyBlocks.build(body, params)
-    coupling = interface_coupling_blocks(body, plate, pmap, faces, cells)
+    stress = StressBatch(body.vertices[body.tets])
+    coupling = interface_coupling_blocks(body, stress, plate, pmap, faces,
+                                         cells)
     K = assemble_plate_stiffness(plate, pmap, params, region="all")
     f_V, f_W = assemble_loads(body, vmap, plate, pmap, case, lowered_jump=True)
     ess_idx, ess_vals = impose_traction_bc(body, smap, case.traction)
     return BlockSystem(
         body=body, plate=plate, smap=smap, vmap=vmap, pmap=pmap, params=params,
-        blocks=blocks, coupling=coupling, K=K, f_V=f_V, f_W=f_W,
+        stress=stress, coupling=coupling, K=K, f_V=f_V, f_W=f_W,
         sigma_essential_idx=ess_idx, sigma_essential_values=ess_vals,
     )
 

@@ -38,12 +38,11 @@ from dataclasses import replace
 import numpy as np
 
 from .assembly import (
-    BodyBlocks,
     assemble_plate_stiffness,
     build_mixed_system,
     impose_traction_bc,
 )
-from .fe_elements import BodyDGDofMap, PlateDofMap, StressDofMap
+from .fe_elements import BodyDGDofMap, PlateDofMap, StressBatch, StressDofMap
 from .geometry_mesh import GAMMA_HALF_WIDTH, TetMesh, TriMesh
 from .hybrid import HybridBody, condense, mixed_solution
 from .manufactured import ManufacturedCase
@@ -124,9 +123,9 @@ class BodyOperator:
     def __init__(self, body: TetMesh, smap: StressDofMap, vmap: BodyDGDofMap,
                  params: MaterialParams, traction_fn):
         self.vmap = vmap
-        blocks = BodyBlocks.build(body, params)
         ess_idx, ess_vals = impose_traction_bc(body, smap, traction_fn)
-        self.hybrid = HybridBody(smap, blocks, ess_idx)
+        self.hybrid = HybridBody(smap, StressBatch(body.vertices[body.tets]),
+                                 params, ess_idx)
         self.essential_data = np.zeros(smap.n_dofs)
         self.essential_data[ess_idx] = ess_vals
 

@@ -60,11 +60,14 @@ the reference.  ``stress_span_coefficients`` maps local stress DOF values x
 to spanning coefficients through the kept blocks, M_T^-1 x = M_ref^-1
 (L_T^-1 x), and ``stress_span_adjoint`` maps back by the transpose,
 M_T^-T c = L_T^-T (M_ref^-T c); ``stress_dual_coefficients`` forms M_T^-T
-from them, bit for bit as ``StressBatch`` does.  So the solve keeps the
-blocks of L_T^-1 and a few per-tet tables in place of its compliance and
-divergence blocks (``assembly.BodyBlocks``), applies those blocks through
-the maps and forms them only for the tets that need them, and the error
-norms of its solution need neither M_T^-1 nor a second check.
+from them where a dense block is needed.  Beside the blocks a
+``StressBatch`` keeps only the volumes, the edge tangents and the
+tangent-gradient table of ``div_scalars``, 115 doubles per tet: it is the
+one per-tet record of the body's stress, from which ``assembly`` applies
+the compliance and divergence blocks through the maps or forms them for a
+few tets, the interface coupling takes the basis of the owner tets, and the
+error norms of a solution take sigma_h with neither M_T^-1 nor a second
+check.
 
 Every local inverse (the DOF matrices here, the saddle blocks of ``hybrid``)
 is checked by one rule, ``_refuse_ill_conditioned``: it refuses an element
@@ -109,6 +112,7 @@ __all__ = [
     "stress_dual_coefficients",
     "div_scalars",
     "edge_tangents",
+    "face_normals",
     "SPAN_EDGE",
     "StressDofMap",
     "BodyDGDofMap",
@@ -136,12 +140,11 @@ SYM_INDEX_PAIRS = [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)]
 CONDITION_LIMIT = 1e12
 
 #: Elements whose local work runs together (``local_chunks``): the local
-#: inverses (``checked_inverses``, ``StressBatch``), the body's per-tet data
-#: (``assembly.BodyBlocks``), and in ``hybrid`` the formed blocks, their
-#: elimination and the sums of the stress blocks into the condensed
-#: system, and the local solves by the kept factors, take their elements
-#: this many at a time, so that only the arrays they keep reach the size of
-#: the mesh.
+#: inverses (``checked_inverses``, ``StressBatch``), and in ``hybrid`` the
+#: formed blocks, their elimination and the sums of the stress blocks into
+#: the condensed system, and the local solves by the kept factors, take
+#: their elements this many at a time, so that only the arrays they keep
+#: reach the size of the mesh.
 LOCAL_CHUNK = 128
 
 _FACE_RULE = triangle_rule(4)
@@ -577,28 +580,26 @@ def _stress_dof_matrices(tangents: np.ndarray,
     return _block_rows(*_stress_dof_blocks(tangents, normals), _STRESS_DOF_REF)
 
 
-def _stress_coefficients(tangents: np.ndarray, normals: np.ndarray,
-                         first: int
-                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(n, 42, 42) dual-basis coefficients M_T^-T = L_T^-T M_ref^-T of the
-    tets with these tangents and outward normals, from the inverses of the
-    blocks of L_T, with those inverses: face blocks (n, 4, 3, 3) and
-    interior block (n, 6, 6).  Checked, with tets named from ``first``, by
-    the rule of ``_refuse_ill_conditioned`` on the whole M_T."""
+def _stress_dof_inverses(tangents: np.ndarray, normals: np.ndarray,
+                         first: int) -> tuple[np.ndarray, np.ndarray]:
+    """The inverses of the blocks of L_T, face blocks (n, 4, 3, 3) and
+    interior block (n, 6, 6), of the tets with these tangents and outward
+    normals.  Checked, with tets named from ``first``, by the rule of
+    ``_refuse_ill_conditioned`` on the whole M_T, whose inverse is formed
+    for it as M_T^-1 = M_ref^-1 L_T^-1 and dropped."""
     face, interior = _stress_dof_blocks(tangents, normals)
     face_inv, interior_inv = _inverses(face), _inverses(interior)
-    coeffs = stress_dual_coefficients(face_inv, interior_inv)
     _refuse_ill_conditioned(
         _norm_1(_block_rows(face, interior, _STRESS_DOF_REF)),
-        np.swapaxes(coeffs, 1, 2), "stress DOF matrix of tet", first)
-    return coeffs, face_inv, interior_inv
+        np.swapaxes(stress_dual_coefficients(face_inv, interior_inv), 1, 2),
+        "stress DOF matrix of tet", first)
+    return face_inv, interior_inv
 
 
 def stress_dual_coefficients(face_inv: np.ndarray,
                              interior_inv: np.ndarray) -> np.ndarray:
     """(n, 42, 42) dual-basis coefficients M_T^-T = L_T^-T M_ref^-T from
-    the blocks of L_T^-1 (``StressBatch.face_inv``, ``interior_inv``), as
-    ``StressBatch.coeffs`` holds them, bit for bit."""
+    the blocks of L_T^-1 (``StressBatch.face_inv``, ``interior_inv``)."""
     return _block_rows(np.swapaxes(face_inv, 2, 3),
                        np.swapaxes(interior_inv, 1, 2), _STRESS_DOF_REF_INV.T)
 
@@ -608,8 +609,8 @@ def stress_span_coefficients(x: np.ndarray, face_inv: np.ndarray,
     """Spanning-function coefficients M_T^-1 x = M_ref^-1 (L_T^-1 x) (n, 42)
     of the stress fields with local (signed) DOF values x (n, 42), from the
     kept blocks of L_T^-1 (``StressBatch.face_inv``, ``interior_inv``): the
-    field is sum_k c[n, k] s_k T[n, e_k], as ``x @ StressBatch.coeffs``
-    gives it.  Face block f acts on each of the face's three moment
+    field is sum_k c[n, k] s_k t_e t_e^T, e = ``SPAN_EDGE[k]``, as x times
+    ``stress_dual_coefficients`` gives it.  Face block f acts on each of the face's three moment
     triples; M_ref^-1 is one product for the whole batch."""
     y = np.empty_like(x)
     y[:, :36] = (x[:, :36].reshape(-1, 4, 3, 3)
@@ -630,50 +631,53 @@ def stress_span_adjoint(c: np.ndarray, face_inv: np.ndarray,
     return out
 
 
-class StressBatch:
-    """The stress element on a batch of tets (vertex coordinates (n, 4, 3)).
+def face_normals(grad_lambda: np.ndarray) -> np.ndarray:
+    """Outward unit normals (n, 4, 3) of the faces of a batch of tets from
+    their barycentric gradients (n, 4, 3): grad lam_f is normal to face f
+    (opposite vertex f) and points into the tet."""
+    return -grad_lambda / np.linalg.norm(grad_lambda, axis=-1, keepdims=True)
 
-    Basis function i of element n is sum_k coeffs[n, i, k] s_k(lam) T[n, e_k]
-    with s = ``span_scalars``, e_k = ``SPAN_EDGE[k]`` and T[n, e] the dyad of
-    the unit tangent of edge e.  Arrays: ``v0`` (n, 3), ``grad_lambda``
-    (n, 4, 3), ``volume`` (n,), ``tangents`` (n, 6, 3), ``T`` (n, 6, 3, 3),
-    outward unit ``face_normals`` (n, 4, 3) and ``coeffs`` (n, 42, 42), the
-    transposed inverses of the DOF matrices, taken by blocks one
-    ``local_chunks`` slice at a time (``_stress_coefficients``), with those
-    blocks of L_T^-1: ``face_inv`` (n, 4, 3, 3) and ``interior_inv``
-    (n, 6, 6), for ``stress_span_coefficients``.
-    A refused tet is named by its index counted from ``first``, the index
-    of the batch's first tet in its mesh.
+
+class StressBatch:
+    """The stress element on a batch of tets (vertex coordinates (n, 4, 3)):
+    the per-tet data from which the body's forms, the interface coupling
+    and the error norms take its basis, 115 doubles per tet.
+
+    Basis function i of element n is sum_k C[n, i, k] s_k(lam) t_e t_e^T
+    with s = ``span_scalars``, e = ``SPAN_EDGE[k]``, t_e the unit tangent of
+    edge e and C = M_T^-T the dual-basis coefficients, which
+    ``stress_dual_coefficients`` forms from the kept blocks of L_T^-1.
+    Arrays: the checked blocks ``face_inv`` (n, 4, 3, 3) and
+    ``interior_inv`` (n, 6, 6), the ``volume`` (n,), the ``tangents``
+    (n, 6, 3) and the table ``tangent_gradients`` (n, 6, 4) of
+    ``div_scalars``.  The blocks are inverted and checked one
+    ``local_chunks`` slice at a time (``_stress_dof_inverses``), so only the
+    kept arrays reach the size of the batch.  A refused tet is named by its
+    index counted from ``first``, the index of the batch's first tet in its
+    mesh.
     """
 
     def __init__(self, verts: np.ndarray, first: int = 0):
         verts = np.asarray(verts, dtype=float)
-        self.v0 = verts[:, 0]
-        # Checked before the inverses of simplex_geometry, which fail
-        # unnamed on an exactly flat tet.
-        bad = np.flatnonzero(~(np.linalg.det(_edge_matrices(verts)) > 0))
-        if bad.size:
-            raise ValueError(f"tet {first + bad[0]} is degenerate or "
-                             "negatively oriented")
-        self.grad_lambda, self.volume = simplex_geometry(verts)
-        self.tangents = edge_tangents(verts)
-        self.T = self.tangents[..., :, None] * self.tangents[..., None, :]
-        # grad lam_f is normal to face f and points into the tet.
-        g = self.grad_lambda
-        self.face_normals = -g / np.linalg.norm(g, axis=-1, keepdims=True)
         n = len(verts)
-        self.coeffs = np.empty((n, 42, 42))
         self.face_inv = np.empty((n, 4, 3, 3))
         self.interior_inv = np.empty((n, 6, 6))
+        self.volume = np.empty(n)
+        self.tangents = np.empty((n, 6, 3))
+        self.tangent_gradients = np.empty((n, 6, 4))
         for c in local_chunks(n):
-            self.coeffs[c], self.face_inv[c], self.interior_inv[c] = (
-                _stress_coefficients(self.tangents[c], self.face_normals[c],
-                                     first + c.start))
-
-    @property
-    def tangent_gradients(self) -> np.ndarray:
-        """(n, 6, 4) table t_e . grad lam_b of ``div_scalars``."""
-        return self.tangents @ np.swapaxes(self.grad_lambda, 1, 2)
+            v = verts[c]
+            # Checked before the inverses of simplex_geometry, which fail
+            # unnamed on an exactly flat tet.
+            bad = np.flatnonzero(~(np.linalg.det(_edge_matrices(v)) > 0))
+            if bad.size:
+                raise ValueError(f"tet {first + c.start + bad[0]} is "
+                                 "degenerate or negatively oriented")
+            grad, self.volume[c] = simplex_geometry(v)
+            t = self.tangents[c] = edge_tangents(v)
+            self.tangent_gradients[c] = t @ np.swapaxes(grad, 1, 2)
+            self.face_inv[c], self.interior_inv[c] = _stress_dof_inverses(
+                t, face_normals(grad), first + c.start)
 
 
 def div_scalars(dlam: np.ndarray, tau: np.ndarray) -> np.ndarray:

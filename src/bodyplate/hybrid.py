@@ -19,13 +19,14 @@ blocks leaves the symmetric positive definite system
 
     S Y = sum_T C_T M_T^-1 F_T - H,          S = sum_T C_T M_T^-1 C_T^T + D.
 
-The blocks are formed from ``assembly.BodyBlocks`` and eliminated, and S is
-summed, in one pass over ``fe_elements.local_chunks`` slices of tets
+The blocks are formed from the body's ``fe_elements.StressBatch``
+(``assembly.compliance_blocks``, ``divergence_blocks``) and eliminated, and
+S is summed, in one pass over ``fe_elements.local_chunks`` slices of tets
 (``HybridBody._condensed``), so that only the factors of the elimination
 and S reach the size of the mesh: L^-1 and L_S^-1 with their triangles
 packed, and Z (see below), 1,485 doubles per tet.  No block A_T, B_T or
 M_T^-1 is kept; later solves apply M_T^-1 by the factors (``_local_solve``)
-and A_T and B_T by their structure (``BodyBlocks.apply_A``, ``apply_B``,
+and A_T and B_T by their structure (``assembly.apply_A``, ``apply_B``,
 ``apply_Bt``), forming dense blocks only for the few tets that hold
 essential data.  S is kept by its blocks (``CondensedSystem``).  A
 multiplier row of S reaches only the faces of the one or two tets of its
@@ -93,13 +94,16 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dtrtri
 
-from .assembly import BlockSystem, BodyBlocks, _scatter
+from .assembly import (BlockSystem, _scatter, apply_A, apply_B, apply_Bt,
+                       compliance_blocks, divergence_blocks)
 from .fe_elements import (
+    StressBatch,
     StressDofMap,
     _refuse_ill_conditioned,
     _stacked,
     local_chunks,
 )
+from .materials import MaterialParams
 from .solvers import (RESIDUAL_CONTRACT, SolutionFields, SolveReport,
                       SparseFactor, pcg)
 
@@ -381,9 +385,10 @@ class HybridBody:
     """The broken body system of a mesh, condensed onto its face multipliers
     and, when coupled, the free plate DOFs.
 
-    ``blocks`` are the body's per-tet data, from which the unsigned local
-    blocks are formed and applied, and ``essential_idx`` the global stress
-    DOFs that carry traction data.  ``coupling`` is None for the body alone
+    ``stress`` is the body's stress element and ``params`` the material of
+    its compliance, from which the unsigned local blocks are formed and
+    applied, and ``essential_idx`` the global stress DOFs that carry
+    traction data.  ``coupling`` is None for the body alone
     (Gamma then carries natural stress DOFs), or (G_loc, K): the interface
     coupling in local columns (n_w, 42 n_tets) and the plate stiffness,
     both restricted to the free plate DOFs.  The factors of each tet's
@@ -392,8 +397,9 @@ class HybridBody:
     row by row, and ``Z`` (n_tets, 42, 12).
     """
 
-    def __init__(self, smap: StressDofMap, blocks: BodyBlocks,
-                 essential_idx: np.ndarray, coupling=None):
+    def __init__(self, smap: StressDofMap, stress: StressBatch,
+                 params: MaterialParams, essential_idx: np.ndarray,
+                 coupling=None):
         self.smap = smap
         nt = smap.ltg.shape[0]
         ess = np.zeros(smap.n_dofs, dtype=bool)
@@ -401,7 +407,7 @@ class HybridBody:
         self.free_sigma = ~ess
         self.essential = ess[smap.ltg]
         self.owned = smap.sign > 0
-        self.blocks = blocks
+        self.stress, self.params = stress, params
         self.L_inv = np.empty((nt, 42 * 43 // 2))
         self.LS_inv = np.empty((nt, 12 * 13 // 2))
         self.Z = np.empty((nt, 42, 12))
@@ -490,8 +496,8 @@ class HybridBody:
         W_gamma = np.empty((ng, 42, 42))
         for c in local_chunks(nt):
             L_inv, LS_inv, Z, W = _local_saddle_factors(
-                self.blocks.compliance(c), self.blocks.divergence(c),
-                self.essential[c], c.start)
+                compliance_blocks(self.stress, self.params, c),
+                divergence_blocks(self.stress, c), self.essential[c], c.start)
             self.L_inv[c], self.LS_inv[c] = _packed(L_inv), _packed(LS_inv)
             self.Z[c] = Z
             face_blocks.add(c, W)
@@ -577,7 +583,8 @@ class HybridBody:
         held = np.flatnonzero(v.any(axis=1))
         for c in local_chunks(held.size):
             t = held[c]
-            A, B = self.blocks.compliance(t), self.blocks.divergence(t)
+            A = compliance_blocks(self.stress, self.params, t)
+            B = divergence_blocks(self.stress, t)
             F[t, :42] -= (A @ v[t, :, None])[..., 0]
             F[t, 42:] -= (B @ v[t, :, None])[..., 0]
             diagonal[t] = np.diagonal(A, axis1=1, axis2=2)
@@ -630,10 +637,9 @@ class HybridBody:
         Fails above the residual contract."""
         ltg, sign = self.smap.ltg, self.smap.sign
         s = sign * sigma[ltg]
-        blocks = self.blocks
+        k = self.stress
         g = (self.G.T @ w).reshape(ltg.shape)
-        r_sigma = (blocks.apply_A(s) + blocks.apply_Bt(u) - g
-                   - load.f_sigma)
+        r_sigma = apply_A(k, self.params, s) + apply_Bt(k, u) - g - load.f_sigma
         # F holds f_sigma - A v on the free rows and f_u - B v.
         b_sigma = load.F[:, :42]
 
@@ -642,7 +648,7 @@ class HybridBody:
             return np.bincount(ltg.ravel(), weights=(sign * loc).ravel(),
                                minlength=self.smap.n_dofs)[self.free_sigma]
 
-        r = [rows(r_sigma), (blocks.apply_B(s) - load.f_u).ravel()]
+        r = [rows(r_sigma), (apply_B(k, s) - load.f_u).ravel()]
         b = [rows(b_sigma if plate_rows else b_sigma + g),
              load.F[:, 42:].ravel()]
         if plate_rows:
@@ -667,7 +673,8 @@ def condense(system: BlockSystem
     smap, pmap = system.smap, system.pmap
     free = np.flatnonzero(~pmap.constrained)
     G_loc = system.coupling.local(smap.ltg.shape[0], pmap.n_dofs)[free]
-    hb = HybridBody(smap, system.blocks, system.sigma_essential_idx,
+    hb = HybridBody(smap, system.stress, system.params,
+                    system.sigma_essential_idx,
                     coupling=(G_loc, system.K.tocsr()[free][:, free]))
     data = np.zeros(smap.n_dofs)
     data[system.sigma_essential_idx] = system.sigma_essential_values
@@ -680,14 +687,14 @@ def mixed_solution(system: BlockSystem, sigma: np.ndarray, x_u: np.ndarray,
                    w: np.ndarray, report: SolveReport,
                    junction_residual: float | None = None) -> SolutionFields:
     """The ``SolutionFields`` of a hybridized solve of ``system``, from its
-    local displacements (n_tets, 12), with the checked L_T^-1 blocks."""
+    local displacements (n_tets, 12), with the solve's stress element."""
     u = np.zeros(system.vmap.n_dofs)
     u[system.vmap.ltg] = x_u
     return SolutionFields(
         method="mixed-nc", body=system.body, plate=system.plate,
         params=system.params, u=u, w=w, pmap=system.pmap, sigma=sigma,
         smap=system.smap, vmap=system.vmap,
-        l_inv=(system.blocks.face_inv, system.blocks.interior_inv),
+        stress=system.stress,
         report=report, junction_residual=junction_residual)
 
 

@@ -38,7 +38,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fe_elements import BodyCGDofMap, BodyDGDofMap, PlateDofMap, StressDofMap
+from .fe_elements import (BodyCGDofMap, BodyDGDofMap, PlateDofMap,
+                          StressBatch, StressDofMap)
 from .geometry_mesh import TetMesh, TriMesh
 from .materials import MaterialParams
 
@@ -83,11 +84,11 @@ class SolveReport:
 class SolutionFields:
     """A solved configuration: discrete fields plus their DOF maps.
 
-    ``l_inv`` holds the blocks of L_T^-1 of every tet (``BodyBlocks``
-    ``face_inv`` and ``interior_inv``) that the solve built and checked;
-    the stress norms take sigma_h through them.  Without them (a
-    ``SolutionFields`` made by hand) the norms build them again, tet batch
-    by tet batch, with the same check (``StressBatch``).  ``report`` is the
+    ``stress`` is the stress element of every tet (``StressBatch``) that
+    the solve built, checked and solved with, the very object of its
+    ``BlockSystem``; the stress norms take sigma_h through it.  Without it
+    (a ``SolutionFields`` made by hand) the norms build a ``StressBatch``
+    again, tet batch by tet batch, with the same check.  ``report`` is the
     solve's report; ``junction_residual`` is set by ``solve_dd`` only."""
 
     method: str
@@ -101,7 +102,7 @@ class SolutionFields:
     smap: StressDofMap | None = None
     vmap: BodyDGDofMap | None = None
     cmap: BodyCGDofMap | None = None
-    l_inv: tuple[np.ndarray, np.ndarray] | None = None
+    stress: StressBatch | None = None
     report: SolveReport | None = None
     junction_residual: float | None = None
 

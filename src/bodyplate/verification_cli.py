@@ -28,7 +28,6 @@ from .fe_elements import (
     MorleyBatch,
     PlateDofMap,
     StressBatch,
-    edge_tangents,
     simplex_geometry,
     span_scalars,
     stress_span_coefficients,
@@ -133,24 +132,21 @@ def _body_squared_errors(sol: SolutionFields, case: ManufacturedCase, rule,
     """Squared stress and displacement errors over the tets ``el``."""
     verts = sol.body.vertices[sol.body.tets[el]]
     if sol.method == "mixed-nc":
-        if sol.l_inv is None:
-            # Built before simplex_geometry, which fails unnamed on a flat
-            # tet.
-            k = StressBatch(verts, el.start)
-            l_inv = k.face_inv, k.interior_inv
+        if sol.stress is None:
+            k, t = StressBatch(verts, el.start), slice(None)
         else:
-            l_inv = tuple(b[el] for b in sol.l_inv)
-        _, vol = simplex_geometry(verts)
+            k, t = sol.stress, el
+        vol = k.volume[t]
         # Contract the coefficients first: sigma_h = sum_e g_e T_e with g_e
         # the edge-e part of the spanning-function expansion.
         span = stress_span_coefficients(
-            sol.smap.sign[el] * sol.sigma[sol.smap.ltg[el]], *l_inv
-        ).reshape(-1, 6, 7)
+            sol.smap.sign[el] * sol.sigma[sol.smap.ltg[el]], k.face_inv[t],
+            k.interior_inv[t]).reshape(-1, 6, 7)
         s = span_scalars(rule.points).reshape(-1, 6, 7)
         # g[n, q, e] = span[n, e] . s[q, e]: one product per edge.
         g = np.swapaxes(span, 0, 1) @ np.moveaxis(s, 0, 2)  # (6, n, nq)
-        t = edge_tangents(verts)
-        T = t[..., :, None] * t[..., None, :]
+        tangents = k.tangents[t]
+        T = tangents[..., :, None] * tangents[..., None, :]
         sig_h = np.moveaxis(g, 0, 2) @ T.reshape(-1, 6, 9)
         sig_h = sig_h.reshape(sig_h.shape[:2] + (3, 3))
         uc = sol.u[sol.vmap.ltg[el]].reshape(-1, 4, 3)

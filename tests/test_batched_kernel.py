@@ -36,9 +36,11 @@ from bodyplate.fe_elements import (
     _morley_dof_matrices,
     _stress_dof_matrices,
     checked_inverses,
+    face_normals,
     simplex_geometry,
     span_dlam,
     span_scalars,
+    stress_dual_coefficients,
     stress_span_coefficients,
     tet_barycentric,
 )
@@ -581,11 +583,22 @@ def oracle_solve(M, b):
     return x
 
 
+def outward_normals(tets):
+    """The outward unit face normals (n, 4, 3) of a batch of tets."""
+    return face_normals(simplex_geometry(tets)[0])
+
+
+def dual_coefficients(k):
+    """The dual-basis coefficients M_T^-T (n, 42, 42) of a ``StressBatch``."""
+    return stress_dual_coefficients(k.face_inv, k.interior_inv)
+
+
 def test_checked_condition_number_is_cond_1():
     body, plate = build((11, 2, (8, Diagonal.FLIPPED)))
     tets = body.vertices[body.tets]
     k = StressBatch(tets)
-    assert_limit_is_cond_1(_stress_dof_matrices(k.tangents, k.face_normals),
+    assert_limit_is_cond_1(_stress_dof_matrices(k.tangents,
+                                                outward_normals(tets)),
                            lambda i: StressBatch(tets[i:i + 1]),
                            "stress DOF matrix of tet")
     mo = MorleyBatch(plate.vertices[plate.triangles])
@@ -595,7 +608,8 @@ def test_checked_condition_number_is_cond_1():
     hb = hybrid.condense(system)[0]
     ess = hb.essential[:12]
     assert ess.any()  # blocks with eliminated free-face DOFs among them
-    A, B = hb.blocks.compliance(slice(12)), hb.blocks.divergence(slice(12))
+    A = asm.compliance_blocks(hb.stress, hb.params, slice(12))
+    B = asm.divergence_blocks(hb.stress, slice(12))
     assert_limit_is_cond_1(
         saddle_blocks(A, B, ess),
         lambda i: hybrid._local_saddle_factors(
@@ -618,9 +632,13 @@ def test_chunked_coefficients_equal_one_batch(monkeypatch):
     body, plate = build((12, 2, (4, Diagonal.SAME_AS_BODY)))
     tets = body.vertices[body.tets]
     tris = plate.vertices[plate.triangles]
-    whole = StressBatch(tets).coeffs, MorleyBatch(tris).coeffs
+    k = StressBatch(tets)
+    whole = dual_coefficients(k), MorleyBatch(tris).coeffs
     monkeypatch.setattr(fe_elements, "LOCAL_CHUNK", 5)
-    assert np.array_equal(StressBatch(tets).coeffs, whole[0])
+    chunked = StressBatch(tets)
+    assert np.array_equal(dual_coefficients(chunked), whole[0])
+    for name, ref in vars(k).items():
+        assert np.array_equal(getattr(chunked, name), ref), name
     assert np.array_equal(MorleyBatch(tris).coeffs, whole[1])
 
 
@@ -664,11 +682,11 @@ def test_norm_batches_move_the_norms_by_roundoff(monkeypatch, solve):
 
 def assert_span_coefficients_are_coeffs(tets):
     """``stress_span_coefficients`` through the kept blocks of L_T^-1 is
-    x @ ``StressBatch.coeffs``, tet by tet, to 1e-14 of the tet's largest
-    coefficient."""
+    x times the dense coefficients M_T^-T, tet by tet, to 1e-14 of the
+    tet's largest coefficient."""
     k = StressBatch(tets)
     x = np.random.default_rng(len(tets)).standard_normal((len(tets), 42))
-    ref = (x[:, None] @ k.coeffs)[:, 0]
+    ref = (x[:, None] @ dual_coefficients(k))[:, 0]
     got = stress_span_coefficients(x, k.face_inv, k.interior_inv)
     err = np.abs(got - ref).max(axis=1)
     assert np.all(err <= 1e-14 * np.abs(ref).max(axis=1))
@@ -713,9 +731,9 @@ def test_carried_blocks_give_the_hand_built_norms(solved):
     # and the norms build them again.
     case = default_case()
     sol = solved(case)
-    assert sol.l_inv is not None
+    assert sol.stress is not None
     carried = vcli.compute_error_norms(sol, case).as_tuple()
-    rebuilt = vcli.compute_error_norms(replace(sol, l_inv=None), case)
+    rebuilt = vcli.compute_error_norms(replace(sol, stress=None), case)
     assert_allclose(carried, rebuilt.as_tuple(), rtol=1e-13, atol=0)
 
 
@@ -747,19 +765,22 @@ def unscaled_by_blocks(D, face, interior):
 
 def assert_structure_holds(tets):
     """On each tet the dense DOF matrix of ``HuMaElement``, reduced by the
-    blocks of L_T, is M_ref; ``StressBatch.coeffs`` are its inverses and
-    those of ``_stress_dof_matrices``, transposed."""
+    blocks of L_T, is M_ref; the coefficients formed from the kept blocks
+    of ``StressBatch`` are its inverses and those of
+    ``_stress_dof_matrices``, transposed."""
     k = StressBatch(tets)
-    face, interior = fe_elements._stress_dof_blocks(k.tangents, k.face_normals)
+    normals = outward_normals(tets)
+    face, interior = fe_elements._stress_dof_blocks(k.tangents, normals)
     ref = fe_elements._STRESS_DOF_REF
-    dense = np.linalg.inv(_stress_dof_matrices(k.tangents, k.face_normals))
+    dense = np.linalg.inv(_stress_dof_matrices(k.tangents, normals))
+    coeffs = dual_coefficients(k)
     for t, verts in enumerate(tets):
         el = HuMaElement(verts)
         got = unscaled_by_blocks(el._dof_matrix(), face[t], interior[t])
         assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
         scale = np.abs(el.coeffs).max()
-        assert np.abs(k.coeffs[t] - el.coeffs).max() <= RTOL * scale
-        assert np.abs(k.coeffs[t] - dense[t].T).max() <= RTOL * scale
+        assert np.abs(coeffs[t] - el.coeffs).max() <= RTOL * scale
+        assert np.abs(coeffs[t] - dense[t].T).max() <= RTOL * scale
 
 
 @SETTINGS
@@ -782,13 +803,14 @@ def test_singular_face_block_is_refused_by_name(first):
     # A zero normal makes face 2's block of tet 3 exactly singular: its
     # inverse is NaN and its condition number reads as inf.
     body = build_body_mesh(1)
-    k = StressBatch(body.vertices[body.tets])
-    normals = k.face_normals.copy()
+    tets = body.vertices[body.tets]
+    k = StressBatch(tets)
+    normals = outward_normals(tets)
     normals[3, 2] = 0.0
     with pytest.raises(ValueError, match=(
             f"stress DOF matrix of tet {first + 3} is ill-conditioned "
             r"\(cond_1 = inf")):
-        fe_elements._stress_coefficients(k.tangents, normals, first)
+        fe_elements._stress_dof_inverses(k.tangents, normals, first)
 
 
 def test_singular_block_does_not_hide_an_earlier_refusal():
@@ -800,9 +822,9 @@ def test_singular_block_does_not_hide_an_earlier_refusal():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fe_elements, "CONDITION_LIMIT", np.inf)
         k = StressBatch(tets)
-    normals = k.face_normals.copy()
+    normals = outward_normals(tets)
     normals[3, 2] = 0.0
     with pytest.raises(ValueError, match=(
             r"stress DOF matrix of tet 1 is ill-conditioned \(cond_1 = "
             r"\d")):
-        fe_elements._stress_coefficients(k.tangents, normals, 0)
+        fe_elements._stress_dof_inverses(k.tangents, normals, 0)

@@ -9,6 +9,7 @@ incompressibility, and each named failure of the hybrid path is provoked
 once.
 """
 
+import copy
 from dataclasses import replace
 
 import numpy as np
@@ -29,7 +30,6 @@ from bodyplate.fe_elements import (
 )
 from bodyplate.geometry_mesh import (
     Diagonal,
-    FaceTag,
     body_mesh_from_tets,
     build_body_mesh,
     build_plate_mesh,
@@ -194,19 +194,21 @@ def test_face_block_S_equals_its_assembly_on_jittered_meshes(example):
 
 def dense_blocks(body, params):
     k = StressBatch(body.vertices[body.tets])
-    return asm.compliance_blocks(k, params), asm.divergence_blocks(k)
+    return (asm.compliance_blocks(k, params, slice(None)),
+            asm.divergence_blocks(k, slice(None)))
 
 
 def assert_applies_equal_dense(body):
     # Tet by tet, relative to the dense product of that tet.
     params = default_params()
-    blocks = asm.BodyBlocks.build(body, params)
+    k = StressBatch(body.vertices[body.tets])
     A, B = dense_blocks(body, params)
     rng = np.random.default_rng(17)
     x = rng.standard_normal((body.n_tets, 42))
     u = rng.standard_normal((body.n_tets, 12))
-    for got, M, v in ((blocks.apply_A(x), A, x), (blocks.apply_B(x), B, x),
-                      (blocks.apply_Bt(u), np.swapaxes(B, 1, 2), u)):
+    for got, M, v in ((asm.apply_A(k, params, x), A, x),
+                      (asm.apply_B(k, x), B, x),
+                      (asm.apply_Bt(k, u), np.swapaxes(B, 1, 2), u)):
         ref = (M @ v[:, :, None])[..., 0]
         assert np.all(np.linalg.norm(got - ref, axis=1)
                       <= 1e-14 * np.linalg.norm(ref, axis=1))
@@ -385,7 +387,7 @@ def test_coarse_transfer_maps_rigid_motions_into_the_kernel_off_gamma():
     # scale in P the defect is of order one.
     body = build_body_mesh(2)
     system = asm.build_mixed_system(body, build_plate_mesh(4), default_case())
-    hb = hybrid.HybridBody(system.smap, system.blocks,
+    hb = hybrid.HybridBody(system.smap, system.stress, system.params,
                            system.sigma_essential_idx)
     P = hb._coarse_transfer()
     unscaled = P.copy()
@@ -498,7 +500,7 @@ def test_direct_factor_serves_every_later_solve(monkeypatch):
     monkeypatch.setattr(hybrid, "PCG_UNKNOWNS_PER_IT", 10 ** 9)
     body = build_body_mesh(2)
     system = asm.build_mixed_system(body, build_plate_mesh(4), default_case())
-    hb = hybrid.HybridBody(system.smap, system.blocks,
+    hb = hybrid.HybridBody(system.smap, system.stress, system.params,
                            system.sigma_essential_idx)
     sizes = _count_factors(monkeypatch)
     r = np.random.default_rng(9).standard_normal(hb.S.shape[0])
@@ -595,8 +597,8 @@ def local_inverses(body, plate, case):
     assert hb.essential.any()
     k = StressBatch(body.vertices[body.tets])
     return kept_inverses(hb), saddle_blocks(
-        asm.compliance_blocks(k, case.params), asm.divergence_blocks(k),
-        hb.essential)
+        asm.compliance_blocks(k, case.params, slice(None)),
+        asm.divergence_blocks(k, slice(None)), hb.essential)
 
 
 def assert_inverses_equal_lu(body, plate):
@@ -697,22 +699,29 @@ def blocks():
     body = build_body_mesh(1)
     smap = StressDofMap(body)
     system = asm.build_mixed_system(body, build_plate_mesh(4), case)
-    b = system.blocks
-    return smap, replace(b, pairing=b.pairing.copy(),
-                         tangent_gradients=b.tangent_gradients.copy()
-                         ), system.sigma_essential_idx
+    b = copy.copy(system.stress)
+    b.volume = b.volume.copy()
+    b.tangent_gradients = b.tangent_gradients.copy()
+    return smap, b, system.params, system.sigma_essential_idx
+
+
+def scale_compliance(k, t, factor):
+    """A_T of tet t times ``factor``, B_T unchanged: the volume scales both
+    blocks, the tangent-gradient table B_T alone."""
+    k.volume[t] *= factor
+    k.tangent_gradients[t] /= factor
 
 
 @pytest.mark.parametrize("defect", ["singular", "ill-conditioned"])
 def test_bad_local_block_names_its_tet(blocks, defect):
-    smap, b, ess = blocks
+    smap, b, params, ess = blocks
     if defect == "singular":
         b.tangent_gradients[3] = 0.0  # B_T = 0
     else:
-        b.pairing[3] *= 1e-14  # A_T scaled by 1e-14
+        scale_compliance(b, 3, 1e-14)
     with pytest.raises(ValueError, match="local saddle block of tet 3 is "
                        "ill-conditioned"):
-        hybrid.HybridBody(smap, b, ess)
+        hybrid.HybridBody(smap, b, params, ess)
 
 
 @pytest.mark.parametrize("defect", ["singular", "ill-conditioned"])
@@ -720,14 +729,14 @@ def test_bad_block_in_a_later_chunk_names_its_global_tet(blocks, defect,
                                                           monkeypatch):
     # Six tets in chunks of four: tet 5 is the second chunk's tet 1.
     monkeypatch.setattr(fe_elements, "LOCAL_CHUNK", 4)
-    smap, b, ess = blocks
+    smap, b, params, ess = blocks
     if defect == "singular":
         b.tangent_gradients[5] = 0.0  # B_T = 0
     else:
-        b.pairing[5] *= 1e-14  # A_T scaled by 1e-14
+        scale_compliance(b, 5, 1e-14)
     with pytest.raises(ValueError, match="local saddle block of tet 5 is "
                        "ill-conditioned"):
-        hybrid.HybridBody(smap, b, ess)
+        hybrid.HybridBody(smap, b, params, ess)
 
 
 def test_compliance_block_not_positive_definite_is_refused(blocks,
@@ -736,20 +745,20 @@ def test_compliance_block_not_positive_definite_is_refused(blocks,
     # before, but the elimination has no Cholesky factor of it.  Six tets in
     # chunks of four: tet 5 is the second chunk's tet 1.
     monkeypatch.setattr(fe_elements, "LOCAL_CHUNK", 4)
-    smap, b, ess = blocks
-    b.pairing[5] *= -1.0  # A_T negated
+    smap, b, params, ess = blocks
+    scale_compliance(b, 5, -1.0)  # A_T negated
     with pytest.raises(ValueError, match=r"local saddle block of tet 5 is "
                        r"ill-conditioned \(cond_1 = inf"):
-        hybrid.HybridBody(smap, b, ess)
+        hybrid.HybridBody(smap, b, params, ess)
 
 
 def test_chunked_local_inverses_equal_one_batch(blocks, monkeypatch):
-    smap, b, ess = blocks
+    smap, b, params, ess = blocks
     names = ("L_inv", "LS_inv", "Z")
-    hb = hybrid.HybridBody(smap, b, ess)
+    hb = hybrid.HybridBody(smap, b, params, ess)
     whole = [getattr(hb, name) for name in names]
     monkeypatch.setattr(fe_elements, "LOCAL_CHUNK", 4)
-    hb = hybrid.HybridBody(smap, b, ess)
+    hb = hybrid.HybridBody(smap, b, params, ess)
     for name, ref in zip(names, whole):
         assert np.array_equal(getattr(hb, name), ref), name
 
@@ -762,8 +771,8 @@ def _body_solve(hb, smap):
 
 
 def test_clean_body_solve_passes_both_checks(blocks):
-    smap, b, ess = blocks
-    *_, rel = _body_solve(hybrid.HybridBody(smap, b, ess), smap)
+    smap, b, params, ess = blocks
+    *_, rel = _body_solve(hybrid.HybridBody(smap, b, params, ess), smap)
     assert rel <= RESIDUAL_CONTRACT
 
 
@@ -772,8 +781,8 @@ def test_residual_breach_is_named(blocks):
     # M_T^-1 raised by one, leaves the stresses, and so their face
     # continuity, intact.  The factors share L_S^-1 between the stress and
     # the displacement rows, so the fault goes into their product.
-    smap, b, ess = blocks
-    hb = hybrid.HybridBody(smap, b, ess)
+    smap, b, params, ess = blocks
+    hb = hybrid.HybridBody(smap, b, params, ess)
     local_solve = hb._local_solve
 
     def corrupted(F):
@@ -789,8 +798,8 @@ def test_residual_breach_is_named(blocks):
 def test_face_continuity_defect_is_named(blocks):
     # A wrong stress entry on an interior face of one kept factor L_T^-1
     # breaks the agreement of the neighbouring stresses on that face.
-    smap, b, ess = blocks
-    hb = hybrid.HybridBody(smap, b, ess)
+    smap, b, params, ess = blocks
+    hb = hybrid.HybridBody(smap, b, params, ess)
     t, i = np.argwhere(hb._on_face)[0]
     rows, cols = np.tril_indices(42)
     hb.L_inv[t, (rows == i) & (cols == i)] *= 1.01
@@ -810,9 +819,8 @@ def test_positive_diagonal_factors_without_pivoting():
 
 
 def test_solve_dd_assembles_the_plate_stiffness_once(monkeypatch):
-    # One solve_dd: one assembly, whose stress batches cover every tet once
-    # for the body blocks and the interface faces' owners once for the
-    # coupling, one plate stiffness, one condensation, and two factors (the
+    # One solve_dd: one assembly, whose one stress batch covers every tet
+    # once for the body blocks and the coupling, one plate stiffness, one condensation, and two factors (the
     # multiplier block and the free plate), neither of them the coupled S.
     calls = {}
 
@@ -840,9 +848,7 @@ def test_solve_dd_assembles_the_plate_stiffness_once(monkeypatch):
     assert counts == {
         "build_mixed_system": 1, "StressBatch": len(batches),
         "assemble_plate_stiffness": 1, "HybridBody": 1, "SparseFactor": 2}
-    n_gamma = np.count_nonzero(body.boundary_tags == FaceTag.INTERFACE)
-    assert [len(args[0]) for args in batches] == (
-        [7] * (body.n_tets // 7) + [body.n_tets % 7] + [n_gamma])
+    assert [len(args[0]) for args in batches] == [body.n_tets]
     n_lam = 9 * np.count_nonzero(StressDofMap(body).face_neighbor >= 0)
     n_free = np.count_nonzero(~PlateDofMap(plate).constrained)
     sizes = sorted(args[0].shape[0] for args in calls["SparseFactor"])

@@ -9,7 +9,6 @@ of a chunk.
 """
 
 import tracemalloc
-from dataclasses import fields as dc_fields
 from dataclasses import replace
 
 import numpy as np
@@ -37,8 +36,7 @@ def streamed_arrays(body, plate, chunk):
         hb = hybrid.condense(system)[0]
         sol, _ = vcli.solve_mixed(body, plate, case)
     return {
-        **{f"blocks.{f.name}": getattr(system.blocks, f.name)
-           for f in dc_fields(system.blocks)},
+        **{f"stress.{name}": a for name, a in vars(system.stress).items()},
         "coupling.tet": system.coupling.tet,
         "coupling.rows": system.coupling.rows,
         "coupling.blocks": system.coupling.blocks, "f_V": system.f_V,

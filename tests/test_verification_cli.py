@@ -22,7 +22,8 @@ from bodyplate import hybrid
 from bodyplate import verification_cli as vcli
 from bodyplate.domain_decomposition import CG_MAX_IT, CG_TOL, solve_dd
 from bodyplate.solvers import SolutionFields, SolveReport
-from bodyplate.fe_elements import BodyDGDofMap, PlateDofMap, StressDofMap
+from bodyplate.fe_elements import (BodyDGDofMap, PlateDofMap, StressBatch,
+                                   StressDofMap)
 from bodyplate.geometry_mesh import Diagonal, build_body_mesh, build_plate_mesh
 from bodyplate.manufactured import constant_stress_case, default_case
 from bodyplate.materials import default_params
@@ -59,23 +60,67 @@ class TestSolvers:
                     kept += (a if a.base is None else a.base).nbytes
         return kept
 
+    @staticmethod
+    def stress_bytes(sol):
+        """Bytes of the arrays of a solution's stress element."""
+        return sum(a.nbytes for a in vars(sol.stress).values())
+
     def test_mixed_solution_keeps_72_doubles_per_tet(self):
-        # Beside the fields, a solution keeps only the checked blocks of
-        # L_T^-1 for its norms: a kept solution stays alive while the next
-        # solve runs, so every kept byte adds to the peak.
+        # Beside the fields, a solution keeps no array of its own, only the
+        # solve's stress element for its norms (115 doubles per tet, the
+        # object the solve read): a kept solution stays alive while the
+        # next solve runs, so every kept byte adds to the peak.
         case = default_case()
         body = build_body_mesh(2)
         sol, _ = vcli.solve_mixed(body, build_plate_mesh(8, Diagonal.FLIPPED),
                                   case)
-        assert sol.l_inv is not None
+        assert sol.stress is not None
         assert self.kept_bytes(sol) <= 72 * 8 * body.n_tets
+        assert self.stress_bytes(sol) <= 115 * 8 * body.n_tets
 
     def test_dd_solution_keeps_72_doubles_per_tet(self):
         case = default_case()
         body = build_body_mesh(2)
         sol = solve_dd(body, build_plate_mesh(8, Diagonal.FLIPPED), case)
-        assert sol.l_inv is not None
+        assert sol.stress is not None
         assert self.kept_bytes(sol) <= 72 * 8 * body.n_tets
+        assert self.stress_bytes(sol) <= 115 * 8 * body.n_tets
+
+    def test_stress_batch_keeps_no_block(self):
+        # The body's stress element keeps five per-tet arrays, 115 doubles
+        # per tet, none of more than 36: no dense coefficients (1,764
+        # doubles per tet), no edge pairing and no dyads.
+        body = build_body_mesh(3)
+        arrays = vars(StressBatch(body.vertices[body.tets]))
+        assert sorted(arrays) == ["face_inv", "interior_inv",
+                                  "tangent_gradients", "tangents", "volume"]
+        for a in arrays.values():
+            assert len(a) == body.n_tets and a.size <= 36 * body.n_tets
+        assert sum(a.size for a in arrays.values()) == 115 * body.n_tets
+
+    @pytest.mark.parametrize("method", ["mixed", "dd"])
+    def test_solution_carries_the_stress_element_of_its_solve(
+            self, monkeypatch, method):
+        # The solution's stress element is the very object that its
+        # BlockSystem and HybridBody read: no copy, no second build.
+        seen = {}
+
+        def seeing(original):
+            def wrapper(system):
+                hb, free, load = original(system)
+                seen.update(system=system, hb=hb)
+                return hb, free, load
+            return wrapper
+
+        for module in (hybrid, dd_module):
+            monkeypatch.setattr(module, "condense",
+                                seeing(getattr(module, "condense")))
+        case = default_case()
+        body, plate = build_body_mesh(2), build_plate_mesh(8)
+        sol = (vcli.solve_mixed(body, plate, case)[0] if method == "mixed"
+               else solve_dd(body, plate, case))
+        assert sol.stress is seen["system"].stress
+        assert sol.stress is seen["hb"].stress
 
     def test_every_solver_returns_one_result_and_report(self):
         # The three solves return the same result type carrying the same
@@ -123,8 +168,8 @@ class TestSolvers:
             assert report.wall_time >= 0.05
 
     def test_dd_norms_build_no_stress_batch(self, monkeypatch):
-        # A solve_dd result carries the checked L_T^-1 blocks, so its norms
-        # take sigma_h through them and build no StressBatch.
+        # A solve_dd result carries the solve's stress element, so its
+        # norms take sigma_h through it and build no StressBatch.
         case = default_case()
         sol = solve_dd(build_body_mesh(2),
                        build_plate_mesh(8, Diagonal.FLIPPED), case)
@@ -138,7 +183,7 @@ class TestSolvers:
     @pytest.mark.parametrize("meshes", ["kuhn", "jittered"])
     def test_hybrid_body_keeps_no_local_block(self, meshes):
         # The set-up keeps the factors of the local elimination (1,485
-        # doubles per tet) and the data to apply A_T and B_T (151), never
+        # doubles per tet) and the stress element (115), never
         # the blocks A_T, B_T or M_T^-1 themselves, through a solve.
         if meshes == "kuhn":
             body, plate = build_body_mesh(3), build_plate_mesh(
@@ -150,7 +195,7 @@ class TestSolvers:
         hb.back_substitute(hb.solve_condensed(load.r)[0], load)
         nt = body.n_tets
         bases = {}
-        for owner in (hb, hb.blocks):
+        for owner in (hb, hb.stress):
             for value in vars(owner).values():
                 if isinstance(value, np.ndarray):
                     base = value if value.base is None else value.base
