@@ -610,8 +610,9 @@ def stress_span_coefficients(x: np.ndarray, face_inv: np.ndarray,
     of the stress fields with local (signed) DOF values x (n, 42), from the
     kept blocks of L_T^-1 (``StressBatch.face_inv``, ``interior_inv``): the
     field is sum_k c[n, k] s_k t_e t_e^T, e = ``SPAN_EDGE[k]``, as x times
-    ``stress_dual_coefficients`` gives it.  Face block f acts on each of the face's three moment
-    triples; M_ref^-1 is one product for the whole batch."""
+    ``stress_dual_coefficients`` gives it.  Face block f acts on each of the
+    face's three moment triples; M_ref^-1 is one product for the whole
+    batch."""
     y = np.empty_like(x)
     y[:, :36] = (x[:, :36].reshape(-1, 4, 3, 3)
                  @ np.swapaxes(face_inv, 2, 3)).reshape(-1, 36)

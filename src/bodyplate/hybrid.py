@@ -20,20 +20,20 @@ blocks leaves the symmetric positive definite system
     S Y = sum_T C_T M_T^-1 F_T - H,          S = sum_T C_T M_T^-1 C_T^T + D.
 
 The blocks are formed from the body's ``fe_elements.StressBatch``
-(``assembly.compliance_blocks``, ``divergence_blocks``) and eliminated, and
-S is summed, in one pass over ``fe_elements.local_chunks`` slices of tets
-(``HybridBody._condensed``), so that only the factors of the elimination
-and S reach the size of the mesh: L^-1 and L_S^-1 with their triangles
-packed, and Z (see below), 1,485 doubles per tet.  No block A_T, B_T or
-M_T^-1 is kept; later solves apply M_T^-1 by the factors (``_local_solve``)
-and A_T and B_T by their structure (``assembly.apply_A``, ``apply_B``,
-``apply_Bt``), forming dense blocks only for the few tets that hold
-essential data.  S is kept by its blocks (``CondensedSystem``).  A
-multiplier row of S reaches only the faces of the one or two tets of its
-face, so the multiplier block is made of dense 9 x 9 face blocks: it is
-stored as such (BSR, one block row per interior face, one index per block),
-its layout follows from the tet-face adjacency, and each tet's blocks are
-added to it whole (``_FaceBlocks``).  The rows and columns of the plate
+(``assembly.compliance_blocks``, ``divergence_blocks``) and eliminated, and S
+is summed, in one pass over ``fe_elements.local_chunks`` slices of tets
+(``HybridBody._condensed``), so that only the factors of the elimination and S
+reach the size of the mesh: L^-1 and L_S^-1 with their triangles packed, and Z
+(see below), 1,485 doubles per tet.  No block A_T, B_T or M_T^-1 is kept; later
+solves apply M_T^-1 by the factors (``_local_solve``) and A_T and B_T by their
+structure (``assembly.apply_A``, ``apply_B``, ``apply_Bt``), with the diagonal
+of A_T at the essential DOFs kept from the elimination, so no solve forms a
+dense block.  S is kept by its blocks (``CondensedSystem``).  A multiplier row
+of S reaches only the faces of the one or two tets of its face, so the
+multiplier block is made of dense 9 x 9 face blocks: it is stored as such (BSR,
+one block row per interior face, one index per block), its layout follows from
+the tet-face adjacency, and each tet's blocks are added to it whole
+(``_FaceBlocks``).  The rows and columns of the plate
 DOFs are a small sparse product over the tets on Gamma, kept in CSR.
 
 A solve has two halves: the right-hand side of S Y = r (``load``) and the
@@ -210,8 +210,9 @@ def _local_saddle_factors(A: np.ndarray, B: np.ndarray,
     ``_refuse_ill_conditioned`` on the whole M_T, its 1-norm from the column
     sums of |A| and |B| and that of M_T^-1 from the formed inverse: a block
     whose A or Sigma is not positive definite has a NaN inverse, so
-    cond_1 = inf.  Returns L^-1, L_S^-1, Z and the stress block W of
-    M_T^-1 (m, 42, 42)."""
+    cond_1 = inf.  Returns L^-1, L_S^-1, Z, the stress block W of M_T^-1
+    (m, 42, 42) and the kept diagonal entries of A at the essential DOFs,
+    in the order of ``essential``'s nonzeros."""
     keep = ~essential
     t, i = np.nonzero(essential)
     diagonal = A[t, i, i]
@@ -228,7 +229,7 @@ def _local_saddle_factors(A: np.ndarray, B: np.ndarray,
     Z = Y @ np.swapaxes(LS_inv, 1, 2)
     M_inv = _saddle_inverses(L_inv, LS_inv, Z)
     _refuse_ill_conditioned(norm, M_inv, "local saddle block of tet", first)
-    return L_inv, LS_inv, Z, M_inv[:, :42, :42]
+    return L_inv, LS_inv, Z, M_inv[:, :42, :42], diagonal
 
 
 def _multiplier_numbering(smap: StressDofMap) -> tuple[np.ndarray, int]:
@@ -394,7 +395,9 @@ class HybridBody:
     both restricted to the free plate DOFs.  The factors of each tet's
     elimination are kept for later solves: ``L_inv`` (n_tets, 903) and
     ``LS_inv`` (n_tets, 78), the lower triangles of L^-1 and L_S^-1 packed
-    row by row, and ``Z`` (n_tets, 42, 12).
+    row by row, and ``Z`` (n_tets, 42, 12); and ``essential_diagonal``,
+    the diagonal entry of A_T at each essential local DOF, in the order of
+    ``essential``'s nonzeros, which the load puts on the eliminated rows.
     """
 
     def __init__(self, smap: StressDofMap, stress: StressBatch,
@@ -485,7 +488,8 @@ class HybridBody:
         """S = sum_T C_T W_T C_T^T + diag(0, K) by its blocks, with W_T the
         stress block of M_T^-1, in one pass over ``local_chunks`` slices of
         tets: each forms its blocks A_T and B_T, eliminates them
-        (``_local_saddle_factors``), keeps the factors and adds W_T to the
+        (``_local_saddle_factors``), keeps the factors and the diagonal of
+        A_T at the essential DOFs (``essential_diagonal``) and adds W_T to the
         multiplier block (``_FaceBlocks``) and, for the tets on Gamma, to
         the plate rows and columns, which only those tets reach (through
         G): a small sparse product over them plus K."""
@@ -494,15 +498,18 @@ class HybridBody:
         ng = on_gamma.size
         face_blocks = _FaceBlocks(lam, n)
         W_gamma = np.empty((ng, 42, 42))
+        diagonal = []
         for c in local_chunks(nt):
-            L_inv, LS_inv, Z, W = _local_saddle_factors(
+            L_inv, LS_inv, Z, W, d = _local_saddle_factors(
                 compliance_blocks(self.stress, self.params, c),
                 divergence_blocks(self.stress, c), self.essential[c], c.start)
+            diagonal.append(d)
             self.L_inv[c], self.LS_inv[c] = _packed(L_inv), _packed(LS_inv)
             self.Z[c] = Z
             face_blocks.add(c, W)
             g = slice(*np.searchsorted(on_gamma, (c.start, c.stop)))
             W_gamma[g] = W[on_gamma[g] - c.start]
+        self.essential_diagonal = np.concatenate(diagonal)
         cols = (42 * on_gamma[:, None] + np.arange(42)).ravel()
         r = lam[on_gamma].ravel()
         on = np.flatnonzero(r >= 0)
@@ -577,18 +584,11 @@ class HybridBody:
              else np.where(self.essential, sigma_data[ltg], 0.0))
         f_w = np.zeros(self.K.shape[0]) if f_w is None else f_w
         F = np.concatenate([f_sigma, f_u], axis=1)
-        # Only the few tets that hold essential data form their blocks, one
-        # ``local_chunks`` slice of them at a time.
-        diagonal = np.zeros(ltg.shape)  # of A_T on those tets
-        held = np.flatnonzero(v.any(axis=1))
-        for c in local_chunks(held.size):
-            t = held[c]
-            A = compliance_blocks(self.stress, self.params, t)
-            B = divergence_blocks(self.stress, t)
-            F[t, :42] -= (A @ v[t, :, None])[..., 0]
-            F[t, 42:] -= (B @ v[t, :, None])[..., 0]
-            diagonal[t] = np.diagonal(A, axis1=1, axis2=2)
-        F[:, :42][self.essential] = (diagonal * v)[self.essential]
+        # The essential data moved over, A_T v and B_T v applied by their
+        # structure: both are exactly 0 on the tets without data.
+        F[:, :42] -= apply_A(self.stress, self.params, v)
+        F[:, 42:] -= apply_B(self.stress, v)
+        F[:, :42][self.essential] = self.essential_diagonal * v[self.essential]
         broken = self._local_solve(F)[:, :42]
         r = self._apply_C(broken)
         r[self.n_lam:] += f_w
@@ -639,7 +639,8 @@ class HybridBody:
         s = sign * sigma[ltg]
         k = self.stress
         g = (self.G.T @ w).reshape(ltg.shape)
-        r_sigma = apply_A(k, self.params, s) + apply_Bt(k, u) - g - load.f_sigma
+        r_sigma = (apply_A(k, self.params, s) + apply_Bt(k, u) - g
+                   - load.f_sigma)
         # F holds f_sigma - A v on the free rows and f_u - B v.
         b_sigma = load.F[:, :42]
 

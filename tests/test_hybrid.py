@@ -820,8 +820,9 @@ def test_positive_diagonal_factors_without_pivoting():
 
 def test_solve_dd_assembles_the_plate_stiffness_once(monkeypatch):
     # One solve_dd: one assembly, whose one stress batch covers every tet
-    # once for the body blocks and the coupling, one plate stiffness, one condensation, and two factors (the
-    # multiplier block and the free plate), neither of them the coupled S.
+    # once for the body blocks and the coupling, one plate stiffness, one
+    # condensation, and two factors (the multiplier block and the free
+    # plate), neither of them the coupled S.
     calls = {}
 
     def counted(module, name):
