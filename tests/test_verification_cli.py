@@ -7,10 +7,13 @@ CSV writer against its documented format, the config parser against good and
 bad inputs, and the command-line entry against its exit-code contract.
 """
 
+import os
 import re
+import subprocess
 import sys
 import time
 from dataclasses import fields as dc_fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -440,6 +443,20 @@ class TestCli:
     def test_no_subcommand_is_usage_error(self, capsys):
         assert vcli.cli_main([]) == 2
         assert "usage" in capsys.readouterr().err
+
+    def test_python_m_bodyplate_runs_without_warning(self, tmp_path):
+        # The package imports verification_cli, so running that module with
+        # -m makes runpy warn; the package's own __main__ does not.
+        src = str(Path(vcli.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ,
+               "PYTHONPATH": src if not path else src + os.pathsep + path}
+        done = subprocess.run([sys.executable, "-m", "bodyplate", "--help"],
+                              capture_output=True, text=True, env=env,
+                              cwd=tmp_path, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("usage: bodyplate")
+        assert "RuntimeWarning" not in done.stderr
 
     def test_missing_config_file(self, tmp_path, capsys):
         rc = vcli.cli_main(["--config", str(tmp_path / "nope.cfg"),
