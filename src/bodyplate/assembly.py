@@ -187,29 +187,15 @@ def _edge_pairing(tangents: np.ndarray, apply) -> np.ndarray:
     return np.einsum("neab,nfab->nef", apply(T), T)
 
 
-def _mass_span(volume: np.ndarray, pairing: np.ndarray) -> np.ndarray:
-    """int apply(s_l T_f) : s_k T_e (n, 42, 42) on the spanning functions:
-    the reference Gram matrix of the s_k times the edge pairing."""
-    return ((volume / TET_MEASURE)[:, None, None] * _SPAN_GRAM
-            * pairing[:, SPAN_EDGE][:, :, SPAN_EDGE])
-
-
-def _divergence_span(volume: np.ndarray, tau: np.ndarray,
-                     tangents: np.ndarray) -> np.ndarray:
-    """int div(s_k T_e) . psi_i (n, 12, 42) on the spanning functions, from
-    the tangent-gradient table ``tau`` of ``div_scalars``."""
-    d = div_scalars(_DIV_MOMENTS, tau) * (volume / TET_MEASURE)[:, None, None]
-    t = np.swapaxes(tangents[:, SPAN_EDGE], 1, 2)  # (n, 3, 42)
-    return (d[:, :, None, :] * t[:, None, :, :]).reshape(-1, 12, 42)
-
-
 def _tensor_mass_blocks(k: StressBatch, apply, t) -> np.ndarray:
     """int apply(phi_j) : phi_i (m, 42, 42) on the tets ``t`` of ``k`` for a
     linear map ``apply`` of symmetric matrices.  With spanning functions
     s_k T_e the integrand separates into the reference Gram matrix of the
     s_k and the edge pairing apply(T_e) : T_f."""
-    return _basis_blocks(_coefficients(k, t), _mass_span(
-        k.volume[t], _edge_pairing(k.tangents[t], apply)))
+    pairing = _edge_pairing(k.tangents[t], apply)
+    span = ((k.volume[t] / TET_MEASURE)[:, None, None] * _SPAN_GRAM
+            * pairing[:, SPAN_EDGE][:, :, SPAN_EDGE])
+    return _basis_blocks(_coefficients(k, t), span)
 
 
 def compliance_blocks(k: StressBatch, params: MaterialParams, t
@@ -229,22 +215,17 @@ def divergence_blocks(k: StressBatch, t) -> np.ndarray:
     tets ``t`` of ``k``: int div(phi_i) . psi_k with psi_k the vector P1
     basis (local DOF 3 a + c), D_T the divergence of the spanning functions
     against it."""
-    return (_divergence_span(k.volume[t], k.tangent_gradients[t],
-                             k.tangents[t])
-            @ np.swapaxes(_coefficients(k, t), 1, 2))
+    d = (div_scalars(_DIV_MOMENTS, k.tangent_gradients[t])
+         * (k.volume[t] / TET_MEASURE)[:, None, None])
+    tangents = np.swapaxes(k.tangents[t][:, SPAN_EDGE], 1, 2)  # (m, 3, 42)
+    D = (d[:, :, None, :] * tangents[:, None, :, :]).reshape(-1, 12, 42)
+    return D @ np.swapaxes(_coefficients(k, t), 1, 2)
 
 
-# The local blocks of every tet applied by their structure, one GEMM with
-# a reference table per edge group, within roundoff of the dense products
-# of ``compliance_blocks`` and ``divergence_blocks``; x (n, 42) are local
-# (unsigned) stress values and u (n, 12) local displacement values of every
-# tet of ``k``.
-
-def _span_groups(k: StressBatch, x: np.ndarray) -> np.ndarray:
-    """M_T^-1 x_T (n, 6, 7), by edge group."""
-    return stress_span_coefficients(x, k.face_inv,
-                                    k.interior_inv).reshape(-1, 6, 7)
-
+# A_T x, B_T x and B_T^T u for every tet of ``k`` by the blocks' structure,
+# one GEMM with a reference table per edge group, within roundoff of the
+# dense products; x (n, 42) are local (unsigned) stress values and u (n, 12)
+# local displacement values.
 
 def _basis_values(k: StressBatch, y: np.ndarray) -> np.ndarray:
     """M_T^-T y_T (n, 42) of the spanning values y (n, 6, 7) scaled by
@@ -258,7 +239,8 @@ def apply_A(k: StressBatch, params: MaterialParams, x: np.ndarray
             ) -> np.ndarray:
     """A_T x_T (n, 42) for every tet, one GEMM with G per edge group."""
     pairing = _edge_pairing(k.tangents, lambda T: c0_inv_apply(T, params))
-    c = _span_groups(k, x)
+    c = stress_span_coefficients(x, k.face_inv,
+                                 k.interior_inv).reshape(-1, 6, 7)
     y = np.empty_like(c)
     for e in range(6):
         y[:, e] = ((pairing[:, e, :, None] * c).reshape(-1, 42)
@@ -269,7 +251,8 @@ def apply_A(k: StressBatch, params: MaterialParams, x: np.ndarray
 def apply_B(k: StressBatch, x: np.ndarray) -> np.ndarray:
     """B_T x_T (n, 12) for every tet, one GEMM with the divergence moments
     per edge group."""
-    c = _span_groups(k, x)
+    c = stress_span_coefficients(x, k.face_inv,
+                                 k.interior_inv).reshape(-1, 6, 7)
     # d[n, a, e] = sum_k D[n, a, k] c[n, k] over the spanning functions k
     # of edge e, D the div_scalars of the moments: int lam_a div(c_k s_k
     # T_e) = D[n, a, k] c[n, k] t_e.

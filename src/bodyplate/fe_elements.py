@@ -572,14 +572,6 @@ def _block_rows(face: np.ndarray, interior: np.ndarray,
     return out
 
 
-def _stress_dof_matrices(tangents: np.ndarray,
-                         normals: np.ndarray) -> np.ndarray:
-    """(n, 42, 42) stress DOF functionals applied to the spanning functions,
-    M_T = L_T M_ref: the reference tables times t_e (t_e . n_f) on face rows
-    and t_e t_e^T on interior rows."""
-    return _block_rows(*_stress_dof_blocks(tangents, normals), _STRESS_DOF_REF)
-
-
 def _stress_dof_inverses(tangents: np.ndarray, normals: np.ndarray,
                          first: int) -> tuple[np.ndarray, np.ndarray]:
     """The inverses of the blocks of L_T, face blocks (n, 4, 3, 3) and

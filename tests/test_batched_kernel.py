@@ -34,7 +34,6 @@ from bodyplate.fe_elements import (
     StressBatch,
     StressDofMap,
     _morley_dof_matrices,
-    _stress_dof_matrices,
     checked_inverses,
     face_normals,
     simplex_geometry,
@@ -581,6 +580,15 @@ def oracle_solve(M, b):
         raise RuntimeError(f"oracle residual {rel:.3e} exceeds "
                            f"{RESIDUAL_CONTRACT:.1e}")
     return x
+
+
+def _stress_dof_matrices(tangents, normals):
+    """(n, 42, 42) stress DOF functionals applied to the spanning functions,
+    M_T = L_T M_ref: the reference tables times t_e (t_e . n_f) on face rows
+    and t_e t_e^T on interior rows."""
+    return fe_elements._block_rows(
+        *fe_elements._stress_dof_blocks(tangents, normals),
+        fe_elements._STRESS_DOF_REF)
 
 
 def outward_normals(tets):
