@@ -5,4 +5,7 @@ import sys
 
 from .verification_cli import cli_main
 
-sys.exit(cli_main())
+__all__ = ["cli_main"]
+
+if __name__ == "__main__":
+    sys.exit(cli_main())

@@ -20,21 +20,22 @@ blocks leaves the symmetric positive definite system
     S Y = sum_T C_T M_T^-1 F_T - H,          S = sum_T C_T M_T^-1 C_T^T + D.
 
 The blocks are formed from the body's ``fe_elements.StressBatch``
-(``assembly.compliance_blocks``, ``divergence_blocks``) and eliminated, and S
-is summed, in one pass over ``fe_elements.local_chunks`` slices of tets
-(``HybridBody._condensed``), so that only the factors of the elimination and S
-reach the size of the mesh: L^-1 and L_S^-1 with their triangles packed, and Z
-(see below), 1,485 doubles per tet.  No block A_T, B_T or M_T^-1 is kept; later
-solves apply M_T^-1 by the factors (``_local_solve``) and A_T and B_T by their
-structure (``assembly.apply_A``, ``apply_B``, ``apply_Bt``), with the diagonal
-of A_T at the essential DOFs kept from the elimination, so no solve forms a
-dense block.  S is kept by its blocks (``CondensedSystem``).  A multiplier row
-of S reaches only the faces of the one or two tets of its face, so the
-multiplier block is made of dense 9 x 9 face blocks: it is stored as such (BSR,
-one block row per interior face, one index per block), its layout follows from
-the tet-face adjacency, and each tet's blocks are added to it whole
-(``_FaceBlocks``).  The rows and columns of the plate
-DOFs are a small sparse product over the tets on Gamma, kept in CSR.
+(``assembly.compliance_blocks``, ``divergence_blocks``) and eliminated, and
+S is summed, in one pass over ``fe_elements.local_chunks`` slices of tets
+(``HybridBody._condensed``), so that only the factors of the elimination
+and S reach the size of the mesh: L^-1 and L_S^-1 with their triangles
+packed, and Z (see below), 1,485 doubles per tet.  No block A_T, B_T or
+M_T^-1 is kept; later solves apply M_T^-1 by the factors (``_local_solve``)
+and A_T and B_T by their structure (``assembly.apply_A``, ``apply_B``,
+``apply_Bt``), with the diagonal of A_T at the essential DOFs kept from
+the elimination, so no solve forms a dense block.  S is kept by its
+blocks (``CondensedSystem``).  A multiplier row of S reaches only the
+faces of the one or two tets of its face, so the multiplier block is made
+of dense 9 x 9 face blocks: it is stored as such (BSR, one block row per
+interior face, one index per block), its layout follows from the tet-face
+adjacency, and each tet's blocks are added to it whole (``_FaceBlocks``).
+The rows and columns of the plate DOFs are a small sparse product over the
+tets on Gamma, kept in CSR.
 
 A solve has two halves: the right-hand side of S Y = r (``load``) and the
 local back-substitution x_T = M_T^-1 (F_T - C_T^T Y) of a given Y
@@ -389,8 +390,8 @@ class HybridBody:
     ``stress`` is the body's stress element and ``params`` the material of
     its compliance, from which the unsigned local blocks are formed and
     applied, and ``essential_idx`` the global stress DOFs that carry
-    traction data.  ``coupling`` is None for the body alone
-    (Gamma then carries natural stress DOFs), or (G_loc, K): the interface
+    traction data.  ``coupling`` is None for the body alone (Gamma then
+    carries natural stress DOFs), or (G_loc, K): the interface
     coupling in local columns (n_w, 42 n_tets) and the plate stiffness,
     both restricted to the free plate DOFs.  The factors of each tet's
     elimination are kept for later solves: ``L_inv`` (n_tets, 903) and
@@ -489,9 +490,9 @@ class HybridBody:
         stress block of M_T^-1, in one pass over ``local_chunks`` slices of
         tets: each forms its blocks A_T and B_T, eliminates them
         (``_local_saddle_factors``), keeps the factors and the diagonal of
-        A_T at the essential DOFs (``essential_diagonal``) and adds W_T to the
-        multiplier block (``_FaceBlocks``) and, for the tets on Gamma, to
-        the plate rows and columns, which only those tets reach (through
+        A_T at the essential DOFs (``essential_diagonal``), and adds W_T to
+        the multiplier block (``_FaceBlocks``) and, for the tets on Gamma,
+        to the plate rows and columns, which only those tets reach (through
         G): a small sparse product over them plus K."""
         n, nt = self.n_lam, len(lam)
         on_gamma = np.unique(self.G.indices // 42)
