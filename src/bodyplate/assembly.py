@@ -14,7 +14,8 @@ jump part against the lowered basis).  Traction data enters through essential
 stress DOFs on free faces; the clamped plate boundary through zero plate DOFs.
 
 The body forms are per-tet local blocks in each tet's own basis, all taken
-from one ``fe_elements.StressBatch`` of the body, which keeps no block: the
+from the body's one ``fe_elements.StressBatch``, which its ``StressDofMap``
+holds (``StressDofMap.stress``) and which keeps no block: the
 compliance and divergence blocks are formed for a few tets at a time
 (``compliance_blocks``, ``divergence_blocks``) or applied to every tet by
 their structure (``apply_A``, ``apply_B``, ``apply_Bt``), and the coupling
@@ -412,15 +413,15 @@ class CouplingBlocks:
 
 def interface_coupling_blocks(
     body: TetMesh,
-    stress: StressBatch,
+    smap: StressDofMap,
     plate: TriMesh,
     pmap: PlateDofMap,
     faces: list[InterfaceFace],
     cells: list[OverlayCell],
 ) -> CouplingBlocks:
     """Local blocks of G[w, s] = int_Gamma (phi_s n) . (Pi chi_w) on the
-    overlay cells, from the stress element of every tet of ``body``
-    (``stress``) and the geometry of the interface faces' owner tets.
+    overlay cells, from the body's stress element (``smap.stress``) and the
+    geometry of the interface faces' owner tets.
 
     Pi is the trace lowering: membrane test functions unchanged, Morley test
     functions replaced by the continuous P1 field of their vertex values
@@ -434,11 +435,11 @@ def interface_coupling_blocks(
     mom = _overlay_moments(grad, verts[:, 0], cell_face, plate, cells,
                            cell_tri)
     # The traction of span_k is s_k (t_{e_k} . n) t_{e_k}.
-    t = stress.tangents[owner][:, SPAN_EDGE]  # (n_faces, 42, 3)
+    t = smap.stress.tangents[owner][:, SPAN_EDGE]  # (n_faces, 42, 3)
     nrm = face_normals(grad)[np.arange(owner.size), local]
     mom = mom * np.einsum("fkc,fc->fk", t, nrm)[cell_face][:, None]
     span = mom[:, :, None, :] * np.swapaxes(t, 1, 2)[cell_face][:, None]
-    coeffs = np.swapaxes(_coefficients(stress, owner)[cell_face], 1, 2)
+    coeffs = np.swapaxes(_coefficients(smap.stress, owner)[cell_face], 1, 2)
     blk = (span.reshape(-1, 9, 42) @ coeffs).reshape(-1, 3, 3, 42)
     rows = [pmap.mem_ltg[cell_tri], pmap.mor_ltg[cell_tri, :3]]
     blocks = [blk[:, :, :2].reshape(-1, 6, 42), blk[:, :, 2]]
@@ -458,8 +459,7 @@ def assemble_interface_coupling(
     """G[w, s] = int_Gamma (phi_s n) . (Pi chi_w), assembled on the overlay
     (see ``interface_coupling_blocks``)."""
     return interface_coupling_blocks(
-        body, StressBatch(body.vertices[body.tets]), plate, pmap, faces,
-        cells).scatter(smap, pmap.n_dofs)
+        body, smap, plate, pmap, faces, cells).scatter(smap, pmap.n_dofs)
 
 
 def _overlay_moments(grad: np.ndarray, v0: np.ndarray, cell_tet: np.ndarray,
@@ -625,11 +625,12 @@ class Constraints:
 
 @dataclass
 class BlockSystem:
-    """The mixed formulation: the body's stress element (``StressBatch``),
-    the material parameters of its compliance, the interface coupling's
-    cell blocks, the plate stiffness, loads and constraint data.  The
-    global body blocks A, B and G, which only the monolithic test oracle
-    reads, are formed and scattered on first use."""
+    """The mixed formulation: the DOF maps, the stress map carrying the
+    body's stress element (``StressDofMap.stress``), the material parameters
+    of its compliance, the interface coupling's cell blocks, the plate
+    stiffness, loads and constraint data.  The global body blocks A, B and
+    G, which only the monolithic test oracle reads, are formed and scattered
+    on first use."""
 
     body: TetMesh
     plate: TriMesh
@@ -637,7 +638,6 @@ class BlockSystem:
     vmap: BodyDGDofMap
     pmap: PlateDofMap
     params: MaterialParams
-    stress: StressBatch
     coupling: CouplingBlocks
     K: sp.csr_matrix
     f_V: np.ndarray
@@ -648,12 +648,12 @@ class BlockSystem:
     @cached_property
     def A(self) -> sp.csr_matrix:
         return _scatter_stress(self.smap, compliance_blocks(
-            self.stress, self.params, slice(None)))
+            self.smap.stress, self.params, slice(None)))
 
     @cached_property
     def B(self) -> sp.csr_matrix:
         return _scatter_divergence(self.smap, self.vmap, divergence_blocks(
-            self.stress, slice(None)))
+            self.smap.stress, slice(None)))
 
     @cached_property
     def G(self) -> sp.csr_matrix:
@@ -717,15 +717,14 @@ def build_mixed_system(
     faces = extract_interface_triangulation(body)
     cells = intersect_triangulations(faces, plate)
 
-    stress = StressBatch(body.vertices[body.tets])
-    coupling = interface_coupling_blocks(body, stress, plate, pmap, faces,
+    coupling = interface_coupling_blocks(body, smap, plate, pmap, faces,
                                          cells)
     K = assemble_plate_stiffness(plate, pmap, params, region="all")
     f_V, f_W = assemble_loads(body, vmap, plate, pmap, case, lowered_jump=True)
     ess_idx, ess_vals = impose_traction_bc(body, smap, case.traction)
     return BlockSystem(
         body=body, plate=plate, smap=smap, vmap=vmap, pmap=pmap, params=params,
-        stress=stress, coupling=coupling, K=K, f_V=f_V, f_W=f_W,
+        coupling=coupling, K=K, f_V=f_V, f_W=f_W,
         sigma_essential_idx=ess_idx, sigma_essential_values=ess_vals,
     )
 

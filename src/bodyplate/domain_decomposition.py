@@ -42,7 +42,7 @@ from .assembly import (
     build_mixed_system,
     impose_traction_bc,
 )
-from .fe_elements import BodyDGDofMap, PlateDofMap, StressBatch, StressDofMap
+from .fe_elements import BodyDGDofMap, PlateDofMap, StressDofMap
 from .geometry_mesh import GAMMA_HALF_WIDTH, TetMesh, TriMesh
 from .hybrid import HybridBody, condense, mixed_solution
 from .manufactured import ManufacturedCase
@@ -124,8 +124,7 @@ class BodyOperator:
                  params: MaterialParams, traction_fn):
         self.vmap = vmap
         ess_idx, ess_vals = impose_traction_bc(body, smap, traction_fn)
-        self.hybrid = HybridBody(smap, StressBatch(body.vertices[body.tets]),
-                                 params, ess_idx)
+        self.hybrid = HybridBody(smap, params, ess_idx)
         self.essential_data = np.zeros(smap.n_dofs)
         self.essential_data[ess_idx] = ess_vals
 

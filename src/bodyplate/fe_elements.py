@@ -62,11 +62,13 @@ to spanning coefficients through the kept blocks, M_T^-1 x = M_ref^-1
 M_T^-T c = L_T^-T (M_ref^-T c); ``stress_dual_coefficients`` forms M_T^-T
 from them where a dense block is needed.  Beside the blocks a
 ``StressBatch`` keeps only the volumes, the edge tangents and the
-tangent-gradient table of ``div_scalars``, 115 doubles per tet: it is the
-one per-tet record of the body's stress, from which ``assembly`` applies
-the compliance and divergence blocks through the maps or forms them for a
-few tets, the interface coupling takes the basis of the owner tets, and the
-error norms of a solution take sigma_h with neither M_T^-1 nor a second
+tangent-gradient table of ``div_scalars``, 115 doubles per tet.  The body's
+``StressBatch`` belongs to its ``StressDofMap`` (``stress``, built and
+checked on first use): it is the one per-tet record of the body's stress,
+from which ``assembly`` applies the compliance and divergence blocks
+through the maps or forms them for a few tets, the interface coupling takes
+the basis of the owner tets, ``hybrid`` eliminates the local blocks, and
+the error norms of a solution take sigma_h with neither M_T^-1 nor a second
 check.
 
 Every local inverse (the DOF matrices here, the saddle blocks of ``hybrid``)
@@ -820,6 +822,14 @@ class StressDofMap:
     def face_index(self) -> dict[tuple, int]:
         """Face number of each sorted vertex triple (built on first use)."""
         return {v: i for i, v in enumerate(map(tuple, self.face_vertices.tolist()))}
+
+    @cached_property
+    def stress(self) -> StressBatch:
+        """The stress element of every tet of the mesh, built and checked
+        once, on first use: the one record of the body's stress that the
+        forms, the interface coupling, the local elimination and the error
+        norms read."""
+        return StressBatch(self.mesh.vertices[self.mesh.tets])
 
     def local_coefficients(self, t: int, sigma: np.ndarray) -> np.ndarray:
         """Local 42-vector of element coefficients from a global vector."""

@@ -19,8 +19,9 @@ blocks leaves the symmetric positive definite system
 
     S Y = sum_T C_T M_T^-1 F_T - H,          S = sum_T C_T M_T^-1 C_T^T + D.
 
-The blocks are formed from the body's ``fe_elements.StressBatch``
-(``assembly.compliance_blocks``, ``divergence_blocks``) and eliminated, and
+The blocks are formed from the body's ``fe_elements.StressBatch``, which
+its stress map holds (``StressDofMap.stress``), by
+``assembly.compliance_blocks`` and ``divergence_blocks``, and eliminated, and
 S is summed, in one pass over ``fe_elements.local_chunks`` slices of tets
 (``HybridBody._condensed``), so that only the factors of the elimination
 and S reach the size of the mesh: L^-1 and L_S^-1 with their triangles
@@ -98,7 +99,6 @@ from scipy.linalg.lapack import dtrtri
 from .assembly import (BlockSystem, _scatter, apply_A, apply_B, apply_Bt,
                        compliance_blocks, divergence_blocks)
 from .fe_elements import (
-    StressBatch,
     StressDofMap,
     _refuse_ill_conditioned,
     _stacked,
@@ -387,9 +387,9 @@ class HybridBody:
     """The broken body system of a mesh, condensed onto its face multipliers
     and, when coupled, the free plate DOFs.
 
-    ``stress`` is the body's stress element and ``params`` the material of
-    its compliance, from which the unsigned local blocks are formed and
-    applied, and ``essential_idx`` the global stress DOFs that carry
+    The unsigned local blocks are formed and applied from the stress
+    element of ``smap`` (``smap.stress``) and ``params``, the material of
+    its compliance; ``essential_idx`` are the global stress DOFs that carry
     traction data.  ``coupling`` is None for the body alone (Gamma then
     carries natural stress DOFs), or (G_loc, K): the interface
     coupling in local columns (n_w, 42 n_tets) and the plate stiffness,
@@ -401,9 +401,8 @@ class HybridBody:
     ``essential``'s nonzeros, which the load puts on the eliminated rows.
     """
 
-    def __init__(self, smap: StressDofMap, stress: StressBatch,
-                 params: MaterialParams, essential_idx: np.ndarray,
-                 coupling=None):
+    def __init__(self, smap: StressDofMap, params: MaterialParams,
+                 essential_idx: np.ndarray, coupling=None):
         self.smap = smap
         nt = smap.ltg.shape[0]
         ess = np.zeros(smap.n_dofs, dtype=bool)
@@ -411,7 +410,7 @@ class HybridBody:
         self.free_sigma = ~ess
         self.essential = ess[smap.ltg]
         self.owned = smap.sign > 0
-        self.stress, self.params = stress, params
+        self.params = params
         self.L_inv = np.empty((nt, 42 * 43 // 2))
         self.LS_inv = np.empty((nt, 12 * 13 // 2))
         self.Z = np.empty((nt, 42, 12))
@@ -502,8 +501,9 @@ class HybridBody:
         diagonal = []
         for c in local_chunks(nt):
             L_inv, LS_inv, Z, W, d = _local_saddle_factors(
-                compliance_blocks(self.stress, self.params, c),
-                divergence_blocks(self.stress, c), self.essential[c], c.start)
+                compliance_blocks(self.smap.stress, self.params, c),
+                divergence_blocks(self.smap.stress, c), self.essential[c],
+                c.start)
             diagonal.append(d)
             self.L_inv[c], self.LS_inv[c] = _packed(L_inv), _packed(LS_inv)
             self.Z[c] = Z
@@ -587,8 +587,8 @@ class HybridBody:
         F = np.concatenate([f_sigma, f_u], axis=1)
         # The essential data moved over, A_T v and B_T v applied by their
         # structure: both are exactly 0 on the tets without data.
-        F[:, :42] -= apply_A(self.stress, self.params, v)
-        F[:, 42:] -= apply_B(self.stress, v)
+        F[:, :42] -= apply_A(self.smap.stress, self.params, v)
+        F[:, 42:] -= apply_B(self.smap.stress, v)
         F[:, :42][self.essential] = self.essential_diagonal * v[self.essential]
         broken = self._local_solve(F)[:, :42]
         r = self._apply_C(broken)
@@ -638,7 +638,7 @@ class HybridBody:
         Fails above the residual contract."""
         ltg, sign = self.smap.ltg, self.smap.sign
         s = sign * sigma[ltg]
-        k = self.stress
+        k = self.smap.stress
         g = (self.G.T @ w).reshape(ltg.shape)
         r_sigma = (apply_A(k, self.params, s) + apply_Bt(k, u) - g
                    - load.f_sigma)
@@ -675,8 +675,7 @@ def condense(system: BlockSystem
     smap, pmap = system.smap, system.pmap
     free = np.flatnonzero(~pmap.constrained)
     G_loc = system.coupling.local(smap.ltg.shape[0], pmap.n_dofs)[free]
-    hb = HybridBody(smap, system.stress, system.params,
-                    system.sigma_essential_idx,
+    hb = HybridBody(smap, system.params, system.sigma_essential_idx,
                     coupling=(G_loc, system.K.tocsr()[free][:, free]))
     data = np.zeros(smap.n_dofs)
     data[system.sigma_essential_idx] = system.sigma_essential_values
@@ -689,15 +688,13 @@ def mixed_solution(system: BlockSystem, sigma: np.ndarray, x_u: np.ndarray,
                    w: np.ndarray, report: SolveReport,
                    junction_residual: float | None = None) -> SolutionFields:
     """The ``SolutionFields`` of a hybridized solve of ``system``, from its
-    local displacements (n_tets, 12), with the solve's stress element."""
+    local displacements (n_tets, 12), with the system's DOF maps."""
     u = np.zeros(system.vmap.n_dofs)
     u[system.vmap.ltg] = x_u
     return SolutionFields(
         method="mixed-nc", body=system.body, plate=system.plate,
         params=system.params, u=u, w=w, pmap=system.pmap, sigma=sigma,
-        smap=system.smap, vmap=system.vmap,
-        stress=system.stress,
-        report=report, junction_residual=junction_residual)
+        smap=system.smap, vmap=system.vmap, report=report, junction_residual=junction_residual)
 
 
 def solve_hybrid(system: BlockSystem) -> SolutionFields:

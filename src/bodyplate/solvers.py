@@ -38,8 +38,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fe_elements import (BodyCGDofMap, BodyDGDofMap, PlateDofMap,
-                          StressBatch, StressDofMap)
+from .fe_elements import BodyCGDofMap, BodyDGDofMap, PlateDofMap, StressDofMap
 from .geometry_mesh import TetMesh, TriMesh
 from .materials import MaterialParams
 
@@ -84,12 +83,12 @@ class SolveReport:
 class SolutionFields:
     """A solved configuration: discrete fields plus their DOF maps.
 
-    ``stress`` is the stress element of every tet (``StressBatch``) that
-    the solve built, checked and solved with, the very object of its
-    ``BlockSystem``; the stress norms take sigma_h through it.  Without it
-    (a ``SolutionFields`` made by hand) the norms build a ``StressBatch``
-    again, tet batch by tet batch, with the same check.  ``report`` is the
-    solve's report; ``junction_residual`` is set by ``solve_dd`` only."""
+    The stress norms take sigma_h through the stress element that
+    ``smap`` holds (``StressDofMap.stress``): the one the solve built,
+    checked and solved with, or, for a ``StressDofMap`` that no solve has
+    read (a ``SolutionFields`` made by hand), one built on the norms' first
+    read and kept for the next.  ``report`` is the solve's report;
+    ``junction_residual`` is set by ``solve_dd`` only."""
 
     method: str
     body: TetMesh
@@ -102,7 +101,6 @@ class SolutionFields:
     smap: StressDofMap | None = None
     vmap: BodyDGDofMap | None = None
     cmap: BodyCGDofMap | None = None
-    stress: StressBatch | None = None
     report: SolveReport | None = None
     junction_residual: float | None = None
 

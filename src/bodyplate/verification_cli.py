@@ -27,7 +27,6 @@ from .domain_decomposition import CG_MAX_IT, CG_TOL, solve_dd
 from .fe_elements import (
     MorleyBatch,
     PlateDofMap,
-    StressBatch,
     simplex_geometry,
     span_scalars,
     stress_span_coefficients,
@@ -132,20 +131,17 @@ def _body_squared_errors(sol: SolutionFields, case: ManufacturedCase, rule,
     """Squared stress and displacement errors over the tets ``el``."""
     verts = sol.body.vertices[sol.body.tets[el]]
     if sol.method == "mixed-nc":
-        if sol.stress is None:
-            k, t = StressBatch(verts, el.start), slice(None)
-        else:
-            k, t = sol.stress, el
-        vol = k.volume[t]
+        k = sol.smap.stress
+        vol = k.volume[el]
         # Contract the coefficients first: sigma_h = sum_e g_e T_e with g_e
         # the edge-e part of the spanning-function expansion.
         span = stress_span_coefficients(
-            sol.smap.sign[el] * sol.sigma[sol.smap.ltg[el]], k.face_inv[t],
-            k.interior_inv[t]).reshape(-1, 6, 7)
+            sol.smap.sign[el] * sol.sigma[sol.smap.ltg[el]], k.face_inv[el],
+            k.interior_inv[el]).reshape(-1, 6, 7)
         s = span_scalars(rule.points).reshape(-1, 6, 7)
         # g[n, q, e] = span[n, e] . s[q, e]: one product per edge.
         g = np.swapaxes(span, 0, 1) @ np.moveaxis(s, 0, 2)  # (6, n, nq)
-        tangents = k.tangents[t]
+        tangents = k.tangents[el]
         T = tangents[..., :, None] * tangents[..., None, :]
         sig_h = np.moveaxis(g, 0, 2) @ T.reshape(-1, 6, 9)
         sig_h = sig_h.reshape(sig_h.shape[:2] + (3, 3))

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given
 
 from bodyplate.domain_decomposition import build_interface_dof_set
-from bodyplate.fe_elements import PlateDofMap, StressDofMap
+from bodyplate.fe_elements import PlateDofMap, StressBatch, StressDofMap
 from bodyplate.geometry_mesh import (
     GAMMA_HALF_WIDTH,
     TET_LOCAL_FACES,
@@ -174,3 +174,17 @@ def test_missing_boundary_face_raises():
                   boundary_tags=body.boundary_tags[1:])
     with pytest.raises(ValueError, match="boundary face table"):
         StressDofMap(cut)
+
+
+def test_stress_element_is_built_on_first_read():
+    # The stress map holds the body's stress element: none until the first
+    # read, then the element of every tet, the same object on every read.
+    body = build_body_mesh(2)
+    smap = StressDofMap(body)
+    assert "stress" not in vars(smap)
+    k = smap.stress
+    assert vars(smap)["stress"] is k and smap.stress is k
+    ref = vars(StressBatch(body.vertices[body.tets]))
+    assert sorted(vars(k)) == sorted(ref)
+    for name, a in ref.items():
+        assert_same(getattr(k, name), a)

@@ -9,7 +9,6 @@ incompressibility, and each named failure of the hybrid path is provoked
 once.
 """
 
-import copy
 from dataclasses import replace
 
 import numpy as np
@@ -387,7 +386,7 @@ def test_coarse_transfer_maps_rigid_motions_into_the_kernel_off_gamma():
     # scale in P the defect is of order one.
     body = build_body_mesh(2)
     system = asm.build_mixed_system(body, build_plate_mesh(4), default_case())
-    hb = hybrid.HybridBody(system.smap, system.stress, system.params,
+    hb = hybrid.HybridBody(system.smap, system.params,
                            system.sigma_essential_idx)
     P = hb._coarse_transfer()
     unscaled = P.copy()
@@ -500,7 +499,7 @@ def test_direct_factor_serves_every_later_solve(monkeypatch):
     monkeypatch.setattr(hybrid, "PCG_UNKNOWNS_PER_IT", 10 ** 9)
     body = build_body_mesh(2)
     system = asm.build_mixed_system(body, build_plate_mesh(4), default_case())
-    hb = hybrid.HybridBody(system.smap, system.stress, system.params,
+    hb = hybrid.HybridBody(system.smap, system.params,
                            system.sigma_essential_idx)
     sizes = _count_factors(monkeypatch)
     r = np.random.default_rng(9).standard_normal(hb.S.shape[0])
@@ -695,14 +694,13 @@ def test_local_solve_applies_the_inverses_that_S_sums(name):
 
 @pytest.fixture
 def blocks():
+    # The stress map and its stress element are the system's own, built
+    # afresh for each test, so a test may corrupt the element in place.
     case = default_case()
-    body = build_body_mesh(1)
-    smap = StressDofMap(body)
-    system = asm.build_mixed_system(body, build_plate_mesh(4), case)
-    b = copy.copy(system.stress)
-    b.volume = b.volume.copy()
-    b.tangent_gradients = b.tangent_gradients.copy()
-    return smap, b, system.params, system.sigma_essential_idx
+    system = asm.build_mixed_system(build_body_mesh(1), build_plate_mesh(4),
+                                    case)
+    smap = system.smap
+    return smap, smap.stress, system.params, system.sigma_essential_idx
 
 
 def scale_compliance(k, t, factor):
@@ -721,7 +719,7 @@ def test_bad_local_block_names_its_tet(blocks, defect):
         scale_compliance(b, 3, 1e-14)
     with pytest.raises(ValueError, match="local saddle block of tet 3 is "
                        "ill-conditioned"):
-        hybrid.HybridBody(smap, b, params, ess)
+        hybrid.HybridBody(smap, params, ess)
 
 
 @pytest.mark.parametrize("defect", ["singular", "ill-conditioned"])
@@ -736,7 +734,7 @@ def test_bad_block_in_a_later_chunk_names_its_global_tet(blocks, defect,
         scale_compliance(b, 5, 1e-14)
     with pytest.raises(ValueError, match="local saddle block of tet 5 is "
                        "ill-conditioned"):
-        hybrid.HybridBody(smap, b, params, ess)
+        hybrid.HybridBody(smap, params, ess)
 
 
 def test_compliance_block_not_positive_definite_is_refused(blocks,
@@ -749,16 +747,16 @@ def test_compliance_block_not_positive_definite_is_refused(blocks,
     scale_compliance(b, 5, -1.0)  # A_T negated
     with pytest.raises(ValueError, match=r"local saddle block of tet 5 is "
                        r"ill-conditioned \(cond_1 = inf"):
-        hybrid.HybridBody(smap, b, params, ess)
+        hybrid.HybridBody(smap, params, ess)
 
 
 def test_chunked_local_inverses_equal_one_batch(blocks, monkeypatch):
     smap, b, params, ess = blocks
     names = ("L_inv", "LS_inv", "Z")
-    hb = hybrid.HybridBody(smap, b, params, ess)
+    hb = hybrid.HybridBody(smap, params, ess)
     whole = [getattr(hb, name) for name in names]
     monkeypatch.setattr(fe_elements, "LOCAL_CHUNK", 4)
-    hb = hybrid.HybridBody(smap, b, params, ess)
+    hb = hybrid.HybridBody(smap, params, ess)
     for name, ref in zip(names, whole):
         assert np.array_equal(getattr(hb, name), ref), name
 
@@ -772,7 +770,7 @@ def _body_solve(hb, smap):
 
 def test_clean_body_solve_passes_both_checks(blocks):
     smap, b, params, ess = blocks
-    *_, rel = _body_solve(hybrid.HybridBody(smap, b, params, ess), smap)
+    *_, rel = _body_solve(hybrid.HybridBody(smap, params, ess), smap)
     assert rel <= RESIDUAL_CONTRACT
 
 
@@ -782,7 +780,7 @@ def test_residual_breach_is_named(blocks):
     # continuity, intact.  The factors share L_S^-1 between the stress and
     # the displacement rows, so the fault goes into their product.
     smap, b, params, ess = blocks
-    hb = hybrid.HybridBody(smap, b, params, ess)
+    hb = hybrid.HybridBody(smap, params, ess)
     local_solve = hb._local_solve
 
     def corrupted(F):
@@ -799,7 +797,7 @@ def test_face_continuity_defect_is_named(blocks):
     # A wrong stress entry on an interior face of one kept factor L_T^-1
     # breaks the agreement of the neighbouring stresses on that face.
     smap, b, params, ess = blocks
-    hb = hybrid.HybridBody(smap, b, params, ess)
+    hb = hybrid.HybridBody(smap, params, ess)
     t, i = np.argwhere(hb._on_face)[0]
     rows, cols = np.tril_indices(42)
     hb.L_inv[t, (rows == i) & (cols == i)] *= 1.01
@@ -836,7 +834,8 @@ def test_solve_dd_assembles_the_plate_stiffness_once(monkeypatch):
 
     for module in (asm, dd):
         counted(module, "assemble_plate_stiffness")
-    for module, name in [(asm, "StressBatch"), (dd, "build_mixed_system"),
+    for module, name in [(fe_elements, "StressBatch"),
+                         (dd, "build_mixed_system"),
                          (hybrid, "HybridBody"), (hybrid, "SparseFactor"),
                          (dd, "SparseFactor")]:
         counted(module, name)

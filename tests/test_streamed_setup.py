@@ -36,7 +36,8 @@ def streamed_arrays(body, plate, chunk):
         hb = hybrid.condense(system)[0]
         sol, _ = vcli.solve_mixed(body, plate, case)
     return {
-        **{f"stress.{name}": a for name, a in vars(system.stress).items()},
+        **{f"stress.{name}": a
+           for name, a in vars(system.smap.stress).items()},
         "coupling.tet": system.coupling.tet,
         "coupling.rows": system.coupling.rows,
         "coupling.blocks": system.coupling.blocks, "f_V": system.f_V,

@@ -21,6 +21,7 @@ from numpy.testing import assert_allclose
 
 from bodyplate import assembly as asm
 from bodyplate import domain_decomposition as dd_module
+from bodyplate import fe_elements
 from bodyplate import hybrid
 from bodyplate import verification_cli as vcli
 from bodyplate.domain_decomposition import CG_MAX_IT, CG_TOL, solve_dd
@@ -66,18 +67,19 @@ class TestSolvers:
     @staticmethod
     def stress_bytes(sol):
         """Bytes of the arrays of a solution's stress element."""
-        return sum(a.nbytes for a in vars(sol.stress).values())
+        return sum(a.nbytes for a in vars(sol.smap.stress).values())
 
     def test_mixed_solution_keeps_72_doubles_per_tet(self):
-        # Beside the fields, a solution keeps no array of its own, only the
-        # solve's stress element for its norms (115 doubles per tet, the
-        # object the solve read): a kept solution stays alive while the
-        # next solve runs, so every kept byte adds to the peak.
+        # Beside the fields, a solution keeps no array of its own, only its
+        # DOF maps, whose stress map holds the solve's stress element for
+        # the norms (115 doubles per tet, the object the solve read): a kept
+        # solution stays alive while the next solve runs, so every kept
+        # byte adds to the peak.
         case = default_case()
         body = build_body_mesh(2)
         sol, _ = vcli.solve_mixed(body, build_plate_mesh(8, Diagonal.FLIPPED),
                                   case)
-        assert sol.stress is not None
+        assert "stress" in vars(sol.smap)
         assert self.kept_bytes(sol) <= 72 * 8 * body.n_tets
         assert self.stress_bytes(sol) <= 115 * 8 * body.n_tets
 
@@ -85,7 +87,7 @@ class TestSolvers:
         case = default_case()
         body = build_body_mesh(2)
         sol = solve_dd(body, build_plate_mesh(8, Diagonal.FLIPPED), case)
-        assert sol.stress is not None
+        assert "stress" in vars(sol.smap)
         assert self.kept_bytes(sol) <= 72 * 8 * body.n_tets
         assert self.stress_bytes(sol) <= 115 * 8 * body.n_tets
 
@@ -105,7 +107,8 @@ class TestSolvers:
     def test_solution_carries_the_stress_element_of_its_solve(
             self, monkeypatch, method):
         # The solution's stress element is the very object that its
-        # BlockSystem and HybridBody read: no copy, no second build.
+        # BlockSystem and HybridBody read, through the one stress map that
+        # they share: no copy, no second build.
         seen = {}
 
         def seeing(original):
@@ -122,8 +125,8 @@ class TestSolvers:
         body, plate = build_body_mesh(2), build_plate_mesh(8)
         sol = (vcli.solve_mixed(body, plate, case)[0] if method == "mixed"
                else solve_dd(body, plate, case))
-        assert sol.stress is seen["system"].stress
-        assert sol.stress is seen["hb"].stress
+        assert sol.smap is seen["system"].smap is seen["hb"].smap
+        assert "stress" in vars(sol.smap)
 
     def test_every_solver_returns_one_result_and_report(self):
         # The three solves return the same result type carrying the same
@@ -171,8 +174,9 @@ class TestSolvers:
             assert report.wall_time >= 0.05
 
     def test_dd_norms_build_no_stress_batch(self, monkeypatch):
-        # A solve_dd result carries the solve's stress element, so its
-        # norms take sigma_h through it and build no StressBatch.
+        # A solve_dd result carries the solve's stress element in its
+        # stress map, so its norms take sigma_h through it and build no
+        # StressBatch.
         case = default_case()
         sol = solve_dd(build_body_mesh(2),
                        build_plate_mesh(8, Diagonal.FLIPPED), case)
@@ -180,7 +184,7 @@ class TestSolvers:
         def refused(*args, **kwargs):
             raise AssertionError("the norms built a StressBatch")
 
-        monkeypatch.setattr(vcli, "StressBatch", refused)
+        monkeypatch.setattr(fe_elements, "StressBatch", refused)
         assert all(np.isfinite(vcli.compute_error_norms(sol, case).as_tuple()))
 
     @pytest.mark.parametrize("meshes", ["kuhn", "jittered"])
@@ -198,7 +202,7 @@ class TestSolvers:
         hb.back_substitute(hb.solve_condensed(load.r)[0], load)
         nt = body.n_tets
         bases = {}
-        for owner in (hb, hb.stress):
+        for owner in (hb, hb.smap.stress):
             for value in vars(owner).values():
                 if isinstance(value, np.ndarray):
                     base = value if value.base is None else value.base
