@@ -13,9 +13,10 @@ plate triangles, ``FACE_DEGREE`` on faces and interface cells, and
 ``NORM_DEGREE`` in the error norms.
 
 Triangle rules are symmetric positive-weight tables (Dunavant-style orbits) for
-degrees up to 10.  Tetrahedron rules are tabulated for degrees 1-2 and fall back
-to a collapsed Gauss-Jacobi conical product (always positive weights) for
-degrees 3-8.
+degrees up to 10.  Tetrahedron rules of every degree up to 8 are one collapsed
+Gauss-Jacobi conical product (always positive weights) with n points per
+direction, exact for degree 2n - 1: the centroid for degree 1 and below, and
+n^3 points for degrees 2n - 2 and 2n - 1.
 """
 
 from __future__ import annotations
@@ -180,24 +181,6 @@ def triangle_rule(degree: int) -> QuadratureRule:
 # Tetrahedron rules.
 # ---------------------------------------------------------------------------
 
-def _tet_table() -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    table: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    # Degree 1: centroid.
-    table[1] = (np.full((1, 4), 0.25), np.array([TET_MEASURE]))
-
-    # Degree 2: four symmetric interior points.
-    a = 0.5854101966249685
-    b = 0.1381966011250105
-    pts = np.full((4, 4), b)
-    np.fill_diagonal(pts, a)
-    table[2] = (pts, np.full(4, TET_MEASURE / 4.0))
-    return table
-
-
-_TET_TABLE = _tet_table()
-
-
 def _gauss_jacobi_01(n: int, alpha: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Jacobi nodes/weights on [0, 1] for the weight (1-x)^alpha, by
     Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
@@ -246,10 +229,6 @@ def tet_rule(degree: int) -> QuadratureRule:
             f"tetrahedron quadrature degree must be in [0, {TET_MAX_DEGREE}], "
             f"got {degree}"
         )
-    degree = max(degree, 1)
-    if degree in _TET_TABLE:
-        pts, wts = _TET_TABLE[degree]
-        return QuadratureRule(pts.copy(), wts.copy(), degree)
-    n = (degree + 2) // 2  # 2n - 1 >= degree
+    n = max(degree, 1) // 2 + 1  # 2n - 1 >= degree
     pts, wts = _tet_conical(n)
     return QuadratureRule(pts.copy(), wts.copy(), 2 * n - 1)

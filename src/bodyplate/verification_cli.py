@@ -27,6 +27,7 @@ from .domain_decomposition import CG_MAX_IT, CG_TOL, solve_dd
 from .fe_elements import (
     MorleyBatch,
     PlateDofMap,
+    local_chunks,
     simplex_geometry,
     span_scalars,
     stress_span_coefficients,
@@ -112,17 +113,13 @@ def solve_displacement(body: TetMesh, plate: TriMesh, case: ManufacturedCase,
 # Error norms.
 # ---------------------------------------------------------------------------
 
-#: Quadrature points per batch of tets in the body norms, which bounds the
-#: sampled (points, 3, 3) fields at the ``NORM_DEGREE`` rule.
-_NORM_BATCH_POINTS = 2**15
-
-
 def _body_errors(sol: SolutionFields, case: ManufacturedCase
                  ) -> tuple[float, float]:
+    """Stress and displacement errors, summed one ``local_chunks`` slice
+    of tets at a time, which bounds the sampled (points, 3, 3) fields."""
     rule = tet_rule(NORM_DEGREE)
-    step = max(1, _NORM_BATCH_POINTS // rule.n_points)
-    sq = sum(_body_squared_errors(sol, case, rule, slice(i, i + step))
-             for i in range(0, sol.body.n_tets, step))
+    sq = sum(_body_squared_errors(sol, case, rule, c)
+             for c in local_chunks(sol.body.n_tets))
     return np.sqrt(sq[0]), np.sqrt(sq[1])
 
 

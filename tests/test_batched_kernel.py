@@ -681,8 +681,7 @@ def test_norm_batches_move_the_norms_by_roundoff(monkeypatch, solve):
     case = default_case()
     sol, _ = solve(build_body_mesh(2), build_plate_mesh(4), case)
     whole = vcli.compute_error_norms(sol, case).as_tuple()
-    monkeypatch.setattr(vcli, "_NORM_BATCH_POINTS",
-                        5 * tet_rule(NORM_DEGREE).n_points)
+    monkeypatch.setattr(fe_elements, "LOCAL_CHUNK", 5)
     assert sol.body.n_tets % 5
     assert_allclose(vcli.compute_error_norms(sol, case).as_tuple(), whole,
                     rtol=1e-13, atol=0)
