@@ -39,7 +39,7 @@ import scipy.sparse as sp
 from .geometry_mesh import FaceTag, TetMesh, TriMesh, _match_rows
 from .interface_overlay import InterfaceFace, OverlayCell
 from .manufactured import ManufacturedCase
-from .materials import MaterialParams, c0_apply, c0_inv_apply, c1_apply, c2_apply
+from .materials import MaterialParams, c0_apply, c1_apply, c2_apply
 from .fe_elements import (
     SPAN_EDGE,
     BodyCGDofMap,
@@ -180,20 +180,30 @@ def _coefficients(k: StressBatch, t) -> np.ndarray:
     return stress_dual_coefficients(k.face_inv[t], k.interior_inv[t])
 
 
-def _edge_pairing(tangents: np.ndarray, apply) -> np.ndarray:
-    """The 6 x 6 edge pairings apply(T_e) : T_f (n, 6, 6) of the tets with
-    edge ``tangents`` (n, 6, 3), T_e = t_e t_e^T, for a linear map
-    ``apply`` of symmetric matrices."""
-    T = tangents[..., :, None] * tangents[..., None, :]
-    return np.einsum("neab,nfab->nef", apply(T), T)
+def _edge_pairing(tangents: np.ndarray) -> np.ndarray:
+    """The 6 x 6 edge pairings T_e : T_f = (t_e . t_f)^2 (n, 6, 6) of the
+    tets with unit edge ``tangents`` (n, 6, 3), T_e = t_e t_e^T."""
+    G = tangents @ np.swapaxes(tangents, 1, 2)
+    return G * G
 
 
-def _tensor_mass_blocks(k: StressBatch, apply, t) -> np.ndarray:
-    """int apply(phi_j) : phi_i (m, 42, 42) on the tets ``t`` of ``k`` for a
-    linear map ``apply`` of symmetric matrices.  With spanning functions
-    s_k T_e the integrand separates into the reference Gram matrix of the
-    s_k and the edge pairing apply(T_e) : T_f."""
-    pairing = _edge_pairing(k.tangents[t], apply)
+def _compliance_pairing(tangents: np.ndarray, params: MaterialParams
+                        ) -> np.ndarray:
+    """The 6 x 6 edge pairings C0^-1(T_e) : T_f (n, 6, 6) of the tets with
+    unit edge ``tangents`` (n, 6, 3): with C0^-1 sigma = (1 + nu)/E sigma -
+    nu/E tr(sigma) I (``materials.c0_inv_apply``) and tr T_e = 1, they are
+    (1 + nu)/E (t_e . t_f)^2 - nu/E."""
+    e, nu = params.e_alpha, params.nu_alpha
+    return ((1.0 + nu) / e) * _edge_pairing(tangents) - nu / e
+
+
+def _tensor_mass_blocks(k: StressBatch, pairing: np.ndarray, t
+                        ) -> np.ndarray:
+    """int C(phi_j) : phi_i (m, 42, 42) on the tets ``t`` of ``k`` for a
+    linear map C of symmetric matrices with the edge pairings ``pairing``
+    C(T_e) : T_f (m, 6, 6) of those tets.  With spanning functions s_k T_e
+    the integrand separates into the reference Gram matrix of the s_k and
+    the edge pairing."""
     span = ((k.volume[t] / TET_MEASURE)[:, None, None] * _SPAN_GRAM
             * pairing[:, SPAN_EDGE][:, :, SPAN_EDGE])
     return _basis_blocks(_coefficients(k, t), span)
@@ -207,8 +217,10 @@ def compliance_blocks(k: StressBatch, params: MaterialParams, t
         A_T = M_T^-T (|T| / |T^| G o Pi_T[E, E]) M_T^-1,
 
     G the Gram matrix of the spanning scalars, E = ``SPAN_EDGE`` and Pi_T
-    the 6 x 6 edge pairing C0^-1(T_e) : T_f, formed from the tangents."""
-    return _tensor_mass_blocks(k, lambda T: c0_inv_apply(T, params), t)
+    the 6 x 6 edge pairing C0^-1(T_e) : T_f, in closed form from the
+    tangents (``_compliance_pairing``)."""
+    return _tensor_mass_blocks(
+        k, _compliance_pairing(k.tangents[t], params), t)
 
 
 def divergence_blocks(k: StressBatch, t) -> np.ndarray:
@@ -239,7 +251,7 @@ def _basis_values(k: StressBatch, y: np.ndarray) -> np.ndarray:
 def apply_A(k: StressBatch, params: MaterialParams, x: np.ndarray
             ) -> np.ndarray:
     """A_T x_T (n, 42) for every tet, one GEMM with G per edge group."""
-    pairing = _edge_pairing(k.tangents, lambda T: c0_inv_apply(T, params))
+    pairing = _compliance_pairing(k.tangents, params)
     c = stress_span_coefficients(x, k.face_inv,
                                  k.interior_inv).reshape(-1, 6, 7)
     y = np.empty_like(c)
@@ -288,8 +300,9 @@ def assemble_compliance(
 
 def assemble_stress_mass(body: TetMesh, smap: StressDofMap) -> sp.csr_matrix:
     """Plain L2 mass of the stress space, int phi_i : phi_j."""
+    k = StressBatch(body.vertices[body.tets])
     return _scatter_stress(smap, _tensor_mass_blocks(
-        StressBatch(body.vertices[body.tets]), lambda T: T, slice(None)))
+        k, _edge_pairing(k.tangents), slice(None)))
 
 
 def _div_div_blocks(k: StressBatch) -> np.ndarray:
