@@ -142,11 +142,11 @@ SYM_INDEX_PAIRS = [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)]
 CONDITION_LIMIT = 1e12
 
 #: Elements whose local work runs together (``local_chunks``): the local
-#: inverses (``checked_inverses``, ``StressBatch``), and in ``hybrid`` the
+#: inverses (``checked_inverses``, ``StressBatch``), in ``hybrid`` the
 #: formed blocks, their elimination and the sums of the stress blocks into
-#: the condensed system, and the local solves by the kept factors, take
-#: their elements this many at a time, so that only the arrays they keep
-#: reach the size of the mesh.
+#: the condensed system, and the local solves by the kept factors, and the
+#: body's error norms take their elements this many at a time, so that only
+#: the arrays they keep reach the size of the mesh.
 LOCAL_CHUNK = 128
 
 _FACE_RULE = triangle_rule(4)

@@ -499,11 +499,11 @@ class HybridBody:
         face_blocks = _FaceBlocks(lam, n)
         W_gamma = np.empty((ng, 42, 42))
         diagonal = []
+        k = self.smap.stress
         for c in local_chunks(nt):
             L_inv, LS_inv, Z, W, d = _local_saddle_factors(
-                compliance_blocks(self.smap.stress, self.params, c),
-                divergence_blocks(self.smap.stress, c), self.essential[c],
-                c.start)
+                compliance_blocks(k, self.params, c), divergence_blocks(k, c),
+                self.essential[c], c.start)
             diagonal.append(d)
             self.L_inv[c], self.LS_inv[c] = _packed(L_inv), _packed(LS_inv)
             self.Z[c] = Z
@@ -694,7 +694,8 @@ def mixed_solution(system: BlockSystem, sigma: np.ndarray, x_u: np.ndarray,
     return SolutionFields(
         method="mixed-nc", body=system.body, plate=system.plate,
         params=system.params, u=u, w=w, pmap=system.pmap, sigma=sigma,
-        smap=system.smap, vmap=system.vmap, report=report, junction_residual=junction_residual)
+        smap=system.smap, vmap=system.vmap, report=report,
+        junction_residual=junction_residual)
 
 
 def solve_hybrid(system: BlockSystem) -> SolutionFields:
