@@ -23,6 +23,11 @@ is kept per overlay cell (``CouplingBlocks``).  The global blocks are their
 signed scatters.  The production solve works on the local blocks directly
 (``hybrid``); the assembled monolithic matrix serves as the test oracle.
 
+Each form takes its mesh from its DOF maps (``smap.mesh``, ``vmap.mesh``,
+``pmap.mesh``), and the systems keep the maps, not the meshes.  The entry
+points whose signatures still take a mesh beside its map refuse a mesh that
+is not the map's own (``fe_elements.check_own_mesh``).
+
 The displacement baseline shares vertex DOFs between the continuous body P1
 space and the plate along the interface (components 1-2 with the membrane,
 component 3 with Morley vertex values) and is symmetric positive definite.
@@ -37,7 +42,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from .geometry_mesh import FaceTag, TetMesh, TriMesh, _match_rows
-from .interface_overlay import InterfaceFace, OverlayCell
+from .interface_overlay import (
+    InterfaceFace,
+    OverlayCell,
+    extract_interface_triangulation,
+    intersect_triangulations,
+)
 from .manufactured import ManufacturedCase
 from .materials import MaterialParams, c0_apply, c1_apply, c2_apply
 from .fe_elements import (
@@ -48,6 +58,7 @@ from .fe_elements import (
     PlateDofMap,
     StressBatch,
     StressDofMap,
+    check_own_mesh,
     div_scalars,
     face_normals,
     local_chunks,
@@ -288,19 +299,17 @@ def apply_Bt(k: StressBatch, u: np.ndarray) -> np.ndarray:
     return _basis_values(k, y)
 
 
-def assemble_compliance(
-    body: TetMesh,
-    smap: StressDofMap,
-    params: MaterialParams,
-) -> sp.csr_matrix:
+def assemble_compliance(smap: StressDofMap, params: MaterialParams
+                        ) -> sp.csr_matrix:
     """A[i, j] = int_alpha (C0^-1 phi_j) : phi_i  (symmetric positive definite)."""
     return _scatter_stress(smap, compliance_blocks(
-        StressBatch(body.vertices[body.tets]), params, slice(None)))
+        smap.stress, params, slice(None)))
 
 
 def assemble_stress_mass(body: TetMesh, smap: StressDofMap) -> sp.csr_matrix:
     """Plain L2 mass of the stress space, int phi_i : phi_j."""
-    k = StressBatch(body.vertices[body.tets])
+    check_own_mesh("body", body, smap)
+    k = smap.stress
     return _scatter_stress(smap, _tensor_mass_blocks(
         k, _edge_pairing(k.tangents), slice(None)))
 
@@ -319,25 +328,22 @@ def _div_div_blocks(k: StressBatch) -> np.ndarray:
 
 def assemble_div_div(body: TetMesh, smap: StressDofMap) -> sp.csr_matrix:
     """int div phi_i . div phi_j (elementwise divergence)."""
-    return _scatter_stress(smap, _div_div_blocks(
-        StressBatch(body.vertices[body.tets])))
-
-
-def _scatter_divergence(smap: StressDofMap, vmap, loc: np.ndarray
-                        ) -> sp.csr_matrix:
-    return _scatter(vmap.ltg, smap.ltg, loc * smap.sign[:, None, :],
-                    (vmap.n_dofs, smap.n_dofs))
+    check_own_mesh("body", body, smap)
+    return _scatter_stress(smap, _div_div_blocks(smap.stress))
 
 
 def assemble_divergence(body: TetMesh, smap: StressDofMap, vmap
                         ) -> sp.csr_matrix:
     """B[k, i] = int_alpha div(phi_i) . psi_k  (V x Sigma)."""
-    return _scatter_divergence(smap, vmap, divergence_blocks(
-        StressBatch(body.vertices[body.tets]), slice(None)))
+    check_own_mesh("body", body, smap, vmap)
+    loc = divergence_blocks(smap.stress, slice(None))
+    return _scatter(vmap.ltg, smap.ltg, loc * smap.sign[:, None, :],
+                    (vmap.n_dofs, smap.n_dofs))
 
 
 def assemble_body_mass(body: TetMesh, vmap) -> sp.csr_matrix:
     """Vector P1 mass matrix on the body (works for the DG and CG maps)."""
+    check_own_mesh("body", body, vmap)
     _, vol = simplex_geometry(body.vertices[body.tets])
     loc = (vol / TET_MEASURE)[:, None, None] * _p1_mass_table(
         tet_rule(VOLUME_DEGREE))
@@ -349,7 +355,6 @@ def assemble_body_mass(body: TetMesh, vmap) -> sp.csr_matrix:
 # ---------------------------------------------------------------------------
 
 def assemble_plate_stiffness(
-    plate: TriMesh,
     pmap: PlateDofMap,
     params: MaterialParams,
     region: str = "all",
@@ -360,6 +365,7 @@ def assemble_plate_stiffness(
     only over triangles outside closure(Gamma) (the semidefinite variant of
     ``domain_decomposition.SchurProduct``).
     """
+    plate = pmap.mesh
     if region == "all":
         tri = np.arange(plate.n_triangles)
     elif region == "omit_interface":
@@ -425,9 +431,7 @@ class CouplingBlocks:
 
 
 def interface_coupling_blocks(
-    body: TetMesh,
     smap: StressDofMap,
-    plate: TriMesh,
     pmap: PlateDofMap,
     faces: list[InterfaceFace],
     cells: list[OverlayCell],
@@ -440,6 +444,7 @@ def interface_coupling_blocks(
     functions replaced by the continuous P1 field of their vertex values
     (Morley edge DOFs yield identically zero rows).
     """
+    body, plate = smap.mesh, pmap.mesh
     owner, local = _interface_local_faces(body, faces)
     verts = body.vertices[body.tets[owner]]  # entry f: f's owner
     grad, _ = simplex_geometry(verts)
@@ -471,8 +476,10 @@ def assemble_interface_coupling(
 ) -> sp.csr_matrix:
     """G[w, s] = int_Gamma (phi_s n) . (Pi chi_w), assembled on the overlay
     (see ``interface_coupling_blocks``)."""
+    check_own_mesh("body", body, smap)
+    check_own_mesh("plate", plate, pmap)
     return interface_coupling_blocks(
-        body, smap, plate, pmap, faces, cells).scatter(smap, pmap.n_dofs)
+        smap, pmap, faces, cells).scatter(smap, pmap.n_dofs)
 
 
 def _overlay_moments(grad: np.ndarray, v0: np.ndarray, cell_tet: np.ndarray,
@@ -506,7 +513,6 @@ def _overlay_moments(grad: np.ndarray, v0: np.ndarray, cell_tet: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def impose_traction_bc(
-    body: TetMesh,
     smap: StressDofMap,
     traction_fn,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -518,6 +524,7 @@ def impose_traction_bc(
     value[(p, c)] = (1/|F|) int_F (g . e_c) lam_p with lam_p the face's P1
     basis in sorted-global-vertex order.
     """
+    body = smap.mesh
     rule = triangle_rule(FACE_DEGREE)
     fid = smap.free_face_ids
     owner, local = smap.face_owner[fid], smap.face_owner_local[fid]
@@ -531,9 +538,7 @@ def impose_traction_bc(
 
 
 def assemble_loads(
-    body: TetMesh,
     vmap,
-    plate: TriMesh,
     pmap: PlateDofMap,
     case: ManufacturedCase,
     lowered_jump: bool = True,
@@ -546,6 +551,7 @@ def assemble_loads(
 
     The body load is evaluated one ``local_chunks`` slice of tets at a time.
     """
+    body, plate = vmap.mesh, pmap.mesh
     rule = tet_rule(VOLUME_DEGREE)
     loc = np.empty((body.n_tets, 4, 3))
     for c in local_chunks(body.n_tets):
@@ -586,6 +592,7 @@ def project_to_Vh(body: TetMesh, vmap, func) -> np.ndarray:
     vector P1 space (12 x 12 local mass solves).  The element measure scales
     the local mass and right-hand side alike, so one reference mass serves
     every tet."""
+    check_own_mesh("body", body, vmap)
     rule = tet_rule(VOLUME_DEGREE)
     verts = body.vertices[body.tets]
     f = func(rule.points @ verts)  # (n, nq, 3)
@@ -638,15 +645,14 @@ class Constraints:
 
 @dataclass
 class BlockSystem:
-    """The mixed formulation: the DOF maps, the stress map carrying the
-    body's stress element (``StressDofMap.stress``), the material parameters
+    """The mixed formulation: the DOF maps, which carry the meshes, the
+    stress map also the body's stress element (``StressDofMap.stress``), the
+    material parameters
     of its compliance, the interface coupling's cell blocks, the plate
     stiffness, loads and constraint data.  The global body blocks A, B and
     G, which only the monolithic test oracle reads, are formed and scattered
     on first use."""
 
-    body: TetMesh
-    plate: TriMesh
     smap: StressDofMap
     vmap: BodyDGDofMap
     pmap: PlateDofMap
@@ -660,13 +666,11 @@ class BlockSystem:
 
     @cached_property
     def A(self) -> sp.csr_matrix:
-        return _scatter_stress(self.smap, compliance_blocks(
-            self.smap.stress, self.params, slice(None)))
+        return assemble_compliance(self.smap, self.params)
 
     @cached_property
     def B(self) -> sp.csr_matrix:
-        return _scatter_divergence(self.smap, self.vmap, divergence_blocks(
-            self.smap.stress, slice(None)))
+        return assemble_divergence(self.smap.mesh, self.smap, self.vmap)
 
     @cached_property
     def G(self) -> sp.csr_matrix:
@@ -717,11 +721,6 @@ def build_mixed_system(
     params: MaterialParams | None = None,
 ) -> BlockSystem:
     """Assemble all blocks of the mixed formulation for a manufactured case."""
-    from .interface_overlay import (
-        extract_interface_triangulation,
-        intersect_triangulations,
-    )
-
     if params is None:
         params = case.params
     smap = StressDofMap(body)
@@ -730,13 +729,12 @@ def build_mixed_system(
     faces = extract_interface_triangulation(body)
     cells = intersect_triangulations(faces, plate)
 
-    coupling = interface_coupling_blocks(body, smap, plate, pmap, faces,
-                                         cells)
-    K = assemble_plate_stiffness(plate, pmap, params, region="all")
-    f_V, f_W = assemble_loads(body, vmap, plate, pmap, case, lowered_jump=True)
-    ess_idx, ess_vals = impose_traction_bc(body, smap, case.traction)
+    coupling = interface_coupling_blocks(smap, pmap, faces, cells)
+    K = assemble_plate_stiffness(pmap, params, region="all")
+    f_V, f_W = assemble_loads(vmap, pmap, case, lowered_jump=True)
+    ess_idx, ess_vals = impose_traction_bc(smap, case.traction)
     return BlockSystem(
-        body=body, plate=plate, smap=smap, vmap=vmap, pmap=pmap, params=params,
+        smap=smap, vmap=vmap, pmap=pmap, params=params,
         coupling=coupling, K=K, f_V=f_V, f_W=f_W,
         sigma_essential_idx=ess_idx, sigma_essential_values=ess_vals,
     )
@@ -748,10 +746,9 @@ def build_mixed_system(
 
 @dataclass
 class DisplacementSystem:
-    """Coupled continuous-displacement system (SPD after condensation)."""
+    """Coupled continuous-displacement system (SPD after condensation), on
+    the meshes its DOF maps carry."""
 
-    body: TetMesh
-    plate: TriMesh
     cmap: BodyCGDofMap
     pmap: PlateDofMap
     params: MaterialParams
@@ -815,7 +812,7 @@ def assemble_displacement_system(
     strain = _vector_p1_strains(grad)
     k_loc = np.einsum("n,niab,njab->nij", vol, c0_apply(strain, params), strain)
     gl = body_to_unified[cmap.ltg]
-    f_V, f_W = assemble_loads(body, BodyDGDofMap(body), plate, pmap, case,
+    f_V, f_W = assemble_loads(BodyDGDofMap(body), pmap, case,
                               lowered_jump=False)
     rhs = _scatter_vector(gl, -f_V.reshape(-1, 12), n_unified)
 
@@ -835,7 +832,7 @@ def assemble_displacement_system(
                            loc, n_unified)
     rhs[plate_offset:] += f_W
 
-    Kp = assemble_plate_stiffness(plate, pmap, params, region="all")
+    Kp = assemble_plate_stiffness(pmap, params, region="all")
     K = (_scatter(gl, gl, k_loc, (n_unified, n_unified))
          + sp.block_diag((sp.csr_matrix((nv_body3, nv_body3)), Kp))).tocsr()
     clamped = np.flatnonzero(pmap.constrained) + plate_offset
@@ -843,7 +840,7 @@ def assemble_displacement_system(
     vals = np.zeros(idx.shape[0])
     constraints = Constraints(n_unified, idx, vals)
     return DisplacementSystem(
-        body=body, plate=plate, cmap=cmap, pmap=pmap, params=params,
+        cmap=cmap, pmap=pmap, params=params,
         K=K, rhs=rhs, constraints=constraints,
         body_to_unified=body_to_unified, plate_offset=plate_offset,
     )

@@ -27,7 +27,9 @@ reports the junction residual there.
 
 ``SchurProduct``, ``BodyOperator`` and ``PlateOperator`` build S_K, E and
 the plate solves from their own assembly, for checking the operator
-identities; ``solve_dd`` does not use them.
+identities; ``solve_dd`` does not use them.  They and
+``build_interface_dof_set`` take a mesh beside its DOF map and refuse one
+that is not the map's own (``fe_elements.check_own_mesh``).
 """
 
 from __future__ import annotations
@@ -42,7 +44,12 @@ from .assembly import (
     build_mixed_system,
     impose_traction_bc,
 )
-from .fe_elements import BodyDGDofMap, PlateDofMap, StressDofMap
+from .fe_elements import (
+    BodyDGDofMap,
+    PlateDofMap,
+    StressDofMap,
+    check_own_mesh,
+)
 from .geometry_mesh import GAMMA_HALF_WIDTH, TetMesh, TriMesh
 from .hybrid import HybridBody, condense, mixed_solution
 from .manufactured import ManufacturedCase
@@ -66,6 +73,7 @@ def build_interface_dof_set(plate: TriMesh, pmap: PlateDofMap) -> np.ndarray:
     """Plate DOFs attached to the closure of the interface: membrane and
     Morley vertex DOFs of vertices inside it, Morley edge DOFs of edges whose
     endpoints both lie inside it.  Sorted global plate DOF ids."""
+    check_own_mesh("plate", plate, pmap)
     tol = GAMMA_HALF_WIDTH + 1e-9
     on_gamma = np.max(np.abs(plate.vertices), axis=1) <= tol
     v = np.flatnonzero(on_gamma)
@@ -86,7 +94,8 @@ class SchurProduct:
     def __init__(self, plate: TriMesh, pmap: PlateDofMap,
                  params: MaterialParams, gamma_dofs: np.ndarray,
                  region: str = "all"):
-        K = assemble_plate_stiffness(plate, pmap, params, region=region)
+        check_own_mesh("plate", plate, pmap)
+        K = assemble_plate_stiffness(pmap, params, region=region)
         free = np.flatnonzero(~pmap.constrained)
         pos = -np.ones(pmap.n_dofs, dtype=np.int64)
         pos[free] = np.arange(free.size)
@@ -122,8 +131,9 @@ class BodyOperator:
 
     def __init__(self, body: TetMesh, smap: StressDofMap, vmap: BodyDGDofMap,
                  params: MaterialParams, traction_fn):
+        check_own_mesh("body", body, smap, vmap)
         self.vmap = vmap
-        ess_idx, ess_vals = impose_traction_bc(body, smap, traction_fn)
+        ess_idx, ess_vals = impose_traction_bc(smap, traction_fn)
         self.hybrid = HybridBody(smap, params, ess_idx)
         self.essential_data = np.zeros(smap.n_dofs)
         self.essential_data[ess_idx] = ess_vals
@@ -146,8 +156,9 @@ class PlateOperator:
 
     def __init__(self, plate: TriMesh, pmap: PlateDofMap,
                  params: MaterialParams):
+        check_own_mesh("plate", plate, pmap)
         self.pmap = pmap
-        self.K = assemble_plate_stiffness(plate, pmap, params, region="all")
+        self.K = assemble_plate_stiffness(pmap, params, region="all")
         self.free = np.flatnonzero(~pmap.constrained)
         self.factor = SparseFactor(
             self.K.tocsr()[self.free][:, self.free].tocsc()

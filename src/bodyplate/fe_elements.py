@@ -120,6 +120,7 @@ __all__ = [
     "BodyDGDofMap",
     "BodyCGDofMap",
     "PlateDofMap",
+    "check_own_mesh",
     "tet_barycentric",
     "EDGE_PAIRS",
     "SYM_INDEX_PAIRS",
@@ -897,3 +898,13 @@ class PlateDofMap:
         constrained[np.concatenate([2 * bv, 2 * bv + 1, 2 * nv + bv,
                                     3 * nv + edge])] = True
         self.constrained = constrained
+
+
+def check_own_mesh(name: str, mesh, *maps) -> None:
+    """Refuse a ``mesh`` passed beside DOF maps that were built on another
+    mesh object, naming the argument: a map reads its mesh (``.mesh``), so
+    a second mesh given with it could only disagree with it."""
+    for m in maps:
+        if mesh is not m.mesh:
+            raise ValueError(f"{name} is not the mesh its "
+                             f"{type(m).__name__} was built on")

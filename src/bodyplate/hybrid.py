@@ -692,7 +692,7 @@ def mixed_solution(system: BlockSystem, sigma: np.ndarray, x_u: np.ndarray,
     u = np.zeros(system.vmap.n_dofs)
     u[system.vmap.ltg] = x_u
     return SolutionFields(
-        method="mixed-nc", body=system.body, plate=system.plate,
+        method="mixed-nc", body=system.smap.mesh, plate=system.pmap.mesh,
         params=system.params, u=u, w=w, pmap=system.pmap, sigma=sigma,
         smap=system.smap, vmap=system.vmap, report=report,
         junction_residual=junction_residual)

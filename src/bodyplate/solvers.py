@@ -38,7 +38,13 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fe_elements import BodyCGDofMap, BodyDGDofMap, PlateDofMap, StressDofMap
+from .fe_elements import (
+    BodyCGDofMap,
+    BodyDGDofMap,
+    PlateDofMap,
+    StressDofMap,
+    check_own_mesh,
+)
 from .geometry_mesh import TetMesh, TriMesh
 from .materials import MaterialParams
 
@@ -87,7 +93,8 @@ class SolutionFields:
     ``smap`` holds (``StressDofMap.stress``): the one the solve built,
     checked and solved with, or, for a ``StressDofMap`` that no solve has
     read (a ``SolutionFields`` made by hand), one built on the norms' first
-    read and kept for the next.  ``report`` is the solve's report;
+    read and kept for the next.  ``body`` and ``plate`` must be the meshes
+    the maps were built on.  ``report`` is the solve's report;
     ``junction_residual`` is set by ``solve_dd`` only."""
 
     method: str
@@ -103,6 +110,11 @@ class SolutionFields:
     cmap: BodyCGDofMap | None = None
     report: SolveReport | None = None
     junction_residual: float | None = None
+
+    def __post_init__(self):
+        check_own_mesh("body", self.body, *(
+            m for m in (self.smap, self.vmap, self.cmap) if m is not None))
+        check_own_mesh("plate", self.plate, self.pmap)
 
 
 class SparseFactor:

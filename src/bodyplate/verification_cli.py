@@ -158,9 +158,10 @@ def _body_squared_errors(sol: SolutionFields, case: ManufacturedCase, rule,
                      np.vdot(w, np.einsum("nqc,nqc->nq", du, du))])
 
 
-def _plate_errors(plate: TriMesh, pmap: PlateDofMap, w_vec: np.ndarray,
+def _plate_errors(pmap: PlateDofMap, w_vec: np.ndarray,
                   case: ManufacturedCase
                   ) -> tuple[float, float, float, float, float]:
+    plate = pmap.mesh
     rule = triangle_rule(NORM_DEGREE)
     verts = plate.vertices[plate.triangles]
     mo = MorleyBatch(verts)
@@ -190,9 +191,7 @@ def compute_error_norms(sol: SolutionFields, case: ManufacturedCase
                         ) -> ErrorRecord:
     """All seven error norms of a solved configuration."""
     err_sig, err_u = _body_errors(sol, case)
-    mem_h1, mem_l2, e3_h2, e3_h1, e3_l2 = _plate_errors(
-        sol.plate, sol.pmap, sol.w, case
-    )
+    mem_h1, mem_l2, e3_h2, e3_h1, e3_l2 = _plate_errors(sol.pmap, sol.w, case)
     return ErrorRecord(sigma=err_sig, u=err_u, umem_h1=mem_h1,
                        umem_l2=mem_l2, u3_h2=e3_h2, u3_h1=e3_h1, u3_l2=e3_l2)
 

@@ -120,7 +120,7 @@ def interpolate_stress(body, smap, sigma_at):
 
 class TestComplianceAndMass:
     def test_compliance_symmetric_pd(self, body1, smap1, params):
-        A = asm.assemble_compliance(body1, smap1, params)
+        A = asm.assemble_compliance(smap1, params)
         assert (A - A.T).nnz == 0 or abs(A - A.T).max() < 1e-12
         rng = np.random.default_rng(0)
         for _ in range(5):
@@ -138,7 +138,7 @@ class TestComplianceAndMass:
             return np.broadcast_to(sig0, (pts.shape[0], 3, 3))
 
         sigma = interpolate_stress(body1, smap1, sigma_at)
-        A = asm.assemble_compliance(body1, smap1, params)
+        A = asm.assemble_compliance(smap1, params)
         energy = float(sigma @ (A @ sigma))
         exact = float(np.tensordot(c0_inv_apply(sig0, params), sig0))
         assert energy == pytest.approx(exact, rel=1e-10)
@@ -209,7 +209,7 @@ class TestPlateStiffness:
     def test_membrane_rigid_motions_in_kernel(self, params):
         plate = build_plate_mesh(4)
         pmap = PlateDofMap(plate)
-        K = asm.assemble_plate_stiffness(plate, pmap, params)
+        K = asm.assemble_plate_stiffness(pmap, params)
         nv = plate.n_vertices
         x, y = plate.vertices[:, 0], plate.vertices[:, 1]
         for ux, uy in [(np.ones(nv), np.zeros(nv)),
@@ -224,7 +224,7 @@ class TestPlateStiffness:
         # edge DOFs the (constant-gradient) normal derivatives.
         plate = build_plate_mesh(4)
         pmap = PlateDofMap(plate)
-        K = asm.assemble_plate_stiffness(plate, pmap, params)
+        K = asm.assemble_plate_stiffness(pmap, params)
         nv = plate.n_vertices
         a, b, c = 0.7, -0.3, 1.1
         grad = np.array([b, c])
@@ -243,9 +243,9 @@ class TestPlateStiffness:
         # region's DOFs.
         plate = build_plate_mesh(8)
         pmap = PlateDofMap(plate)
-        K_all = asm.assemble_plate_stiffness(plate, pmap, params, region="all")
+        K_all = asm.assemble_plate_stiffness(pmap, params, region="all")
         K_omit = asm.assemble_plate_stiffness(
-            plate, pmap, params, region="omit_interface"
+            pmap, params, region="omit_interface"
         )
         D = (K_all - K_omit).tocsr()
         region_dofs = set()
@@ -265,7 +265,7 @@ class TestPlateStiffness:
         plate = build_plate_mesh(4)
         pmap = PlateDofMap(plate)
         with pytest.raises(ValueError):
-            asm.assemble_plate_stiffness(plate, pmap, params, region="nope")
+            asm.assemble_plate_stiffness(pmap, params, region="nope")
 
 
 class TestInterfaceCoupling:
@@ -350,7 +350,7 @@ class TestTractionBC:
         def traction(pts, normal):
             return np.broadcast_to(normal, (pts.shape[0], 3)).copy()
 
-        idx, vals = asm.impose_traction_bc(body1, smap1, traction)
+        idx, vals = asm.impose_traction_bc(smap1, traction)
         assert idx.size == smap1.essential_dofs.size
         assert set(idx.tolist()) == set(smap1.essential_dofs.tolist())
         # Verify one face's nine values.
@@ -374,7 +374,7 @@ class TestTractionBC:
         # essential values exactly.
         case = constant_stress_case()
         sigma = interpolate_stress(body2, smap2, case.sigma_body)
-        idx, vals = asm.impose_traction_bc(body2, smap2, case.traction)
+        idx, vals = asm.impose_traction_bc(smap2, case.traction)
         assert_allclose(sigma[idx], vals, atol=1e-10)
 
 
@@ -412,7 +412,7 @@ class TestLoadsAndProjection:
             f_bending = staticmethod(case.f_bending)
             f_jump = staticmethod(case.f_jump)
 
-        f_V, _ = asm.assemble_loads(body1, vmap, plate, pmap, _Case())
+        f_V, _ = asm.assemble_loads(vmap, pmap, _Case())
         vol = 1.0 / body1.n_tets
         assert_allclose(f_V[2::3], -vol / 4.0, atol=1e-12)
 
@@ -424,7 +424,7 @@ class TestLoadsAndProjection:
         vmap = BodyDGDofMap(body)
         pmap = PlateDofMap(plate)
         case = default_case()
-        f_V4, f_W4 = asm.assemble_loads(body, vmap, plate, pmap, case)
+        f_V4, f_W4 = asm.assemble_loads(vmap, pmap, case)
         f_V8, f_W8 = ref_loads(body, vmap, plate, pmap, case,
                                lowered_jump=True, degrees=(8, 10))
         assert np.max(np.abs(f_V4 - f_V8)) < 1e-3 * max(1.0, np.max(np.abs(f_V8)))
@@ -439,9 +439,9 @@ class TestLoadsAndProjection:
         vmap = BodyDGDofMap(body)
         pmap = PlateDofMap(plate)
         case = default_case()
-        _, f_low = asm.assemble_loads(body, vmap, plate, pmap, case,
+        _, f_low = asm.assemble_loads(vmap, pmap, case,
                                       lowered_jump=True)
-        _, f_tru = asm.assemble_loads(body, vmap, plate, pmap, case,
+        _, f_tru = asm.assemble_loads(vmap, pmap, case,
                                       lowered_jump=False)
         nv = plate.n_vertices
         edge = slice(3 * nv, pmap.n_dofs)

@@ -308,7 +308,7 @@ def reference_solve_dd(body, plate, case, tol=dd.CG_TOL, max_it=dd.CG_MAX_IT):
     faces = extract_interface_triangulation(body)
     cells = intersect_triangulations(faces, plate)
     G = asm.assemble_interface_coupling(body, smap, plate, pmap, faces, cells)
-    f_V, f_W = asm.assemble_loads(body, vmap, plate, pmap, case)
+    f_V, f_W = asm.assemble_loads(vmap, pmap, case)
     gamma = dd.build_interface_dof_set(plate, pmap)
     plate_op = dd.PlateOperator(plate, pmap, params)
     schur = dd.SchurProduct(plate, pmap, params, gamma, region="all")

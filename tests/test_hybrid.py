@@ -122,7 +122,7 @@ def test_global_blocks_scatter_the_local_blocks():
     faces = extract_interface_triangulation(body)
     cells = intersect_triangulations(faces, plate)
     pairs = [
-        (system.A, asm.assemble_compliance(body, smap, case.params)),
+        (system.A, asm.assemble_compliance(smap, case.params)),
         (system.B, asm.assemble_divergence(body, smap, vmap)),
         (system.G, asm.assemble_interface_coupling(body, smap, plate, pmap,
                                                    faces, cells)),
@@ -334,9 +334,9 @@ def body_setup():
     faces = extract_interface_triangulation(body)
     cells = intersect_triangulations(faces, plate)
     G = asm.assemble_interface_coupling(body, smap, plate, pmap, faces, cells)
-    A = asm.assemble_compliance(body, smap, case.params)
+    A = asm.assemble_compliance(smap, case.params)
     B = asm.assemble_divergence(body, smap, vmap)
-    ess_idx, ess_vals = asm.impose_traction_bc(body, smap, case.traction)
+    ess_idx, ess_vals = asm.impose_traction_bc(smap, case.traction)
     op = dd.BodyOperator(body, smap, vmap, case.params, case.traction)
     saddle = sp.bmat([[A, B.T], [B, None]], format="csr")
     return dict(op=op, G=G, saddle=saddle, smap=smap, vmap=vmap, pmap=pmap,
