@@ -54,7 +54,6 @@ from .fe_elements import (
     SPAN_EDGE,
     BodyCGDofMap,
     BodyDGDofMap,
-    MorleyBatch,
     PlateDofMap,
     StressBatch,
     StressDofMap,
@@ -367,20 +366,21 @@ def assemble_plate_stiffness(
     """
     plate = pmap.mesh
     if region == "all":
-        tri = np.arange(plate.n_triangles)
+        tri = slice(None)
     elif region == "omit_interface":
         tri = np.setdiff1d(np.arange(plate.n_triangles),
                            plate.interface_region_triangles)
     else:
         raise ValueError(f"unknown region {region!r}")
 
-    mo = MorleyBatch(plate.vertices[plate.triangles[tri]])
-    strain = _vector_p1_strains(mo.grad_lambda)
-    k_mem = mo.area[:, None, None] * (
+    mo = pmap.morley
+    area = mo.area[tri]
+    strain = _vector_p1_strains(mo.grad_lambda[tri])
+    k_mem = area[:, None, None] * (
         c1_apply(strain, params).reshape(-1, 6, 4)
         @ np.swapaxes(strain.reshape(-1, 6, 4), 1, 2))
-    hess = mo.hessians()
-    k_bend = mo.area[:, None, None] * (
+    hess = mo.hessians()[tri]
+    k_bend = area[:, None, None] * (
         c2_apply(hess, params).reshape(-1, 6, 4)
         @ np.swapaxes(hess.reshape(-1, 6, 4), 1, 2))
     s = pmap.mor_sign[tri]
@@ -565,7 +565,7 @@ def assemble_loads(
     pts, w = _mapped_rule(rule, verts)
     mem = rule.points.T @ (w[..., None] * case.f_membrane(pts))
     bend = ((w * case.f_bending(pts))[:, None]
-            @ MorleyBatch(verts).values(rule.points))[:, 0]
+            @ pmap.morley.values(rule.points))[:, 0]
     f_W = (_scatter_vector(pmap.mem_ltg, mem, n)
            + _scatter_vector(pmap.mor_ltg, pmap.mor_sign * bend, n))
 
@@ -581,7 +581,7 @@ def assemble_loads(
         f_W += _scatter_vector(pmap.mor_ltg[region, :3], low, n)
     else:
         jump = ((w * fj[..., 2])[:, None]
-                @ MorleyBatch(verts).values(rule.points))[:, 0]
+                @ pmap.morley.values(rule.points)[region])[:, 0]
         f_W += _scatter_vector(pmap.mor_ltg[region],
                                pmap.mor_sign[region] * jump, n)
     return f_V, f_W

@@ -38,6 +38,7 @@ import time
 from dataclasses import replace
 
 import numpy as np
+import scipy.sparse as sp
 
 from .assembly import (
     assemble_plate_stiffness,
@@ -54,7 +55,13 @@ from .geometry_mesh import GAMMA_HALF_WIDTH, TetMesh, TriMesh
 from .hybrid import HybridBody, condense, mixed_solution
 from .manufactured import ManufacturedCase
 from .materials import MaterialParams
-from .solvers import SolutionFields, SolveReport, SparseFactor, pcg
+from .solvers import (
+    SolutionFields,
+    SolveReport,
+    SparseFactor,
+    nested_dissection,
+    pcg,
+)
 
 __all__ = [
     "build_interface_dof_set",
@@ -199,6 +206,19 @@ def cg_interface_solve(apply_op, apply_prec, b: np.ndarray,
                           history_euclid=hist_e)
 
 
+def _multiplier_order(smap: StressDofMap, ll: sp.bsr_matrix) -> np.ndarray:
+    """The nested-dissection order of the multipliers: the graph of the
+    face blocks of S_lambda,lambda (one node per interior face, in the
+    order of the multiplier numbering) ordered from the face centroids,
+    each face then giving its nine multipliers in turn."""
+    n = ll.indptr.size - 1
+    graph = sp.csr_matrix((np.ones(ll.indices.size), ll.indices, ll.indptr),
+                          shape=(n, n))
+    faces = smap.face_vertices[smap.face_neighbor >= 0]
+    order = nested_dissection(graph, smap.mesh.vertices[faces].mean(axis=1))
+    return (9 * order[:, None] + np.arange(9)).ravel()
+
+
 def solve_dd(body: TetMesh, plate: TriMesh, case: ManufacturedCase,
              params: MaterialParams | None = None,
              tol: float = CG_TOL, max_it: int = CG_MAX_IT) -> SolutionFields:
@@ -206,7 +226,9 @@ def solve_dd(body: TetMesh, plate: TriMesh, case: ManufacturedCase,
 
     Pipeline: one assembly (``build_mixed_system``) and one condensation
     (``hybrid.condense``) shared with ``solve_mixed``; two factors, of the
-    multiplier block S_lambda,lambda and of the free plate stiffness K_ff;
+    multiplier block S_lambda,lambda, in the nested-dissection order of its
+    face graph from the face centroids (``solvers.nested_dissection``), and
+    of the free plate stiffness K_ff, in SuperLU's minimum-degree order;
     CG on the plate Schur complement S_ww - S_w,lambda S_lambda,lambda^-1
     S_lambda,w with preconditioner K_ff^-1, both applying these factors
     unchecked, which raises a ``RuntimeError`` if it does not converge in
@@ -228,8 +250,9 @@ def solve_dd(body: TetMesh, plate: TriMesh, case: ManufacturedCase,
     S, hb.S = hb.S, None
     size, nnz = S.shape[0], S.nnz
     S_lw, S_ww, S_ll = S.lw, S.ww, S.ll.tocsc()
+    order = _multiplier_order(hb.smap, S.ll)
     del S
-    lu_l, lu_k = SparseFactor(S_ll), SparseFactor(hb.K)
+    lu_l, lu_k = SparseFactor(S_ll, order), SparseFactor(hb.K)
     r_l, r_w = load.r[:n], load.r[n:]
 
     def multipliers(w):

@@ -69,7 +69,9 @@ from which ``assembly`` applies the compliance and divergence blocks
 through the maps or forms them for a few tets, the interface coupling takes
 the basis of the owner tets, ``hybrid`` eliminates the local blocks, and
 the error norms of a solution take sigma_h with neither M_T^-1 nor a second
-check.
+check.  The plate's ``MorleyBatch`` belongs to its ``PlateDofMap`` the same
+way (``morley``): the plate stiffness, the plate load and the plate norms
+read it.
 
 Every local inverse (the DOF matrices here, the saddle blocks of ``hybrid``)
 is checked by one rule, ``_refuse_ill_conditioned``: it refuses an element
@@ -898,6 +900,14 @@ class PlateDofMap:
         constrained[np.concatenate([2 * bv, 2 * bv + 1, 2 * nv + bv,
                                     3 * nv + edge])] = True
         self.constrained = constrained
+
+    @cached_property
+    def morley(self) -> MorleyBatch:
+        """The Morley element of every triangle of the mesh, built and
+        checked once, on first read: the one record of the plate's bending
+        element that the plate stiffness, the plate load and the plate error
+        norms read."""
+        return MorleyBatch(self.mesh.vertices[self.mesh.triangles])
 
 
 def check_own_mesh(name: str, mesh, *maps) -> None:

@@ -6,8 +6,14 @@ coarse matrix of the condensed-system preconditioner, the multiplier block
 and the free plate stiffness of the interface solver, the condensed system S
 once its CG gives way, and the displacement baseline.  They all go through
 one factor object, ``SparseFactor``: SuperLU in symmetric mode, without
-pivoting, on a minimum-degree ordering of A^T + A.  It refuses by name a
-matrix with a diagonal entry that is not positive, which no SPD matrix has.
+pivoting, on a minimum-degree ordering of A^T + A, or on an order the
+caller gives.  The multiplier block of the interface solver takes its
+faces' order from ``nested_dissection`` (coordinate bisection with vertex
+separators).  Every other matrix keeps minimum degree: at body n=5 it gave
+less fill than nested dissection on the coarse matrix and on S, and on the
+plate stiffness faster solves (``BENCH_nested_dissection.json``).
+``SparseFactor`` refuses by name a matrix with a diagonal entry that is not
+positive, which no SPD matrix has.
 ``SparseFactor.solve`` is one triangular solve and one check of the relative
 residual; it fails loudly above ``RESIDUAL_CONTRACT`` = 1e-10.  No solve is
 refined: on the library's systems, wherever the first residual was above
@@ -36,6 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
 from .fe_elements import (
@@ -49,9 +56,12 @@ from .geometry_mesh import TetMesh, TriMesh
 from .materials import MaterialParams
 
 __all__ = ["SolveReport", "SolutionFields", "solve_saddle_point",
-           "SparseFactor", "pcg"]
+           "SparseFactor", "nested_dissection", "pcg"]
 
 RESIDUAL_CONTRACT = 1e-10
+
+#: Largest part that ``nested_dissection`` leaves uncut.
+ND_LEAF = 8
 
 
 @dataclass
@@ -122,9 +132,14 @@ class SparseFactor:
     solves (e.g. the domain-decomposition operators).  A matrix with a
     diagonal entry that is not positive is refused before factoring, with
     the row and value of the first such entry; every ``solve`` is checked
-    against the residual contract."""
+    against the residual contract.
 
-    def __init__(self, M: sp.spmatrix):
+    SuperLU orders M by minimum degree on A^T + A, unless ``order`` is
+    given: then it factors M[order][:, order] as it stands, and each solve
+    permutes in and out.  The residual is checked against M itself, and
+    the permuted copy is not kept."""
+
+    def __init__(self, M: sp.spmatrix, order: np.ndarray | None = None):
         M = M.tocsc()
         d = M.diagonal()
         bad = np.flatnonzero(~(d > 0))
@@ -136,10 +151,15 @@ class SparseFactor:
                 "positive definite matrices only"
             )
         self.M = M
+        self.order = order
         t0 = time.perf_counter()
+        if order is not None:
+            M, spec = M[order][:, order], "NATURAL"
+        else:
+            spec = "MMD_AT_PLUS_A"
         try:
             self.lu = spla.splu(
-                M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                M, permc_spec=spec, diag_pivot_thresh=0.0,
                 options=dict(SymmetricMode=True),
             )
         except RuntimeError as exc:
@@ -153,7 +173,12 @@ class SparseFactor:
     def apply(self, b: np.ndarray) -> np.ndarray:
         """M^-1 b by one triangular solve, without the residual check: for
         operator applications inside an iteration only."""
-        return self.lu.solve(np.asarray(b, dtype=float))
+        b = np.asarray(b, dtype=float)
+        if self.order is None:
+            return self.lu.solve(b)
+        x = np.empty_like(b)
+        x[self.order] = self.lu.solve(b[self.order])
+        return x
 
     def checked_solve(self, b: np.ndarray) -> tuple[np.ndarray, float]:
         """Solution of M x = b by one triangular solve, and its relative
@@ -163,13 +188,108 @@ class SparseFactor:
         nb = np.linalg.norm(b)
         if nb == 0.0:
             return np.zeros_like(b), 0.0
-        x = self.lu.solve(b)
+        x = self.apply(b)
         rel = np.linalg.norm(b - self.M @ x) / nb
         if not rel <= RESIDUAL_CONTRACT:
             raise RuntimeError(
                 f"direct solve residual {rel:.3e} exceeds {RESIDUAL_CONTRACT:.1e}"
             )
         return x, rel
+
+
+def nested_dissection(graph: sp.spmatrix, points: np.ndarray) -> np.ndarray:
+    """A fill-reducing elimination order of the nodes of a graph with a
+    symmetric pattern (its diagonal is ignored), from the nodes'
+    coordinates ``points`` (n, d): nested dissection (George 1973).
+
+    Every part of more than ``ND_LEAF`` nodes is cut in two by count along
+    its longest coordinate extent, ties broken by node number.  The edges
+    of the cut become a vertex separator by Koenig's minimum vertex cover of
+    the bipartite cut graph (Ashcraft & Liu 1998), so no edge joins the two
+    children once the separator is out.  The order puts the children first,
+    then their separator.  The cuts run level by level: one matching and
+    one search of its alternating graph per level serve all the parts of
+    that level, and each part gets its range of the order top down.  The
+    result depends only on the graph and the points."""
+    return _dissect(graph, points)[0]
+
+
+def _dissect(graph: sp.spmatrix, points: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """The order of ``nested_dissection`` and its cuts, one row (lo, n0,
+    n1, n_sep) per cut part: the part is order[lo:lo + n0 + n1 + n_sep],
+    its first child, its second child and then its separator."""
+    g = sp.csr_matrix(graph)
+    n = g.shape[0]
+    points = np.asarray(points, dtype=float)
+    u = np.repeat(np.arange(n), np.diff(g.indptr))
+    v = g.indices.astype(np.int64)
+    u, v = u[u != v], v[u != v]
+    part = np.zeros(n, dtype=np.int64)  # part of each node, -1 once placed
+    lo = np.zeros(1, dtype=np.int64)  # first slot of each part in the order
+    order = np.empty(n, dtype=np.int64)
+    cuts = [np.empty((0, 4), dtype=np.int64)]
+    while True:
+        live = np.flatnonzero(part >= 0)
+        p = part[live]
+        s = np.argsort(p, kind="stable")
+        nodes, p = live[s], p[s]
+        size = np.bincount(p, minlength=lo.size)
+        rank = np.arange(nodes.size) - (np.cumsum(size) - size)[p]
+        leaf = size[p] <= ND_LEAF
+        order[lo[p[leaf]] + rank[leaf]] = nodes[leaf]
+        part[nodes[leaf]] = -1
+        nodes, p = nodes[~leaf], p[~leaf]
+        if not nodes.size:
+            break
+        keep = (part[u] >= 0) & (part[u] == part[v])
+        u, v = u[keep], v[keep]
+
+        # Split each part by count along its longest extent.
+        cut, k = np.unique(p, return_inverse=True)
+        count = size[cut]
+        seg = np.cumsum(count) - count
+        x = points[nodes]
+        extent = np.maximum.reduceat(x, seg) - np.minimum.reduceat(x, seg)
+        key = x[np.arange(nodes.size), np.argmax(extent, axis=1)[k]]
+        nodes = nodes[np.lexsort((key, k))]
+        second = np.zeros(n, dtype=bool)
+        second[nodes] = np.arange(nodes.size) - seg[k] >= count[k] // 2
+
+        # Koenig: a maximum matching of the cut edges (first child to
+        # second), the nodes Z that alternating paths reach from the
+        # unmatched first-child ends, and the cover (first \ Z) + (second
+        # & Z).
+        c = ~second[u] & second[v]
+        cu, cv = u[c], v[c]
+        mate = csgraph.maximum_bipartite_matching(
+            sp.csr_matrix((np.ones(cu.size), (cu, cv)), shape=(n, n)),
+            perm_type="column")
+        matched = np.flatnonzero(mate >= 0)
+        free = np.unique(cu[mate[cu] < 0])
+        src = np.concatenate([cu, mate[matched], np.full(free.size, n)])
+        dst = np.concatenate([cv, matched, free])
+        reached = np.zeros(n + 1, dtype=bool)
+        reached[csgraph.breadth_first_order(
+            sp.csr_matrix((np.ones(src.size), (src, dst)),
+                          shape=(n + 1, n + 1)),
+            n, return_predecessors=False)] = True
+        sep = np.zeros(n, dtype=bool)
+        sep[cu], sep[cv] = ~reached[cu], reached[cv]
+
+        # The part's range: first child, second child, separator.
+        cls = np.where(sep[nodes], 2, second[nodes])
+        counts = np.bincount(3 * k + cls, minlength=3 * cut.size).reshape(-1, 3)
+        base = lo[cut][:, None] + np.cumsum(counts, axis=1) - counts
+        cuts.append(np.column_stack([lo[cut], counts]))
+        on = cls == 2
+        ks = k[on]
+        order[base[ks, 2] + np.arange(ks.size) - np.searchsorted(ks, ks)] = \
+            nodes[on]
+        part[nodes[on]] = -1
+        part[nodes[~on]] = 2 * k[~on] + cls[~on]
+        lo = base[:, :2].ravel()
+    return order, np.concatenate(cuts)
 
 
 def solve_saddle_point(M: sp.spmatrix,

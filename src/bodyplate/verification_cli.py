@@ -25,7 +25,6 @@ import numpy as np
 from . import assembly as _asm
 from .domain_decomposition import CG_MAX_IT, CG_TOL, solve_dd
 from .fe_elements import (
-    MorleyBatch,
     PlateDofMap,
     local_chunks,
     simplex_geometry,
@@ -164,7 +163,7 @@ def _plate_errors(pmap: PlateDofMap, w_vec: np.ndarray,
     plate = pmap.mesh
     rule = triangle_rule(NORM_DEGREE)
     verts = plate.vertices[plate.triangles]
-    mo = MorleyBatch(verts)
+    mo = pmap.morley
     wq = physical_weights(rule, mo.area[:, None])
     pts = rule.points @ verts
 

@@ -14,8 +14,15 @@ import numpy as np
 import pytest
 from hypothesis import given
 
+from bodyplate import fe_elements
+from bodyplate import verification_cli as vcli
 from bodyplate.domain_decomposition import build_interface_dof_set
-from bodyplate.fe_elements import PlateDofMap, StressBatch, StressDofMap
+from bodyplate.fe_elements import (
+    MorleyBatch,
+    PlateDofMap,
+    StressBatch,
+    StressDofMap,
+)
 from bodyplate.geometry_mesh import (
     GAMMA_HALF_WIDTH,
     TET_LOCAL_FACES,
@@ -24,6 +31,7 @@ from bodyplate.geometry_mesh import (
     build_body_mesh,
     build_plate_mesh,
 )
+from bodyplate.manufactured import default_case
 from test_batched_kernel import SETTINGS, build, meshes
 
 
@@ -188,3 +196,32 @@ def test_stress_element_is_built_on_first_read():
     assert sorted(vars(k)) == sorted(ref)
     for name, a in ref.items():
         assert_same(getattr(k, name), a)
+
+
+def test_plate_element_is_built_once_per_map(monkeypatch):
+    # The plate map holds the Morley element: none until the first read,
+    # then the element of every triangle, the same object on every read.
+    # One solve and its norms build it once: the stiffness, the load and the
+    # plate norms all read the solve's plate map.
+    plate = build_plate_mesh(8, Diagonal.FLIPPED)
+    pmap = PlateDofMap(plate)
+    assert "morley" not in vars(pmap)
+    m = pmap.morley
+    assert vars(pmap)["morley"] is m and pmap.morley is m
+    ref = vars(MorleyBatch(plate.vertices[plate.triangles]))
+    assert sorted(vars(m)) == sorted(ref)
+    for name, a in ref.items():
+        assert_same(getattr(m, name), a)
+
+    built = []
+    init = fe_elements.MorleyBatch.__init__
+
+    def counted(self, verts):
+        built.append(len(verts))
+        init(self, verts)
+
+    monkeypatch.setattr(fe_elements.MorleyBatch, "__init__", counted)
+    case = default_case()
+    sol = vcli.solve_mixed(build_body_mesh(2), plate, case)[0]
+    vcli.compute_error_norms(sol, case)
+    assert built == [plate.n_triangles]
