@@ -207,16 +207,22 @@ def _compliance_pairing(tangents: np.ndarray, params: MaterialParams
     return ((1.0 + nu) / e) * _edge_pairing(tangents) - nu / e
 
 
+def _mass_span(k: StressBatch, pairing: np.ndarray, t) -> np.ndarray:
+    """int C(s_k T_e) : s_l T_f (m, 42, 42) over the spanning functions of
+    the tets ``t`` of ``k`` for a linear map C of symmetric matrices with
+    the edge pairings ``pairing`` C(T_e) : T_f (m, 6, 6) of those tets: the
+    integrand separates into the reference Gram matrix of the s_k and the
+    edge pairing, broadcast over the 7 functions of each edge."""
+    gram = ((k.volume[t] / TET_MEASURE)[:, None, None] * _SPAN_GRAM
+            ).reshape(-1, 6, 7, 6, 7)
+    return (gram * pairing[:, :, None, :, None]).reshape(-1, 42, 42)
+
+
 def _tensor_mass_blocks(k: StressBatch, pairing: np.ndarray, t
                         ) -> np.ndarray:
     """int C(phi_j) : phi_i (m, 42, 42) on the tets ``t`` of ``k`` for a
-    linear map C of symmetric matrices with the edge pairings ``pairing``
-    C(T_e) : T_f (m, 6, 6) of those tets.  With spanning functions s_k T_e
-    the integrand separates into the reference Gram matrix of the s_k and
-    the edge pairing."""
-    span = ((k.volume[t] / TET_MEASURE)[:, None, None] * _SPAN_GRAM
-            * pairing[:, SPAN_EDGE][:, :, SPAN_EDGE])
-    return _basis_blocks(_coefficients(k, t), span)
+    linear map C with the edge pairings ``pairing`` (``_mass_span``)."""
+    return _basis_blocks(_coefficients(k, t), _mass_span(k, pairing, t))
 
 
 def compliance_blocks(k: StressBatch, params: MaterialParams, t
@@ -233,16 +239,31 @@ def compliance_blocks(k: StressBatch, params: MaterialParams, t
         k, _compliance_pairing(k.tangents[t], params), t)
 
 
+def _divergence_span(k: StressBatch, t) -> np.ndarray:
+    """D_T (m, 12, 42): int div(s_k T_e) . psi over the spanning functions
+    of the tets ``t`` of ``k`` against the vector P1 basis psi."""
+    d = (div_scalars(_DIV_MOMENTS, k.tangent_gradients[t])
+         * (k.volume[t] / TET_MEASURE)[:, None, None])
+    tangents = np.swapaxes(k.tangents[t][:, SPAN_EDGE], 1, 2)  # (m, 3, 42)
+    return (d[:, :, None, :] * tangents[:, None, :, :]).reshape(-1, 12, 42)
+
+
 def divergence_blocks(k: StressBatch, t) -> np.ndarray:
     """Unsigned local divergence blocks B_T = D_T M_T^-1 (m, 12, 42) of the
     tets ``t`` of ``k``: int div(phi_i) . psi_k with psi_k the vector P1
     basis (local DOF 3 a + c), D_T the divergence of the spanning functions
     against it."""
-    d = (div_scalars(_DIV_MOMENTS, k.tangent_gradients[t])
-         * (k.volume[t] / TET_MEASURE)[:, None, None])
-    tangents = np.swapaxes(k.tangents[t][:, SPAN_EDGE], 1, 2)  # (m, 3, 42)
-    D = (d[:, :, None, :] * tangents[:, None, :, :]).reshape(-1, 12, 42)
-    return D @ np.swapaxes(_coefficients(k, t), 1, 2)
+    return _divergence_span(k, t) @ np.swapaxes(_coefficients(k, t), 1, 2)
+
+
+def _local_blocks(k: StressBatch, params: MaterialParams, t
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """``compliance_blocks`` and ``divergence_blocks`` of the tets ``t``,
+    from one formation of their dual-basis coefficients."""
+    c = _coefficients(k, t)
+    A = _basis_blocks(
+        c, _mass_span(k, _compliance_pairing(k.tangents[t], params), t))
+    return A, _divergence_span(k, t) @ np.swapaxes(c, 1, 2)
 
 
 # A_T x, B_T x and B_T^T u for every tet of ``k`` by the blocks' structure,

@@ -20,8 +20,9 @@ blocks leaves the symmetric positive definite system
     S Y = sum_T C_T M_T^-1 F_T - H,          S = sum_T C_T M_T^-1 C_T^T + D.
 
 The blocks are formed from the body's ``fe_elements.StressBatch``, which
-its stress map holds (``StressDofMap.stress``), by
-``assembly.compliance_blocks`` and ``divergence_blocks``, and eliminated, and
+its stress map holds (``StressDofMap.stress``), as
+``assembly.compliance_blocks`` and ``divergence_blocks`` give them (both from
+one ``assembly._local_blocks`` call per chunk), and eliminated, and
 S is summed, in one pass over ``fe_elements.local_chunks`` slices of tets
 (``HybridBody._condensed``), so that only the factors of the elimination
 and S reach the size of the mesh: L^-1 and L_S^-1 with their triangles
@@ -96,8 +97,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dtrtri
 
-from .assembly import (BlockSystem, _scatter, apply_A, apply_B, apply_Bt,
-                       compliance_blocks, divergence_blocks)
+from .assembly import (BlockSystem, _local_blocks, _scatter, apply_A,
+                       apply_B, apply_Bt)
 from .fe_elements import (
     StressDofMap,
     _refuse_ill_conditioned,
@@ -186,11 +187,12 @@ def _saddle_inverses(L_inv: np.ndarray, LS_inv: np.ndarray, Z: np.ndarray
     return out
 
 
-def _local_saddle_factors(A: np.ndarray, B: np.ndarray,
+def _local_saddle_factors(blocks: tuple[np.ndarray, np.ndarray],
                           essential: np.ndarray, first: int):
     """The block elimination of the local saddle blocks M_T = [[A, B^T],
-    [B, 0]] of a few tets, from their compliance blocks A (m, 42, 42) and
-    divergence blocks B (m, 12, 42), with their essential stress DOFs
+    [B, 0]] of a few tets, from the pair ``blocks`` of their compliance
+    blocks A (m, 42, 42) and divergence blocks B (m, 12, 42), as
+    ``assembly._local_blocks`` returns it, with their essential stress DOFs
     ``essential`` (m, 42) eliminated symmetrically, in place, so that no
     copy of a chunk's blocks is held: in A their rows and columns zeroed
     and the diagonal kept, in B their columns zeroed.
@@ -214,6 +216,8 @@ def _local_saddle_factors(A: np.ndarray, B: np.ndarray,
     cond_1 = inf.  Returns L^-1, L_S^-1, Z, the stress block W of M_T^-1
     (m, 42, 42) and the kept diagonal entries of A at the essential DOFs,
     in the order of ``essential``'s nonzeros."""
+    A, B = blocks
+    del blocks  # the pair would hold the blocks past the del below
     keep = ~essential
     t, i = np.nonzero(essential)
     diagonal = A[t, i, i]
@@ -502,8 +506,7 @@ class HybridBody:
         k = self.smap.stress
         for c in local_chunks(nt):
             L_inv, LS_inv, Z, W, d = _local_saddle_factors(
-                compliance_blocks(k, self.params, c), divergence_blocks(k, c),
-                self.essential[c], c.start)
+                _local_blocks(k, self.params, c), self.essential[c], c.start)
             diagonal.append(d)
             self.L_inv[c], self.LS_inv[c] = _packed(L_inv), _packed(LS_inv)
             self.Z[c] = Z

@@ -21,17 +21,12 @@ from typing import Callable
 
 import numpy as np
 
-from .materials import MaterialParams, c0_apply, default_params
+from .materials import MaterialParams, _gradient_stress, default_params
 
 __all__ = ["ManufacturedCase", "default_case", "constant_stress_case"]
 
 #: Body outward normal on the interface.
 INTERFACE_NORMAL = np.array([0.0, 0.0, -1.0])
-
-
-def _sym(g: np.ndarray) -> np.ndarray:
-    """Symmetric parts of (..., 3, 3) matrices."""
-    return 0.5 * (g + np.swapaxes(g, -1, -2))
 
 
 def _lift(p: np.ndarray) -> np.ndarray:
@@ -49,7 +44,7 @@ class ManufacturedCase:
     from ``hess_u_body``.  Two plate tables stay: ``bilap_u3``, because the
     body tables carry no fourth derivatives, and ``hess_u3``, because the
     norms need it at every plate point, where ``hess_u_body`` costs about
-    four times as much (measured at the 32,768 norm points of a 32 x 32
+    2.5 times as much (measured at the 32,768 norm points of a 32 x 32
     plate).  ``hess_u3`` is the body Hessian's ``[..., 2, :2, :2]`` at
     (p, 0), which the tests hold bit for bit.
 
@@ -59,6 +54,13 @@ class ManufacturedCase:
       hess_u_body(x): (...,3) -> (...,3,3,3)  [i,j,k] = d2 u_i / dx_j dx_k
       hess_u3(p): (...,2) -> (...,2,2)        Hessian of u_3(p, 0)
       bilap_u3(p): (...,2) -> (...)           bilaplacian of u_3(p, 0)
+
+    Layout: a table may return strided views, as ``default_case``'s are
+    views of component-major storage, or C-ordered arrays, as
+    ``constant_stress_case``'s are.  The derived fields read the
+    tables by component (``g[..., i, j]``) and so take either; their own
+    results may be views too (``body_fields``' stress is one of (3, 3, ...)
+    storage).  Callers index components and assume no memory order.
     """
 
     name: str
@@ -74,7 +76,7 @@ class ManufacturedCase:
         """Displacement and stress from one evaluation of the exact body
         solution."""
         u, g = self.u_grad_body(x)
-        return u, c0_apply(_sym(g), self.params)
+        return u, _gradient_stress(g, self.params)
 
     def sigma_body(self, x: np.ndarray) -> np.ndarray:
         return self.body_fields(x)[1]
@@ -85,13 +87,16 @@ class ManufacturedCase:
         lam = self.params.lame_lambda_alpha
         H = self.hess_u_body(x)
         lap_u = H[..., 0, 0] + H[..., 1, 1] + H[..., 2, 2]
-        # grad(div u)_k = sum_j H[j, j, k]
-        grad_div = np.einsum("...jjk->...k", H)
+        grad_div = H[..., 0, 0, :] + H[..., 1, 1, :] + H[..., 2, 2, :]
         return -mu * lap_u - (mu + lam) * grad_div
 
     def traction(self, x: np.ndarray, normal: np.ndarray) -> np.ndarray:
         """sigma n for unit normals broadcastable against the points."""
-        return np.einsum("...ab,...b->...a", self.sigma_body(x), normal)
+        sigma = self.sigma_body(x)
+        normal = np.asarray(normal, dtype=float)
+        return (sigma[..., 0] * normal[..., 0, None]
+                + sigma[..., 1] * normal[..., 1, None]
+                + sigma[..., 2] * normal[..., 2, None])
 
     # -- derived plate data ----------------------------------------------------
 
@@ -104,17 +109,18 @@ class ManufacturedCase:
         return u[..., :2], g[..., :2, :2], u[..., 2], g[..., 2, :2]
 
     def f_jump(self, p: np.ndarray) -> np.ndarray:
-        """Interface load transmitted to the plate: sigma n^alpha at x3 = 0,
-        i.e. -(sigma_13, sigma_23, sigma_33)."""
-        return self.traction(_lift(p), INTERFACE_NORMAL)
+        """Interface load transmitted to the plate: sigma n^alpha at x3 = 0
+        with n^alpha = ``INTERFACE_NORMAL``, i.e. -(sigma_13, sigma_23,
+        sigma_33)."""
+        return -self.sigma_body(_lift(p))[..., 2]
 
     def f_membrane(self, p: np.ndarray) -> np.ndarray:
         """Smooth membrane load -div sigma^beta(u*)."""
         prm = self.params
         c = prm.e_beta * prm.t_beta / (1.0 - prm.nu_beta**2)
-        H = self.hess_u_body(_lift(p))[..., :2, :2, :2]
-        lap = H[..., 0, 0] + H[..., 1, 1]
-        grad_div = np.einsum("...jjk->...k", H)
+        H = self.hess_u_body(_lift(p))
+        lap = H[..., :2, 0, 0] + H[..., :2, 1, 1]
+        grad_div = H[..., 0, 0, :2] + H[..., 1, 1, :2]
         return -c * (
             0.5 * (1.0 - prm.nu_beta) * lap
             + 0.5 * (1.0 + prm.nu_beta) * grad_div
@@ -147,57 +153,67 @@ def default_case(params: MaterialParams | None = None) -> ManufacturedCase:
         xx, yy = x[..., 0], x[..., 1]
         P = (1.0 - xx * xx) ** 2
         dP = 4.0 * xx * xx * xx - 4.0 * xx
-        ddP = 12.0 * xx * xx - 4.0
         Q = (1.0 - yy * yy) ** 2
         dQ = 4.0 * yy * yy * yy - 4.0 * yy
-        ddQ = 12.0 * yy * yy - 4.0
-        return P, dP, ddP, Q, dQ, ddQ
+        return P, dP, Q, dQ
+
+    def _ddpq(x):
+        xx, yy = x[..., 0], x[..., 1]
+        return 12.0 * xx * xx - 4.0, 12.0 * yy * yy - 4.0
+
+    # The tables are formed in component-major storage, (3, ...) for u,
+    # (3, 3, ...) for its gradient and (3, 3, 3, ...) for its Hessian, and
+    # returned as (..., 3, ...) views of it.  u_1 = u_2, so the first two
+    # rows of each are one row, formed once.
 
     def u_grad_body(x):
         x = np.asarray(x, dtype=float)
         sx, cx, sy, cy = _parts(x)
-        P, dP, ddP, Q, dQ, ddQ = _pq(x)
+        P, dP, Q, dQ = _pq(x)
         z = x[..., 2]
         R = 1.0 + z * z
         s = sx * sy
-        u = np.stack([s * R, s * R, P * Q * R], axis=-1)
-        g = np.zeros(x.shape[:-1] + (3, 3))
-        g[..., 0, 0] = pi * cx * sy * R
-        g[..., 0, 1] = pi * sx * cy * R
-        g[..., 0, 2] = s * 2.0 * z
-        g[..., 1, :] = g[..., 0, :]
-        g[..., 2, 0] = dP * Q * R
-        g[..., 2, 1] = P * dQ * R
-        g[..., 2, 2] = P * Q * 2.0 * z
-        return u, g
+        PQ = P * Q
+        u = np.empty((3,) + x.shape[:-1])
+        u[0] = u[1] = s * R
+        u[2] = PQ * R
+        g = np.empty((3, 3) + x.shape[:-1])
+        g[0, 0] = pi * cx * sy * R
+        g[0, 1] = pi * sx * cy * R
+        g[0, 2] = s * 2.0 * z
+        g[1] = g[0]
+        g[2, 0] = dP * Q * R
+        g[2, 1] = P * dQ * R
+        g[2, 2] = PQ * 2.0 * z
+        return np.moveaxis(u, 0, -1), np.moveaxis(g, (0, 1), (-2, -1))
 
     def hess_u_body(x):
         x = np.asarray(x, dtype=float)
         sx, cx, sy, cy = _parts(x)
-        P, dP, ddP, Q, dQ, ddQ = _pq(x)
+        P, dP, Q, dQ = _pq(x)
+        ddP, ddQ = _ddpq(x)
         z = x[..., 2]
         R = 1.0 + z * z
-        H = np.zeros(x.shape[:-1] + (3, 3, 3))
+        H = np.empty((3, 3, 3) + x.shape[:-1])
         s = sx * sy
-        # components 1 and 2 share the same scalar field
-        for i in (0, 1):
-            H[..., i, 0, 0] = -pi * pi * s * R
-            H[..., i, 1, 1] = -pi * pi * s * R
-            H[..., i, 2, 2] = 2.0 * s
-            H[..., i, 0, 1] = H[..., i, 1, 0] = pi * pi * cx * cy * R
-            H[..., i, 0, 2] = H[..., i, 2, 0] = 2.0 * z * pi * cx * sy
-            H[..., i, 1, 2] = H[..., i, 2, 1] = 2.0 * z * pi * sx * cy
-        H[..., 2, 0, 0] = ddP * Q * R
-        H[..., 2, 1, 1] = P * ddQ * R
-        H[..., 2, 2, 2] = 2.0 * P * Q
-        H[..., 2, 0, 1] = H[..., 2, 1, 0] = dP * dQ * R
-        H[..., 2, 0, 2] = H[..., 2, 2, 0] = 2.0 * z * dP * Q
-        H[..., 2, 1, 2] = H[..., 2, 2, 1] = 2.0 * z * P * dQ
-        return H
+        H[0, 0, 0] = H[0, 1, 1] = -pi * pi * s * R
+        H[0, 2, 2] = 2.0 * s
+        H[0, 0, 1] = H[0, 1, 0] = pi * pi * cx * cy * R
+        H[0, 0, 2] = H[0, 2, 0] = 2.0 * z * pi * cx * sy
+        H[0, 1, 2] = H[0, 2, 1] = 2.0 * z * pi * sx * cy
+        H[1] = H[0]
+        H[2, 0, 0] = ddP * Q * R
+        H[2, 1, 1] = P * ddQ * R
+        H[2, 2, 2] = 2.0 * P * Q
+        H[2, 0, 1] = H[2, 1, 0] = dP * dQ * R
+        H[2, 0, 2] = H[2, 2, 0] = 2.0 * z * dP * Q
+        H[2, 1, 2] = H[2, 2, 1] = 2.0 * z * P * dQ
+        return np.moveaxis(H, (0, 1, 2), (-3, -2, -1))
 
     def hess_u3(p):
         p = np.asarray(p, dtype=float)
-        P, dP, ddP, Q, dQ, ddQ = _pq(p)
+        P, dP, Q, dQ = _pq(p)
+        ddP, ddQ = _ddpq(p)
         H = np.zeros(p.shape[:-1] + (2, 2))
         H[..., 0, 0] = ddP * Q
         H[..., 1, 1] = P * ddQ
@@ -206,7 +222,8 @@ def default_case(params: MaterialParams | None = None) -> ManufacturedCase:
 
     def bilap_u3(p):
         p = np.asarray(p, dtype=float)
-        P, dP, ddP, Q, dQ, ddQ = _pq(p)
+        P, _, Q, _ = _pq(p)
+        ddP, ddQ = _ddpq(p)
         return 24.0 * Q + 2.0 * ddP * ddQ + 24.0 * P
 
     return ManufacturedCase(

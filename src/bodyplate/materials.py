@@ -102,6 +102,25 @@ def c0_apply(eps: np.ndarray, params: MaterialParams) -> np.ndarray:
     return _add_tr_identity(out, nu / (1.0 - 2.0 * nu), 3)
 
 
+def _gradient_stress(g: np.ndarray, params: MaterialParams) -> np.ndarray:
+    """The stress C0 sym(g) = mu (g + g^T) + lambda tr(g) I of displacement
+    gradients g (..., 3, 3) in any memory layout, read by component.  Each
+    of the six distinct components is formed once into component-major
+    storage (3, 3, ...); the result is its (..., 3, 3) view.  The trace
+    term is lambda / (2 mu) times the trace of 2 mu g, the order of
+    operations of ``c0_apply``, which this matches bit for bit."""
+    nu, mu = params.nu_alpha, params.lame_mu_alpha
+    out = np.empty((3, 3) + g.shape[:-2])
+    for i in range(3):
+        out[i, i] = 2.0 * mu * g[..., i, i]
+    tr = (nu / (1.0 - 2.0 * nu)) * (out[0, 0] + out[1, 1] + out[2, 2])
+    for i in range(3):
+        out[i, i] += tr
+        for j in range(i + 1, 3):
+            out[i, j] = out[j, i] = mu * (g[..., i, j] + g[..., j, i])
+    return np.moveaxis(out, (0, 1), (-2, -1))
+
+
 def c0_inv_apply(sigma: np.ndarray, params: MaterialParams) -> np.ndarray:
     """3D compliance: eps = (1+nu)/E sigma - nu/E tr(sigma) I."""
     e, nu = params.e_alpha, params.nu_alpha

@@ -205,6 +205,27 @@ class TestDivergenceBlock:
         assert_allclose(B @ sigma, M @ d_vec, atol=1e-10)
 
 
+class TestLocalBlocks:
+    """The per-chunk blocks that ``HybridBody`` eliminates."""
+
+    def test_local_blocks_are_the_public_blocks(self, body2, smap2, params):
+        # A_T and B_T from one set of dual coefficients are the blocks the
+        # reference assemblers take, bit for bit.
+        k, t = smap2.stress, slice(5, 40)
+        A, B = asm._local_blocks(k, params, t)
+        assert np.array_equal(A, asm.compliance_blocks(k, params, t))
+        assert np.array_equal(B, asm.divergence_blocks(k, t))
+
+    def test_mass_span_is_the_gathered_pairing(self, smap2, params):
+        # The broadcast edge pairing equals its gather over SPAN_EDGE.
+        k, t = smap2.stress, np.arange(3, 48, 2)
+        pairing = asm._compliance_pairing(k.tangents[t], params)
+        e = asm.SPAN_EDGE
+        ref = ((k.volume[t] / asm.TET_MEASURE)[:, None, None] * asm._SPAN_GRAM
+               * pairing[:, e][:, :, e])
+        assert np.array_equal(asm._mass_span(k, pairing, t), ref)
+
+
 class TestPlateStiffness:
     def test_membrane_rigid_motions_in_kernel(self, params):
         plate = build_plate_mesh(4)

@@ -620,7 +620,7 @@ def test_checked_condition_number_is_cond_1():
     assert_limit_is_cond_1(
         saddle_blocks(A, B, ess),
         lambda i: hybrid._local_saddle_factors(
-            A[i:i + 1], B[i:i + 1], ess[i:i + 1], 0),
+            (A[i:i + 1], B[i:i + 1]), ess[i:i + 1], 0),
         "local saddle block of tet")
 
 
