@@ -374,40 +374,23 @@ def assemble_body_mass(body: TetMesh, vmap) -> sp.csr_matrix:
 # Plate stiffness.
 # ---------------------------------------------------------------------------
 
-def assemble_plate_stiffness(
-    pmap: PlateDofMap,
-    params: MaterialParams,
-    region: str = "all",
-) -> sp.csr_matrix:
-    """Membrane + bending stiffness over the full plate DOF set.
-
-    ``region='all'`` integrates over every triangle; ``region='omit_interface'``
-    only over triangles outside closure(Gamma) (the semidefinite variant of
-    ``domain_decomposition.SchurProduct``).
-    """
-    plate = pmap.mesh
-    if region == "all":
-        tri = slice(None)
-    elif region == "omit_interface":
-        tri = np.setdiff1d(np.arange(plate.n_triangles),
-                           plate.interface_region_triangles)
-    else:
-        raise ValueError(f"unknown region {region!r}")
-
+def assemble_plate_stiffness(pmap: PlateDofMap, params: MaterialParams
+                             ) -> sp.csr_matrix:
+    """Membrane + bending stiffness over the full plate DOF set, integrated
+    over every triangle."""
     mo = pmap.morley
-    area = mo.area[tri]
-    strain = _vector_p1_strains(mo.grad_lambda[tri])
-    k_mem = area[:, None, None] * (
+    strain = _vector_p1_strains(mo.grad_lambda)
+    k_mem = mo.area[:, None, None] * (
         c1_apply(strain, params).reshape(-1, 6, 4)
         @ np.swapaxes(strain.reshape(-1, 6, 4), 1, 2))
-    hess = mo.hessians()[tri]
-    k_bend = area[:, None, None] * (
+    hess = mo.hessians()
+    k_bend = mo.area[:, None, None] * (
         c2_apply(hess, params).reshape(-1, 6, 4)
         @ np.swapaxes(hess.reshape(-1, 6, 4), 1, 2))
-    s = pmap.mor_sign[tri]
+    s = pmap.mor_sign
     shape = (pmap.n_dofs, pmap.n_dofs)
-    return (_scatter(pmap.mem_ltg[tri], pmap.mem_ltg[tri], k_mem, shape)
-            + _scatter(pmap.mor_ltg[tri], pmap.mor_ltg[tri],
+    return (_scatter(pmap.mem_ltg, pmap.mem_ltg, k_mem, shape)
+            + _scatter(pmap.mor_ltg, pmap.mor_ltg,
                        k_bend * s[:, :, None] * s[:, None, :], shape))
 
 
@@ -739,11 +722,9 @@ def build_mixed_system(
     body: TetMesh,
     plate: TriMesh,
     case: ManufacturedCase,
-    params: MaterialParams | None = None,
 ) -> BlockSystem:
-    """Assemble all blocks of the mixed formulation for a manufactured case."""
-    if params is None:
-        params = case.params
+    """Assemble all blocks of the mixed formulation for a manufactured case,
+    with the case's material (``case.params``)."""
     smap = StressDofMap(body)
     vmap = BodyDGDofMap(body)
     pmap = PlateDofMap(plate)
@@ -751,11 +732,11 @@ def build_mixed_system(
     cells = intersect_triangulations(faces, plate)
 
     coupling = interface_coupling_blocks(smap, pmap, faces, cells)
-    K = assemble_plate_stiffness(pmap, params, region="all")
+    K = assemble_plate_stiffness(pmap, case.params)
     f_V, f_W = assemble_loads(vmap, pmap, case, lowered_jump=True)
     ess_idx, ess_vals = impose_traction_bc(smap, case.traction)
     return BlockSystem(
-        smap=smap, vmap=vmap, pmap=pmap, params=params,
+        smap=smap, vmap=vmap, pmap=pmap, params=case.params,
         coupling=coupling, K=K, f_V=f_V, f_W=f_W,
         sigma_essential_idx=ess_idx, sigma_essential_values=ess_vals,
     )
@@ -790,14 +771,13 @@ def assemble_displacement_system(
     body: TetMesh,
     plate: TriMesh,
     case: ManufacturedCase,
-    params: MaterialParams | None = None,
 ) -> DisplacementSystem:
     """Continuous vector P1 body + (membrane P1, Morley) plate, joined by
     identifying interface vertex DOFs (components 1-2 with membrane values,
     component 3 with Morley vertex values).  Requires meshes matching on the
-    interface: plate n = 2 body n with the body's diagonal convention."""
-    if params is None:
-        params = case.params
+    interface: plate n = 2 body n with the body's diagonal convention.  The
+    material is the case's (``case.params``)."""
+    params = case.params
     cmap = BodyCGDofMap(body)
     pmap = PlateDofMap(plate)
 
@@ -853,7 +833,7 @@ def assemble_displacement_system(
                            loc, n_unified)
     rhs[plate_offset:] += f_W
 
-    Kp = assemble_plate_stiffness(pmap, params, region="all")
+    Kp = assemble_plate_stiffness(pmap, params)
     K = (_scatter(gl, gl, k_loc, (n_unified, n_unified))
          + sp.block_diag((sp.csr_matrix((nv_body3, nv_body3)), Kp))).tocsr()
     clamped = np.flatnonzero(pmap.constrained) + plate_offset

@@ -27,7 +27,9 @@ reports the junction residual there.
 
 ``SchurProduct``, ``BodyOperator`` and ``PlateOperator`` build S_K, E and
 the plate solves from their own assembly, for checking the operator
-identities; ``solve_dd`` does not use them.  They and
+identities; ``solve_dd`` does not use them.  ``SchurProduct`` integrates
+the plate stiffness over every triangle; its ``region`` keyword accepts
+only ``'all'``.  They and
 ``build_interface_dof_set`` take a mesh beside its DOF map and refuse one
 that is not the map's own (``fe_elements.check_own_mesh``).
 """
@@ -91,18 +93,18 @@ def build_interface_dof_set(plate: TriMesh, pmap: PlateDofMap) -> np.ndarray:
 
 class SchurProduct:
     """Matrix-vector products with the plate Schur complement onto the
-    interface DOF set: S x = (K_GG - K_GI K_II^-1 K_IG) x.
-
-    ``region='all'`` uses the full plate stiffness (positive definite);
-    ``region='omit_interface'`` drops the triangles covering the interface
-    (positive semidefinite only).
+    interface DOF set: S x = (K_GG - K_GI K_II^-1 K_IG) x, from the full
+    plate stiffness (positive definite).  ``region`` accepts only ``'all'``,
+    every triangle, and refuses any other value.
     """
 
     def __init__(self, plate: TriMesh, pmap: PlateDofMap,
                  params: MaterialParams, gamma_dofs: np.ndarray,
                  region: str = "all"):
         check_own_mesh("plate", plate, pmap)
-        K = assemble_plate_stiffness(pmap, params, region=region)
+        if region != "all":
+            raise ValueError(f"region must be 'all', got {region!r}")
+        K = assemble_plate_stiffness(pmap, params)
         free = np.flatnonzero(~pmap.constrained)
         pos = -np.ones(pmap.n_dofs, dtype=np.int64)
         pos[free] = np.arange(free.size)
@@ -165,7 +167,7 @@ class PlateOperator:
                  params: MaterialParams):
         check_own_mesh("plate", plate, pmap)
         self.pmap = pmap
-        self.K = assemble_plate_stiffness(pmap, params, region="all")
+        self.K = assemble_plate_stiffness(pmap, params)
         self.free = np.flatnonzero(~pmap.constrained)
         self.factor = SparseFactor(
             self.K.tocsr()[self.free][:, self.free].tocsc()
@@ -239,9 +241,15 @@ def solve_dd(body: TetMesh, plate: TriMesh, case: ManufacturedCase,
     residual is the distance there between the CG plate solution and the
     final w.  The report gives the size and nnz of S, the relative residual
     of the body rows and the interface CG iterations and histories.
+
+    The material is the case's: ``params`` accepts only ``case.params``
+    (or None) and refuses any other material.
     """
+    if params is not None and params != case.params:
+        raise ValueError("params is not the material of the case; the "
+                         "material comes from case.params")
     t0 = time.perf_counter()
-    system = build_mixed_system(body, plate, case, params)
+    system = build_mixed_system(body, plate, case)
     hb, free, load = condense(system)
     n = hb.n_lam
     # Only the blocks of S are kept, and S_lambda,lambda as CSC for its

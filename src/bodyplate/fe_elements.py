@@ -428,17 +428,14 @@ class HuMaElement:
         self.T = np.einsum("ea,eb->eab", self.tangents, self.tangents)  # (6,3,3)
 
         self.face_normals = np.zeros((4, 3))
-        self.face_areas = np.zeros(4)
         centroid = self.verts.mean(axis=0)
         for f in range(4):
             fv = self.verts[TET_LOCAL_FACES[f]]
             nrm = np.cross(fv[1] - fv[0], fv[2] - fv[0])
-            area = 0.5 * np.linalg.norm(nrm)
             nrm = nrm / np.linalg.norm(nrm)
             if np.dot(nrm, fv.mean(axis=0) - centroid) < 0:
                 nrm = -nrm
             self.face_normals[f] = nrm
-            self.face_areas[f] = area
 
         D = self._dof_matrix()
         self.coeffs = checked_inverses(  # (basis, spanning)
@@ -446,23 +443,14 @@ class HuMaElement:
 
     # -- spanning set ------------------------------------------------------
 
-    def span_scalars(self, bary: np.ndarray) -> np.ndarray:
-        """(nq, 42) scalar factors of the spanning functions."""
-        return span_scalars(np.atleast_2d(bary))
-
-    def _span_dlam(self, bary: np.ndarray) -> np.ndarray:
-        """(nq, 42, 4) derivatives of the scalar factors w.r.t. barycentric
-        coordinates."""
-        return span_dlam(np.atleast_2d(bary))
-
     def span_values(self, bary: np.ndarray) -> np.ndarray:
         """(nq, 42, 3, 3) spanning-function values."""
-        s = self.span_scalars(bary)
+        s = span_scalars(np.atleast_2d(bary))
         return s[:, :, None, None] * self.T[SPAN_EDGE][None, :, :, :]
 
     def span_divergence(self, bary: np.ndarray) -> np.ndarray:
         """(nq, 42, 3) divergences of the spanning functions."""
-        dlam = self._span_dlam(bary)
+        dlam = span_dlam(np.atleast_2d(bary))
         grads = np.einsum("qkl,ld->qkd", dlam, self.grad_lambda)
         return np.einsum("kab,qkb->qka", self.T[SPAN_EDGE], grads)
 
@@ -651,11 +639,11 @@ class StressBatch:
     ``div_scalars``.  The blocks are inverted and checked one
     ``local_chunks`` slice at a time (``_stress_dof_inverses``), so only the
     kept arrays reach the size of the batch.  A refused tet is named by its
-    index counted from ``first``, the index of the batch's first tet in its
-    mesh.
+    index in the batch, which is its index in the mesh: the one batch of a
+    body covers all its tets (``StressDofMap.stress``).
     """
 
-    def __init__(self, verts: np.ndarray, first: int = 0):
+    def __init__(self, verts: np.ndarray):
         verts = np.asarray(verts, dtype=float)
         n = len(verts)
         self.face_inv = np.empty((n, 4, 3, 3))
@@ -669,13 +657,13 @@ class StressBatch:
             # unnamed on an exactly flat tet.
             bad = np.flatnonzero(~(np.linalg.det(_edge_matrices(v)) > 0))
             if bad.size:
-                raise ValueError(f"tet {first + c.start + bad[0]} is "
+                raise ValueError(f"tet {c.start + bad[0]} is "
                                  "degenerate or negatively oriented")
             grad, self.volume[c] = simplex_geometry(v)
             t = self.tangents[c] = edge_tangents(v)
             self.tangent_gradients[c] = t @ np.swapaxes(grad, 1, 2)
             self.face_inv[c], self.interior_inv[c] = _stress_dof_inverses(
-                t, face_normals(grad), first + c.start)
+                t, face_normals(grad), c.start)
 
 
 def div_scalars(dlam: np.ndarray, tau: np.ndarray) -> np.ndarray:

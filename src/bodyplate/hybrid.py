@@ -41,7 +41,7 @@ tets on Gamma, kept in CSR.
 
 A solve has two halves: the right-hand side of S Y = r (``load``) and the
 local back-substitution x_T = M_T^-1 (F_T - C_T^T Y) of a given Y
-(``back_substitute``).  ``solve_hybrid`` and
+(``back_substitute``).  ``verification_cli.solve_mixed`` and
 ``domain_decomposition.BodyOperator`` join them by ``solve_condensed``,
 preconditioned CG on S (the one CG loop, ``solvers.pcg``), which gives way
 to a direct factor of S only where CG would cost more than that factor.
@@ -90,7 +90,7 @@ only, with w as data, when the plate rows are not part of the solve.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -110,7 +110,7 @@ from .solvers import (RESIDUAL_CONTRACT, SolutionFields, SolveReport,
                       SparseFactor, pcg)
 
 __all__ = ["HybridBody", "HybridLoad", "CondensedSystem", "TwoLevelCycle",
-           "condense", "mixed_solution", "solve_hybrid", "CONTINUITY_LIMIT"]
+           "condense", "mixed_solution", "CONTINUITY_LIMIT"]
 
 #: Largest face-continuity defect ||sum_T C_T sigma_T|| of the back-
 #: substituted local stresses, relative to the larger of their norm and the
@@ -699,18 +699,3 @@ def mixed_solution(system: BlockSystem, sigma: np.ndarray, x_u: np.ndarray,
         params=system.params, u=u, w=w, pmap=system.pmap, sigma=sigma,
         smap=system.smap, vmap=system.vmap, report=report,
         junction_residual=junction_residual)
-
-
-def solve_hybrid(system: BlockSystem) -> SolutionFields:
-    """Hybridized solve of the coupled mixed system: global (sigma, u, w)
-    and a report on the condensed system S (its size and nnz, the CG
-    iterations and histories) with the relative residual of the coupled
-    system."""
-    t0 = time.perf_counter()
-    hb, free, load = condense(system)
-    y, report = hb.solve_condensed(load.r)
-    sigma, x_u, rel = hb.back_substitute(y, load)
-    w = np.zeros(system.pmap.n_dofs)
-    w[free] = y[hb.n_lam:]
-    return mixed_solution(system, sigma, x_u, w, replace(
-        report, relative_residual=rel, wall_time=time.perf_counter() - t0))

@@ -57,6 +57,9 @@ AREA_DEFECT_TOL = 1e-8
 #: |Gamma| for the fixed coupling region (-1/2, 1/2)^2.
 GAMMA_AREA = (2.0 * GAMMA_HALF_WIDTH) ** 2
 
+#: Max-norm distance within which ``_dedup`` merges two clipped vertices.
+DEDUP_TOL = 1e-13
+
 
 @dataclass(frozen=True)
 class InterfaceFace:
@@ -66,14 +69,12 @@ class InterfaceFace:
     ----------
     face_id : position in the extraction order (scan order of the body's
         boundary-face table).
-    boundary_index : row in ``body.boundary_faces``.
     owner_tet : owning tet index.
     vertex_ids : (3,) global vertex ids, ordered so the projection is CCW.
     verts2d : (3, 2) projected coordinates (x1, x2), CCW.
     """
 
     face_id: int
-    boundary_index: int
     owner_tet: int
     vertex_ids: np.ndarray
     verts2d: np.ndarray
@@ -188,21 +189,22 @@ def _clip_batch(subject: np.ndarray, clipper: np.ndarray
     return _dedup(poly, count)
 
 
-def _dedup(poly: np.ndarray, count: np.ndarray, tol: float = 1e-13
+def _dedup(poly: np.ndarray, count: np.ndarray
            ) -> tuple[np.ndarray, np.ndarray]:
-    """Drop every vertex within ``tol`` (max norm) of the last vertex kept
-    before it, then the last kept vertex if it is within ``tol`` of the first;
-    returns the compacted polygons and their counts."""
+    """Drop every vertex within ``DEDUP_TOL`` (max norm) of the last vertex
+    kept before it, then the last kept vertex if it is within ``DEDUP_TOL``
+    of the first; returns the compacted polygons and their counts."""
     n, width = poly.shape[:2]
     rows = np.arange(n)
     kept = np.zeros((n, width), dtype=bool)
     last = np.zeros(n, dtype=np.int64)
     for i in range(width):
-        far = np.max(np.abs(poly[:, i] - poly[rows, last]), axis=1) > tol
+        far = (np.max(np.abs(poly[:, i] - poly[rows, last]), axis=1)
+               > DEDUP_TOL)
         kept[:, i] = (i < count) & ((i == 0) | far)
         last = np.where(kept[:, i], i, last)
     wrap = (kept.sum(axis=1) > 1) & (
-        np.max(np.abs(poly[:, 0] - poly[rows, last]), axis=1) <= tol)
+        np.max(np.abs(poly[:, 0] - poly[rows, last]), axis=1) <= DEDUP_TOL)
     kept[rows[wrap], last[wrap]] = False
     out = np.zeros_like(poly)
     i, j = np.nonzero(kept)
@@ -232,10 +234,9 @@ def extract_interface_triangulation(body: TetMesh) -> list[InterfaceFace]:
             f"interface faces cover area {area:.15g}, expected {GAMMA_AREA}"
         )
     return [
-        InterfaceFace(face_id=k, boundary_index=b, owner_tet=owner,
-                      vertex_ids=v, verts2d=x)
-        for k, (b, owner, v, x) in enumerate(zip(
-            rows.tolist(), body.boundary_owners[rows].tolist(), ids, verts2d))
+        InterfaceFace(face_id=k, owner_tet=owner, vertex_ids=v, verts2d=x)
+        for k, (owner, v, x) in enumerate(zip(
+            body.boundary_owners[rows].tolist(), ids, verts2d))
     ]
 
 

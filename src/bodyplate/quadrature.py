@@ -71,14 +71,11 @@ class QuadratureRule:
         Weights summing to the reference measure (1/2 or 1/6).
     degree : int
         Highest total polynomial degree integrated exactly.
-    positive : bool
-        True when all weights are strictly positive (always the case here).
     """
 
     points: np.ndarray
     weights: np.ndarray
     degree: int
-    positive: bool = True
 
     def __post_init__(self):
         self.points.setflags(write=False)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import dataclass, fields as dc_fields, replace
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .fe_elements import (
     stress_span_coefficients,
 )
 from .geometry_mesh import Diagonal, TetMesh, TriMesh, build_body_mesh, build_plate_mesh
-from .hybrid import solve_hybrid
+from .hybrid import condense, mixed_solution
 from .manufactured import ManufacturedCase, default_case
 from .materials import MaterialParams, c0_apply, default_params
 from .quadrature import NORM_DEGREE, physical_weights, tet_rule, triangle_rule
@@ -75,28 +75,33 @@ class ErrorRecord:
         return tuple(getattr(self, f) for f in ERROR_FIELDS)
 
 
-def solve_mixed(body: TetMesh, plate: TriMesh, case: ManufacturedCase,
-                params: MaterialParams | None = None,
+def solve_mixed(body: TetMesh, plate: TriMesh, case: ManufacturedCase
                 ) -> tuple[SolutionFields, SolveReport]:
     """Assemble the mixed formulation and solve it by hybridization: static
     condensation onto the face multipliers and the plate DOFs, solved by
     two-level preconditioned CG, or by a direct factor where CG would cost
-    more.  The report gives the size and nnz of that condensed system, the
-    PCG iteration count and residual history, whether the solve gave way to
-    the factor, and the relative residual of the coupled system in
-    (sigma, u, w).  The report is also the solution's ``report``."""
+    more, then the local back-substitution.  The report gives the size and
+    nnz of that condensed system, the PCG iteration count and residual
+    history, whether the solve gave way to the factor, the relative
+    residual of the coupled system in (sigma, u, w) and the wall time from
+    assembly on.  The report is also the solution's ``report``."""
     t0 = time.perf_counter()
-    sol = solve_hybrid(_asm.build_mixed_system(body, plate, case, params))
-    sol.report.wall_time = time.perf_counter() - t0
+    system = _asm.build_mixed_system(body, plate, case)
+    hb, free, load = condense(system)
+    y, report = hb.solve_condensed(load.r)
+    sigma, x_u, rel = hb.back_substitute(y, load)
+    w = np.zeros(system.pmap.n_dofs)
+    w[free] = y[hb.n_lam:]
+    sol = mixed_solution(system, sigma, x_u, w, replace(
+        report, relative_residual=rel, wall_time=time.perf_counter() - t0))
     return sol, sol.report
 
 
-def solve_displacement(body: TetMesh, plate: TriMesh, case: ManufacturedCase,
-                       params: MaterialParams | None = None,
+def solve_displacement(body: TetMesh, plate: TriMesh, case: ManufacturedCase
                        ) -> tuple[SolutionFields, SolveReport]:
     """Assemble and solve the continuous-displacement baseline."""
     t0 = time.perf_counter()
-    system = _asm.assemble_displacement_system(body, plate, case, params)
+    system = _asm.assemble_displacement_system(body, plate, case)
     M_ff, rhs_f = system.constraints.reduce(system.K, system.rhs)
     x_f, report = solve_saddle_point(M_ff, rhs_f)
     u, w = system.split(system.constraints.expand(x_f))
@@ -227,19 +232,17 @@ class ConvergenceReport:
 
 def run_convergence_study(method: str, levels: int, matching: bool,
                           case: ManufacturedCase | None = None,
-                          params: MaterialParams | None = None,
                           progress=None) -> ConvergenceReport:
     """Solve a sequence of uniformly refined configurations.
 
     Matching runs use body n = 2^L with plate 2n and the body-aligned
     diagonal, starting at body level 1 (the coarsest plate resolving the
     interface boundary).  Non-matching runs use plate 4n with flipped
-    diagonals, starting at body level 0.
+    diagonals, starting at body level 0.  The case (by default
+    ``default_case()``) gives the data and the material.
     """
     if case is None:
-        case = default_case(params)
-    if params is None:
-        params = case.params
+        case = default_case()
     if method not in ("mixed-nc", "displacement"):
         raise ValueError(f"unknown method {method!r}")
     if method == "displacement" and not matching:
@@ -259,9 +262,9 @@ def run_convergence_study(method: str, levels: int, matching: bool,
         body = build_body_mesh(n_body)
         plate = build_plate_mesh(n_plate, diagonal)
         if method == "mixed-nc":
-            sol, _ = solve_mixed(body, plate, case, params)
+            sol, _ = solve_mixed(body, plate, case)
         else:
-            sol, _ = solve_displacement(body, plate, case, params)
+            sol, _ = solve_displacement(body, plate, case)
         rec = compute_error_norms(sol, case)
         rows.append(ConvergenceRow(level=lvl, n_body=n_body, n_plate=n_plate,
                                    h_alpha=body.h, h_beta=plate.h, errors=rec))
@@ -466,12 +469,11 @@ def _solve_command(args, cfg: RunConfig) -> int:
     if meshes is None:
         return 2
     body, plate = meshes
-    params = cfg.material_params()
-    case = default_case(params)
+    case = default_case(cfg.material_params())
     if args.method == "mixed-nc":
-        sol, rep = solve_mixed(body, plate, case, params)
+        sol, rep = solve_mixed(body, plate, case)
     else:
-        sol, rep = solve_displacement(body, plate, case, params)
+        sol, rep = solve_displacement(body, plate, case)
     rec = compute_error_norms(sol, case)
     row = ConvergenceRow(level=args.body_level, n_body=body.n,
                          n_plate=plate.n, h_alpha=body.h, h_beta=plate.h,
@@ -498,10 +500,9 @@ def _convergence_command(args, cfg: RunConfig) -> int:
     if args.levels < 1:
         print("error: --levels must be >= 1", file=sys.stderr)
         return 2
-    params = cfg.material_params()
-    case = default_case(params)
     report = run_convergence_study(
-        args.method, args.levels, args.matching == "yes", case, params,
+        args.method, args.levels, args.matching == "yes",
+        default_case(cfg.material_params()),
         progress=lambda msg: print(msg, flush=True),
     )
     print(format_convergence_table(report))
@@ -520,8 +521,7 @@ def _dd_command(args, cfg: RunConfig) -> int:
     if meshes is None:
         return 2
     body, plate = meshes
-    params = cfg.material_params()
-    sol = solve_dd(body, plate, default_case(params), params,
+    sol = solve_dd(body, plate, default_case(cfg.material_params()),
                    tol=cfg.dd_tol if args.tol is None else args.tol,
                    max_it=cfg.dd_max_it)
     r = sol.report

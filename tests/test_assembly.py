@@ -258,36 +258,6 @@ class TestPlateStiffness:
             w[3 * nv + eid] = grad @ nrm
         assert np.max(np.abs(K @ w)) < 1e-9
 
-    def test_region_split_identity(self, params):
-        # The full stiffness minus the interface-omitting variant is the
-        # stiffness of the region triangles alone: PSD and supported on the
-        # region's DOFs.
-        plate = build_plate_mesh(8)
-        pmap = PlateDofMap(plate)
-        K_all = asm.assemble_plate_stiffness(pmap, params, region="all")
-        K_omit = asm.assemble_plate_stiffness(
-            pmap, params, region="omit_interface"
-        )
-        D = (K_all - K_omit).tocsr()
-        region_dofs = set()
-        for t in plate.interface_region_triangles:
-            region_dofs.update(int(d) for d in pmap.mem_ltg[int(t)])
-            region_dofs.update(int(d) for d in pmap.mor_ltg[int(t)])
-        coo = D.tocoo()
-        live = np.abs(coo.data) > 1e-14
-        assert set(coo.row[live]) <= region_dofs
-        assert set(coo.col[live]) <= region_dofs
-        rng = np.random.default_rng(6)
-        for _ in range(5):
-            x = rng.standard_normal(pmap.n_dofs)
-            assert x @ (D @ x) >= -1e-10
-
-    def test_unknown_region_rejected(self, params):
-        plate = build_plate_mesh(4)
-        pmap = PlateDofMap(plate)
-        with pytest.raises(ValueError):
-            asm.assemble_plate_stiffness(pmap, params, region="nope")
-
 
 class TestInterfaceCoupling:
     @pytest.mark.parametrize("nb,np_,diag", [

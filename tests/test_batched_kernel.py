@@ -43,13 +43,7 @@ from bodyplate.fe_elements import (
     stress_span_coefficients,
     tet_barycentric,
 )
-from bodyplate.geometry_mesh import (
-    GAMMA_HALF_WIDTH,
-    Diagonal,
-    build_body_mesh,
-    build_plate_mesh,
-    validate_mesh,
-)
+from bodyplate.geometry_mesh import Diagonal, build_body_mesh, build_plate_mesh
 from bodyplate.interface_overlay import (
     extract_interface_triangulation,
     intersect_triangulations,
@@ -70,11 +64,9 @@ from bodyplate.quadrature import (
     triangle_rule,
 )
 from bodyplate.solvers import RESIDUAL_CONTRACT
+from mesh_families import SETTINGS, build, meshes
 
 RTOL = 1e-12
-JITTER = 0.2
-
-SETTINGS = settings(max_examples=6, deadline=None)
 
 
 # ---------------------------------------------------------------------------
@@ -147,46 +139,6 @@ class VectorP1Tet:
     def strain(self) -> np.ndarray:
         g = self.gradient()
         return 0.5 * (g + np.swapaxes(g, 1, 2))
-
-
-def jittered_body(n, seed):
-    """Body mesh with its strictly interior vertices moved by up to
-    0.2 h (each coordinate by up to 0.2 / n)."""
-    body = build_body_mesh(n)
-    shift = np.random.default_rng(seed).uniform(-JITTER, JITTER,
-                                                body.vertices.shape) / n
-    shift[np.unique(body.boundary_faces)] = 0.0
-    return replace(body, vertices=body.vertices + shift)
-
-
-def jittered_plate(n, diagonal, seed):
-    """Plate mesh with the vertices strictly inside or strictly outside
-    closure(Gamma) and off the clamped boundary moved by up to 0.2 h."""
-    plate = build_plate_mesh(n, diagonal)
-    radius = np.max(np.abs(plate.vertices), axis=1)
-    fixed = np.isclose(radius, GAMMA_HALF_WIDTH) | np.isclose(radius, 1.0)
-    shift = np.random.default_rng(seed).uniform(-JITTER, JITTER,
-                                                plate.vertices.shape) * 2.0 / n
-    shift[fixed] = 0.0
-    return replace(plate, vertices=plate.vertices + shift)
-
-
-meshes = st.tuples(
-    st.integers(0, 2**32 - 1),
-    st.sampled_from([2, 3]),
-    st.sampled_from([(4, Diagonal.SAME_AS_BODY), (8, Diagonal.FLIPPED),
-                     (8, Diagonal.SAME_AS_BODY)]),
-)
-
-
-def build(example):
-    """Validated jittered meshes for one (seed, body n, plate) example."""
-    seed, n_body, (n_plate, diagonal) = example
-    body = jittered_body(n_body, seed)
-    plate = jittered_plate(n_plate, diagonal, seed + 1)
-    assert validate_mesh(body) == []
-    assert validate_mesh(plate) == []
-    return body, plate
 
 
 def assert_close(got, ref):

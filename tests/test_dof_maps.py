@@ -32,7 +32,7 @@ from bodyplate.geometry_mesh import (
     build_plate_mesh,
 )
 from bodyplate.manufactured import default_case
-from test_batched_kernel import SETTINGS, build, meshes
+from mesh_families import SETTINGS, build, meshes
 
 
 def reference_stress_map(mesh):

@@ -25,7 +25,8 @@ from bodyplate.interface_overlay import (
     intersect_triangulations,
 )
 from bodyplate.manufactured import default_case
-from test_batched_kernel import SETTINGS, build, meshes, oracle_solve
+from mesh_families import SETTINGS, build, meshes
+from test_batched_kernel import oracle_solve
 
 
 @pytest.fixture(scope="module")
@@ -128,20 +129,6 @@ class TestSchurMetric:
         assert abs(schur.dot(a, b) - schur.dot(b, a)) < 1e-9 * max(
             1.0, abs(schur.dot(a, b))
         )
-
-    def test_omit_region_psd_and_smaller(self, setup):
-        plate, pmap, gamma, params = (
-            setup["plate"], setup["pmap"], setup["gamma"], setup["params"],
-        )
-        s_omit = dd.SchurProduct(plate, pmap, params, gamma,
-                                 region="omit_interface")
-        rng = np.random.default_rng(37)
-        for _ in range(5):
-            x = rng.standard_normal(gamma.size)
-            qo = float(x @ s_omit.apply(x))
-            qa = setup["schur"].dot(x, x)
-            assert qo >= -1e-9
-            assert qo <= qa + 1e-9
 
     def test_rejects_clamped_interface(self, setup):
         # A plate whose boundary touches the interface set cannot happen on

@@ -1,14 +1,20 @@
-"""Every name a ``bodyplate`` module lists in ``__all__`` exists, and no
-signature takes a mesh beside the DOF map that holds it."""
+"""Every name a ``bodyplate`` module lists in ``__all__`` exists, no
+signature takes a mesh beside the DOF map that holds it, and none takes a
+material beside the case that holds it."""
 
 import dataclasses
 import importlib
 import inspect
 import pkgutil
+from dataclasses import replace
 
 import pytest
 
 import bodyplate
+from bodyplate import domain_decomposition as dd
+from bodyplate.fe_elements import PlateDofMap
+from bodyplate.geometry_mesh import Diagonal, build_body_mesh, build_plate_mesh
+from bodyplate.manufactured import default_case
 
 MODULES = ["bodyplate"] + [
     f"bodyplate.{m.name}" for m in pkgutil.iter_modules(bodyplate.__path__)
@@ -73,3 +79,35 @@ def test_no_mesh_beside_its_dof_map():
         for qual, params in _parameter_lists(importlib.import_module(mod))
         if DOF_MAPS & set(params) and MESHES & set(params))
     assert both == sorted(CHECKED_MESH_AND_MAP)
+
+
+#: The one signature whose material slot beside its case the acceptance
+#: suite fixes; it accepts only ``case.params``.
+CHECKED_PARAMS_AND_CASE = {"domain_decomposition.solve_dd"}
+
+
+def test_no_material_beside_its_case():
+    """A manufactured case holds its material (``case.params``), so no
+    signature or record takes the material again beside it, except the
+    checked entry point."""
+    both = sorted(
+        qual for mod in MODULES
+        for qual, params in _parameter_lists(importlib.import_module(mod))
+        if {"params", "case"} <= set(params))
+    assert both == sorted(CHECKED_PARAMS_AND_CASE)
+
+
+def test_solve_dd_refuses_a_material_not_the_cases():
+    case = default_case()
+    with pytest.raises(ValueError, match="params"):
+        dd.solve_dd(build_body_mesh(2), build_plate_mesh(8, Diagonal.FLIPPED),
+                    case, replace(case.params, e_alpha=200.0))
+
+
+def test_schur_product_refuses_a_region_not_all():
+    plate = build_plate_mesh(4)
+    pmap = PlateDofMap(plate)
+    gamma = dd.build_interface_dof_set(plate, pmap)
+    with pytest.raises(ValueError, match="region"):
+        dd.SchurProduct(plate, pmap, default_case().params, gamma,
+                        region="omit_interface")

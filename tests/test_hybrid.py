@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given
-from scipy.spatial import Delaunay
 
 from bodyplate import assembly as asm
 from bodyplate import domain_decomposition as dd
@@ -46,13 +45,8 @@ from bodyplate.solvers import (
     SparseFactor,
     solve_saddle_point,
 )
-from test_batched_kernel import (
-    SETTINGS,
-    build,
-    meshes,
-    oracle_solve,
-    saddle_blocks,
-)
+from mesh_families import SETTINGS, build, delaunay_body, meshes
+from test_batched_kernel import oracle_solve, saddle_blocks
 
 ORACLE_RTOL = 1e-10
 
@@ -640,23 +634,6 @@ def test_local_saddle_inverses_keep_the_lu_residual_towards_incompressibility(
     eye = np.eye(54)
     residual = np.abs(M @ got - eye).max()
     assert residual <= 2 * np.abs(M @ np.linalg.inv(M) - eye).max()
-
-
-def delaunay_body(n, amp, seed):
-    """scipy's Delaunay tetrahedralization of the ``build_body_mesh(n)``
-    vertices, each interior coordinate moved by up to amp / n: off the Kuhn
-    connectivity, with badly shaped tets."""
-    body = build_body_mesh(n)
-    v = body.vertices.copy()
-    interior = np.ones(len(v), dtype=bool)
-    interior[np.unique(body.boundary_faces)] = False
-    v[interior] += np.random.default_rng(seed).uniform(
-        -amp, amp, (np.count_nonzero(interior), 3)) / n
-    tets = Delaunay(v).simplices.astype(np.int64)
-    vol = tet_volume(v[tets])
-    tets, vol = tets[np.abs(vol) > 1e-14], vol[np.abs(vol) > 1e-14]
-    tets[vol < 0] = tets[vol < 0][:, [0, 1, 3, 2]]
-    return body_mesh_from_tets(v, tets, n)
 
 
 LOCAL_SOLVE_MESHES = {

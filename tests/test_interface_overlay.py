@@ -32,7 +32,7 @@ from bodyplate.interface_overlay import (
     triangle_barycentric,
 )
 from bodyplate.quadrature import triangle_rule
-from test_batched_kernel import SETTINGS, build, meshes
+from mesh_families import SETTINGS, build, meshes
 
 
 @pytest.fixture(scope="module")

@@ -26,7 +26,7 @@ from bodyplate.geometry_mesh import (
     resolves_interface_boundary,
     validate_mesh,
 )
-from test_batched_kernel import SETTINGS, build, meshes
+from mesh_families import SETTINGS, build, meshes
 from test_geometry_mesh import BODY_CORRUPTIONS, PLATE_CORRUPTIONS
 
 KUHN_PERMS = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]

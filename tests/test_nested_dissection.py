@@ -25,7 +25,7 @@ from bodyplate.solvers import (
     _dissect,
     nested_dissection,
 )
-from test_hybrid import delaunay_body
+from mesh_families import delaunay_body
 
 
 def delaunay_graph(points):

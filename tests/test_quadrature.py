@@ -73,7 +73,6 @@ class TestTriangleRules:
         rule = triangle_rule(degree)
         assert np.all(rule.weights > 0)
         assert float(rule.weights.sum()) == pytest.approx(0.5, rel=1e-14)
-        assert rule.positive
 
     def test_points_are_barycentric(self):
         rule = triangle_rule(6)

@@ -9,7 +9,6 @@ of a chunk.
 """
 
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +19,7 @@ from bodyplate import fe_elements, hybrid
 from bodyplate import verification_cli as vcli
 from bodyplate.geometry_mesh import Diagonal, build_body_mesh, build_plate_mesh
 from bodyplate.manufactured import default_case
-from test_batched_kernel import SETTINGS, build, meshes
+from mesh_families import SETTINGS, build, flattened_body, meshes
 
 #: A chunk size that leaves a ragged last chunk on every mesh used here.
 RAGGED_CHUNK = 7
@@ -74,16 +73,6 @@ def test_chunks_change_no_bit_on_jittered_meshes(example):
 # ---------------------------------------------------------------------------
 # A refused tet is named by its index in the mesh.
 # ---------------------------------------------------------------------------
-
-def flattened_body(lift):
-    """Body n=2 with tet 10 flat (lift 0: vertex 1 moved into the plane of
-    the tet's opposite face, the top of the body) or nearly flat (lift > 0:
-    that far below it).  Tets 0-9 keep a positive volume."""
-    body = build_body_mesh(2)
-    verts = body.vertices.copy()
-    verts[1, 2] = 1.0 - lift
-    return replace(body, vertices=verts)
-
 
 @pytest.mark.parametrize("lift, message", [
     (0.0, "tet 10 is degenerate or negatively oriented"),

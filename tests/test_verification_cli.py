@@ -118,7 +118,7 @@ class TestSolvers:
                 return hb, free, load
             return wrapper
 
-        for module in (hybrid, dd_module):
+        for module in (vcli, dd_module):
             monkeypatch.setattr(module, "condense",
                                 seeing(getattr(module, "condense")))
         case = default_case()
