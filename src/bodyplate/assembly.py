@@ -398,18 +398,6 @@ def assemble_plate_stiffness(pmap: PlateDofMap, params: MaterialParams
 # Interface coupling.
 # ---------------------------------------------------------------------------
 
-def _interface_local_faces(body: TetMesh, faces: list[InterfaceFace]
-                           ) -> tuple[np.ndarray, np.ndarray]:
-    """Owner tets of the interface faces and each face's local index in its
-    owner (the local vertex it does not contain)."""
-    owner = np.array([f.owner_tet for f in faces], dtype=np.int64)
-    vids = np.array([f.vertex_ids for f in faces], dtype=np.int64)
-    in_face = (body.tets[owner][:, :, None] == vids[:, None, :]).any(axis=2)
-    if np.any(in_face.sum(axis=1) != 3):
-        raise ValueError("interface face owner mismatch between mesh and overlay")
-    return owner, np.argmin(in_face, axis=1)
-
-
 @dataclass
 class CouplingBlocks:
     """The interface coupling per overlay cell, in the unsigned local columns
@@ -442,14 +430,27 @@ def interface_coupling_blocks(
 ) -> CouplingBlocks:
     """Local blocks of G[w, s] = int_Gamma (phi_s n) . (Pi chi_w) on the
     overlay cells, from the body's stress element (``smap.stress``) and the
-    geometry of the interface faces' owner tets.
+    geometry of the interface faces' owner tets.  Each face is found among
+    the stress map's interface faces by its vertices, which gives its owner
+    and its local index there (``face_owner``, ``face_owner_local``); a face
+    that is not one of them is refused with a ``ValueError`` naming it.
 
     Pi is the trace lowering: membrane test functions unchanged, Morley test
     functions replaced by the continuous P1 field of their vertex values
     (Morley edge DOFs yield identically zero rows).
     """
     body, plate = smap.mesh, pmap.mesh
-    owner, local = _interface_local_faces(body, faces)
+    iface = smap.interface_face_ids
+    vids = np.sort([f.vertex_ids for f in faces], axis=1)
+    row = _match_rows(vids, smap.face_vertices[iface])
+    if np.any(row < 0):
+        k = int(np.argmax(row < 0))
+        raise ValueError(
+            f"interface face {faces[k].face_id} with vertices "
+            f"{tuple(vids[k].tolist())} is not an interface face of the "
+            "stress map's mesh")
+    fid = iface[row]
+    owner, local = smap.face_owner[fid], smap.face_owner_local[fid]
     verts = body.vertices[body.tets[owner]]  # entry f: f's owner
     grad, _ = simplex_geometry(verts)
     cell_face = np.array([c.face_id for c in cells], dtype=np.int64)
@@ -799,8 +800,9 @@ def assemble_displacement_system(
     plate_offset = nv_body3
     n_unified = nv_body3 + pmap.n_dofs
     body_to_unified = np.arange(nv_body3, dtype=np.int64)
-    v = cmap.interface_vertices
-    pv = _match_rows(body.vertices[v, :2], plate.vertices)
+    # The interface vertices and their plate partners, from the face match.
+    v, first = np.unique(iface, return_index=True)
+    pv = face_pv.ravel()[first]
     body_to_unified[3 * v + 0] = plate_offset + 2 * pv + 0
     body_to_unified[3 * v + 1] = plate_offset + 2 * pv + 1
     body_to_unified[3 * v + 2] = plate_offset + 2 * plate.n_vertices + pv

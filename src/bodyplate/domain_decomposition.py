@@ -11,19 +11,20 @@ minus S_w,lambda S_lambda,lambda^-1 S_lambda,w).  So DD is block
 elimination of the S that ``solve_mixed`` solves whole.
 
 CG runs on it preconditioned by K^-1, from the decoupled plate solve
-w0 = K^-1 f_w.  G reaches only the interface set Gamma (the plate DOFs on
-the closure of the coupling region), so E vanishes off Gamma and r_w = f_w
-on the plate interior I: the residual of w0 is zero on I, every search
-direction (K^-1 of such residuals) is discrete harmonic, K p = 0 on I, and
-so the next residual is zero on I again.  On K-harmonic extensions of
-Gamma traces K acts as the plate Schur complement S_K = K_GammaGamma -
-K_Gamma,I K_II^-1 K_I,Gamma and K^-1 as S_K^-1, so the iterates are those
-of CG on (S_K + E) x = b_Gamma preconditioned by S_K^-1, extended
-K-harmonically into I (Toselli & Widlund 2005, Domain Decomposition
-Methods), with the same r^T z and Euclidean residuals.  T = I + S_K^-1 E is
-self-adjoint and positive in <a, b>_U = a^T S_K b, and r^T z is the squared
-U-norm of the T-equation residual.  The solve never reads Gamma: it only
-reports the junction residual there.
+w0 = K^-1 f_w.  G reaches only the interface set Gamma (the plate DOFs of
+the plate's ``interface_region_triangles``, the triangles in the closure
+of the coupling region, the only ones the overlay couples), so E vanishes
+off Gamma and r_w = f_w on the plate interior I: the residual of w0 is
+zero on I, every search direction (K^-1 of such residuals) is discrete
+harmonic, K p = 0 on I, and so the next residual is zero on I again.  On
+K-harmonic extensions of Gamma traces K acts as the plate Schur complement
+S_K = K_GammaGamma - K_Gamma,I K_II^-1 K_I,Gamma and K^-1 as S_K^-1, so
+the iterates are those of CG on (S_K + E) x = b_Gamma preconditioned by
+S_K^-1, extended K-harmonically into I (Toselli & Widlund 2005, Domain
+Decomposition Methods), with the same r^T z and Euclidean residuals.
+T = I + S_K^-1 E is self-adjoint and positive in <a, b>_U = a^T S_K b,
+and r^T z is the squared U-norm of the T-equation residual.  The solve
+never reads Gamma: it only reports the junction residual there.
 
 ``SchurProduct``, ``BodyOperator`` and ``PlateOperator`` build S_K, E and
 the plate solves from their own assembly, for checking the operator
@@ -53,7 +54,7 @@ from .fe_elements import (
     StressDofMap,
     check_own_mesh,
 )
-from .geometry_mesh import GAMMA_HALF_WIDTH, TetMesh, TriMesh
+from .geometry_mesh import TetMesh, TriMesh
 from .hybrid import HybridBody, condense, mixed_solution
 from .manufactured import ManufacturedCase
 from .materials import MaterialParams
@@ -79,16 +80,15 @@ CG_MAX_IT = 200
 
 
 def build_interface_dof_set(plate: TriMesh, pmap: PlateDofMap) -> np.ndarray:
-    """Plate DOFs attached to the closure of the interface: membrane and
-    Morley vertex DOFs of vertices inside it, Morley edge DOFs of edges whose
-    endpoints both lie inside it.  Sorted global plate DOF ids."""
+    """Plate DOFs attached to the closure of the interface: the membrane
+    and Morley DOFs (vertex values and edge derivatives) of the plate's
+    ``interface_region_triangles``.  Sorted global plate DOF ids."""
     check_own_mesh("plate", plate, pmap)
-    tol = GAMMA_HALF_WIDTH + 1e-9
-    on_gamma = np.max(np.abs(plate.vertices), axis=1) <= tol
-    v = np.flatnonzero(on_gamma)
-    e = np.flatnonzero(np.all(on_gamma[pmap.edges], axis=1))
-    nv = plate.n_vertices
-    return np.sort(np.concatenate([2 * v, 2 * v + 1, 2 * nv + v, 3 * nv + e]))
+    region = plate.interface_region_triangles
+    on_gamma = np.zeros(pmap.n_dofs, dtype=bool)
+    on_gamma[pmap.mem_ltg[region]] = True
+    on_gamma[pmap.mor_ltg[region]] = True
+    return np.flatnonzero(on_gamma)
 
 
 class SchurProduct:

@@ -844,8 +844,6 @@ class BodyCGDofMap:
         self.mesh = mesh
         self.n_dofs = 3 * mesh.n_vertices
         self.ltg = (3 * mesh.tets[:, :, None] + np.arange(3)).reshape(-1, 12)
-        self.interface_vertices = np.unique(
-            mesh.boundary_faces[mesh.boundary_tags == FaceTag.INTERFACE])
 
 
 class PlateDofMap:

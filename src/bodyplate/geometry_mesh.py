@@ -14,7 +14,7 @@ All vertex/element arrays are frozen after construction.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,6 +29,8 @@ __all__ = [
     "validate_mesh",
     "GEOM_TOL",
     "GAMMA_HALF_WIDTH",
+    "GAMMA_AREA",
+    "AREA_DEFECT_TOL",
 ]
 
 #: Tolerance for geometric coincidence tests (grid-aligned coordinates).
@@ -36,6 +38,12 @@ GEOM_TOL = 1e-12
 
 #: Gamma = (-G, G)^2 x {0} with G = 1/2.
 GAMMA_HALF_WIDTH = 0.5
+
+#: |Gamma| for the fixed coupling region (-1/2, 1/2)^2.
+GAMMA_AREA = (2.0 * GAMMA_HALF_WIDTH) ** 2
+
+#: Maximum admissible defect between |Gamma| and an area summed over it.
+AREA_DEFECT_TOL = 1e-8
 
 
 class FaceTag(enum.IntEnum):
@@ -63,13 +71,16 @@ def _freeze(*arrays: np.ndarray) -> None:
 class TetMesh:
     """Tetrahedral mesh of the body.
 
+    The boundary tags are the body's one statement of what lies on Gamma;
+    the tet that owns each face, and the face's index in it, are the stress
+    map's (``fe_elements.StressDofMap.face_owner``, ``face_owner_local``).
+
     Attributes
     ----------
     vertices : (nv, 3) float array
     tets : (nt, 4) int array, positively oriented
     boundary_faces : (nb, 3) int array
         Vertex triples ordered so the right-hand normal points outward.
-    boundary_owners : (nb,) int array of owning tet indices.
     boundary_tags : (nb,) int array of FaceTag values.
     n : int, cells per unit edge (h-level parameter).
     """
@@ -77,13 +88,12 @@ class TetMesh:
     vertices: np.ndarray
     tets: np.ndarray
     boundary_faces: np.ndarray
-    boundary_owners: np.ndarray
     boundary_tags: np.ndarray
     n: int
 
     def __post_init__(self):
         _freeze(self.vertices, self.tets, self.boundary_faces,
-                self.boundary_owners, self.boundary_tags)
+                self.boundary_tags)
 
     @property
     def n_vertices(self) -> int:
@@ -112,7 +122,8 @@ class TriMesh:
     triangles : (nt, 3) int array, counter-clockwise
     boundary_edges : (ne, 2) int array (clamped outer boundary)
     interface_region_triangles : int array
-        Indices of triangles contained in closure(Gamma).
+        Indices of triangles contained in closure(Gamma): the plate's one
+        statement of what lies on Gamma.
     diagonal : Diagonal
     n : int, cells per side.
     """
@@ -228,7 +239,6 @@ def body_mesh_from_tets(vertices: np.ndarray, tets: np.ndarray,
         vertices=vertices,
         tets=tets,
         boundary_faces=faces,
-        boundary_owners=owners,
         boundary_tags=np.where(on_gamma, int(FaceTag.INTERFACE),
                                int(FaceTag.FREE)).astype(np.int64),
         n=n,
@@ -332,17 +342,12 @@ def _match_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def resolves_interface_boundary(plate: TriMesh) -> bool:
-    """True when every plate triangle is contained in closure(Gamma) or has
-    interior disjoint from Gamma."""
-    from .interface_overlay import _clip_batch, _signed_areas
-
-    half = GAMMA_HALF_WIDTH
-    square = np.array([[-half, -half], [half, -half], [half, half], [-half, half]])
-    verts = plate.vertices[plate.triangles]
-    area = np.abs(triangle_area(verts))
-    clipped, count = _clip_batch(verts, square[None])
-    a = np.where(count >= 3, np.abs(_signed_areas(clipped, count)), 0.0)
-    return not np.any((a > 1e-12 * area) & (a < (1.0 - 1e-12) * area))
+    """True when the listed ``interface_region_triangles`` cover |Gamma|
+    within ``AREA_DEFECT_TOL``.  On a plate whose triangles tile beta, this
+    holds exactly when no triangle crosses the boundary of Gamma."""
+    region = plate.vertices[plate.triangles[plate.interface_region_triangles]]
+    covered = float(np.abs(triangle_area(region)).sum())
+    return abs(covered - GAMMA_AREA) <= AREA_DEFECT_TOL
 
 
 def validate_mesh(mesh) -> list[str]:
@@ -364,20 +369,12 @@ def validate_mesh(mesh) -> list[str]:
             problems.append("boundary face table does not match once-seen tet faces")
         if np.any(count > 2):
             problems.append("a face is shared by more than two tets")
-        sizes = (len(mesh.boundary_faces), len(mesh.boundary_owners),
-                 len(mesh.boundary_tags))
-        if len(set(sizes)) > 1:
-            problems.append("boundary faces, owners and tags differ in "
-                            f"length: {sizes[0]}, {sizes[1]}, {sizes[2]}")
-        k = min(sizes)
-        faces, owners = mesh.boundary_faces[:k], mesh.boundary_owners[:k]
-        held = (owners >= 0) & (owners < mesh.n_tets)
-        held[held] = np.all(np.any(mesh.tets[owners[held], :, None]
-                                   == faces[held, None, :], axis=1), axis=1)
-        if not held.all():
-            i = np.flatnonzero(~held)[0]
-            problems.append(f"boundary face {tuple(faces[i].tolist())} is not "
-                            f"a face of its owner tet {int(owners[i])}")
+        n_faces, n_tags = len(mesh.boundary_faces), len(mesh.boundary_tags)
+        if n_faces != n_tags:
+            problems.append("boundary faces and tags differ in length: "
+                            f"{n_faces}, {n_tags}")
+        k = min(n_faces, n_tags)
+        faces = mesh.boundary_faces[:k]
         on_gamma = np.all(np.abs(mesh.vertices[faces, 2]) <= GEOM_TOL, axis=1)
         wrong = np.flatnonzero(
             on_gamma != (mesh.boundary_tags[:k] == FaceTag.INTERFACE))
@@ -392,8 +389,9 @@ def validate_mesh(mesh) -> list[str]:
             problems.append(f"total area {areas.sum():.15g} != 4")
         if not resolves_interface_boundary(mesh):
             problems.append(
-                "interface boundary not resolved: a triangle crosses the edge of "
-                "the coupling region (plate n must be divisible by 4)"
+                "interface boundary not resolved: the interface region "
+                "triangles do not cover Gamma exactly (plate n must be "
+                "divisible by 4)"
             )
         region = mesh.vertices[mesh.triangles[mesh.interface_region_triangles]]
         if np.any(np.abs(region) > GAMMA_HALF_WIDTH + GEOM_TOL):

@@ -27,11 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry_mesh import (
-    GAMMA_HALF_WIDTH,
+    AREA_DEFECT_TOL,
+    GAMMA_AREA,
     GEOM_TOL,
     FaceTag,
     TetMesh,
     TriMesh,
+    resolves_interface_boundary,
     triangle_area,
 )
 from .fe_elements import simplex_barycentric, simplex_geometry
@@ -51,31 +53,24 @@ __all__ = [
 #: Cells with area below this fraction of |Gamma| are discarded as slivers.
 AREA_EPSILON_REL = 1e-14
 
-#: Maximum admissible defect between |Gamma| and the summed overlay area.
-AREA_DEFECT_TOL = 1e-8
-
-#: |Gamma| for the fixed coupling region (-1/2, 1/2)^2.
-GAMMA_AREA = (2.0 * GAMMA_HALF_WIDTH) ** 2
-
 #: Max-norm distance within which ``_dedup`` merges two clipped vertices.
 DEDUP_TOL = 1e-13
 
 
 @dataclass(frozen=True)
 class InterfaceFace:
-    """A body boundary face lying on the interface plane.
+    """A body boundary face lying on the interface plane.  The tet that owns
+    it is the stress map's (``StressDofMap.face_owner``).
 
     Attributes
     ----------
     face_id : position in the extraction order (scan order of the body's
         boundary-face table).
-    owner_tet : owning tet index.
     vertex_ids : (3,) global vertex ids, ordered so the projection is CCW.
     verts2d : (3, 2) projected coordinates (x1, x2), CCW.
     """
 
     face_id: int
-    owner_tet: int
     vertex_ids: np.ndarray
     verts2d: np.ndarray
 
@@ -233,24 +228,18 @@ def extract_interface_triangulation(body: TetMesh) -> list[InterfaceFace]:
         raise ValueError(
             f"interface faces cover area {area:.15g}, expected {GAMMA_AREA}"
         )
-    return [
-        InterfaceFace(face_id=k, owner_tet=owner, vertex_ids=v, verts2d=x)
-        for k, (owner, v, x) in enumerate(zip(
-            body.boundary_owners[rows].tolist(), ids, verts2d))
-    ]
+    return [InterfaceFace(face_id=k, vertex_ids=v, verts2d=x)
+            for k, (v, x) in enumerate(zip(ids, verts2d))]
 
 
 def _plate_interface_check(plate: TriMesh) -> np.ndarray:
-    region = plate.interface_region_triangles
-    covered = float(np.abs(
-        triangle_area(plate.vertices[plate.triangles[region]])).sum())
-    if abs(covered - GAMMA_AREA) > AREA_DEFECT_TOL:
+    if not resolves_interface_boundary(plate):
         raise ValueError(
-            "plate mesh does not resolve the coupling region: triangles inside "
-            f"closure(Gamma) cover {covered:.15g} of {GAMMA_AREA} "
-            "(plate n must be divisible by 4)"
+            "plate mesh does not resolve the coupling region: its triangles "
+            "inside closure(Gamma) do not cover Gamma exactly (plate n must "
+            "be divisible by 4)"
         )
-    return region
+    return plate.interface_region_triangles
 
 
 def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -16,7 +16,7 @@ normal on Gamma is (0, 0, -1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np

@@ -18,17 +18,16 @@ from bodyplate import assembly as asm
 from bodyplate.fe_elements import (
     BodyDGDofMap,
     HuMaElement,
-    MorleyElement,
     PlateDofMap,
     StressDofMap,
     tet_barycentric,
 )
 from bodyplate.geometry_mesh import (
     Diagonal,
+    FaceTag,
     _match_rows,
     build_body_mesh,
     build_plate_mesh,
-    triangle_area,
 )
 from bodyplate.interface_overlay import (
     extract_interface_triangulation,
@@ -57,11 +56,15 @@ def assemble_interface_coupling_direct(body, smap, plate, pmap, faces,
             "meshes do not match on the interface; use the overlay coupling"
         )
     rule = triangle_rule(quad_degree)
-    owner, local = asm._interface_local_faces(body, faces)
     tri = region[tris]
 
-    mem_blocks, mor_blocks = [], []
-    for face, t, f, p in zip(faces, owner, local, tri):
+    mem_blocks, mor_blocks, owner = [], [], []
+    for face, p in zip(faces, tri):
+        # The one tet holding the face; f is its vertex off the face.
+        holds = np.isin(body.tets, face.vertex_ids)
+        t = int(np.flatnonzero(holds.sum(axis=1) == 3)[0])
+        f = int(np.flatnonzero(~holds[t])[0])
+        owner.append(t)
         verts = body.tet_vertices(t)
         el = HuMaElement(verts)
         pts2 = rule.points @ face.verts2d
@@ -319,6 +322,25 @@ class TestInterfaceCoupling:
             rhs = (G.T @ w_const)[free]
             assert np.max(np.abs(lhs - rhs)) < 1e-12
 
+    def test_refuses_faces_of_another_body(self):
+        # Body 2's overlay with body 3's stress map: the first face whose
+        # vertices are not an interface face of body 3 is named.
+        body2, body3 = build_body_mesh(2), build_body_mesh(3)
+        plate = build_plate_mesh(4)
+        smap3 = StressDofMap(body3)
+        faces = extract_interface_triangulation(body2)
+        cells = intersect_triangulations(faces, plate)
+        iface = {smap3.faces[i].vertices for i in smap3.interface_face_ids}
+        k, key = next((f.face_id, tuple(sorted(f.vertex_ids.tolist())))
+                      for f in faces
+                      if tuple(sorted(f.vertex_ids.tolist())) not in iface)
+        with pytest.raises(ValueError) as err:
+            asm.interface_coupling_blocks(smap3, PlateDofMap(plate), faces,
+                                          cells)
+        assert str(err.value) == (
+            f"interface face {k} with vertices {key} is not an interface "
+            "face of the stress map's mesh")
+
     def test_morley_edge_rows_vanish(self):
         # The coupling tests the plate deflection through its continuous
         # lowering, which has no edge contributions.
@@ -510,13 +532,15 @@ class TestDisplacementSystem:
         plate = build_plate_mesh(4, Diagonal.SAME_AS_BODY)
         case = default_case()
         system = asm.assemble_displacement_system(body, plate, case)
-        cmap = system.cmap
         nv_plate = plate.n_vertices
         lookup = {
             (round(float(x), 9), round(float(y), 9)): i
             for i, (x, y) in enumerate(plate.vertices)
         }
-        for v in cmap.interface_vertices:
+        iface = np.unique(
+            body.boundary_faces[body.boundary_tags == FaceTag.INTERFACE])
+        assert iface.size == (body.n + 1) ** 2
+        for v in iface:
             x, y, _ = body.vertices[v]
             pv = lookup[(round(float(x), 9), round(float(y), 9))]
             assert system.body_to_unified[3 * v + 0] == system.plate_offset + 2 * pv

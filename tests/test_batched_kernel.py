@@ -220,9 +220,9 @@ def ref_coupling(body, smap, plate, pmap, faces, cells, elements):
     blocks = []
     for cell in cells:
         face = faces[cell.face_id]
-        t = face.owner_tet
-        el = elements[t]
         rec = smap.faces[smap.face_index[tuple(sorted(face.vertex_ids))]]
+        t = rec.owner
+        el = elements[t]
         pts3 = np.column_stack([cell.points, np.zeros(cell.points.shape[0])])
         bary = tet_barycentric(el.verts, pts3)
         tr = np.einsum("qiab,b->qia", el.values(bary),

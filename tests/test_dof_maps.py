@@ -178,7 +178,6 @@ def test_maps_match_loop_on_jittered_meshes(example):
 def test_missing_boundary_face_raises():
     body = build_body_mesh(1)
     cut = replace(body, boundary_faces=body.boundary_faces[1:],
-                  boundary_owners=body.boundary_owners[1:],
                   boundary_tags=body.boundary_tags[1:])
     with pytest.raises(ValueError, match="boundary face table"):
         StressDofMap(cut)

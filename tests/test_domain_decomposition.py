@@ -85,6 +85,42 @@ class TestInterfaceDofSet:
         assert not np.any(pmap.constrained[gamma])
 
 
+def region_dofs(plate, pmap):
+    """The plate DOFs of the interface region triangles, triangle by
+    triangle."""
+    dofs = set()
+    for t in plate.interface_region_triangles:
+        dofs.update(pmap.mem_ltg[t].tolist() + pmap.mor_ltg[t].tolist())
+    return np.array(sorted(dofs), dtype=np.int64)
+
+
+def check_coupling_reaches_only_gamma(body, plate):
+    """Every plate row of G with a nonzero entry lies in the interface DOF
+    set, which is the DOF set of the interface region triangles."""
+    smap, pmap = StressDofMap(body), PlateDofMap(plate)
+    faces = extract_interface_triangulation(body)
+    cells = intersect_triangulations(faces, plate)
+    G = asm.assemble_interface_coupling(body, smap, plate, pmap, faces, cells)
+    gamma = dd.build_interface_dof_set(plate, pmap)
+    reached = np.flatnonzero(abs(G).sum(axis=1))
+    assert reached.size and np.all(np.isin(reached, gamma))
+    ref = region_dofs(plate, pmap)
+    assert gamma.dtype == ref.dtype and np.array_equal(gamma, ref)
+
+
+@pytest.mark.parametrize("n", [4, 8, 12, 16])
+@pytest.mark.parametrize("diagonal", list(Diagonal))
+def test_coupling_reaches_only_gamma(n, diagonal):
+    check_coupling_reaches_only_gamma(build_body_mesh(2),
+                                      build_plate_mesh(n, diagonal))
+
+
+@SETTINGS
+@given(meshes)
+def test_coupling_reaches_only_gamma_on_jittered_meshes(example):
+    check_coupling_reaches_only_gamma(*build(example))
+
+
 class TestBodyInterfaceOperator:
     def test_vanishes_on_rigid_translations(self, setup):
         # A constant interface displacement produces traction data in

@@ -1,12 +1,15 @@
 """Every name a ``bodyplate`` module lists in ``__all__`` exists, no
-signature takes a mesh beside the DOF map that holds it, and none takes a
-material beside the case that holds it."""
+signature takes a mesh beside the DOF map that holds it, none takes a
+material beside the case that holds it, and no module of the library, the
+tests or the demos imports a name it never reads."""
 
+import ast
 import dataclasses
 import importlib
 import inspect
 import pkgutil
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -95,6 +98,53 @@ def test_no_material_beside_its_case():
         for qual, params in _parameter_lists(importlib.import_module(mod))
         if {"params", "case"} <= set(params))
     assert both == sorted(CHECKED_PARAMS_AND_CASE)
+
+
+#: The trees whose modules ``test_no_unused_imports`` scans.
+SCANNED = ("src/bodyplate", "tests", "demos")
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """The names that the module at ``path`` imports and never reads, as
+    "line: name".  Names it lists in ``__all__``, ``from __future__``
+    imports and imports marked ``# noqa: F401`` are not counted."""
+    source = path.read_text()
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound = [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound = [a.asname or a.name for a in node.names]
+        else:
+            continue
+        if any("# noqa: F401" in line
+               for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        unused += [f"{node.lineno}: {name}" for name in bound
+                   if name not in read | exported | {"*"}]
+    return unused
+
+
+def test_no_unused_imports():
+    """No lint tool runs on the repository, so this is the check that every
+    imported name is read; the package ``__init__`` only re-exports."""
+    root = Path(__file__).resolve().parents[1]
+    paths = [p for d in SCANNED for p in sorted((root / d).rglob("*.py"))
+             if p != root / "src/bodyplate/__init__.py"]
+    assert len(paths) > 30
+    unused = {str(p.relative_to(root)): u for p in paths
+              if (u := _unused_imports(p))}
+    assert unused == {}
 
 
 def test_solve_dd_refuses_a_material_not_the_cases():

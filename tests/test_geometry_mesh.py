@@ -64,11 +64,14 @@ class TestBodyMesh:
     def test_boundary_faces_outward(self):
         mesh = build_body_mesh(2)
         centroid_all = mesh.vertices.mean(axis=0)
-        for face, owner in zip(mesh.boundary_faces, mesh.boundary_owners):
+        for face in mesh.boundary_faces:
             verts = mesh.vertices[face]
             nrm = np.cross(verts[1] - verts[0], verts[2] - verts[0])
-            # The outward normal must point away from the owning tet centroid.
-            tc = mesh.tet_vertices(int(owner)).mean(axis=0)
+            # The outward normal must point away from the centroid of the one
+            # tet holding the face.
+            owner = np.flatnonzero(np.isin(mesh.tets, face).sum(axis=1) == 3)
+            assert owner.size == 1
+            tc = mesh.tet_vertices(int(owner[0])).mean(axis=0)
             assert np.dot(nrm, verts.mean(axis=0) - tc) > 0
             # And away from the body centre (the box is convex).
             assert np.dot(nrm, verts.mean(axis=0) - centroid_all) > 0
@@ -178,7 +181,6 @@ BODY_CORRUPTIONS = {
     "scaled": (lambda m: replace(m, vertices=1.01 * m.vertices),
                "total volume 1.030301"),
     "cut boundary": (lambda m: replace(m, boundary_faces=m.boundary_faces[1:],
-                                       boundary_owners=m.boundary_owners[1:],
                                        boundary_tags=m.boundary_tags[1:]),
                      "boundary face table does not match once-seen tet faces"),
     "duplicated tet": (lambda m: replace(m, tets=np.vstack([m.tets, m.tets[:1]])),
@@ -219,16 +221,19 @@ class TestValidate:
         mesh = build_body_mesh(2)
         cut = replace(mesh, boundary_tags=mesh.boundary_tags[:-5])
         assert validate_mesh(cut) == [
-            "boundary faces, owners and tags differ in length: 48, 48, 43"]
+            "boundary faces and tags differ in length: 48, 43"]
 
-    @pytest.mark.parametrize("owner", [4, 10**6, -1])
-    def test_owner_without_its_face_named(self, owner):
-        mesh = build_body_mesh(2)
-        owners = mesh.boundary_owners.copy()
-        owners[3] = owner
-        face = tuple(int(v) for v in mesh.boundary_faces[3])
-        assert validate_mesh(replace(mesh, boundary_owners=owners)) == [
-            f"boundary face {face} is not a face of its owner tet {owner}"]
+    def test_region_short_of_gamma_named(self):
+        # Every triangle resolves Gamma, but the list of those inside it
+        # misses one: the listed triangles do not cover Gamma.
+        mesh = build_plate_mesh(4)
+        short = replace(mesh, interface_region_triangles=(
+            mesh.interface_region_triangles[1:]))
+        assert not resolves_interface_boundary(short)
+        assert validate_mesh(short) == [
+            "interface boundary not resolved: the interface region "
+            "triangles do not cover Gamma exactly (plate n must be "
+            "divisible by 4)"]
 
     def test_unknown_type(self):
         assert validate_mesh(object())[0].startswith("unknown mesh type")

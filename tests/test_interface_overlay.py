@@ -89,11 +89,6 @@ class TestExtraction:
             assert np.max(np.abs(z)) < 1e-12
             assert_allclose(body2.vertices[f.vertex_ids][:, :2], f.verts2d, atol=0)
 
-    def test_owner_tets_touch_face(self, body2, faces2):
-        for f in faces2:
-            tet = set(int(v) for v in body2.tets[f.owner_tet])
-            assert set(int(v) for v in f.vertex_ids) <= tet
-
 
 class TestOverlay:
     # (body n, plate n, diagonal) pairings used throughout the studies.

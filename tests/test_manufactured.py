@@ -18,7 +18,7 @@ from bodyplate.manufactured import (
     constant_stress_case,
     default_case,
 )
-from bodyplate.materials import c0_apply, default_params
+from bodyplate.materials import c0_apply
 
 FD_STEP = 1e-5
 FD_TOL = 1e-6

@@ -6,6 +6,11 @@ tag and check the meshes one cube, tet, face or triangle at a time, the way
 the mesh layer was first written; every array must be bitwise equal to
 theirs (values, shape and dtype), and ``validate_mesh`` must return the same
 problem list on clean, jittered and corrupted meshes.
+
+``resolves_interface_boundary`` is the area criterion (the listed interface
+region triangles cover |Gamma|); ``clip_resolves`` keeps the geometric one
+it replaced (no triangle crosses the edge of Gamma, clip by clip), and the
+two must agree on Kuhn and jittered plates.
 """
 
 import numpy as np
@@ -26,7 +31,8 @@ from bodyplate.geometry_mesh import (
     resolves_interface_boundary,
     validate_mesh,
 )
-from mesh_families import SETTINGS, build, meshes
+from bodyplate.interface_overlay import clip_convex_polygon, polygon_area
+from mesh_families import SETTINGS, build, jittered_plate, meshes
 from test_geometry_mesh import BODY_CORRUPTIONS, PLATE_CORRUPTIONS
 
 KUHN_PERMS = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
@@ -51,7 +57,7 @@ def outward_face(vertices, tet, local_face):
 
 
 def reference_body(n):
-    """Vertices, tets, boundary faces, owners and tags, cube by cube."""
+    """Vertices, tets, boundary faces and tags, cube by cube."""
     m = n + 1
     g = np.arange(m) / n
     X, Y, Z = np.meshgrid(-0.5 + g, -0.5 + g, g.copy(), indexing="ij")
@@ -77,18 +83,17 @@ def reference_body(n):
         for f in range(4):
             key = tuple(sorted(tets[t, TET_LOCAL_FACES[f]]))
             count[key] = (-1, -1) if key in count else (t, f)
-    faces, owners, tags = [], [], []
+    faces, tags = [], []
     for t in range(tets.shape[0]):
         for f in range(4):
             if count[tuple(sorted(tets[t, TET_LOCAL_FACES[f]]))] != (t, f):
                 continue
             tri = outward_face(vertices, tets[t], f)
             faces.append(tri)
-            owners.append(t)
             on_gamma = np.all(np.abs(vertices[list(tri), 2]) <= GEOM_TOL)
             tags.append(int(FaceTag.INTERFACE if on_gamma else FaceTag.FREE))
     return (vertices, tets, np.asarray(faces, dtype=np.int64),
-            np.asarray(owners, dtype=np.int64), np.asarray(tags, dtype=np.int64))
+            np.asarray(tags, dtype=np.int64))
 
 
 def reference_plate(n, diagonal):
@@ -136,8 +141,7 @@ def reference_validate(mesh):
             problems.append("boundary face table does not match once-seen tet faces")
         if any(c > 2 for c in seen.values()):
             problems.append("a face is shared by more than two tets")
-        for tri, _, tag in zip(mesh.boundary_faces, mesh.boundary_owners,
-                               mesh.boundary_tags):
+        for tri, tag in zip(mesh.boundary_faces, mesh.boundary_tags):
             on_gamma = bool(np.all(np.abs(mesh.vertices[tri, 2]) <= GEOM_TOL))
             if on_gamma != (tag == FaceTag.INTERFACE):
                 problems.append(f"face {tuple(int(v) for v in tri)} has "
@@ -149,10 +153,13 @@ def reference_validate(mesh):
             problems.append(f"{np.sum(areas <= 0)} triangles with non-positive area")
         if abs(areas.sum() - 4.0) > 1e-10:
             problems.append(f"total area {areas.sum():.15g} != 4")
-        if not resolves_interface_boundary(mesh):
+        covered = sum(abs(area(mesh.vertices[mesh.triangles[t]]))
+                      for t in mesh.interface_region_triangles)
+        if abs(covered - 1.0) > 1e-8:
             problems.append(
-                "interface boundary not resolved: a triangle crosses the edge of "
-                "the coupling region (plate n must be divisible by 4)"
+                "interface boundary not resolved: the interface region "
+                "triangles do not cover Gamma exactly (plate n must be "
+                "divisible by 4)"
             )
         for t in mesh.interface_region_triangles:
             if np.max(np.abs(mesh.vertices[mesh.triangles[t]])) > \
@@ -163,16 +170,28 @@ def reference_validate(mesh):
     return problems
 
 
-def reference_cg_map(mesh):
+def clip_resolves(mesh):
+    """True when every plate triangle is contained in closure(Gamma) or has
+    interior disjoint from Gamma, by the area of its clip against Gamma, one
+    triangle at a time."""
+    half = GAMMA_HALF_WIDTH
+    square = np.array([[-half, -half], [half, -half], [half, half],
+                       [-half, half]])
+    for tri in mesh.triangles:
+        verts = mesh.vertices[tri]
+        whole = abs(area(verts))
+        cut = polygon_area(clip_convex_polygon(verts, square))
+        if 1e-12 * whole < cut < (1.0 - 1e-12) * whole:
+            return False
+    return True
+
+
+def reference_cg_ltg(mesh):
     ltg = np.zeros((mesh.n_tets, 12), dtype=np.int64)
     for a in range(4):
         for c in range(3):
             ltg[:, 3 * a + c] = 3 * mesh.tets[:, a] + c
-    verts = set()
-    for tri, tag in zip(mesh.boundary_faces, mesh.boundary_tags):
-        if tag == FaceTag.INTERFACE:
-            verts.update(int(v) for v in tri)
-    return ltg, np.asarray(sorted(verts), dtype=np.int64)
+    return ltg
 
 
 def assert_same(got, ref):
@@ -183,15 +202,12 @@ def assert_same(got, ref):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_body_mesh_matches_loop(n):
     mesh = build_body_mesh(n)
-    got = (mesh.vertices, mesh.tets, mesh.boundary_faces,
-           mesh.boundary_owners, mesh.boundary_tags)
+    got = (mesh.vertices, mesh.tets, mesh.boundary_faces, mesh.boundary_tags)
     for g, r in zip(got, reference_body(n)):
         assert_same(g, r)
     cg = BodyCGDofMap(mesh)
-    ltg, iface = reference_cg_map(mesh)
     assert cg.n_dofs == 3 * mesh.n_vertices
-    assert_same(cg.ltg, ltg)
-    assert_same(cg.interface_vertices, iface)
+    assert_same(cg.ltg, reference_cg_ltg(mesh))
 
 
 @pytest.mark.parametrize("n", [2, 4, 8, 12, 16, 32])
@@ -237,7 +253,16 @@ def test_validate_corrupted_plate_matches_loop(name):
 def test_validate_jittered_matches_loop(example):
     body, plate = build(example)
     assert reference_validate(body) == reference_validate(plate) == []
-    ltg, iface = reference_cg_map(body)
-    cg = BodyCGDofMap(body)
-    assert_same(cg.ltg, ltg)
-    assert_same(cg.interface_vertices, iface)
+    assert_same(BodyCGDofMap(body).ltg, reference_cg_ltg(body))
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 2])
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+@pytest.mark.parametrize("diagonal", list(Diagonal))
+def test_area_criterion_matches_clips(n, diagonal, seed):
+    # Kuhn plates (seed None) and jittered ones; n = 2 and n = 6 do not
+    # resolve Gamma.
+    mesh = (build_plate_mesh(n, diagonal) if seed is None
+            else jittered_plate(n, diagonal, seed))
+    assert resolves_interface_boundary(mesh) == clip_resolves(mesh) == (
+        n % 4 == 0)
