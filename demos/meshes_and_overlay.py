@@ -51,7 +51,7 @@ print("overlay:", len(cells), "cells")
 
 # Every overlay cell is a convex polygon lying in exactly one body face and
 # one plate triangle.  Grouped by body face, the cell areas must reassemble
-# the face areas exactly; summed, they must reproduce the interface area 1.
+# the face areas exactly; summed, they must reproduce the faces' area |Gamma|.
 per_face = np.zeros(len(faces))
 for c in cells:
     per_face[c.face_id] += c.area

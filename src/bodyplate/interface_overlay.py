@@ -26,16 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry_mesh import (
-    AREA_DEFECT_TOL,
-    GAMMA_AREA,
-    GEOM_TOL,
-    FaceTag,
-    TetMesh,
-    TriMesh,
-    resolves_interface_boundary,
-    triangle_area,
-)
+from .geometry_mesh import GEOM_TOL, FaceTag, TetMesh, TriMesh, triangle_area
 from .fe_elements import simplex_barycentric, simplex_geometry
 from .quadrature import FACE_DEGREE, triangle_rule
 
@@ -47,11 +38,14 @@ __all__ = [
     "map_to_parents",
     "clip_convex_polygon",
     "polygon_area",
-    "AREA_DEFECT_TOL",
 ]
 
 #: Cells with area below this fraction of |Gamma| are discarded as slivers.
 AREA_EPSILON_REL = 1e-14
+
+#: Maximum admissible defect, relative to |Gamma|, between |Gamma| and an
+#: area summed over it.
+AREA_DEFECT_TOL = 1e-8
 
 #: Max-norm distance within which ``_dedup`` merges two clipped vertices.
 DEDUP_TOL = 1e-13
@@ -223,23 +217,8 @@ def extract_interface_triangulation(body: TetMesh) -> list[InterfaceFace]:
     verts2d = np.ascontiguousarray(body.vertices[ids][:, :, :2])
     ids.setflags(write=False)
     verts2d.setflags(write=False)
-    area = float(triangle_area(verts2d).sum())
-    if abs(area - GAMMA_AREA) > AREA_DEFECT_TOL:
-        raise ValueError(
-            f"interface faces cover area {area:.15g}, expected {GAMMA_AREA}"
-        )
     return [InterfaceFace(face_id=k, vertex_ids=v, verts2d=x)
             for k, (v, x) in enumerate(zip(ids, verts2d))]
-
-
-def _plate_interface_check(plate: TriMesh) -> np.ndarray:
-    if not resolves_interface_boundary(plate):
-        raise ValueError(
-            "plate mesh does not resolve the coupling region: its triangles "
-            "inside closure(Gamma) do not cover Gamma exactly (plate n must "
-            "be divisible by 4)"
-        )
-    return plate.interface_region_triangles
 
 
 def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -291,17 +270,27 @@ def intersect_triangulations(
 ) -> list[OverlayCell]:
     """Common refinement of the projected interface faces and the plate's
     interface-region triangles, with the mapped ``FACE_DEGREE`` rule on
-    every cell, sorted by (face_id, tri_id).  Raises if the overlay area
-    defect exceeds ``AREA_DEFECT_TOL``.
+    every cell, sorted by (face_id, tri_id).  |Gamma| is the faces' area;
+    raises if the region triangles or the overlay cells miss it by more than
+    ``AREA_DEFECT_TOL`` relative, as where a plate triangle crosses the edge
+    of Gamma.
 
     One batched pass: grid-bucket candidate pairs, the box test with
     ``GEOM_TOL``, one clip of all remaining pairs, sliver removal and the fan
     quadrature of all cells at once.
     """
-    region = _plate_interface_check(plate)
+    region = plate.interface_region_triangles
     face_verts = np.array([f.verts2d for f in faces], dtype=float)
     face_ids = np.array([f.face_id for f in faces], dtype=np.int64)
     tri_verts = plate.vertices[plate.triangles[region]]
+    gamma = float(triangle_area(face_verts).sum())
+    covered = float(np.abs(triangle_area(tri_verts)).sum())
+    if abs(covered - gamma) > AREA_DEFECT_TOL * gamma:
+        raise ValueError(
+            "plate mesh does not resolve the coupling region: its interface "
+            f"region triangles cover {covered:.15g}, the body's interface "
+            f"faces {gamma:.15g}"
+        )
     f_lo = face_verts.min(axis=1) - GEOM_TOL
     f_hi = face_verts.max(axis=1) + GEOM_TOL
     t_lo = tri_verts.min(axis=1) - GEOM_TOL
@@ -315,12 +304,12 @@ def intersect_triangulations(
 
     poly, count = _clip_batch(face_verts[fi], tri_verts[ti])
     area = np.abs(_signed_areas(poly, count))
-    c = np.flatnonzero((count >= 3) & (area > AREA_EPSILON_REL * GAMMA_AREA))
+    c = np.flatnonzero((count >= 3) & (area > AREA_EPSILON_REL * gamma))
     poly, count, area = poly[c], count[c], area[c]
     total = float(area.sum())
-    if abs(total - GAMMA_AREA) > AREA_DEFECT_TOL:
+    if abs(total - gamma) > AREA_DEFECT_TOL * gamma:
         raise ValueError(
-            f"overlay area defect: cells cover {total:.15g} of {GAMMA_AREA}"
+            f"overlay area defect: cells cover {total:.15g} of {gamma:.15g}"
         )
     pts, wts, n_fan = _fan_quadrature(poly, count, triangle_rule(FACE_DEGREE))
     split = np.cumsum(n_fan)[:-1]

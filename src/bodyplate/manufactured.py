@@ -9,9 +9,14 @@ membrane/bending loads, and the interface jump load transmitted from the
 body.  The hand-coded tables are validated against finite differences in the
 test suite.
 
-Conventions (fixed domain): body alpha = (-1/2,1/2)^2 x (0,1); plate
-beta = (-1,1)^2; interface Gamma = (-1/2,1/2)^2 x {0}; the body's outward
-normal on Gamma is (0, 0, -1).
+Where the clamped data hold: a case is stated on all of space, with Gamma in
+the plane x3 = 0 and the body's outward normal (0, 0, -1) there, but the
+plate is clamped (w = 0 and grad w3 = 0 on its boundary edges).
+``default_case``'s plate fields meet that only on |x1| = 1 or |x2| = 1, the
+edge of the built plate (-1, 1)^2; ``constant_stress_case``'s vanish
+everywhere.  On a plate moved or scaled off (-1, 1)^2, and the case not moved
+with it, the discrete problem is not the case's: there a comparison of
+solves checks the solve, and the error norms do not measure it.
 """
 
 from __future__ import annotations

@@ -10,7 +10,9 @@
 * *Delaunay*: scipy's tetrahedralization of jittered body vertices, off the
   Kuhn connectivity (``delaunay_body``);
 * *flattened*: body n = 2 with one flat or nearly flat tet
-  (``flattened_body``).
+  (``flattened_body``);
+* *moved*: any of these rotated about the x3 axis and shifted in the plane
+  (``moved``), with the manufactured case moved alike (``moved_case``).
 
 ``quality`` reports the smallest tet volume over h^3.
 """
@@ -26,12 +28,14 @@ from bodyplate.geometry_mesh import (
     GAMMA_HALF_WIDTH,
     Diagonal,
     TetMesh,
+    TriMesh,
     body_mesh_from_tets,
     build_body_mesh,
     build_plate_mesh,
     tet_volume,
     validate_mesh,
 )
+from bodyplate.manufactured import ManufacturedCase
 
 JITTER = 0.2
 
@@ -108,3 +112,47 @@ def flattened_body(lift):
 def quality(mesh: TetMesh) -> float:
     """The smallest signed tet volume of ``mesh`` over h^3."""
     return float(tet_volume(mesh.vertices[mesh.tets]).min() / mesh.h ** 3)
+
+
+def rotation(angle):
+    """The rotation (3, 3) by ``angle`` about the x3 axis."""
+    c, s = np.cos(angle), np.sin(angle)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def moved(mesh, Q, c):
+    """The body or plate moved by x -> Q x + c, with Q (3, 3) a rotation
+    about the x3 axis and c (3,) a shift with c3 = 0; a plate takes their
+    first two rows.  The body's x3 is kept as it is and its (x1, x2) are
+    moved as the plate's, so Gamma stays in x3 = 0 and a body vertex on
+    Gamma lands bitwise where a plate vertex at the same point does."""
+    xy = mesh.vertices[:, :2] @ Q[:2, :2].T + c[:2]
+    if isinstance(mesh, TriMesh):
+        return replace(mesh, vertices=xy)
+    return replace(mesh, vertices=np.column_stack([xy, mesh.vertices[:, 2]]))
+
+
+def moved_case(case: ManufacturedCase, Q, c) -> ManufacturedCase:
+    """The case moved with ``moved``'s meshes: u'(x) = Q u(Q^T (x - c)),
+    its gradient Q (grad u) Q^T and its Hessian rotated alike in every
+    index; the deflection's Hessian is rotated by Q2 = Q[:2, :2] and its
+    bilaplacian is invariant."""
+    Q2, c2 = Q[:2, :2], c[:2]
+
+    def back(x, R, s):
+        """R^T (x - s) of row vectors x."""
+        return (np.asarray(x, dtype=float) - s) @ R
+
+    def u_grad_body(x):
+        u, g = case.u_grad_body(back(x, Q, c))
+        return u @ Q.T, Q @ g @ Q.T
+
+    def hess_u_body(x):
+        H = case.hess_u_body(back(x, Q, c))
+        return np.einsum("ia,jb,kc,...abc->...ijk", Q, Q, Q, H)
+
+    return replace(
+        case, name=f"{case.name}-moved", u_grad_body=u_grad_body,
+        hess_u_body=hess_u_body,
+        hess_u3=lambda p: Q2 @ case.hess_u3(back(p, Q2, c2)) @ Q2.T,
+        bilap_u3=lambda p: case.bilap_u3(back(p, Q2, c2)))

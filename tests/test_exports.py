@@ -147,6 +147,45 @@ def test_no_unused_imports():
     assert unused == {}
 
 
+def _mentions(path: Path, names: set[str]) -> list[tuple[int, str, str, bool]]:
+    """(line, name, enclosing function or "", whether it is read) of every
+    name, attribute or import of one of ``names`` in the module at
+    ``path``."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            inner = (child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function)
+            name = (child.id if isinstance(child, ast.Name)
+                    else child.attr if isinstance(child, ast.Attribute)
+                    else child.name if isinstance(child, ast.alias) else None)
+            if name in names:
+                read = not isinstance(getattr(child, "ctx", None), ast.Store)
+                line = getattr(child, "lineno", getattr(node, "lineno", 0))
+                found.append((line, name, function, read))
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text()), "")
+    return found
+
+
+def test_gamma_is_taken_from_the_meshes():
+    """|Gamma| is the area of the body's interface faces: no code names a
+    constant for it, and only the plate builder reads the half width of the
+    square it meshes."""
+    root = Path(__file__).resolve().parents[1]
+    paths = [p for d in SCANNED for p in sorted((root / d).rglob("*.py"))]
+    named = [f"{p.relative_to(root)}:{line}"
+             for p in paths for line, *_ in _mentions(p, {"GAMMA_AREA"})]
+    read = [f"{p.relative_to(root)}:{line} in {function or 'module'}"
+            for p in sorted((root / "src/bodyplate").rglob("*.py"))
+            for line, _, function, is_read in _mentions(
+                p, {"GAMMA_HALF_WIDTH"})
+            if is_read and function != "build_plate_mesh"]
+    assert named == [] and read == []
+
+
 def test_solve_dd_refuses_a_material_not_the_cases():
     case = default_case()
     with pytest.raises(ValueError, match="params"):

@@ -3,8 +3,9 @@
 The body occupies (-1/2, 1/2)^2 x (0, 1) and is divided into n^3 cubes, each
 split into six positively oriented tetrahedra; the plate occupies (-1, 1)^2
 divided into n^2 squares of two triangles each.  Checks cover element counts,
-total measures, boundary extraction and tagging, the interface-resolution
-predicate, and validation.
+total measures, boundary extraction and tagging, the interface region, and
+validation.  Whether the region covers Gamma takes the body as well, so the
+overlay tests check that.
 """
 
 from dataclasses import replace
@@ -18,7 +19,6 @@ from bodyplate.geometry_mesh import (
     FaceTag,
     build_body_mesh,
     build_plate_mesh,
-    resolves_interface_boundary,
     tet_volume,
     triangle_area,
     validate_mesh,
@@ -126,14 +126,14 @@ class TestPlateMesh:
             triangle_area(mesh.triangle_vertices(int(t))) for t in region
         )
         assert float(area) == pytest.approx(1.0, rel=1e-13)
-        assert resolves_interface_boundary(mesh)
 
     def test_unresolved_interface(self):
         # n = 2 puts cell edges at 0 and +-1 only, so the line x = 1/2 cuts
-        # through cells and the coupling boundary is not resolved.
+        # through cells and no triangle lies in closure(Gamma).  The mesh is
+        # consistent; the overlay refuses it beside a body.
         mesh = build_plate_mesh(2)
-        assert not resolves_interface_boundary(mesh)
-        assert any("not resolved" in p for p in validate_mesh(mesh))
+        assert mesh.interface_region_triangles.size == 0
+        assert validate_mesh(mesh) == []
 
     def test_flipped_diagonal_differs(self):
         same = build_plate_mesh(4, Diagonal.SAME_AS_BODY)
@@ -168,18 +168,32 @@ def _flip_triangle(m):
     return replace(m, triangles=tris)
 
 
-def _pull_corner(m):
-    verts = m.vertices.copy()
-    verts[0] = [-1.1, -1.1]
-    return replace(m, vertices=verts)
+def _flip_face(tag):
+    """Swap two vertices of the first boundary face with ``tag``, so its
+    right-hand normal points into its tet."""
+    def flip(m):
+        faces = m.boundary_faces.copy()
+        k = np.flatnonzero(m.boundary_tags == tag)[0]
+        faces[k, [1, 2]] = faces[k, [2, 1]]
+        return replace(m, boundary_faces=faces)
+    return flip
+
+
+def _region(edit):
+    return lambda m: replace(m, interface_region_triangles=edit(
+        m.interface_region_triangles))
 
 
 # One corruption per problem that validate_mesh names: body n = 2 and plate
 # n = 4 (which resolves Gamma), each with the message it must produce.
 BODY_CORRUPTIONS = {
     "flipped tet": (_flip_tet, "1 tets with non-positive volume"),
-    "scaled": (lambda m: replace(m, vertices=1.01 * m.vertices),
-               "total volume 1.030301"),
+    "flipped free face": (_flip_face(FaceTag.FREE),
+                          "1 boundary faces with an inward normal, the "
+                          "first (0, 10, 9)"),
+    "flipped interface face": (_flip_face(FaceTag.INTERFACE),
+                               "1 boundary faces with an inward normal, the "
+                               "first (0, 9, 12)"),
     "cut boundary": (lambda m: replace(m, boundary_faces=m.boundary_faces[1:],
                                        boundary_tags=m.boundary_tags[1:]),
                      "boundary face table does not match once-seen tet faces"),
@@ -189,11 +203,16 @@ BODY_CORRUPTIONS = {
 }
 PLATE_CORRUPTIONS = {
     "flipped triangle": (_flip_triangle, "1 triangles with non-positive area"),
-    "pulled corner": (_pull_corner, "total area 4.05 != 4"),
-    "outside region triangle": (
-        lambda m: replace(m, interface_region_triangles=np.append(
-            m.interface_region_triangles, 0)),
-        "interface_region_triangles contains an outside triangle"),
+    "region index out of range": (
+        _region(lambda r: np.append(r, 10**6)),
+        "interface_region_triangles holds 1000000, not a triangle index of "
+        "0 to 31"),
+    "negative region index": (
+        _region(lambda r: np.append(r, -1)),
+        "interface_region_triangles holds -1, not a triangle index of 0 to 31"),
+    "repeated region triangle": (
+        _region(lambda r: np.append(r, r[0])),
+        "interface_region_triangles lists triangle 10 more than once"),
 }
 
 
@@ -222,18 +241,6 @@ class TestValidate:
         cut = replace(mesh, boundary_tags=mesh.boundary_tags[:-5])
         assert validate_mesh(cut) == [
             "boundary faces and tags differ in length: 48, 43"]
-
-    def test_region_short_of_gamma_named(self):
-        # Every triangle resolves Gamma, but the list of those inside it
-        # misses one: the listed triangles do not cover Gamma.
-        mesh = build_plate_mesh(4)
-        short = replace(mesh, interface_region_triangles=(
-            mesh.interface_region_triangles[1:]))
-        assert not resolves_interface_boundary(short)
-        assert validate_mesh(short) == [
-            "interface boundary not resolved: the interface region "
-            "triangles do not cover Gamma exactly (plate n must be "
-            "divisible by 4)"]
 
     def test_unknown_type(self):
         assert validate_mesh(object())[0].startswith("unknown mesh type")

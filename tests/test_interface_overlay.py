@@ -1,12 +1,16 @@
 """Geometric overlay of the body's interface faces and the plate triangles.
 
 The coupling integrals live on the common refinement of two triangulations of
-the square (-1/2, 1/2)^2: the projected bottom faces of the body mesh and the
-central triangles of the plate mesh.  The overlay must conserve area exactly
-(up to tolerance) for every configured mesh pairing, degenerate to one cell
-per face when the meshes match, and map quadrature points consistently back
-into both parents.
+Gamma, the square (-1/2, 1/2)^2 of the built meshes: the projected bottom
+faces of the body mesh and the central triangles of the plate mesh.  The
+overlay must conserve |Gamma|, the faces' area, exactly (up to tolerance) for
+every configured mesh pairing, refuse by name a plate whose region triangles
+cover another area, degenerate to one cell per face when the meshes match,
+and map quadrature points consistently back into both parents.
 """
+
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,10 +23,10 @@ from bodyplate.geometry_mesh import (
     build_body_mesh,
     build_plate_mesh,
     triangle_area,
+    validate_mesh,
 )
 from bodyplate.interface_overlay import (
     AREA_EPSILON_REL,
-    GAMMA_AREA,
     _candidate_pairs,
     clip_convex_polygon,
     extract_interface_triangulation,
@@ -148,6 +152,37 @@ class TestOverlay:
         with pytest.raises(ValueError, match="resolve"):
             intersect_triangulations(faces, plate)
 
+    # Plate n = 4 with a region list that validates but does not cover
+    # Gamma, and the area (of 1) its triangles cover instead.
+    REGION_CORRUPTIONS = {
+        "outside region triangle": (lambda r: np.append(r, 0), "1.125"),
+        "region short of gamma": (lambda r: r[1:], "0.875"),
+    }
+
+    @pytest.mark.parametrize("name", REGION_CORRUPTIONS)
+    def test_region_off_gamma_named(self, faces2, name):
+        edit, covered = self.REGION_CORRUPTIONS[name]
+        plate = build_plate_mesh(4)
+        plate = replace(plate, interface_region_triangles=edit(
+            plate.interface_region_triangles))
+        assert validate_mesh(plate) == []
+        with pytest.raises(ValueError, match=re.escape(
+                "plate mesh does not resolve the coupling region: its "
+                f"interface region triangles cover {covered}, the body's "
+                "interface faces 1")):
+            intersect_triangulations(faces2, plate)
+
+    @pytest.mark.parametrize("scale", [0.8, 1.5])
+    def test_scaled_pair_covers_the_faces_area(self, scale):
+        # |Gamma| is the faces' area, scale^2, not a constant.
+        body, plate = build_body_mesh(2), build_plate_mesh(8, Diagonal.FLIPPED)
+        faces = extract_interface_triangulation(
+            replace(body, vertices=scale * body.vertices))
+        cells = intersect_triangulations(
+            faces, replace(plate, vertices=scale * plate.vertices))
+        assert sum(c.area for c in cells) == pytest.approx(scale**2,
+                                                           rel=1e-13)
+
     def test_quadrature_integrates_polynomial(self):
         # Summing x^2 y over all overlay cells must equal the integral over
         # the square (-1/2, 1/2)^2, which is zero by symmetry; x^2 y^2 gives
@@ -262,8 +297,9 @@ def box_pairs(faces, plate):
 
 def reference_overlay(faces, plate, quad_degree=6):
     """(face_id, tri_id, polygon, points, weights, area) per cell, one pair
-    at a time."""
+    at a time; slivers are measured against |Gamma|, the faces' area."""
     rule = triangle_rule(quad_degree)
+    gamma = sum(face.area for face in faces)
     cells = []
     for f, t in box_pairs(faces, plate):
         poly = reference_clip(faces[f].verts2d, plate.triangle_vertices(t))
@@ -271,7 +307,7 @@ def reference_overlay(faces, plate, quad_degree=6):
             continue
         x, y = poly[:, 0], poly[:, 1]
         area = 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
-        if area <= AREA_EPSILON_REL * GAMMA_AREA:
+        if area <= AREA_EPSILON_REL * gamma:
             continue
         pts, wts = [], []
         for k in range(1, poly.shape[0] - 1):
